@@ -2,12 +2,14 @@
 # Sigma points and their stochastic counterpart.  The deterministic rule
 # matches a Gaussian's first two moments with 2d+1 points; infusing each point
 # with standard normal noise gives stochastic sigma variables that stay
-# anchored to "their" region of the distribution across resamplings.
+# anchored to "their" region of the distribution across resamplings.  Both
+# samplers are the modes of latent_sample_batch, the one the filter runs.
 
 import numpy as np
 
 from vdm.gaussians import DiagGaussian
-from vdm.sampling import mc_sample, sca_sample, sigma_points
+from vdm.nets import ModelConfig
+from vdm.sampling import latent_sample_batch, sigma_points
 
 d, kappa = 3, 0.5
 xi, gamma = sigma_points(d, kappa)
@@ -19,18 +21,20 @@ print("sum gamma xi   :", gamma @ xi)
 print("sum gamma xixiT:\n", np.einsum("i,ij,ik->jk", gamma, xi, xi))
 
 # --- stochastic sigma variables ------------------------------------------
-g = DiagGaussian(np.array([1.0, -2.0, 0.5]), np.array([0.5, 1.0, 2.0]))
-sca = sca_sample(g, kappa, None, noise_seed=7)
-print("\nnoise-infused samples (seed 7):\n", sca.samples)
+# a batch of one belief; the sampler returns (batch, k, d)
+g = DiagGaussian(np.array([[1.0, -2.0, 0.5]]), np.array([[0.5, 1.0, 2.0]]))
+sca_cfg = ModelConfig(d_x=1, d_z=d, d_h=1, k=2 * d + 1, kappa=kappa, sampler_mode="sca")
+sca = latent_sample_batch(g, sca_cfg, np.random.default_rng(7)).value[0]
+print("\nnoise-infused samples (seed 7):\n", sca)
 
 # persistence: the same seed reproduces the same samples from the same belief
-again = sca_sample(g, kappa, None, noise_seed=7)
-print("persistent across resampling:", np.array_equal(sca.samples, again.samples))
+again = latent_sample_batch(g, sca_cfg, np.random.default_rng(7)).value[0]
+print("persistent across resampling:", np.array_equal(sca, again))
 
 # --- spread comparison against plain Monte Carlo -------------------------
 # cubature anchors keep the k samples spread out even for small k
-rng = np.random.default_rng(0)
-mc = mc_sample(g, 2 * d + 1, rng)
+mc_cfg = ModelConfig(d_x=1, d_z=d, d_h=1, k=2 * d + 1, sampler_mode="monte_carlo")
+mc = latent_sample_batch(g, mc_cfg, np.random.default_rng(0)).value[0]
 print("\nper-coordinate sample spread (std):")
-print("  sca:", sca.samples.std(axis=0))
+print("  sca:", sca.std(axis=0))
 print("  mc :", mc.std(axis=0))

@@ -5,98 +5,15 @@ cubature samples through a shared recurrent cell, forming a mixture-of-
 Gaussians posterior per step.  Training maximizes a per-step evidence bound
 with predictive and adversarial regularizers; evaluation covers sample NLL
 and the empirical Wasserstein distance between forecast and truth sets.
+
+The top level holds the names the README quick start uses; everything else
+is imported from its submodule (``vdm.inference``, ``vdm.checkpoint``, ...).
 """
-from .autodiff import Tape, Tensor, backward
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import (
-    Dataset,
-    LorenzConfig,
-    Trajectory,
-    generate_four_mode,
-    group_by_prefix,
-    load_csv,
-    rk4_step,
-    save_csv,
-    simulate_lorenz,
-    simulate_lorenz_paths,
-)
-from .evaluation import (
-    ForecastBundle,
-    dataset_multi_step_nll,
-    forecast_dataset,
-    multi_step_nll,
-    one_step_nll,
-    w_distance_protocol,
-    wasserstein,
-)
-from .gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
-from .inference import (
-    MixtureBelief,
-    PredictiveMixture,
-    belief_init,
-    belief_step,
-    compute_weights,
-    export_predictive_prior,
-    filter_sequence,
-    generate,
-    one_step_predictive,
-)
-from .nets import ModelConfig, VdmModel, parameter_counts
-from .objective import LossBreakdown, TrainResult, adv_regularizer, elbo_step, total_loss, train
-from .optim import ParameterStore, adam_step
-from .sampling import SigmaSet, mc_sample, sca_sample, sigma_points
+from .data import LorenzConfig, simulate_lorenz
+from .evaluation import dataset_multi_step_nll
+from .nets import ModelConfig
+from .objective import train
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Tape",
-    "Tensor",
-    "backward",
-    "Checkpoint",
-    "load_checkpoint",
-    "save_checkpoint",
-    "Dataset",
-    "LorenzConfig",
-    "Trajectory",
-    "generate_four_mode",
-    "group_by_prefix",
-    "load_csv",
-    "rk4_step",
-    "save_csv",
-    "simulate_lorenz",
-    "simulate_lorenz_paths",
-    "ForecastBundle",
-    "dataset_multi_step_nll",
-    "forecast_dataset",
-    "multi_step_nll",
-    "one_step_nll",
-    "w_distance_protocol",
-    "wasserstein",
-    "DiagGaussian",
-    "gaussian_kl",
-    "gaussian_log_pdf",
-    "MixtureBelief",
-    "PredictiveMixture",
-    "belief_init",
-    "belief_step",
-    "compute_weights",
-    "export_predictive_prior",
-    "filter_sequence",
-    "generate",
-    "one_step_predictive",
-    "ModelConfig",
-    "VdmModel",
-    "parameter_counts",
-    "LossBreakdown",
-    "TrainResult",
-    "adv_regularizer",
-    "elbo_step",
-    "total_loss",
-    "train",
-    "ParameterStore",
-    "adam_step",
-    "SigmaSet",
-    "mc_sample",
-    "sca_sample",
-    "sigma_points",
-]
+__all__ = ["LorenzConfig", "ModelConfig", "simulate_lorenz", "train", "dataset_multi_step_nll"]

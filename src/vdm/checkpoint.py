@@ -1,9 +1,14 @@
 """Versioned on-disk checkpoints: bit-exact, platform-independent.
 
 Layout: an 8-byte magic, a little-endian uint32 format version, a uint64
-header length, a JSON header describing every array (store, kind, name,
-shape, byte offset), then one payload of concatenated little-endian float64
-values in row-major order.
+header length, a JSON header (config, provenance, and one entry per array
+giving store, name, shape and byte offset), then one payload of
+concatenated little-endian float64 values in row-major order.
+
+Format 2 holds what loading a model reads: the model and discriminator
+weights, the observation normalization statistics, the config and the
+provenance.  Format 1 files also carried Adam moments, step counts and an
+rng state; they still load, and those entries are skipped.
 """
 from __future__ import annotations
 
@@ -20,62 +25,41 @@ from .util import atomic_write_bytes
 __all__ = ["Checkpoint", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"VDMCKPT\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+_PREAMBLE = len(MAGIC) + 12  # magic, uint32 version, uint64 header length
 
 
 @dataclass
 class Checkpoint:
-    """All weights, optimizer state, rng state and provenance of one model."""
+    """Weights, normalization statistics and provenance of one trained model."""
 
     config: ModelConfig
     model_arrays: dict
     disc_arrays: dict
-    model_moments: dict
-    disc_moments: dict
-    model_step: int
-    disc_step: int
     obs_mean: np.ndarray
     obs_std: np.ndarray
-    rng_state: dict | None = None
     provenance: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
     @classmethod
-    def from_stores(cls, config, params, disc, obs_mean, obs_std, rng_state=None, provenance=None):
+    def from_stores(cls, config, params, disc, obs_mean, obs_std, provenance=None):
         return cls(
             config=config,
             model_arrays={k: v.value.copy() for k, v in params.params.items()},
             disc_arrays={k: v.value.copy() for k, v in disc.params.items()},
-            model_moments={
-                "m": {k: v.copy() for k, v in params.m.items()},
-                "v": {k: v.copy() for k, v in params.v.items()},
-            },
-            disc_moments={
-                "m": {k: v.copy() for k, v in disc.m.items()},
-                "v": {k: v.copy() for k, v in disc.v.items()},
-            },
-            model_step=params.step_count,
-            disc_step=disc.step_count,
             obs_mean=np.asarray(obs_mean, dtype=np.float64),
             obs_std=np.asarray(obs_std, dtype=np.float64),
-            rng_state=rng_state,
             provenance=dict(provenance or {}),
         )
 
     def build_model(self):
-        """Reconstruct a VdmModel (parameters and optimizer state included)."""
+        """Reconstruct a VdmModel with fresh optimizer state."""
         params = ParameterStore()
         for name, arr in self.model_arrays.items():
             params.add(name, arr.copy())
-            params.m[name] = self.model_moments["m"][name].copy()
-            params.v[name] = self.model_moments["v"][name].copy()
-        params.step_count = self.model_step
         disc = ParameterStore()
         for name, arr in self.disc_arrays.items():
             disc.add(name, arr.copy())
-            disc.m[name] = self.disc_moments["m"][name].copy()
-            disc.v[name] = self.disc_moments["v"][name].copy()
-        disc.step_count = self.disc_step
         return VdmModel(self.config, params, disc)
 
     def normalize(self, data):
@@ -87,43 +71,29 @@ class Checkpoint:
 
 def _iter_arrays(ckpt):
     for name, arr in ckpt.model_arrays.items():
-        yield "model", "param", name, arr
-    for kind in ("m", "v"):
-        for name, arr in ckpt.model_moments[kind].items():
-            yield "model", kind, name, arr
+        yield "model", name, arr
     for name, arr in ckpt.disc_arrays.items():
-        yield "disc", "param", name, arr
-    for kind in ("m", "v"):
-        for name, arr in ckpt.disc_moments[kind].items():
-            yield "disc", kind, name, arr
-    yield "stats", "param", "obs_mean", ckpt.obs_mean
-    yield "stats", "param", "obs_std", ckpt.obs_std
+        yield "disc", name, arr
+    yield "stats", "obs_mean", ckpt.obs_mean
+    yield "stats", "obs_std", ckpt.obs_std
 
 
 def save_checkpoint(ckpt, path):
     entries = []
     chunks = []
     offset = 0
-    for store, kind, name, arr in _iter_arrays(ckpt):
+    for store, name, arr in _iter_arrays(ckpt):
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append(
-            {"store": store, "kind": kind, "name": name, "shape": list(arr.shape), "offset": offset}
-        )
+        entries.append({"store": store, "name": name, "shape": list(arr.shape), "offset": offset})
         raw = arr.tobytes()
         chunks.append(raw)
         offset += len(raw)
-    header = {
-        "config": ckpt.config.to_dict(),
-        "arrays": entries,
-        "steps": {"model": ckpt.model_step, "disc": ckpt.disc_step},
-        "rng_state": ckpt.rng_state,
-        "provenance": ckpt.provenance,
-    }
+    header = {"config": ckpt.config.to_dict(), "arrays": entries, "provenance": ckpt.provenance}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = b"".join(
         [
             MAGIC,
-            struct.pack("<I", ckpt.version),
+            struct.pack("<I", FORMAT_VERSION),
             struct.pack("<Q", len(header_bytes)),
             header_bytes,
             b"".join(chunks),
@@ -133,45 +103,46 @@ def save_checkpoint(ckpt, path):
     return path
 
 
+def _config_from_header(config, version):
+    config = dict(config)
+    if version == 1:
+        # format 1 recorded the branch likelihood; only prior_mean remains
+        mode = config.pop("branch_likelihood", "prior_mean")
+        if mode != "prior_mean":
+            raise ValueError(f"branch_likelihood {mode!r} is a removed mode")
+    return ModelConfig.from_dict(config)
+
+
 def load_checkpoint(path):
+    """Read a format 1 or 2 checkpoint; a malformed file raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
+    if len(blob) < _PREAMBLE or blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    version = struct.unpack_from("<I", blob, len(MAGIC))[0]
-    if version != FORMAT_VERSION:
+    version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
+    if version not in READABLE_VERSIONS:
         raise ValueError(
-            f"{path}: unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
+            f"{path}: unsupported checkpoint version {version} (expected one of {READABLE_VERSIONS})"
         )
-    header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
-    header_start = len(MAGIC) + 12
-    header = json.loads(blob[header_start : header_start + header_len].decode("utf-8"))
-    payload = blob[header_start + header_len :]
-    stores = {"model": ({}, {"m": {}, "v": {}}), "disc": ({}, {"m": {}, "v": {}})}
-    stats = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=entry["offset"]
-        ).reshape(shape).astype(np.float64)
-        if entry["store"] == "stats":
-            stats[entry["name"]] = arr
-        elif entry["kind"] == "param":
-            stores[entry["store"]][0][entry["name"]] = arr
-        else:
-            stores[entry["store"]][1][entry["kind"]][entry["name"]] = arr
-    return Checkpoint(
-        config=ModelConfig.from_dict(header["config"]),
-        model_arrays=stores["model"][0],
-        disc_arrays=stores["disc"][0],
-        model_moments=stores["model"][1],
-        disc_moments=stores["disc"][1],
-        model_step=header["steps"]["model"],
-        disc_step=header["steps"]["disc"],
-        obs_mean=stats["obs_mean"],
-        obs_std=stats["obs_std"],
-        rng_state=header["rng_state"],
-        provenance=header.get("provenance", {}),
-        version=version,
-    )
+    try:
+        header = json.loads(blob[_PREAMBLE : _PREAMBLE + header_len])
+        payload = blob[_PREAMBLE + header_len :]
+        arrays = {"model": {}, "disc": {}, "stats": {}}
+        for entry in header["arrays"]:
+            if entry.get("kind", "param") != "param":
+                continue  # format 1 Adam moments
+            shape = tuple(entry["shape"])
+            arr = np.frombuffer(
+                payload, dtype="<f8", count=int(np.prod(shape)), offset=entry["offset"]
+            )
+            arrays[entry["store"]][entry["name"]] = arr.reshape(shape).astype(np.float64)
+        return Checkpoint(
+            config=_config_from_header(header["config"], version),
+            model_arrays=arrays["model"],
+            disc_arrays=arrays["disc"],
+            obs_mean=arrays["stats"]["obs_mean"],
+            obs_std=arrays["stats"]["obs_std"],
+            provenance=header.get("provenance", {}),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: invalid checkpoint ({type(err).__name__}: {err})") from err

@@ -178,7 +178,6 @@ TRAIN_DEFAULTS = {
     "kappa": 0.5,
     "sampler": "sca",
     "weighting": "delta",
-    "branch_likelihood": "prior_mean",
     "omega1": 1.0,
     "omega2": 1.0,
     "lr": 1e-3,
@@ -209,7 +208,6 @@ def cmd_train(args):
         kappa=resolved["kappa"],
         weighting_mode=resolved["weighting"],
         sampler_mode=resolved["sampler"],
-        branch_likelihood=resolved["branch_likelihood"],
         omega1=resolved["omega1"],
         omega2=resolved["omega2"],
         lr=resolved["lr"],
@@ -432,8 +430,6 @@ def build_parser():
     p_train.add_argument("--kappa", type=float)
     p_train.add_argument("--sampler", choices=["sca", "monte_carlo"])
     p_train.add_argument("--weighting", choices=["delta", "categorical"])
-    p_train.add_argument("--branch-likelihood", dest="branch_likelihood",
-                         choices=["prior_mean", "prior_sample"])
     p_train.add_argument("--omega1", type=float)
     p_train.add_argument("--omega2", type=float)
     p_train.add_argument("--lr", type=float)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import as_tensor, log, reduce_sum, square
+from .util import NonFiniteError
 
 __all__ = ["LOG_2PI", "DiagGaussian", "gaussian_log_pdf", "gaussian_kl"]
 
@@ -23,7 +24,7 @@ class DiagGaussian:
                 f"DiagGaussian: mean shape {self.mean.shape} != std shape {self.std.shape}"
             )
         if not np.all(np.isfinite(self.mean.value)) or not np.all(np.isfinite(self.std.value)):
-            raise ValueError("DiagGaussian: parameters must be finite")
+            raise NonFiniteError("DiagGaussian: parameters must be finite")
         if np.any(self.std.value <= 0.0):
             raise ValueError("DiagGaussian: std must be strictly positive")
 

@@ -21,7 +21,6 @@ from .sampling import latent_sample_batch, sigma_points
 __all__ = [
     "MixtureBelief",
     "StepInfo",
-    "compute_weights",
     "weights_from_loglik",
     "belief_init",
     "belief_step",
@@ -86,9 +85,8 @@ def _as_batch_array(x, dim, name):
 def _branch_likelihood(model, s_flat, x, k):
     """Differentiable log p(x_t | h_{t-1}=s) per branch, plus the branch priors.
 
-    The latent is resolved at the transition prior's mean (deterministic,
-    cheap); ``prior_sample`` in the config swaps in a single driverless draw,
-    which callers provide through the rng hook on belief_step.
+    The latent is resolved at the transition prior's mean, so the branch
+    likelihood is deterministic and draws nothing from the rng.
     """
     b = x.shape[0]
     prior_flat = model.transition_prior(s_flat)
@@ -129,20 +127,6 @@ def weights_from_loglik(loglik, mode, rng=None):
     return weights
 
 
-def compute_weights(branch_states, x, mode, model, rng=None):
-    """Weights for explicit branch states; gradients are never taken here."""
-    s = branch_states.value if isinstance(branch_states, Tensor) else np.asarray(branch_states)
-    single = s.ndim == 2
-    if single:
-        s = s[None, ...]
-    b, k, d_h = s.shape
-    x_arr = _as_batch_array(x, model.config.d_x, "compute_weights")
-    with Tape.pause():
-        ll, _ = _branch_likelihood(model, Tensor(s.reshape(b * k, d_h)), x_arr, k)
-    weights = weights_from_loglik(ll.value, mode, rng)
-    return weights[0] if single else weights
-
-
 def belief_init(model, x_first):
     """Single-component belief from the initial-observation encoder; h_0 = 0."""
     x = _as_batch_array(x_first, model.config.d_x, "belief_init")
@@ -180,12 +164,6 @@ def belief_step(model, belief, x, rng, weights_override=None):
     q_flat = model.infer_component(s_flat, x_rep)                  # (B*k, d_z)
 
     loglik, prior_flat = _branch_likelihood(model, s_flat, x_arr, k)
-    if cfg.branch_likelihood == "prior_sample":
-        # re-resolve the branch latent with one reparameterized draw
-        eps = rng.standard_normal((b * k, cfg.d_z))
-        z_draw = prior_flat.mean + prior_flat.std * Tensor(eps)
-        em = model.emit(z_draw, s_flat)
-        loglik = ad.reshape(gaussian_log_pdf(x_rep, em), (b, k))
     if weights_override is not None:
         weights = np.asarray(weights_override, dtype=np.float64)
     else:

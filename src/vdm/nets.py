@@ -7,7 +7,7 @@ to [-10, 10] to guard overflow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .gaussians import DiagGaussian
 from .optim import ParameterStore
+from .util import NonFiniteError
 
 __all__ = ["ModelConfig", "VdmModel", "parameter_counts"]
 
@@ -22,7 +23,6 @@ RAW_STD_CLAMP = 10.0
 
 WEIGHTING_MODES = ("delta", "categorical")
 SAMPLER_MODES = ("sca", "monte_carlo")
-BRANCH_LIKELIHOOD_MODES = ("prior_mean", "prior_sample")
 
 
 @dataclass
@@ -36,7 +36,6 @@ class ModelConfig:
     kappa: float = 0.5
     weighting_mode: str = "delta"
     sampler_mode: str = "sca"
-    branch_likelihood: str = "prior_mean"
     omega1: float = 1.0
     omega2: float = 1.0
     lr: float = 1e-3
@@ -51,10 +50,6 @@ class ModelConfig:
             raise ValueError(f"ModelConfig: unknown weighting_mode {self.weighting_mode!r}")
         if self.sampler_mode not in SAMPLER_MODES:
             raise ValueError(f"ModelConfig: unknown sampler_mode {self.sampler_mode!r}")
-        if self.branch_likelihood not in BRANCH_LIKELIHOOD_MODES:
-            raise ValueError(
-                f"ModelConfig: unknown branch_likelihood {self.branch_likelihood!r}"
-            )
         if self.k == 1 and self.sampler_mode == "sca":
             raise ValueError("ModelConfig: k=1 requires monte_carlo sampling")
         if self.sampler_mode == "sca" and self.k != 2 * self.d_z + 1:
@@ -67,19 +62,7 @@ class ModelConfig:
             raise ValueError("ModelConfig: lr must be positive")
 
     def to_dict(self):
-        return {
-            "d_x": self.d_x,
-            "d_z": self.d_z,
-            "d_h": self.d_h,
-            "k": self.k,
-            "kappa": self.kappa,
-            "weighting_mode": self.weighting_mode,
-            "sampler_mode": self.sampler_mode,
-            "branch_likelihood": self.branch_likelihood,
-            "omega1": self.omega1,
-            "omega2": self.omega2,
-            "lr": self.lr,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -123,7 +106,7 @@ def _check_input(name, x, dim):
     if v.shape[-1] != dim:
         raise ValueError(f"{name}: expected trailing dimension {dim}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name}: non-finite input")
+        raise NonFiniteError(f"{name}: non-finite input")
 
 
 def _as_batch(x):

@@ -46,8 +46,6 @@ class LossBreakdown:
     adv: float
     total: float
     per_step_elbo: list = field(default_factory=list)
-    per_step_pred: list = field(default_factory=list)
-    per_step_adv: list = field(default_factory=list)
     step_weights: list = field(default_factory=list)
     total_node: Tensor | None = None
     disc_loss: float = 0.0
@@ -170,11 +168,9 @@ def total_loss(model, batch, rng, weights_override=None):
         elbo_terms.append(ad.reduce_mean(elbo_t))
         pred_terms.append(ad.reduce_mean(pred_t))
         breakdown.per_step_elbo.append(float(elbo_terms[-1].value))
-        breakdown.per_step_pred.append(float(pred_terms[-1].value))
         if use_adv:
             gen_terms.append(ad.reduce_mean(gen_t))
             disc_terms.append(ad.reduce_mean(disc_t))
-            breakdown.per_step_adv.append(float(gen_terms[-1].value))
 
     def _accum(terms):
         out = terms[0]
@@ -289,10 +285,9 @@ def train(
                     model.disc.zero_grad()
                 epoch_terms += (bd.total, bd.elbo, bd.pred, bd.adv)
                 batches += 1
-        except (FloatingPointError, ValueError) as err:
-            # non-finite values anywhere in the pass mean the run diverged
-            if isinstance(err, ValueError) and "finite" not in str(err):
-                raise
+        except FloatingPointError as err:
+            # non-finite values anywhere in the pass mean the run diverged;
+            # non-finite training data is a ValueError and propagates
             if verbose:
                 print(f"epoch {epoch}: aborted on divergence: {err}")
             aborted = True
@@ -339,7 +334,6 @@ def train(
         disc=best_disc,
         obs_mean=obs_mean,
         obs_std=obs_std,
-        rng_state=rng.bit_generator.state,
         provenance={
             "epoch": best_epoch,
             "val_nll": None if math.isinf(best_val) or math.isnan(best_val) else best_val,

@@ -56,15 +56,6 @@ class ParameterStore:
         out.step_count = self.step_count
         return out
 
-    def load_values(self, arrays):
-        for name, arr in arrays.items():
-            t = self.params[name]
-            if t.value.shape != np.asarray(arr).shape:
-                raise ValueError(
-                    f"parameter {name!r}: shape {np.asarray(arr).shape} != {t.value.shape}"
-                )
-            t.value[...] = arr
-
 
 def adam_step(store, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
     """In-place bias-corrected Adam update; gradients are zeroed afterwards."""

@@ -1,30 +1,20 @@
-"""Deterministic cubature points and their noise-infused stochastic variant.
+"""The cubature rule and the one latent sampler the filtering recursion uses.
 
 The cubature rule places 2d+1 abscissas that match a standard Gaussian's
-first two moments exactly; infusing each point with standard normal noise
-turns them into stochastic sigma variables while keeping samples from the
-same component close to each other across resamplings.
+first two moments exactly.  ``latent_sample_batch`` draws k latents per row
+of a batched Gaussian in one of two modes: ``sca`` infuses each sigma point
+with standard normal noise, turning the points into stochastic sigma
+variables that stay anchored to their region of the distribution;
+``monte_carlo`` takes k i.i.d. reparameterized draws.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["SigmaSet", "sigma_points", "sca_sample", "mc_sample", "latent_sample_batch"]
-
-
-@dataclass
-class SigmaSet:
-    """Cubature abscissas, weights, and the noise-infused samples drawn from them."""
-
-    xi: np.ndarray      # (k, d) abscissas
-    gamma: np.ndarray   # (k,) nonnegative weights summing to 1
-    samples: np.ndarray  # (k, d) stochastic sigma variables
-    noise_seed: int | None = None
+__all__ = ["sigma_points", "latent_sample_batch"]
 
 
 def sigma_points(d, kappa):
@@ -45,44 +35,6 @@ def sigma_points(d, kappa):
     gamma = np.full(k, 1.0 / (2.0 * (d + kappa)))
     gamma[0] = kappa / (d + kappa)
     return xi, gamma
-
-
-def _moments(g):
-    """Accept a DiagGaussian or a raw (mean, std) pair; std may be degenerate 0."""
-    if isinstance(g, tuple):
-        mean, std = (np.asarray(a, dtype=np.float64) for a in g)
-    else:
-        mean = np.asarray(g.mean.value, dtype=np.float64)
-        std = np.asarray(g.std.value, dtype=np.float64)
-    return mean, std
-
-
-def sca_sample(g, kappa, rng, noise_seed=None):
-    """Stochastic cubature draw from a diagonal Gaussian.
-
-    Each sigma point is infused with its own standard normal noise:
-    s_i = mean + std * (xi_i + eps_i).  With a fixed seed the same Gaussian
-    reproduces identical samples.
-    """
-    mean, std = _moments(g)
-    if mean.ndim != 1:
-        raise ValueError("sca_sample: expected a single (unbatched) Gaussian")
-    d = mean.shape[0]
-    xi, gamma = sigma_points(d, kappa)
-    if noise_seed is not None:
-        rng = np.random.default_rng(noise_seed)
-    eps = rng.standard_normal(xi.shape)
-    samples = mean[None, :] + std[None, :] * (xi + eps)
-    return SigmaSet(xi=xi, gamma=gamma, samples=samples, noise_seed=noise_seed)
-
-
-def mc_sample(g, k, rng):
-    """k i.i.d. reparameterized draws mean + std * eps as a (k, d) array."""
-    mean, std = _moments(g)
-    if mean.ndim != 1:
-        raise ValueError("mc_sample: expected a single (unbatched) Gaussian")
-    eps = rng.standard_normal((k, mean.shape[0]))
-    return mean[None, :] + std[None, :] * eps
 
 
 def latent_sample_batch(g, config, rng):

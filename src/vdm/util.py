@@ -1,4 +1,4 @@
-"""Small shared helpers: worker caps, atomic file writes, hashing."""
+"""Small shared helpers: the divergence error, worker caps, atomic file writes, hashing."""
 from __future__ import annotations
 
 import hashlib
@@ -6,7 +6,17 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["worker_count", "parallel_map", "atomic_write_bytes", "atomic_write_text", "sha256_file"]
+__all__ = ["NonFiniteError", "worker_count", "parallel_map", "atomic_write_bytes",
+           "atomic_write_text", "sha256_file"]
+
+
+class NonFiniteError(FloatingPointError, ValueError):
+    """A network input or distribution parameter is NaN or infinite.
+
+    Inside training this means the run diverged; ``train`` catches
+    FloatingPointError for that.  It is also a ValueError so callers that
+    validate their own inputs keep one except clause.
+    """
 
 
 def worker_count():

@@ -1,4 +1,8 @@
-"""Checkpoint container: bit-exact round trips, version gating."""
+"""Checkpoint container: bit-exact round trips, version gating, format 1
+compatibility, typed errors for corrupt files."""
+import json
+import os
+import re
 import struct
 
 import numpy as np
@@ -8,40 +12,60 @@ from vdm.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from vdm.inference import belief_init, generate
 from vdm.nets import ModelConfig, VdmModel
 
+# Written by the format 1 writer from make_checkpoint(seed=5), whose model
+# store then carried nonzero Adam moments, step_count=7 and an rng state.
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1.vdm")
+
 
 def make_checkpoint(seed=0):
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega1=0.5, omega2=0.25)
     model = VdmModel.initialize(cfg, np.random.default_rng(seed))
-    model.params.m["enc0.w"][...] = 0.125  # nontrivial optimizer state
-    model.params.step_count = 7
     return Checkpoint.from_stores(
         config=cfg,
         params=model.params,
         disc=model.disc,
         obs_mean=np.array([0.5, -1.0]),
         obs_std=np.array([2.0, 0.25]),
-        rng_state=np.random.default_rng(3).bit_generator.state,
         provenance={"epoch": 4, "val_nll": 1.25, "manifest_sha256": "ab" * 32},
     )
+
+
+def assert_same_checkpoint(got, want):
+    assert got.config.to_dict() == want.config.to_dict()
+    assert got.provenance == want.provenance
+    assert got.model_arrays.keys() == want.model_arrays.keys()
+    for name, arr in want.model_arrays.items():
+        np.testing.assert_array_equal(got.model_arrays[name], arr)
+    assert got.disc_arrays.keys() == want.disc_arrays.keys()
+    for name, arr in want.disc_arrays.items():
+        np.testing.assert_array_equal(got.disc_arrays[name], arr)
+    np.testing.assert_array_equal(got.obs_mean, want.obs_mean)
+    np.testing.assert_array_equal(got.obs_std, want.obs_std)
+
+
+def forecast(ckpt):
+    model = ckpt.build_model()
+    x0 = np.array([[0.2, -0.4]])
+    return generate(model, belief_init(model, x0), 6, np.random.default_rng(1))
+
+
+def split_blob(blob):
+    """(version, header dict, payload) of a checkpoint file's bytes."""
+    version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
+    start = len(MAGIC) + 12
+    return version, json.loads(blob[start : start + header_len]), blob[start + header_len :]
+
+
+def join_blob(version, header, payload):
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<IQ", version, len(raw)) + raw + payload
 
 
 def test_round_trip_bit_exact(tmp_path):
     ckpt = make_checkpoint()
     path = tmp_path / "model.vdm"
     save_checkpoint(ckpt, path)
-    back = load_checkpoint(path)
-    assert back.config.to_dict() == ckpt.config.to_dict()
-    assert back.model_step == 7
-    assert back.provenance == ckpt.provenance
-    assert back.rng_state == ckpt.rng_state
-    for name, arr in ckpt.model_arrays.items():
-        np.testing.assert_array_equal(back.model_arrays[name], arr)
-        np.testing.assert_array_equal(back.model_moments["m"][name], ckpt.model_moments["m"][name])
-        np.testing.assert_array_equal(back.model_moments["v"][name], ckpt.model_moments["v"][name])
-    for name, arr in ckpt.disc_arrays.items():
-        np.testing.assert_array_equal(back.disc_arrays[name], arr)
-    np.testing.assert_array_equal(back.obs_mean, ckpt.obs_mean)
-    np.testing.assert_array_equal(back.obs_std, ckpt.obs_std)
+    assert_same_checkpoint(load_checkpoint(path), ckpt)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -54,14 +78,18 @@ def test_save_is_byte_deterministic(tmp_path):
 
 def test_forecast_identical_across_round_trip(tmp_path):
     ckpt = make_checkpoint(seed=5)
-    model_a = ckpt.build_model()
     path = tmp_path / "model.vdm"
     save_checkpoint(ckpt, path)
-    model_b = load_checkpoint(path).build_model()
-    x0 = np.array([[0.2, -0.4]])
-    fa = generate(model_a, belief_init(model_a, x0), 6, np.random.default_rng(1))
-    fb = generate(model_b, belief_init(model_b, x0), 6, np.random.default_rng(1))
-    np.testing.assert_array_equal(fa, fb)
+    np.testing.assert_array_equal(forecast(ckpt), forecast(load_checkpoint(path)))
+
+
+def test_format_2_holds_only_weights_and_stats(tmp_path):
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    version, header, _ = split_blob(path.read_bytes())
+    assert version == 2
+    assert sorted(header) == ["arrays", "config", "provenance"]
+    assert {e["store"] for e in header["arrays"]} == {"model", "disc", "stats"}
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -86,3 +114,84 @@ def test_normalization_helpers_invert():
     ckpt = make_checkpoint()
     data = np.random.default_rng(9).normal(size=(3, 4, 2))
     np.testing.assert_allclose(ckpt.denormalize(ckpt.normalize(data)), data, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# format 1 compatibility
+# ---------------------------------------------------------------------------
+
+def test_v1_fixture_loads_same_weights():
+    with open(V1_FIXTURE, "rb") as fh:
+        version, header, _ = split_blob(fh.read())
+    assert version == 1
+    assert {"steps", "rng_state"} <= set(header)
+    assert {e["kind"] for e in header["arrays"]} == {"param", "m", "v"}
+    assert_same_checkpoint(load_checkpoint(V1_FIXTURE), make_checkpoint(seed=5))
+
+
+def test_v1_fixture_forecasts_identically_after_v2_resave(tmp_path):
+    v1 = load_checkpoint(V1_FIXTURE)
+    path = tmp_path / "resaved.vdm"
+    save_checkpoint(v1, path)
+    v2 = load_checkpoint(path)
+    assert split_blob(path.read_bytes())[0] == 2
+    np.testing.assert_array_equal(forecast(v1), forecast(v2))
+    np.testing.assert_array_equal(forecast(v2), forecast(make_checkpoint(seed=5)))
+
+
+def test_v1_prior_sample_config_rejected(tmp_path):
+    with open(V1_FIXTURE, "rb") as fh:
+        version, header, payload = split_blob(fh.read())
+    header["config"]["branch_likelihood"] = "prior_sample"
+    path = tmp_path / "prior_sample.vdm"
+    path.write_bytes(join_blob(version, header, payload))
+    with pytest.raises(ValueError, match="prior_sample.*removed"):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# corrupt files raise ValueError naming the path
+# ---------------------------------------------------------------------------
+
+CUTS = {
+    "empty": lambda size, header_len: 0,
+    "in_magic": lambda size, header_len: 5,
+    "in_version": lambda size, header_len: 10,
+    "in_header_length": lambda size, header_len: 19,
+    "in_header": lambda size, header_len: 20 + header_len // 2,
+    "header_end": lambda size, header_len: 20 + header_len,
+    "in_payload": lambda size, header_len: (20 + header_len + size) // 2,
+    "last_byte": lambda size, header_len: size - 1,
+}
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_truncated_file_raises_value_error(tmp_path, cut):
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
+    path.write_bytes(blob[: CUTS[cut](len(blob), header_len)])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda h: h.pop("arrays"),
+        lambda h: h["config"].update(colour="blue"),
+        lambda h: h["arrays"][0].update(shape="wide"),
+        lambda h: h["arrays"][0].update(store="elsewhere"),
+        lambda h: h["arrays"].__setitem__(0, "enc0.w"),
+    ],
+    ids=["no_arrays", "unknown_config_key", "bad_shape", "unknown_store", "entry_not_object"],
+)
+def test_malformed_header_raises_value_error(tmp_path, damage):
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    version, header, payload = split_blob(path.read_bytes())
+    damage(header)
+    path.write_bytes(join_blob(version, header, payload))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)

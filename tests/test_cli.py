@@ -214,6 +214,23 @@ def test_evaluate_dimension_mismatch_fails(tmp_path):
     assert rc == 1
 
 
+def test_evaluate_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
+    manifest = simulate_four_mode(tmp_path / "data")
+    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    with open(ckpt, "rb") as fh:
+        blob = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(blob[:15])
+    rc = main(
+        [
+            "evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "1",
+            "--out", str(tmp_path / "e"),
+        ]
+    )
+    assert rc == 1
+    assert f"vdm evaluate: error: {ckpt}" in capsys.readouterr().err
+
+
 def test_forecast_deterministic_and_shaped(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
     _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))

@@ -7,7 +7,6 @@ from vdm.autodiff import Tensor
 from vdm.inference import (
     belief_init,
     belief_step,
-    compute_weights,
     export_predictive_prior,
     filter_sequence,
     generate,
@@ -77,14 +76,6 @@ def test_degenerate_likelihoods_error():
         weights_from_loglik(np.array([[-np.inf, -np.inf]]), "delta")
     with pytest.raises(ValueError, match="rng"):
         weights_from_loglik(np.zeros((1, 2)), "categorical")
-
-
-def test_compute_weights_end_to_end():
-    model = make_model(seed=4)
-    s = np.random.default_rng(5).normal(size=(5, 4))
-    w = compute_weights(s, np.array([0.1, -0.2, 0.3]), "delta", model)
-    assert w.shape == (5,)
-    assert w.sum() == 1.0
 
 
 # ---------------------------------------------------------------------------

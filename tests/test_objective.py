@@ -253,7 +253,6 @@ def test_zero_epochs_returns_initialized_checkpoint():
         np.testing.assert_array_equal(
             result.checkpoint.model_arrays[name], ref.params[name].value
         )
-    assert result.checkpoint.model_step == 0
     assert result.history == []
 
 
@@ -310,6 +309,18 @@ def test_divergence_aborts_with_last_good_checkpoint():
     assert result.aborted
     for arr in result.checkpoint.model_arrays.values():
         assert np.all(np.isfinite(arr))
+
+
+def test_nonfinite_training_data_is_an_error_not_divergence():
+    """A NaN in a raw training array is bad input: train raises instead of
+    reporting a diverged run."""
+    train_ds, _ = _tiny_four_mode()
+    data = train_ds.data.copy()
+    data[3, 2, 1] = np.nan
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    with pytest.raises(ValueError, match="non-finite") as excinfo:
+        train(data, cfg, np.random.default_rng(5), epochs=2, batch_size=16)
+    assert not isinstance(excinfo.value, FloatingPointError)
 
 
 def test_metrics_history_contents():

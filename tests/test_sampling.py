@@ -1,10 +1,12 @@
-"""Cubature rule and stochastic sigma variables: exact moments, statistical oracles."""
+"""Cubature rule and the batched latent sampler: exact moments, statistical oracles."""
 import numpy as np
 import pytest
 from scipy import stats
 
+from vdm.autodiff import Tensor
 from vdm.gaussians import DiagGaussian
-from vdm.sampling import mc_sample, sca_sample, sigma_points
+from vdm.nets import ModelConfig
+from vdm.sampling import latent_sample_batch, sigma_points
 
 
 class ZeroNoise:
@@ -12,6 +14,19 @@ class ZeroNoise:
 
     def standard_normal(self, shape):
         return np.zeros(shape)
+
+
+class Spread:
+    """One-row Gaussian stand-in: DiagGaussian rejects the degenerate std = 0."""
+
+    def __init__(self, mean, std):
+        self.mean = Tensor(np.asarray(mean)[None, :])
+        self.std = Tensor(np.asarray(std)[None, :])
+
+
+def config(d, k=None, mode="sca"):
+    """Sampler settings for a d-dimensional latent; k defaults to 2d+1."""
+    return ModelConfig(d_x=1, d_z=d, d_h=1, k=k or 2 * d + 1, sampler_mode=mode)
 
 
 def test_d1_kappa_half_frozen_values():
@@ -51,39 +66,38 @@ def test_invalid_arguments():
 
 def test_sca_degenerate_spread_repeats_mean():
     mean = np.array([1.5, -2.0])
-    out = sca_sample((mean, np.zeros(2)), 0.5, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.samples, np.tile(mean, (5, 1)))
+    out = latent_sample_batch(Spread(mean, np.zeros(2)), config(2), np.random.default_rng(0))
+    np.testing.assert_array_equal(out.value, np.tile(mean, (1, 5, 1)))
 
 
 def test_sca_zero_noise_recovers_classical_points():
-    mean = np.array([0.5, 1.0, -1.0])
-    std = np.array([2.0, 0.5, 1.0])
-    out = sca_sample((mean, std), 0.5, ZeroNoise())
+    mean = np.array([[0.5, 1.0, -1.0], [2.0, 0.0, 3.0]])
+    std = np.array([[2.0, 0.5, 1.0], [0.1, 4.0, 1.5]])
+    out = latent_sample_batch(DiagGaussian(mean, std), config(3), ZeroNoise())
     xi, _ = sigma_points(3, 0.5)
-    np.testing.assert_allclose(out.samples, mean + std * xi, rtol=1e-15)
+    want = mean[:, None, :] + std[:, None, :] * xi[None]
+    np.testing.assert_allclose(out.value, want, rtol=1e-15)
 
 
 def test_sca_fixed_seed_persistence():
-    g = DiagGaussian(np.array([0.1, 0.2]), np.array([1.0, 2.0]))
-    a = sca_sample(g, 0.5, None, noise_seed=77)
-    b = sca_sample(g, 0.5, None, noise_seed=77)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    g = DiagGaussian(np.array([[0.1, 0.2], [0.3, -0.4]]), np.array([[1.0, 2.0], [0.5, 0.25]]))
+    a = latent_sample_batch(g, config(2), np.random.default_rng(77))
+    b = latent_sample_batch(g, config(2), np.random.default_rng(77))
+    np.testing.assert_array_equal(a.value, b.value)
 
 
 def test_sca_empirical_mean_confidence_oracle():
     """Monte-Carlo CI: per-sample std is sigma*sqrt(1 + E[xi^2]); at kappa=0.5
     the unweighted E[xi^2] is exactly 1, so the standard error is
     sigma*sqrt(2)/sqrt(n_seeds * k)."""
-    rng = np.random.default_rng(123)
     mean = np.array([0.7, -1.3, 0.4])
     std = np.array([0.5, 1.5, 2.0])
     n_seeds = 10**5
     k = 7
-    xi, _ = sigma_points(3, 0.5)
-    total = np.zeros(3)
-    # vectorized over seeds: each "seed" contributes one noise-infused point set
-    eps = rng.standard_normal((n_seeds, k, 3))
-    samples = mean + std * (xi[None] + eps)
+    # one batch row per "seed": each contributes one noise-infused point set
+    g = DiagGaussian(np.tile(mean, (n_seeds, 1)), np.tile(std, (n_seeds, 1)))
+    samples = latent_sample_batch(g, config(3), np.random.default_rng(123)).value
+    assert samples.shape == (n_seeds, k, 3)
     got = samples.reshape(-1, 3).mean(axis=0)
     stderr = std * np.sqrt(2.0) / np.sqrt(n_seeds * k)
     assert np.all(np.abs(got - mean) < 3.0 * stderr)
@@ -92,41 +106,39 @@ def test_sca_empirical_mean_confidence_oracle():
 def test_sca_affine_equivariance():
     """Scaling/shifting the Gaussian maps every sample by the same affine map."""
     rng_seed = 31
-    mu = np.array([0.3, -0.6])
-    sd = np.array([0.8, 1.4])
+    mu = np.array([[0.3, -0.6], [1.1, 0.2]])
+    sd = np.array([[0.8, 1.4], [0.3, 2.2]])
     a = np.array([2.0, 0.25])
     b = np.array([-1.0, 3.0])
-    s1 = sca_sample((mu, sd), 0.5, None, noise_seed=rng_seed).samples
-    s2 = sca_sample((a * mu + b, a * sd), 0.5, None, noise_seed=rng_seed).samples
-    np.testing.assert_allclose(s2, a * s1 + b, rtol=1e-12)
+    s1 = latent_sample_batch(DiagGaussian(mu, sd), config(2), np.random.default_rng(rng_seed))
+    s2 = latent_sample_batch(
+        DiagGaussian(a * mu + b, a * sd), config(2), np.random.default_rng(rng_seed)
+    )
+    np.testing.assert_allclose(s2.value, a * s1.value + b, rtol=1e-12)
 
 
 def test_mc_degenerate_spread():
     mean = np.array([4.0])
-    out = mc_sample((mean, np.zeros(1)), 6, np.random.default_rng(1))
-    np.testing.assert_array_equal(out, np.full((6, 1), 4.0))
+    out = latent_sample_batch(
+        Spread(mean, np.zeros(1)), config(1, k=6, mode="monte_carlo"), np.random.default_rng(1)
+    )
+    np.testing.assert_array_equal(out.value, np.full((1, 6, 1), 4.0))
 
 
 def test_mc_fixed_seed_reproducible():
-    g = DiagGaussian(np.zeros(2), np.ones(2))
-    a = mc_sample(g, 9, np.random.default_rng(5))
-    b = mc_sample(g, 9, np.random.default_rng(5))
-    np.testing.assert_array_equal(a, b)
+    g = DiagGaussian(np.zeros((3, 2)), np.ones((3, 2)))
+    cfg = config(2, k=9, mode="monte_carlo")
+    a = latent_sample_batch(g, cfg, np.random.default_rng(5))
+    b = latent_sample_batch(g, cfg, np.random.default_rng(5))
+    np.testing.assert_array_equal(a.value, b.value)
 
 
 def test_mc_variance_chi2_oracle():
     """Sample variance of 10^5 draws inside the 99.7% chi-square band."""
     n = 10**5
     sigma = 1.7
-    draws = mc_sample((np.zeros(1), np.array([sigma])), n, np.random.default_rng(42))
-    s2 = draws.var(ddof=1)
+    g = DiagGaussian(np.zeros((1, 1)), np.array([[sigma]]))
+    draws = latent_sample_batch(g, config(1, k=n, mode="monte_carlo"), np.random.default_rng(42))
+    s2 = draws.value.var(ddof=1)
     lo, hi = stats.chi2.ppf([0.0015, 0.9985], n - 1) / (n - 1)
     assert lo < s2 / sigma**2 < hi
-
-
-def test_sigma_set_fields():
-    out = sca_sample((np.zeros(2), np.ones(2)), 0.5, None, noise_seed=3)
-    assert out.xi.shape == (5, 2)
-    assert out.gamma.shape == (5,)
-    assert out.samples.shape == (5, 2)
-    assert out.noise_seed == 3
