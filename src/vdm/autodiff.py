@@ -4,10 +4,17 @@ A ``Tape`` records every primitive executed while it is active; ``backward``
 replays the records in exact reverse order, accumulating gradients additively
 at fan-out points.  With no tape active all operations are plain numpy
 evaluations, which keeps rollout / evaluation paths cheap.
+
+Besides the elementwise and structural primitives there are fused layer
+primitives (``mlp3``, ``gru_cell``, ``exp_clamp``, ``gaussian_log_pdf``,
+``gaussian_kl``): each is one tape record whose forward gives, bit for bit,
+the values of the composition of primitives it replaces and whose backward
+is written out analytically.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "Tape",
@@ -34,7 +41,15 @@ __all__ = [
     "narrow",
     "expand_dim",
     "logsumexp",
+    "LOG_2PI",
+    "mlp3",
+    "gru_cell",
+    "exp_clamp",
+    "gaussian_log_pdf",
+    "gaussian_kl",
 ]
+
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 _ACTIVE_TAPE = None
 
@@ -147,6 +162,11 @@ def _emit(value, parents, backward_fn):
         out._from_tape = True
         tape.records.append((out, parents, backward_fn))
     return out
+
+
+def _wants(t):
+    """Whether a backward pass needs the gradient of parent ``t``."""
+    return t._from_tape or t.requires_grad
 
 
 def _unbroadcast(grad, shape):
@@ -263,12 +283,7 @@ def relu(a):
 
 
 def sigmoid(a):
-    x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = expit(a.value)
     return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -379,3 +394,141 @@ def logsumexp(a, axis):
     m = np.max(a.value, axis=axis, keepdims=True)
     shifted = exp(sub(a, Tensor(m)))
     return add(log(reduce_sum(shifted, axis=axis)), Tensor(np.squeeze(m, axis=axis)))
+
+
+# ---------------------------------------------------------------------------
+# fused layer primitives: one record each, forward bit-identical to the
+# composed primitives; with no tape active _emit drops the backward closure
+# and with it every saved activation
+# ---------------------------------------------------------------------------
+
+def _affine(x, w, b):
+    out = x @ w
+    out += b
+    return out
+
+
+def _affine_relu(x, w, b):
+    out = _affine(x, w, b)
+    # fmax sends NaN to 0 as relu's np.where(a > 0, a, 0) does; it differs
+    # only in keeping the sign of a -0.0 pre-activation, which equals 0.0
+    np.fmax(out, 0.0, out=out)
+    return out
+
+
+def mlp3(x, w0, b0, w1, b1, w2, b2):
+    """Three linear layers with ReLU on the two hidden layers; ``x`` is (B, d)."""
+    if x.value.ndim != 2:
+        raise ValueError(f"mlp3: expected a (B, d) input, got shape {x.value.shape}")
+    xv = x.value
+    h0 = _affine_relu(xv, w0.value, b0.value)
+    h1 = _affine_relu(h0, w1.value, b1.value)
+    out = _affine(h1, w2.value, b2.value)
+
+    def back(g):
+        grads = [None] * 7
+        for i, (inp, w, b) in ((2, (h1, w2, b2)), (1, (h0, w1, b1)), (0, (xv, w0, b0))):
+            if _wants(w):
+                grads[1 + 2 * i] = inp.T @ g
+            if _wants(b):
+                grads[2 + 2 * i] = g.sum(axis=0)
+            if i > 0:
+                g = g @ w.value.T
+                np.multiply(g, inp > 0.0, out=g)
+            elif _wants(x):
+                grads[0] = g @ w.value.T
+        return tuple(grads)
+
+    return _emit(out, (x, w0, b0, w1, b1, w2, b2), back)
+
+
+def gru_cell(x, h, wr, br, wu, bu, wc, bc):
+    """One gated-recurrent-unit update on (B, d_x) inputs and (B, d_h) states.
+
+    r = sigmoid([x, h] wr + br), u = sigmoid([x, h] wu + bu),
+    c = tanh([x, r * h] wc + bc) and h' = u * h + (1 - u) * c: the update
+    gate u carries the previous state through.
+    """
+    xv, hv = x.value, h.value
+    if xv.ndim != 2 or hv.ndim != 2:
+        raise ValueError(f"gru_cell: expected (B, d) inputs, got {xv.shape} and {hv.shape}")
+    xh = np.concatenate([xv, hv], axis=-1)
+    r = expit(_affine(xh, wr.value, br.value))
+    u = expit(_affine(xh, wu.value, bu.value))
+    xrh = np.concatenate([xv, r * hv], axis=-1)
+    c = np.tanh(_affine(xrh, wc.value, bc.value))
+    out = u * hv
+    out += (1.0 - u) * c
+    d_x = xv.shape[-1]
+
+    def back(g):
+        ga_c = g * (1.0 - u) * (1.0 - c * c)
+        g_xrh = ga_c @ wc.value.T
+        g_rh = g_xrh[:, d_x:]
+        ga_r = g_rh * hv * r * (1.0 - r)
+        ga_u = g * (hv - c) * u * (1.0 - u)
+        grads = [None] * 8
+        for i, (ga, w, b, inp) in enumerate(
+            ((ga_r, wr, br, xh), (ga_u, wu, bu, xh), (ga_c, wc, bc, xrh))
+        ):
+            if _wants(w):
+                grads[2 + 2 * i] = inp.T @ ga
+            if _wants(b):
+                grads[3 + 2 * i] = ga.sum(axis=0)
+        if _wants(x) or _wants(h):
+            g_xh = ga_r @ wr.value.T + ga_u @ wu.value.T
+            if _wants(x):
+                grads[0] = g_xh[:, :d_x] + g_xrh[:, :d_x]
+            if _wants(h):
+                grads[1] = g_xh[:, d_x:] + g * u + g_rh * r
+        return tuple(grads)
+
+    return _emit(out, (x, h, wr, br, wu, bu, wc, bc), back)
+
+
+def exp_clamp(a, lo, hi):
+    """exp(clip(a, lo, hi)); the gradient passes only through the interior."""
+    av = a.value
+    out = np.exp(np.clip(av, lo, hi))
+    return _emit(
+        out, (a,), lambda g: (g * out * ((av > lo) & (av < hi)) if _wants(a) else None,)
+    )
+
+
+def gaussian_log_pdf(x, mean, std):
+    """log N(x; mean, diag(std**2)) summed over the last axis; std > 0."""
+    inv = 1.0 / std.value
+    z = (x.value - mean.value) * inv
+    out = ((-0.5 * LOG_2PI - np.log(std.value)) - 0.5 * (z * z)).sum(axis=-1)
+
+    def back(g):
+        ge = np.expand_dims(g, -1)
+        gx = -(ge * z) * inv
+        return (
+            _unbroadcast(gx, x.value.shape) if _wants(x) else None,
+            _unbroadcast(-gx, mean.value.shape) if _wants(mean) else None,
+            _unbroadcast(ge * inv * (z * z - 1.0), std.value.shape) if _wants(std) else None,
+        )
+
+    return _emit(out, (x, mean, std), back)
+
+
+def gaussian_kl(qm, qs, pm, ps):
+    """KL(N(qm, qs**2) || N(pm, ps**2)) for diagonal Gaussians, summed over the last axis."""
+    inv = 1.0 / ps.value
+    a = qs.value * inv
+    b = (qm.value - pm.value) * inv
+    per_dim = 0.5 * ((a * a + b * b) - 1.0) + np.log(ps.value) - np.log(qs.value)
+    out = per_dim.sum(axis=-1)
+
+    def back(g):
+        ge = np.expand_dims(g, -1)
+        gqm = ge * b * inv
+        return (
+            _unbroadcast(gqm, qm.value.shape) if _wants(qm) else None,
+            _unbroadcast(ge * (a * inv - 1.0 / qs.value), qs.value.shape) if _wants(qs) else None,
+            _unbroadcast(-gqm, pm.value.shape) if _wants(pm) else None,
+            _unbroadcast(ge * inv * (1.0 - a * a - b * b), ps.value.shape) if _wants(ps) else None,
+        )
+
+    return _emit(out, (qm, qs, pm, ps), back)

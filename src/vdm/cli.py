@@ -65,9 +65,25 @@ def _resolve(args, defaults):
     return resolved
 
 
-def _load_manifest(path):
+def _load_manifest(path, split):
+    """The dataset manifest at ``path`` and its directory.
+
+    A missing or mistyped entry, or no file for ``split``, raises
+    ValueError naming the entry and the path.
+    """
     with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must hold a key/value object")
+    for key, kind in (("d_x", int), ("seq_len", int), ("prefix_len", int), ("files", dict)):
+        if key not in manifest:
+            raise ValueError(f"{path}: manifest has no {key!r} entry")
+        if type(manifest[key]) is not kind:
+            raise ValueError(f"{path}: manifest entry {key!r} must be a {kind.__name__}")
+    if not isinstance(manifest.get("groups", []), list):
+        raise ValueError(f"{path}: manifest entry 'groups' must be a list")
+    if split not in manifest["files"]:
+        raise ValueError(f"{path}: manifest lists no {split!r} file")
     base = os.path.dirname(os.path.abspath(path))
     return manifest, base
 
@@ -195,7 +211,7 @@ def cmd_train(args):
     resolved["seed"] = args.seed
     if resolved["data"] is None:
         raise ValueError("train: --data <manifest> is required")
-    manifest, base = _load_manifest(resolved["data"])
+    manifest, base = _load_manifest(resolved["data"], "train")
     train_ds = _load_split(manifest, base, "train")
     val_ds = _load_split(manifest, base, "val") if "val" in manifest["files"] else None
     if resolved["k"] is None:
@@ -268,7 +284,7 @@ def cmd_evaluate(args):
     resolved["seed"] = args.seed
     if resolved["data"] is None or resolved["checkpoint"] is None:
         raise ValueError("evaluate: --data and --checkpoint are required")
-    manifest, base = _load_manifest(resolved["data"])
+    manifest, base = _load_manifest(resolved["data"], "test")
     ckpt = load_checkpoint(resolved["checkpoint"])
     if manifest["d_x"] != ckpt.config.d_x:
         raise ValueError(
@@ -342,7 +358,7 @@ def cmd_forecast(args):
     resolved["seed"] = args.seed
     if resolved["data"] is None or resolved["checkpoint"] is None:
         raise ValueError("forecast: --data and --checkpoint are required")
-    manifest, base = _load_manifest(resolved["data"])
+    manifest, base = _load_manifest(resolved["data"], resolved["split"])
     ckpt = load_checkpoint(resolved["checkpoint"])
     if manifest["d_x"] != ckpt.config.d_x:
         raise ValueError(

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import as_tensor, log, reduce_sum, square
+from . import autodiff as ad
+from .autodiff import LOG_2PI, as_tensor
 from .util import NonFiniteError
 
 __all__ = ["LOG_2PI", "DiagGaussian", "gaussian_log_pdf", "gaussian_kl"]
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class DiagGaussian:
@@ -50,15 +49,9 @@ def gaussian_log_pdf(x, g):
     Differentiable in x and in the Gaussian parameters.  For 1-d inputs the
     result is a scalar; batched inputs reduce only the trailing axis.
     """
-    x = as_tensor(x)
-    z = (x - g.mean) / g.std
-    per_dim = -0.5 * LOG_2PI - log(g.std) - 0.5 * square(z)
-    return reduce_sum(per_dim, axis=-1)
+    return ad.gaussian_log_pdf(as_tensor(x), g.mean, g.std)
 
 
 def gaussian_kl(q, p):
     """Closed-form KL(q || p) between diagonal Gaussians, summed over the last axis."""
-    var_ratio = square(q.std / p.std)
-    mean_term = square((q.mean - p.mean) / p.std)
-    per_dim = 0.5 * (var_ratio + mean_term - 1.0) + log(p.std) - log(q.std)
-    return reduce_sum(per_dim, axis=-1)
+    return ad.gaussian_kl(q.mean, q.std, p.mean, p.std)

@@ -84,20 +84,14 @@ def _init_gru(store, prefix, d_in, d_h, rng):
         store.add(f"{prefix}.b{gate}", rng.uniform(-bound, bound, size=d_h))
 
 
-def _linear(store, name, x):
-    return ad.matmul(x, store[f"{name}.w"]) + store[f"{name}.b"]
-
-
 def _mlp3(store, prefix, x):
     """Three linear layers with ReLU on the two hidden layers."""
-    h = ad.relu(_linear(store, f"{prefix}0", x))
-    h = ad.relu(_linear(store, f"{prefix}1", h))
-    return _linear(store, f"{prefix}2", h)
+    return ad.mlp3(x, *(store[f"{prefix}{i}.{p}"] for i in range(3) for p in ("w", "b")))
 
 
 def _gaussian_head(raw, d):
     mean = ad.narrow(raw, -1, 0, d)
-    std = ad.exp(ad.clamp(ad.narrow(raw, -1, d, d), -RAW_STD_CLAMP, RAW_STD_CLAMP))
+    std = ad.exp_clamp(ad.narrow(raw, -1, d, d), -RAW_STD_CLAMP, RAW_STD_CLAMP)
     return DiagGaussian(mean, std)
 
 
@@ -130,13 +124,9 @@ def _gru_cell(store, prefix, x, h_prev):
     Update gate u acts as the carry gate: u -> 1 passes h_prev through
     unchanged, so h' = u * h_prev + (1 - u) * candidate.
     """
-    xh = ad.concat([x, h_prev], axis=-1)
-    # gates share the concatenated input; candidate sees the reset-scaled state
-    r = ad.sigmoid(ad.matmul(xh, store[f"{prefix}.wr"]) + store[f"{prefix}.br"])
-    u = ad.sigmoid(ad.matmul(xh, store[f"{prefix}.wu"]) + store[f"{prefix}.bu"])
-    xrh = ad.concat([x, r * h_prev], axis=-1)
-    c = ad.tanh(ad.matmul(xrh, store[f"{prefix}.wc"]) + store[f"{prefix}.bc"])
-    return u * h_prev + (1.0 - u) * c
+    return ad.gru_cell(
+        x, h_prev, *(store[f"{prefix}.{p}{gate}"] for gate in "ruc" for p in ("w", "b"))
+    )
 
 
 class VdmModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward
+from .autodiff import Tape, Tensor, as_tensor, backward
 from .gaussians import gaussian_kl, gaussian_log_pdf
 from .inference import belief_init, belief_step
 from .nets import VdmModel
@@ -109,9 +109,13 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
     """Non-saturating conditional GAN losses, each shape (B,).
 
     generator: -log D(prefix, x_gen); discriminator: -log D(prefix, x_real)
-    - log(1 - D(prefix, x_gen)) with the generated sample detached.
+    - log(1 - D(prefix, x_gen)) with the generated sample detached.  The
+    generator reads the discriminator through detached weights and a detached
+    prefix summary, so one backward sweep over the sum of both losses gives
+    the model and the discriminator each only their own loss's gradient.
     """
-    d_gen = model.discriminate(prefix_summary, x_gen)
+    frozen = VdmModel(model.config, model.params, model.disc.detached())
+    d_gen = frozen.discriminate(as_tensor(prefix_summary).detach(), x_gen)
     gen_loss = -_clamped_log(d_gen)
     d_real = model.discriminate(prefix_summary, Tensor(np.asarray(x_real, dtype=np.float64)))
     d_fake = model.discriminate(prefix_summary, x_gen.detach() if isinstance(x_gen, Tensor) else Tensor(x_gen))
@@ -245,11 +249,16 @@ def train(
     val_scaled = None
     if val_dataset is not None:
         val_arr = _dataset_array(val_dataset)
+        if not np.all(np.isfinite(val_arr)):
+            raise ValueError("train: validation set holds a non-finite value")
         val_scaled = (val_arr - obs_mean) / obs_std
 
     model = VdmModel.initialize(config, rng)
-    best_params = model.params.copy()
-    best_disc = model.disc.copy()
+
+    def _snapshot():
+        return Checkpoint.from_stores(config, model.params, model.disc, obs_mean, obs_std)
+
+    best = _snapshot()
     best_val = math.inf
     best_epoch = 0
     history = []
@@ -274,15 +283,13 @@ def train(
                 idx = order[start : start + batch_size]
                 with Tape() as tape:
                     bd = total_loss(model, scaled[idx], rng)
-                    backward(tape, bd.total_node)
+                    root = bd.total_node
                     if bd.disc_node is not None:
-                        model.disc.zero_grad()
-                        backward(tape, bd.disc_node)
+                        root = root + bd.disc_node
+                    backward(tape, root)
                 adam_step(model.params, lr=config.lr)
                 if bd.disc_node is not None:
                     adam_step(model.disc, lr=config.lr)
-                else:
-                    model.disc.zero_grad()
                 epoch_terms += (bd.total, bd.elbo, bd.pred, bd.adv)
                 batches += 1
         except FloatingPointError as err:
@@ -313,13 +320,11 @@ def train(
             break
         if not math.isnan(val_nll) and val_nll < best_val:
             best_val = val_nll
-            best_params = model.params.copy()
-            best_disc = model.disc.copy()
+            best = _snapshot()
             best_epoch = epoch
             stale = 0
         elif math.isnan(val_nll):
-            best_params = model.params.copy()
-            best_disc = model.disc.copy()
+            best = _snapshot()
             best_epoch = epoch
         else:
             stale += 1
@@ -328,15 +333,8 @@ def train(
                     print(f"epoch {epoch}: early stop (patience {patience})")
                 break
 
-    ckpt = Checkpoint.from_stores(
-        config=config,
-        params=best_params,
-        disc=best_disc,
-        obs_mean=obs_mean,
-        obs_std=obs_std,
-        provenance={
-            "epoch": best_epoch,
-            "val_nll": None if math.isinf(best_val) or math.isnan(best_val) else best_val,
-        },
-    )
-    return TrainResult(checkpoint=ckpt, history=history, aborted=aborted)
+    best.provenance = {
+        "epoch": best_epoch,
+        "val_nll": None if math.isinf(best_val) or math.isnan(best_val) else best_val,
+    }
+    return TrainResult(checkpoint=best, history=history, aborted=aborted)

@@ -47,14 +47,10 @@ class ParameterStore:
     def size(self):
         return sum(t.value.size for t in self.params.values())
 
-    def copy(self):
-        out = ParameterStore()
-        for name, t in self.params.items():
-            out.add(name, t.value.copy())
-            out.m[name] = self.m[name].copy()
-            out.v[name] = self.v[name].copy()
-        out.step_count = self.step_count
-        return out
+    def detached(self):
+        """Name -> constant tensor over the same value array: reading the
+        parameters through it leaves their gradients untouched."""
+        return {name: t.detach() for name, t in self.params.items()}
 
 
 def adam_step(store, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):

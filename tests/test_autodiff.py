@@ -272,3 +272,159 @@ def test_pause_suppresses_recording():
         with Tape.pause():
             _ = ad.square(p)
         assert len(tape.records) == 0
+
+
+# ---------------------------------------------------------------------------
+# fused layer primitives
+# ---------------------------------------------------------------------------
+
+def _mlp3_composed(x, w0, b0, w1, b1, w2, b2):
+    h = ad.relu(ad.matmul(x, w0) + b0)
+    h = ad.relu(ad.matmul(h, w1) + b1)
+    return ad.matmul(h, w2) + b2
+
+
+def _gru_composed(x, h, wr, br, wu, bu, wc, bc):
+    xh = ad.concat([x, h], axis=-1)
+    r = ad.sigmoid(ad.matmul(xh, wr) + br)
+    u = ad.sigmoid(ad.matmul(xh, wu) + bu)
+    c = ad.tanh(ad.matmul(ad.concat([x, r * h], axis=-1), wc) + bc)
+    return u * h + (1.0 - u) * c
+
+
+def _exp_clamp_composed(a, lo, hi):
+    return ad.exp(ad.clamp(a, lo, hi))
+
+
+def _log_pdf_composed(x, mean, std):
+    z = (x - mean) / std
+    return ad.reduce_sum(-0.5 * ad.LOG_2PI - ad.log(std) - 0.5 * ad.square(z), axis=-1)
+
+
+def _kl_composed(qm, qs, pm, ps):
+    var_ratio = ad.square(qs / ps)
+    mean_term = ad.square((qm - pm) / ps)
+    per_dim = 0.5 * (var_ratio + mean_term - 1.0) + ad.log(ps) - ad.log(qs)
+    return ad.reduce_sum(per_dim, axis=-1)
+
+
+def _fused_cases():
+    """(name, fused op, composed reference, named input arrays)."""
+    rng = np.random.default_rng(31)
+
+    def u(*shape, lo=-1.0, hi=1.0):
+        return rng.uniform(lo, hi, size=shape)
+
+    return [
+        ("mlp3", ad.mlp3, _mlp3_composed, {
+            "x": u(5, 3), "w0": u(3, 6), "b0": u(6), "w1": u(6, 4), "b1": u(4),
+            "w2": u(4, 2), "b2": u(2)}),
+        ("gru_cell", ad.gru_cell, _gru_composed, {
+            "x": u(5, 2), "h": u(5, 3), "wr": u(5, 3), "br": u(3), "wu": u(5, 3),
+            "bu": u(3), "wc": u(5, 3), "bc": u(3)}),
+        ("exp_clamp", lambda a: ad.exp_clamp(a, -1.5, 1.5),
+         lambda a: _exp_clamp_composed(a, -1.5, 1.5), {"a": u(4, 3, lo=-2.0, hi=2.0)}),
+        ("gaussian_log_pdf", ad.gaussian_log_pdf, _log_pdf_composed, {
+            "x": u(4, 3, lo=-2.0, hi=2.0), "mean": u(4, 3), "std": u(4, 3, lo=0.3, hi=2.0)}),
+        ("gaussian_kl", ad.gaussian_kl, _kl_composed, {
+            "qm": u(4, 3), "qs": u(4, 3, lo=0.3, hi=2.0), "pm": u(4, 3),
+            "ps": u(4, 3, lo=0.3, hi=2.0)}),
+    ]
+
+
+_FUSED = {case[0]: case for case in _fused_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_forward_bit_identical_to_composition(name):
+    _, fused, composed, inputs = _FUSED[name]
+    args = [Tensor(v) for v in inputs.values()]
+    want = composed(*args).value
+    np.testing.assert_array_equal(fused(*args).value, want)
+    with Tape() as tape:
+        got = fused(*args).value
+    assert len(tape.records) == 1
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_gradients_match_finite_differences(name):
+    from vdm.optim import ParameterStore
+
+    _, fused, _, inputs = _FUSED[name]
+    store = ParameterStore()
+    args = [store.add(key, value.copy()) for key, value in inputs.items()]
+
+    def forward():
+        return ad.reduce_sum(ad.square(fused(*args)))
+
+    def run():
+        with Tape():
+            return float(forward().value)
+
+    with Tape() as tape:
+        backward(tape, forward())
+    fd = finite_diff_store(store, run)
+    for key in inputs:
+        assert rel_error(store[key].grad, fd[key]) < 1e-6, key
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_backward_skips_constant_inputs(name):
+    """A parent that is neither recorded nor a parameter gets no gradient."""
+    _, fused, _, inputs = _FUSED[name]
+    keys = list(inputs)
+    for const in range(len(keys)):
+        args = [Tensor(v, requires_grad=(i != const)) for i, v in enumerate(inputs.values())]
+        with Tape() as tape:
+            out = fused(*args)
+        (_, parents, back), = tape.records
+        grads = back(np.ones_like(out.value))
+        assert len(grads) == len(parents) == len(keys)
+        for i, (key, g, t) in enumerate(zip(keys, grads, args)):
+            if i == const:
+                assert g is None, key
+            else:
+                assert g is not None and g.shape == t.shape, key
+
+
+def test_fused_gru_input_gradient_through_recorded_state():
+    """The state and input gradients flow when those parents come off the tape."""
+    from vdm.optim import ParameterStore
+
+    _, _, _, inputs = _FUSED["gru_cell"]
+    store = ParameterStore()
+    x0 = store.add("x0", inputs["x"].copy())
+    h0 = store.add("h0", inputs["h"].copy())
+    weights = [Tensor(inputs[k]) for k in ("wr", "br", "wu", "bu", "wc", "bc")]
+
+    def forward():
+        # both parents are tape products, not leaves
+        return ad.reduce_sum(ad.square(ad.gru_cell(ad.tanh(x0), ad.tanh(h0), *weights)))
+
+    def run():
+        with Tape():
+            return float(forward().value)
+
+    with Tape() as tape:
+        backward(tape, forward())
+    fd = finite_diff_store(store, run)
+    assert rel_error(x0.grad, fd["x0"]) < 1e-6
+    assert rel_error(h0.grad, fd["h0"]) < 1e-6
+
+
+def test_sigmoid_matches_two_branch_formula():
+    """The one numerical change of the fused primitives: sigmoid is
+    scipy.special.expit, within 2.3e-16 of the two-branch formula."""
+    import warnings
+
+    x = np.linspace(-750.0, 750.0, 300_001)
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = ad.sigmoid(Tensor(x)).value
+    assert np.abs(got - want).max() <= 2.3e-16

@@ -231,6 +231,36 @@ def test_evaluate_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
     assert f"vdm evaluate: error: {ckpt}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body,missing",
+    [
+        ({}, "'d_x'"),
+        ({"d_x": 2, "seq_len": 4, "prefix_len": 1}, "'files'"),
+        ({"d_x": 2, "seq_len": 4, "prefix_len": 1, "files": {"train": "train.csv"}}, "'test'"),
+        ({"d_x": "2", "seq_len": 4, "prefix_len": 1, "files": {"test": "test.csv"}}, "'d_x'"),
+        (
+            {"d_x": 2, "seq_len": 4, "prefix_len": 1, "files": {"test": "test.csv"}, "groups": 5},
+            "'groups'",
+        ),
+    ],
+)
+def test_evaluate_malformed_manifest_fails_cleanly(tmp_path, capsys, body, missing):
+    manifest = simulate_four_mode(tmp_path / "data")
+    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    rc = main(
+        [
+            "evaluate", "--data", str(bad), "--checkpoint", ckpt, "--seed", "1",
+            "--out", str(tmp_path / "e"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"vdm evaluate: error: {bad}" in err and missing in err
+
+
 def test_forecast_deterministic_and_shaped(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
     _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
 from vdm.data import generate_four_mode
 from vdm.evaluation import dataset_multi_step_nll
 from vdm.inference import belief_init, belief_step, weights_from_loglik
 from vdm.gaussians import DiagGaussian
+from vdm import objective
 from vdm.nets import ModelConfig, VdmModel
 from vdm.objective import (
     adv_regularizer,
@@ -321,6 +323,66 @@ def test_nonfinite_training_data_is_an_error_not_divergence():
     with pytest.raises(ValueError, match="non-finite") as excinfo:
         train(data, cfg, np.random.default_rng(5), epochs=2, batch_size=16)
     assert not isinstance(excinfo.value, FloatingPointError)
+
+
+def test_nonfinite_validation_data_is_an_error():
+    """A NaN in the validation array would score every epoch as nan and
+    switch off best-model selection; train rejects it up front."""
+    train_ds, val_ds = _tiny_four_mode()
+    val = val_ds.data.copy()
+    val[0, 1, 0] = np.nan
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    with pytest.raises(ValueError, match="validation"):
+        train(train_ds, cfg, np.random.default_rng(5), val_dataset=val, epochs=3, batch_size=16)
+
+
+def _live_discriminator_adv(model, prefix_summary, x_real, x_gen):
+    """The adversarial losses with the generator reading the live
+    discriminator, as when each loss had its own backward sweep."""
+    gen_loss = -objective._clamped_log(model.discriminate(prefix_summary, x_gen))
+    d_real = model.discriminate(prefix_summary, Tensor(np.asarray(x_real, dtype=np.float64)))
+    d_fake = model.discriminate(prefix_summary, x_gen.detach())
+    disc_loss = -objective._clamped_log(d_real) - objective._clamped_log(1.0 - d_fake)
+    return ad.reshape(gen_loss, (gen_loss.shape[0],)), ad.reshape(disc_loss, (disc_loss.shape[0],))
+
+
+def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
+    """One train step replays the tape once; the model and discriminator
+    gradients it hands to Adam equal those of the two-sweep reference: the
+    generator loss swept alone, then the discriminator loss alone after
+    zeroing the discriminator gradients."""
+    data = generate_four_mode((16, 20, 1), np.random.default_rng(0))[0].data
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5)
+    sweeps, handed = [], []
+    real_backward, real_adam = objective.backward, objective.adam_step
+
+    def counting_backward(tape, loss):
+        sweeps.append(len(tape.records))
+        return real_backward(tape, loss)
+
+    def spying_adam(store, lr):
+        handed.append({name: t.grad.copy() for name, t in store.params.items()})
+        return real_adam(store, lr=lr)
+
+    monkeypatch.setattr(objective, "backward", counting_backward)
+    monkeypatch.setattr(objective, "adam_step", spying_adam)
+    train(data, cfg, np.random.default_rng(3), epochs=1, batch_size=16, normalize=False)
+    assert len(sweeps) == 1
+    assert len(handed) == 2
+    monkeypatch.undo()
+
+    monkeypatch.setattr(objective, "adv_regularizer", _live_discriminator_adv)
+    rng = np.random.default_rng(3)
+    model = VdmModel.initialize(cfg, rng)
+    batch = data[rng.permutation(len(data))]
+    with Tape() as tape:
+        bd = total_loss(model, batch, rng)
+        backward(tape, bd.total_node)
+        model.disc.zero_grad()
+        backward(tape, bd.disc_node)
+    for store, got in ((model.params, handed[0]), (model.disc, handed[1])):
+        for name, t in store.params.items():
+            assert rel_error(got[name], t.grad) < 1e-12, name
 
 
 def test_metrics_history_contents():
