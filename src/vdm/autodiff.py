@@ -13,6 +13,8 @@ is written out analytically.
 """
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 from scipy.special import expit
 
@@ -51,7 +53,8 @@ __all__ = [
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-_ACTIVE_TAPE = None
+# per thread, so a worker's ``Tape.pause`` cannot clear another thread's tape
+_ACTIVE_TAPE = contextvars.ContextVar("vdm_active_tape", default=None)
 
 
 class Tape:
@@ -61,29 +64,24 @@ class Tape:
         self.records = []  # (out, parents, backward_fn) in execution order
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     class pause:
         """Temporarily deactivate the active tape (constant-only regions)."""
 
         def __enter__(self):
-            global _ACTIVE_TAPE
-            self._saved = _ACTIVE_TAPE
-            _ACTIVE_TAPE = None
+            self._token = _ACTIVE_TAPE.set(None)
             return self
 
         def __exit__(self, *exc):
-            global _ACTIVE_TAPE
-            _ACTIVE_TAPE = self._saved
+            _ACTIVE_TAPE.reset(self._token)
             return False
 
 
@@ -157,7 +155,7 @@ def as_tensor(x):
 
 def _emit(value, parents, backward_fn):
     out = Tensor(value)
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None:
         out._from_tape = True
         tape.records.append((out, parents, backward_fn))

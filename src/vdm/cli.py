@@ -248,15 +248,10 @@ def cmd_train(args):
     ckpt_path = os.path.join(out_dir, "checkpoint.vdm")
     save_checkpoint(result.checkpoint, ckpt_path)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "total", "elbo", "pred", "adv", "val_nll"])
-    for row in result.history:
-        writer.writerow(
-            [row["epoch"]]
-            + [repr(float(row[k])) for k in ("total", "elbo", "pred", "adv", "val_nll")]
-        )
-    atomic_write_text(os.path.join(out_dir, "metrics.csv"), buf.getvalue())
+    columns = ["total", "elbo", "pred", "adv", "val_nll"]
+    history = result.history
+    block = ([str(r["epoch"]) for r in history], [[r[k] for k in columns] for r in history])
+    vdata.write_csv(os.path.join(out_dir, "metrics.csv"), ["epoch"] + columns, [block])
     _write_run_record(out_dir, "train", resolved, ["checkpoint.vdm", "metrics.csv"])
     if result.aborted:
         print("train: aborted on divergence; last good checkpoint written", file=sys.stderr)
@@ -380,30 +375,22 @@ def cmd_forecast(args):
     fc = forecast_dataset(model, scaled, ds.prefix_len, resolved["n"], horizon, rng)
     fc = ckpt.denormalize(fc)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seq_id", "forecast_id", "t"] + [f"x{i}" for i in range(ds.d_x)])
-    for i in range(fc.shape[0]):
-        for j in range(fc.shape[1]):
-            for t in range(horizon):
-                writer.writerow(
-                    [i, j, ds.prefix_len + t] + [repr(float(v)) for v in fc[i, j, t]]
-                )
-    atomic_write_text(os.path.join(out_dir, "forecasts.csv"), buf.getvalue())
+    # one block per trajectory bounds the text held at once
+    steps = range(ds.prefix_len, ds.prefix_len + horizon)
+    keys = [f"{j},{t}" for j in range(fc.shape[1]) for t in steps]
+    header = ["seq_id", "forecast_id", "t"] + [f"x{d}" for d in range(ds.d_x)]
+    blocks = (([f"{i},{key}" for key in keys], fc[i].reshape(-1, ds.d_x)) for i in range(len(fc)))
+    vdata.write_csv(os.path.join(out_dir, "forecasts.csv"), header, blocks)
     outputs = ["forecasts.csv"]
 
     if resolved["export_prior"]:
         for i in range(len(ds)):
             _, beliefs = filter_sequence(model, scaled[i, : ds.prefix_len], rng)
             draws = export_predictive_prior(model, beliefs, resolved["prior_draws"], rng)
-            pbuf = io.StringIO()
-            pwriter = csv.writer(pbuf, lineterminator="\n")
-            pwriter.writerow(["step"] + [f"z{d}" for d in range(ckpt.config.d_z)])
-            for step, arr in enumerate(draws):
-                for row in arr:
-                    pwriter.writerow([step] + [repr(float(v)) for v in row])
             name = f"prior_{i}.csv"
-            atomic_write_text(os.path.join(out_dir, name), pbuf.getvalue())
+            header = ["step"] + [f"z{d}" for d in range(ckpt.config.d_z)]
+            blocks = (([str(step)] * len(arr), arr) for step, arr in enumerate(draws))
+            vdata.write_csv(os.path.join(out_dir, name), header, blocks)
             outputs.append(name)
 
     _write_run_record(out_dir, "forecast", resolved, outputs)

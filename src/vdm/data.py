@@ -8,8 +8,8 @@ toy.  Real trajectory files enter through a generic CSV reader with rows
 from __future__ import annotations
 
 import csv
-import io
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +29,7 @@ __all__ = [
     "generate_four_mode",
     "load_csv",
     "save_csv",
-    "dataset_csv_text",
+    "write_csv",
     "group_by_prefix",
 ]
 
@@ -273,7 +273,7 @@ def load_csv(path, d_x, seq_len, prefix_len):
                 values = [float(v) for v in row[2:]]
             except ValueError:
                 raise ValueError(f"{path}: malformed row {lineno}: non-numeric field") from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: non-finite value at row {lineno}")
             steps = sequences.setdefault(seq_id, [])
             if steps and t <= steps[-1][0]:
@@ -292,23 +292,30 @@ def load_csv(path, d_x, seq_len, prefix_len):
     return Dataset(data, prefix_len)
 
 
-def dataset_csv_text(dataset, seq_ids=None):
-    """Render a Dataset in the trajectory CSV format with reproducible float text."""
-    n, t_len, d_x = dataset.data.shape
-    if seq_ids is None:
-        seq_ids = [str(i) for i in range(n)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(d_x))
-    for i in range(n):
-        for t in range(t_len):
-            writer.writerow([seq_ids[i], t] + [repr(float(v)) for v in dataset.data[i, t]])
-    return buf.getvalue()
+def write_csv(path, header, blocks):
+    """Stream a CSV to ``path`` atomically, holding one block of rows at a time.
+
+    ``blocks`` yields ``(keys, values)``: one comma-joined key prefix per row,
+    written unquoted, and a float array of the rows' values, written as their
+    shortest repr.
+    """
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for keys, values in blocks:
+            rows = np.asarray(values, dtype=np.float64).tolist()
+            yield "".join(
+                f"{key},{','.join(map(repr, row))}\n" for key, row in zip(keys, rows, strict=True)
+            )
+
+    atomic_write_text(path, chunks())
 
 
-def save_csv(dataset, path, seq_ids=None):
-    """Write a Dataset atomically in the trajectory CSV format."""
-    atomic_write_text(path, dataset_csv_text(dataset, seq_ids))
+def save_csv(dataset, path):
+    """Write a Dataset atomically in the trajectory CSV format, one sequence per block."""
+    steps = range(dataset.seq_len)
+    blocks = (([f"{i},{t}" for t in steps], seq) for i, seq in enumerate(dataset.data))
+    write_csv(path, _csv_header(dataset.d_x), blocks)
 
 
 def group_by_prefix(dataset, n_groups, group_size, radius):

@@ -41,12 +41,15 @@ def parallel_map(fn, items):
 
 
 def atomic_write_bytes(path, payload):
-    """Write via a sibling temp file and rename, so readers never see partial files."""
+    """Write bytes, or an iterable of bytes chunks, via a sibling temp file and
+    rename, so readers never see partial files; on any error ``path`` is untouched."""
+    chunks = [payload] if isinstance(payload, bytes) else payload
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,7 +58,9 @@ def atomic_write_bytes(path, payload):
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write UTF-8 text atomically; ``text`` is a str or an iterable of str chunks."""
+    chunks = [text] if isinstance(text, str) else text
+    atomic_write_bytes(path, (chunk.encode("utf-8") for chunk in chunks))
 
 
 def sha256_file(path):

@@ -1,4 +1,8 @@
-"""Shared test utilities: finite-difference oracles and error measures."""
+"""Shared test utilities: finite-difference oracles, error measures and the
+row-at-a-time CSV rendering that the block writer must reproduce."""
+import csv
+import io
+
 import numpy as np
 
 
@@ -76,3 +80,29 @@ def rel_error(got, want):
     want = np.asarray(want)
     scale = max(np.abs(want).max(), 1e-10)
     return np.abs(got - want).max() / scale
+
+
+def row_writer_csv(header, rows):
+    """CSV text as ``csv.writer`` renders it with floats as ``repr(float(v))``.
+
+    ``rows`` holds (key fields, float values) pairs.  This is the rendering
+    every vdm CSV writer used before ``vdm.data.write_csv``, kept as its
+    byte-identity reference.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for keys, values in rows:
+        writer.writerow(list(keys) + [repr(float(v)) for v in values])
+    return buf.getvalue()
+
+
+def rerendered_csv(path, n_keys):
+    """The file at ``path`` parsed and rendered again by ``row_writer_csv``.
+
+    Floats parse back exactly from their shortest repr, so this equals the
+    file's text exactly when the file was written in the reference rendering.
+    """
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return row_writer_csv(header, [(row[:n_keys], map(float, row[n_keys:])) for row in rows])

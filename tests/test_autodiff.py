@@ -1,5 +1,8 @@
 """Reverse-mode engine: primitive values, gradients vs finite differences,
-tape replay determinism."""
+tape replay determinism, tape state across threads."""
+import contextvars
+import threading
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,40 @@ def test_pause_suppresses_recording():
         with Tape.pause():
             _ = ad.square(p)
         assert len(tape.records) == 0
+
+
+def test_interleaved_pause_in_two_threads_keeps_callers_tape():
+    # Forced order: A pauses, B pauses, A resumes, B resumes.  With one
+    # process-wide slot, B would restore the None it saved while A was
+    # paused, leaving the caller's tape switched off.
+    p = Tensor(np.ones(3), requires_grad=True)
+    barrier = threading.Barrier(2, timeout=10)
+
+    def first():
+        with Tape.pause():
+            barrier.wait()
+            barrier.wait()
+        barrier.wait()
+
+    def second():
+        barrier.wait()
+        with Tape.pause():
+            barrier.wait()
+            barrier.wait()
+
+    with Tape() as tape:
+        # each thread starts from the caller's context, so it sees the tape
+        threads = [
+            threading.Thread(target=contextvars.copy_context().run, args=(fn,))
+            for fn in (first, second)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        _ = ad.square(p)
+    assert len(tape.records) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from vdm.cli import main
 from vdm.data import load_csv
 
+from helpers import rerendered_csv
+
 
 def read(path):
     with open(path, "rb") as fh:
@@ -42,6 +44,8 @@ def test_simulate_deterministic_byte_identical(tmp_path):
     simulate_four_mode(b)
     for name in ("train.csv", "val.csv", "test.csv", "manifest.json"):
         assert read(a / name) == read(b / name), name
+    for name in ("train.csv", "val.csv", "test.csv"):
+        assert read(a / name) == rerendered_csv(a / name, 2).encode(), name
 
 
 def test_simulate_four_mode_counts_and_length(tmp_path):
@@ -66,6 +70,8 @@ def test_simulate_lorenz_outputs_groups(tmp_path):
     manifest = json.loads(read(out / "manifest.json"))
     assert manifest["groups"] == ["group_00.csv", "group_01.csv"]
     assert manifest["d_x"] == 3
+    for name in ["train.csv", "val.csv", "test.csv"] + manifest["groups"]:
+        assert read(out / name) == rerendered_csv(out / name, 2).encode(), name
     record = json.loads(read(out / "run_record.json"))
     assert record["command"] == "simulate"
     assert record["config"]["seed"] == 5
@@ -98,6 +104,9 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
     _, c1 = train_tiny(manifest, tmp_path / "r1")
     _, c2 = train_tiny(manifest, tmp_path / "r2")
     assert read(c1) == read(c2)
+    metrics = tmp_path / "r1" / "metrics.csv"
+    assert read(metrics).startswith(b"epoch,total,elbo,pred,adv,val_nll\n0,")
+    assert read(metrics) == rerendered_csv(metrics, 1).encode()
 
 
 def test_train_config_file_with_flag_override(tmp_path):
@@ -278,9 +287,12 @@ def test_forecast_deterministic_and_shaped(tmp_path):
     assert outs[0] == outs[1]
     with open(tmp_path / "f1" / "forecasts.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * 3 * 3  # trajectories x forecasts x horizon
     assert set(rows[0]) == {"seq_id", "forecast_id", "t", "x0", "x1"}
-    assert rows[0]["t"] == "1"  # continuation starts after the prefix
+    # trajectories x forecasts x horizon; the continuation starts after the prefix
+    assert [(r["seq_id"], r["forecast_id"], r["t"]) for r in rows] == [
+        (str(i), str(j), str(1 + t)) for i in range(2) for j in range(3) for t in range(3)
+    ]
+    assert outs[0] == rerendered_csv(tmp_path / "f1" / "forecasts.csv", 3).encode()
 
 
 def test_forecast_prior_export(tmp_path):
@@ -299,6 +311,7 @@ def test_forecast_prior_export(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5  # prefix has one step
     assert set(rows[0]) == {"step", "z0", "z1"}
+    assert read(out / "prior_0.csv") == rerendered_csv(out / "prior_0.csv", 1).encode()
 
 
 @pytest.mark.parametrize("horizon", ["-2", "0"])

@@ -1,5 +1,6 @@
 """Simulators and ingestion: RK4 against an independent oracle, noise
-recovery, four-mode geometry, CSV round trips, prefix grouping."""
+recovery, four-mode geometry, CSV round trips and writer bytes, prefix
+grouping."""
 import logging
 
 import numpy as np
@@ -16,7 +17,10 @@ from vdm.data import (
     save_csv,
     simulate_lorenz,
     simulate_lorenz_paths,
+    write_csv,
 )
+
+from helpers import row_writer_csv
 
 SIGMA, RHO, BETA = 10.0, 28.0, 8.0 / 3.0
 
@@ -225,6 +229,96 @@ def test_csv_nonfinite_rejected_with_row(tmp_path):
     path.write_text("seq_id,t,x0\na,0,1.0\na,1,nan\n")
     with pytest.raises(ValueError, match="row 3"):
         load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+
+
+@pytest.mark.parametrize(
+    "bad_row,message",
+    [
+        ("a,1,inf", "non-finite value at row 3"),
+        ("a,1,-inf", "non-finite value at row 3"),
+        ("a,1.5,2.0", "malformed row 3: non-numeric field"),
+    ],
+)
+def test_csv_infinite_value_or_non_integer_step_names_row(tmp_path, bad_row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"seq_id,t,x0\na,0,1.0\n{bad_row}\n")
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+
+
+def test_csv_interleaved_sequences_keep_first_appearance_order(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("seq_id,t,x0\nb,0,1.0\na,0,3.0\nb,1,2.0\na,1,4.0\n")
+    ds = load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+    np.testing.assert_array_equal(ds.data[..., 0], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_csv_long_sequence_truncated_to_seq_len(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("seq_id,t,x0\na,0,1.0\na,1,2.0\na,5,3.0\n")
+    ds = load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+    np.testing.assert_array_equal(ds.data, [[[1.0], [2.0]]])
+
+
+def test_csv_crlf_line_endings(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"seq_id,t,x0,x1\r\na,0,1.0,-2.5\r\na,1,0.25,1e-05\r\n")
+    ds = load_csv(path, d_x=2, seq_len=2, prefix_len=1)
+    np.testing.assert_array_equal(ds.data, [[[1.0, -2.5], [0.25, 1e-05]]])
+
+
+# Values whose shortest repr takes every form: signed zero, exponent
+# notation in both directions, subnormal, largest finite, 17 digits.
+AWKWARD_FLOATS = np.array(
+    [
+        [-0.0, 1e-05, 1e16],
+        [5e-324, 1.7976931348623157e308, 0.1 + 0.2],
+        [1 / 3, -2.0 / 7.0, 123456789.12345679],
+        [0.0, -1e-300, 2.0**-1074 * 3],
+    ]
+)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, len(AWKWARD_FLOATS)])
+def test_write_csv_bytes_match_row_writer(tmp_path, rows_per_block):
+    keys = [f"{i},{i + 10}" for i in range(len(AWKWARD_FLOATS))]
+    blocks = [
+        (keys[s : s + rows_per_block], AWKWARD_FLOATS[s : s + rows_per_block])
+        for s in range(0, len(AWKWARD_FLOATS), rows_per_block)
+    ]
+    path = tmp_path / "w.csv"
+    header = ["seq_id", "t", "x0", "x1", "x2"]
+    write_csv(path, header, blocks)
+    want = row_writer_csv(header, zip((k.split(",") for k in keys), AWKWARD_FLOATS))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_save_csv_bytes_match_row_writer(tmp_path):
+    ds = Dataset(np.random.default_rng(9).normal(size=(3, 4, 2)) * 1e3, prefix_len=1)
+    path = tmp_path / "ds.csv"
+    save_csv(ds, path)
+    rows = [((i, t), ds.data[i, t]) for i in range(3) for t in range(4)]
+    assert path.read_text() == row_writer_csv(["seq_id", "t", "x0", "x1"], rows)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_write_csv_failed_stream_leaves_no_file(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing:
+        path.write_text("old\n")
+
+    def blocks():
+        yield ["0"], np.ones((1, 2))
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        write_csv(path, ["k", "a", "b"], blocks())
+    if existing:
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    else:
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_out_of_order_steps_name_sequence(tmp_path):
