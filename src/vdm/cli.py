@@ -51,17 +51,28 @@ def _load_config_file(path):
     return cfg
 
 
-def _resolve(args, defaults):
-    """defaults < config file < explicit CLI flags."""
-    resolved = dict(defaults)
+def _resolve(args, settings):
+    """defaults < config file < explicit CLI flags, then every value checked
+    against its settings entry whatever its source; adds ``seed``."""
+    resolved = {name: default for name, (_, default, _) in settings.items()}
     resolved.update(_load_config_file(args.config))
-    for key in defaults:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-    unknown = set(resolved) - set(defaults)
+    unknown = set(resolved) - set(settings)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for name, (kind, default, allowed) in settings.items():
+        value = getattr(args, name)
+        if value is None:
+            value = resolved[name]
+        if value is None and default is None:
+            continue
+        # a float setting keeps an int as given; bool is not an int here
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ValueError(f"setting {name!r} must be a {kind.__name__}, got {value!r}")
+        if allowed is not None and value not in allowed:
+            want = f">= {allowed.start}" if isinstance(allowed, range) else f"one of {list(allowed)}"
+            raise ValueError(f"setting {name!r} must be {want}, got {value!r}")
+        resolved[name] = value
+    resolved["seed"] = args.seed
     return resolved
 
 
@@ -88,8 +99,8 @@ def _load_manifest(path, split):
     return manifest, base
 
 
-def _load_split(manifest, base, split):
-    rel = manifest["files"][split]
+def _load_csv(manifest, base, rel):
+    """The dataset CSV at ``rel`` (relative to the manifest) with the manifest's shape."""
     return vdata.load_csv(
         os.path.join(base, rel),
         manifest["d_x"],
@@ -98,39 +109,53 @@ def _load_split(manifest, base, split):
     )
 
 
-def _load_groups(manifest, base):
-    groups = []
-    for rel in manifest.get("groups", []):
-        groups.append(
-            vdata.load_csv(
-                os.path.join(base, rel),
-                manifest["d_x"],
-                manifest["seq_len"],
-                manifest["prefix_len"],
-            )
+def _load_scoring_inputs(command, resolved, split):
+    """Manifest, its directory, checkpoint, model and the ``split`` dataset cut
+    to ``limit`` sequences, for ``evaluate`` and ``forecast``.
+
+    The whole split is loaded and validated before the cut.
+    """
+    if resolved["data"] is None or resolved["checkpoint"] is None:
+        raise ValueError(f"{command}: --data and --checkpoint are required")
+    manifest, base = _load_manifest(resolved["data"], split)
+    ckpt = load_checkpoint(resolved["checkpoint"])
+    if manifest["d_x"] != ckpt.config.d_x:
+        raise ValueError(
+            f"{command}: dataset d_x={manifest['d_x']} does not match checkpoint d_x={ckpt.config.d_x}"
         )
-    return groups
+    model = ckpt.build_model()
+    ds = _load_csv(manifest, base, manifest["files"][split])
+    if resolved["limit"] is not None:
+        ds = ds.subset(np.arange(min(resolved["limit"], len(ds))))
+    return manifest, base, ckpt, model, ds
+
+
+# Each command's settings: name -> (type, default, allowed values or None).
+# The flag is --name with "_" turned into "-"; a bool setting is a flag that
+# sets True.  A ``None`` default means "unset" and is the only None accepted.
+# A range bound suits int settings only: ``in`` is O(1) for an int but scans
+# the range for a float, so _resolve checks the type first.
+AT_LEAST_1 = range(1, 2**63)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "gen": "lorenz",
-    "n_train": 5000,
-    "n_val": 200,
-    "n_test": 800,
-    "seq_len": None,   # lorenz: 100; four_mode: fixed at 4
-    "prefix_len": None,  # lorenz: 10; four_mode: 1
-    "n_groups": 10,
-    "group_size": 100,
+SIMULATE_SETTINGS = {
+    "gen": (str, "lorenz", ("lorenz", "four_mode")),
+    "n_train": (int, 5000, None),
+    "n_val": (int, 200, None),
+    "n_test": (int, 800, None),
+    "seq_len": (int, None, None),  # lorenz: 100; four_mode: fixed at 4
+    "prefix_len": (int, None, None),  # lorenz: 10; four_mode: 1
+    "n_groups": (int, 10, None),
+    "group_size": (int, 100, None),
 }
 
 
 def cmd_simulate(args):
-    resolved = _resolve(args, SIMULATE_DEFAULTS)
-    resolved["seed"] = args.seed
+    resolved = _resolve(args, SIMULATE_SETTINGS)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -186,34 +211,32 @@ def cmd_simulate(args):
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "data": None,
-    "d_z": 6,
-    "d_h": 32,
-    "k": None,
-    "kappa": 0.5,
-    "sampler": "sca",
-    "weighting": "delta",
-    "omega1": 1.0,
-    "omega2": 1.0,
-    "lr": 1e-3,
-    "epochs": 20,
-    "batch_size": 64,
-    "patience": 10,
-    "val_forecasts": 100,
-    "normalize": True,
-    "nll_reduction": "mean",
+TRAIN_SETTINGS = {
+    "data": (str, None, None),
+    "d_z": (int, 6, None),
+    "d_h": (int, 32, None),
+    "k": (int, None, None),
+    "kappa": (float, 0.5, None),
+    "sampler": (str, "sca", ("sca", "monte_carlo")),
+    "weighting": (str, "delta", ("delta", "categorical")),
+    "omega1": (float, 1.0, None),
+    "omega2": (float, 1.0, None),
+    "lr": (float, 1e-3, None),
+    "epochs": (int, 20, None),
+    "batch_size": (int, 64, AT_LEAST_1),
+    "patience": (int, 10, None),
+    "val_forecasts": (int, 100, AT_LEAST_1),
 }
 
 
 def cmd_train(args):
-    resolved = _resolve(args, TRAIN_DEFAULTS)
-    resolved["seed"] = args.seed
+    resolved = _resolve(args, TRAIN_SETTINGS)
     if resolved["data"] is None:
         raise ValueError("train: --data <manifest> is required")
     manifest, base = _load_manifest(resolved["data"], "train")
-    train_ds = _load_split(manifest, base, "train")
-    val_ds = _load_split(manifest, base, "val") if "val" in manifest["files"] else None
+    files = manifest["files"]
+    train_ds = _load_csv(manifest, base, files["train"])
+    val_ds = _load_csv(manifest, base, files["val"]) if "val" in files else None
     if resolved["k"] is None:
         resolved["k"] = 2 * resolved["d_z"] + 1 if resolved["sampler"] == "sca" else 1
     config = ModelConfig(
@@ -240,8 +263,6 @@ def cmd_train(args):
         batch_size=resolved["batch_size"],
         patience=resolved["patience"],
         val_forecasts=resolved["val_forecasts"],
-        normalize=resolved["normalize"],
-        nll_reduction=resolved["nll_reduction"],
         verbose=args.verbose,
     )
     result.checkpoint.provenance["manifest_sha256"] = sha256_file(resolved["data"])
@@ -264,33 +285,21 @@ def cmd_train(args):
 # evaluate
 # ---------------------------------------------------------------------------
 
-EVALUATE_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "n_forecasts": 1000,
-    "w_forecasts": 10,
-    "nll_reduction": "mean",
-    "limit": None,
+EVALUATE_SETTINGS = {
+    "data": (str, None, None),
+    "checkpoint": (str, None, None),
+    "n_forecasts": (int, 1000, AT_LEAST_1),
+    "w_forecasts": (int, 10, AT_LEAST_1),
+    "nll_reduction": (str, "mean", ("mean", "sum")),
+    "limit": (int, None, AT_LEAST_1),
 }
 
 
 def cmd_evaluate(args):
-    resolved = _resolve(args, EVALUATE_DEFAULTS)
-    resolved["seed"] = args.seed
-    if resolved["data"] is None or resolved["checkpoint"] is None:
-        raise ValueError("evaluate: --data and --checkpoint are required")
-    manifest, base = _load_manifest(resolved["data"], "test")
-    ckpt = load_checkpoint(resolved["checkpoint"])
-    if manifest["d_x"] != ckpt.config.d_x:
-        raise ValueError(
-            f"evaluate: dataset d_x={manifest['d_x']} does not match checkpoint d_x={ckpt.config.d_x}"
-        )
+    resolved = _resolve(args, EVALUATE_SETTINGS)
+    manifest, base, ckpt, model, test_ds = _load_scoring_inputs("evaluate", resolved, "test")
     ckpt_id = sha256_file(resolved["checkpoint"])[:12]
-    model = ckpt.build_model()
-    test_ds = _load_split(manifest, base, "test")
-    if resolved["limit"]:
-        test_ds = test_ds.subset(np.arange(min(resolved["limit"], len(test_ds))))
-    groups = _load_groups(manifest, base)
+    groups = [_load_csv(manifest, base, rel) for rel in manifest.get("groups", [])]
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -336,33 +345,21 @@ def cmd_evaluate(args):
 # forecast
 # ---------------------------------------------------------------------------
 
-FORECAST_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "horizon": None,
-    "n": 1000,
-    "limit": None,
-    "split": "test",
-    "export_prior": False,
-    "prior_draws": 1000,
+FORECAST_SETTINGS = {
+    "data": (str, None, None),
+    "checkpoint": (str, None, None),
+    "horizon": (int, None, None),
+    "n": (int, 1000, AT_LEAST_1),
+    "limit": (int, None, AT_LEAST_1),
+    "split": (str, "test", ("train", "val", "test")),
+    "export_prior": (bool, False, None),
+    "prior_draws": (int, 1000, AT_LEAST_1),
 }
 
 
 def cmd_forecast(args):
-    resolved = _resolve(args, FORECAST_DEFAULTS)
-    resolved["seed"] = args.seed
-    if resolved["data"] is None or resolved["checkpoint"] is None:
-        raise ValueError("forecast: --data and --checkpoint are required")
-    manifest, base = _load_manifest(resolved["data"], resolved["split"])
-    ckpt = load_checkpoint(resolved["checkpoint"])
-    if manifest["d_x"] != ckpt.config.d_x:
-        raise ValueError(
-            f"forecast: dataset d_x={manifest['d_x']} does not match checkpoint d_x={ckpt.config.d_x}"
-        )
-    model = ckpt.build_model()
-    ds = _load_split(manifest, base, resolved["split"])
-    if resolved["limit"]:
-        ds = ds.subset(np.arange(min(resolved["limit"], len(ds))))
+    resolved = _resolve(args, FORECAST_SETTINGS)
+    _, _, ckpt, model, ds = _load_scoring_inputs("forecast", resolved, resolved["split"])
     horizon = resolved["horizon"]
     if horizon is None:
         horizon = ds.seq_len - ds.prefix_len
@@ -402,68 +399,28 @@ def cmd_forecast(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_shared(sub):
-    sub.add_argument("--config", help="JSON config file mirroring the run-config fields")
-    sub.add_argument("--seed", type=int, required=True, help="rng seed (mandatory)")
-    sub.add_argument("--out", required=True, help="output directory")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="vdm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = subs.add_parser("simulate", help="generate synthetic datasets")
-    _add_shared(p_sim)
-    p_sim.add_argument("--gen", choices=["lorenz", "four_mode"], default=None)
-    p_sim.add_argument("--n-train", dest="n_train", type=int)
-    p_sim.add_argument("--n-val", dest="n_val", type=int)
-    p_sim.add_argument("--n-test", dest="n_test", type=int)
-    p_sim.add_argument("--seq-len", dest="seq_len", type=int)
-    p_sim.add_argument("--prefix-len", dest="prefix_len", type=int)
-    p_sim.add_argument("--n-groups", dest="n_groups", type=int)
-    p_sim.add_argument("--group-size", dest="group_size", type=int)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_train = subs.add_parser("train", help="train a model on a dataset manifest")
-    _add_shared(p_train)
-    p_train.add_argument("--data", help="dataset manifest path")
-    p_train.add_argument("--d-z", dest="d_z", type=int)
-    p_train.add_argument("--d-h", dest="d_h", type=int)
-    p_train.add_argument("--k", type=int)
-    p_train.add_argument("--kappa", type=float)
-    p_train.add_argument("--sampler", choices=["sca", "monte_carlo"])
-    p_train.add_argument("--weighting", choices=["delta", "categorical"])
-    p_train.add_argument("--omega1", type=float)
-    p_train.add_argument("--omega2", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--patience", type=int)
-    p_train.add_argument("--val-forecasts", dest="val_forecasts", type=int)
-    p_train.add_argument("--verbose", action="store_true")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = subs.add_parser("evaluate", help="score a checkpoint on a dataset")
-    _add_shared(p_eval)
-    p_eval.add_argument("--data")
-    p_eval.add_argument("--checkpoint")
-    p_eval.add_argument("--n-forecasts", dest="n_forecasts", type=int)
-    p_eval.add_argument("--w-forecasts", dest="w_forecasts", type=int)
-    p_eval.add_argument("--nll-reduction", dest="nll_reduction", choices=["mean", "sum"])
-    p_eval.add_argument("--limit", type=int)
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_fc = subs.add_parser("forecast", help="sample continuations from a checkpoint")
-    _add_shared(p_fc)
-    p_fc.add_argument("--data")
-    p_fc.add_argument("--checkpoint")
-    p_fc.add_argument("--horizon", type=int)
-    p_fc.add_argument("--n", type=int)
-    p_fc.add_argument("--limit", type=int)
-    p_fc.add_argument("--split", choices=["train", "val", "test"])
-    p_fc.add_argument("--export-prior", dest="export_prior", action="store_const", const=True)
-    p_fc.add_argument("--prior-draws", dest="prior_draws", type=int)
-    p_fc.set_defaults(func=cmd_forecast)
+    for name, func, settings, text in (
+        ("simulate", cmd_simulate, SIMULATE_SETTINGS, "generate synthetic datasets"),
+        ("train", cmd_train, TRAIN_SETTINGS, "train a model on a dataset manifest"),
+        ("evaluate", cmd_evaluate, EVALUATE_SETTINGS, "score a checkpoint on a dataset"),
+        ("forecast", cmd_forecast, FORECAST_SETTINGS, "sample continuations from a checkpoint"),
+    ):
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--config", help="JSON config file mirroring the run-config fields")
+        sub.add_argument("--seed", type=int, required=True, help="rng seed (mandatory)")
+        sub.add_argument("--out", required=True, help="output directory")
+        for key, (kind, _, allowed) in settings.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_const", const=True)
+            else:
+                # a bad choice is a usage error; range bounds are checked by _resolve
+                sub.add_argument(flag, type=kind, choices=allowed if kind is str else None)
+        sub.set_defaults(func=func)
+    subs.choices["train"].add_argument("--verbose", action="store_true")
     return parser
 
 

@@ -222,7 +222,6 @@ def train(
     patience=10,
     val_forecasts=100,
     normalize=True,
-    nll_reduction="mean",
     verbose=False,
 ):
     """Minibatch Adam over the full objective with 1:1 discriminator updates.
@@ -270,9 +269,7 @@ def train(
         if val_scaled is None:
             return math.nan
         val_rng = np.random.default_rng(12345)
-        return dataset_multi_step_nll(
-            model, val_scaled, prefix_len, val_forecasts, val_rng, reduction=nll_reduction
-        )
+        return dataset_multi_step_nll(model, val_scaled, prefix_len, val_forecasts, val_rng)
 
     for epoch in range(epochs):
         order = rng.permutation(n)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["NonFiniteError", "worker_count", "parallel_map", "atomic_write_bytes",
@@ -42,10 +41,14 @@ def parallel_map(fn, items):
 
 def atomic_write_bytes(path, payload):
     """Write bytes, or an iterable of bytes chunks, via a sibling temp file and
-    rename, so readers never see partial files; on any error ``path`` is untouched."""
+    rename, so readers never see partial files; on any error ``path`` is untouched.
+
+    The file gets mode 0o666 less the umask, as ``open`` would give it.
+    """
     chunks = [payload] if isinstance(payload, bytes) else payload
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

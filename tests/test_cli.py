@@ -2,10 +2,11 @@
 import csv
 import json
 import os
+import stat
 
 import pytest
 
-from vdm.cli import main
+from vdm.cli import build_parser, main
 from vdm.data import load_csv
 
 from helpers import rerendered_csv
@@ -145,13 +146,100 @@ def test_train_four_mode_flag_wiring(tmp_path):
     assert ckpt.config.omega2 == 0.0
 
 
-def test_train_unknown_config_key_fails(tmp_path):
+def test_train_unknown_config_key_fails(tmp_path, capsys):
     manifest = simulate_four_mode(tmp_path / "data")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"learning_late": 0.1}))
-    rc = main(["train", "--config", str(cfg_path), "--data", manifest,
-               "--seed", "1", "--out", str(tmp_path / "x")])
+    # normalize and nll_reduction were config-only train settings; both are gone
+    for body in ({"learning_late": 0.1}, {"normalize": False}, {"nll_reduction": "sum"}):
+        cfg_path.write_text(json.dumps(body))
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg_path), "--data", manifest,
+                   "--seed", "1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: unknown config keys" in err and repr(next(iter(body))) in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+SHARED_OPTIONS = ["-h", "--help", "--config", "--seed", "--out"]
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("simulate", ["--gen", "--n-train", "--n-val", "--n-test", "--seq-len", "--prefix-len",
+                      "--n-groups", "--group-size"]),
+        ("train", ["--data", "--d-z", "--d-h", "--k", "--kappa", "--sampler", "--weighting",
+                   "--omega1", "--omega2", "--lr", "--epochs", "--batch-size", "--patience",
+                   "--val-forecasts", "--verbose"]),
+        ("evaluate", ["--data", "--checkpoint", "--n-forecasts", "--w-forecasts",
+                      "--nll-reduction", "--limit"]),
+        ("forecast", ["--data", "--checkpoint", "--horizon", "--n", "--limit", "--split",
+                      "--export-prior", "--prior-draws"]),
+    ],
+)
+def test_subcommand_option_strings(command, options):
+    subs = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    sub = subs.choices[command]
+    assert [s for a in sub._actions for s in a.option_strings] == SHARED_OPTIONS + options
+
+
+@pytest.mark.parametrize(
+    "command,body",
+    [
+        ("simulate", {"gen": "Lorenz"}),
+        ("simulate", {"n_train": "4"}),
+        ("train", {"epochs": "1"}),
+        ("forecast", {"export_prior": "false"}),
+        ("evaluate", {"limit": 2.5}),
+        ("forecast", {"limit": 0}),
+        ("train", {"lr": None}),
+    ],
+)
+def test_config_file_value_checked_like_a_flag(tmp_path, capsys, command, body):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg_path), "--seed", "1", "--out", str(out)])
     assert rc == 1
+    key = next(iter(body))
+    assert f"vdm {command}: error: setting {key!r}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("evaluate", "--limit=0"),
+        ("forecast", "--limit=-1"),
+        ("forecast", "--n=0"),
+        ("forecast", "--prior-draws=0"),
+        ("evaluate", "--n-forecasts=0"),
+        ("evaluate", "--w-forecasts=0"),
+        ("train", "--batch-size=0"),
+        ("train", "--val-forecasts=0"),
+    ],
+)
+def test_count_below_one_fails(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    rc = main([command, flag, "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    key = flag[2:flag.index("=")].replace("-", "_")
+    assert f"vdm {command}: error: setting {key!r} must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        manifest = simulate_four_mode(tmp_path / "data")
+        rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    finally:
+        os.umask(old)
+    assert rc == 0
+    for path in (tmp_path / "data" / "train.csv", manifest, ckpt,
+                 tmp_path / "run" / "metrics.csv", tmp_path / "run" / "run_record.json"):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
 
 
 def test_evaluate_without_groups_omits_w_distance(tmp_path):
