@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 # A walk through the numeric core: record a computation on a tape, pull
 # gradients back through it, check one against finite differences, and take a
-# few optimizer steps on a toy curve fit.
+# few optimizer steps on a toy curve fit.  Each call below is one fused tape
+# record with an analytic backward; gaussian_mlp returns two outputs, a mean
+# and a std, from one record.
 
 import numpy as np
 
@@ -11,46 +13,65 @@ from vdm.optim import ParameterStore, adam_step
 
 rng = np.random.default_rng(0)
 
+
+def init_mlp3(store, sizes):
+    """Register a three-layer MLP's weights; returns them in mlp3's order."""
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        bound = 1.0 / np.sqrt(fan_in)
+        store.add(f"w{i}", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        store.add(f"b{i}", rng.uniform(-bound, bound, size=fan_out))
+    return tuple(store[f"{p}{i}"] for i in range(3) for p in ("w", "b"))
+
+
 # --- gradients of a small expression -------------------------------------
 store = ParameterStore()
-w = store.add("w", rng.normal(size=(3, 2)))
+weights = init_mlp3(store, (3, 8, 8, 2))
 x = Tensor(rng.normal(size=(5, 3)))
+target = Tensor(rng.normal(size=(5, 2)))
+unit_std = Tensor(np.ones((5, 2)))
+
+
+def mean_nll():
+    """Mean negative log-likelihood of target under N(mlp3(x), I)."""
+    ll = ad.gaussian_log_pdf(target, ad.mlp3((x,), weights), unit_std)
+    (mean_ll,) = ad.sum_of_means([ll])
+    return -1.0 * mean_ll
+
 
 with Tape() as tape:
-    y = ad.tanh(ad.matmul(x, w))
-    loss = ad.reduce_mean(ad.square(y))
+    loss = mean_nll()
     backward(tape, loss)
 
+w = store["w0"]
+print("tape records:", len(tape.records))
 print("loss:", float(loss.value))
-print("dloss/dw[0,0]:", w.grad[0, 0])
+print("dloss/dw0[0,0]:", w.grad[0, 0])
 
 # finite-difference check of the same entry
 eps = 1e-6
 w.value[0, 0] += eps
-up = float(ad.reduce_mean(ad.square(ad.tanh(ad.matmul(x, w)))).value)
+up = float(mean_nll().value)
 w.value[0, 0] -= 2 * eps
-down = float(ad.reduce_mean(ad.square(ad.tanh(ad.matmul(x, w)))).value)
+down = float(mean_nll().value)
 w.value[0, 0] += eps
 print("finite difference:", (up - down) / (2 * eps))
 
-# --- fit y = sin(x) with a tiny two-layer net ----------------------------
+# --- fit y = sin(x) with a Gaussian head ---------------------------------
 xs = np.linspace(-2, 2, 64)[:, None]
 ys = np.sin(xs * np.pi / 2)
 
 net = ParameterStore()
-net.add("w1", rng.uniform(-0.5, 0.5, size=(1, 16)))
-net.add("b1", np.zeros(16))
-net.add("w2", rng.uniform(-0.5, 0.5, size=(16, 1)))
-net.add("b2", np.zeros(1))
+net_weights = init_mlp3(net, (1, 16, 16, 2))
 
 inputs, targets = Tensor(xs), Tensor(ys)
 for step in range(400):
     with Tape() as tape:
-        h = ad.tanh(ad.matmul(inputs, net["w1"]) + net["b1"])
-        pred = ad.matmul(h, net["w2"]) + net["b2"]
-        loss = ad.reduce_mean(ad.square(pred - targets))
+        mean, std = ad.gaussian_mlp((inputs,), net_weights, 1, 10.0)
+        (mean_ll,) = ad.sum_of_means([ad.gaussian_log_pdf(targets, mean, std)])
+        loss = -1.0 * mean_ll
         backward(tape, loss)
-    adam_step(net, lr=1e-2)
+    adam_step(net, lr=3e-3)
     if step % 100 == 0:
-        print(f"step {step}: mse={float(loss.value):.5f}")
-print(f"final mse: {float(loss.value):.5f}")
+        print(f"step {step}: nll={float(loss.value):.4f}")
+mse = float(np.mean((mean.value - ys) ** 2))
+print(f"final nll: {float(loss.value):.4f}, mse of the mean: {mse:.5f}")

@@ -5,15 +5,19 @@ replays the records in exact reverse order, accumulating gradients additively
 at fan-out points.  With no tape active all operations are plain numpy
 evaluations, which keeps rollout / evaluation paths cheap.
 
-Besides the elementwise and structural primitives there are fused layer
-primitives (``mlp3``, ``gru_cell``, ``exp_clamp``, ``gaussian_log_pdf``,
-``gaussian_kl``): each is one tape record whose forward gives, bit for bit,
-the values of the composition of primitives it replaces and whose backward
-is written out analytically.
+A record may return a tuple of outputs; its backward then receives a tuple
+of gradients, with ``None`` for an output that nothing read.  Besides
+``add``, ``sub``, ``mul`` and ``reshape`` every primitive is a fused record
+(``mlp3``, ``gaussian_mlp``, ``gru_cell``, ``gaussian_log_pdf``,
+``gaussian_kl`` and the filtering and loss glue after them): each forward
+gives, bit for bit, the values of the composition of elementwise primitives
+it replaces, and each backward is written out analytically in the same
+floating-point operations as that composition's.
 """
 from __future__ import annotations
 
 import contextvars
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -26,29 +30,20 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
-    "matmul",
-    "relu",
-    "sigmoid",
-    "tanh",
-    "exp",
-    "log",
-    "square",
-    "clamp",
-    "reduce_sum",
-    "reduce_mean",
-    "concat",
     "reshape",
-    "narrow",
-    "expand_dim",
-    "logsumexp",
     "LOG_2PI",
     "mlp3",
+    "gaussian_mlp",
     "gru_cell",
-    "exp_clamp",
     "gaussian_log_pdf",
     "gaussian_kl",
+    "repeat_rows",
+    "reparameterize",
+    "weighted_sum",
+    "select_bound",
+    "log_mean_exp",
+    "gan_losses",
+    "sum_of_means",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -61,7 +56,9 @@ class Tape:
     """Ordered record of primitive operations from one forward pass."""
 
     def __init__(self):
-        self.records = []  # (out, parents, backward_fn) in execution order
+        # (out, parents, backward_fn) in execution order; out is a Tensor or
+        # a tuple of Tensors
+        self.records = []
 
     def __enter__(self):
         if _ACTIVE_TAPE.get() is not None:
@@ -136,28 +133,20 @@ class Tensor:
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _emit(value, parents, backward_fn):
-    out = Tensor(value)
+    """Wrap ``value``, an array or a tuple of arrays, in output tensors; with
+    a tape active, record them with their parents and backward closure."""
+    multi = type(value) is tuple
+    out = tuple(Tensor(v) for v in value) if multi else Tensor(value)
     tape = _ACTIVE_TAPE.get()
     if tape is not None:
-        out._from_tape = True
+        for t in out if multi else (out,):
+            t._from_tape = True
         tape.records.append((out, parents, backward_fn))
     return out
 
@@ -204,12 +193,19 @@ def backward(tape, loss):
             else:
                 grads[key] = g
         elif t.requires_grad:
-            t.grad += _unbroadcast(np.asarray(g, dtype=np.float64), t.value.shape)
+            if g.shape != t.grad.shape:
+                g = _unbroadcast(np.asarray(g, dtype=np.float64), t.grad.shape)
+            t.grad += g
 
     for out, parents, backward_fn in reversed(tape.records):
-        g = grads.pop(id(out), None)
-        if g is None:
-            continue
+        if type(out) is tuple:
+            g = tuple([grads.pop(id(t), None) for t in out])
+            if all(x is None for x in g):
+                continue
+        else:
+            g = grads.pop(id(out), None)
+            if g is None:
+                continue
         for parent, pg in zip(parents, backward_fn(g)):
             if pg is not None:
                 deposit(parent, pg)
@@ -249,155 +245,15 @@ def mul(a, b):
     )
 
 
-def div(a, b):
-    _check_broadcast("div", a.value, b.value)
-    inv = 1.0 / b.value
-    return _emit(
-        a.value * inv,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * inv, a.value.shape),
-            _unbroadcast(-g * a.value * inv * inv, b.value.shape),
-        ),
-    )
-
-
-def neg(a):
-    return _emit(-a.value, (a,), lambda g: (-g,))
-
-
-def matmul(a, b):
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(
-            f"matmul: incompatible shapes {a.value.shape} and {b.value.shape}"
-        )
-    av, bv = a.value, b.value
-    return _emit(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
-
-
-def relu(a):
-    mask = a.value > 0.0
-    return _emit(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
-
-
-def sigmoid(a):
-    out = expit(a.value)
-    return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a):
-    out = np.tanh(a.value)
-    return _emit(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def exp(a):
-    out = np.exp(a.value)
-    return _emit(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    if np.any(a.value <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    av = a.value
-    return _emit(np.log(av), (a,), lambda g: (g / av,))
-
-
-def square(a):
-    av = a.value
-    return _emit(av * av, (a,), lambda g: (2.0 * g * av,))
-
-
-def clamp(a, lo, hi):
-    """Elementwise clip; gradient passes only through the interior."""
-    mask = (a.value > lo) & (a.value < hi)
-    return _emit(np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,))
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    shape = a.value.shape
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, shape).copy(),)
-
-    return _emit(a.value.sum(axis=axis, keepdims=keepdims), (a,), back)
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    shape = a.value.shape
-    n = a.value.size if axis is None else shape[axis]
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp / n, shape).copy(),)
-
-    return _emit(a.value.mean(axis=axis, keepdims=keepdims), (a,), back)
-
-
-def concat(tensors, axis=-1):
-    tensors = tuple(tensors)
-    values = [t.value for t in tensors]
-    base = values[0].ndim
-    if any(v.ndim != base for v in values):
-        raise ValueError(
-            f"concat: rank mismatch {[v.shape for v in values]}"
-        )
-    sizes = [v.shape[axis] for v in values]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _emit(np.concatenate(values, axis=axis), tensors, back)
-
-
 def reshape(a, shape):
     old = a.value.shape
     return _emit(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def narrow(a, axis, start, size):
-    """Contiguous slice of ``size`` entries along ``axis`` starting at ``start``."""
-    idx = [slice(None)] * a.value.ndim
-    idx[axis] = slice(start, start + size)
-    idx = tuple(idx)
-    shape = a.value.shape
-
-    def back(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[idx] = g
-        return (full,)
-
-    return _emit(a.value[idx].copy(), (a,), back)
-
-
-def expand_dim(a, axis, reps):
-    """Insert an axis of length ``reps`` by broadcasting; gradient sums it out."""
-    expanded = np.expand_dims(a.value, axis)
-    target = list(expanded.shape)
-    target[axis] = reps
-    return _emit(
-        np.broadcast_to(expanded, target).copy(),
-        (a,),
-        lambda g: (g.sum(axis=axis),),
-    )
-
-
-def logsumexp(a, axis):
-    """Numerically stable log-sum-exp along ``axis`` (max shift is constant)."""
-    m = np.max(a.value, axis=axis, keepdims=True)
-    shifted = exp(sub(a, Tensor(m)))
-    return add(log(reduce_sum(shifted, axis=axis)), Tensor(np.squeeze(m, axis=axis)))
-
-
 # ---------------------------------------------------------------------------
-# fused layer primitives: one record each, forward bit-identical to the
-# composed primitives; with no tape active _emit drops the backward closure
-# and with it every saved activation
+# fused records: one record each, forward bit-identical to the composed
+# primitives; with no tape active _emit drops the backward closure and with it
+# every saved activation
 # ---------------------------------------------------------------------------
 
 def _affine(x, w, b):
@@ -414,30 +270,91 @@ def _affine_relu(x, w, b):
     return out
 
 
-def mlp3(x, w0, b0, w1, b1, w2, b2):
-    """Three linear layers with ReLU on the two hidden layers; ``x`` is (B, d)."""
-    if x.value.ndim != 2:
-        raise ValueError(f"mlp3: expected a (B, d) input, got shape {x.value.shape}")
-    xv = x.value
+def _mlp3_forward(name, inputs, weights):
+    """Concatenate the (B, d_i) inputs and run the three layers; returns the
+    concatenated input, both hidden activations and the raw output."""
+    if any(t.value.ndim != 2 for t in inputs):
+        raise ValueError(
+            f"{name}: expected (B, d) inputs, got shapes {[t.value.shape for t in inputs]}"
+        )
+    xv = inputs[0].value if len(inputs) == 1 else np.concatenate(
+        [t.value for t in inputs], axis=-1
+    )
+    w0, b0, w1, b1, w2, b2 = weights
     h0 = _affine_relu(xv, w0.value, b0.value)
     h1 = _affine_relu(h0, w1.value, b1.value)
-    out = _affine(h1, w2.value, b2.value)
+    return xv, h0, h1, _affine(h1, w2.value, b2.value)
+
+
+def _mlp3_backward(g, inputs, weights, xv, h0, h1):
+    """Gradients of the inputs, then of the six weights, from the gradient
+    ``g`` of the raw output."""
+    w0, b0, w1, b1, w2, b2 = weights
+    grads = [None] * 6
+    for i, (inp, w, b) in ((2, (h1, w2, b2)), (1, (h0, w1, b1)), (0, (xv, w0, b0))):
+        if _wants(w):
+            grads[2 * i] = inp.T @ g
+        if _wants(b):
+            grads[1 + 2 * i] = g.sum(axis=0)
+        if i > 0:
+            g = g @ w.value.T
+            np.multiply(g, inp > 0.0, out=g)
+    input_grads = [None] * len(inputs)
+    if any(_wants(t) for t in inputs):
+        g_x = g @ w0.value.T
+        start = 0
+        for i, t in enumerate(inputs):
+            stop = start + t.value.shape[-1]
+            if _wants(t):
+                input_grads[i] = g_x[:, start:stop]
+            start = stop
+    return tuple(input_grads) + tuple(grads)
+
+
+def mlp3(inputs, weights, sigmoid=False):
+    """Three linear layers with ReLU on the two hidden layers.
+
+    ``inputs`` is a sequence of (B, d_i) tensors, concatenated along the last
+    axis; ``weights`` is (w0, b0, w1, b1, w2, b2).  With ``sigmoid`` the
+    output is passed through the logistic function.
+    """
+    inputs, weights = tuple(inputs), tuple(weights)
+    xv, h0, h1, raw = _mlp3_forward("mlp3", inputs, weights)
+    out = expit(raw) if sigmoid else raw
 
     def back(g):
-        grads = [None] * 7
-        for i, (inp, w, b) in ((2, (h1, w2, b2)), (1, (h0, w1, b1)), (0, (xv, w0, b0))):
-            if _wants(w):
-                grads[1 + 2 * i] = inp.T @ g
-            if _wants(b):
-                grads[2 + 2 * i] = g.sum(axis=0)
-            if i > 0:
-                g = g @ w.value.T
-                np.multiply(g, inp > 0.0, out=g)
-            elif _wants(x):
-                grads[0] = g @ w.value.T
-        return tuple(grads)
+        if sigmoid:
+            g = g * out * (1.0 - out)
+        return _mlp3_backward(g, inputs, weights, xv, h0, h1)
 
-    return _emit(out, (x, w0, b0, w1, b1, w2, b2), back)
+    return _emit(out, inputs + weights, back)
+
+
+def gaussian_mlp(inputs, weights, d, clamp):
+    """``mlp3`` with a diagonal-Gaussian head: returns (mean, std).
+
+    The 2d raw outputs split into a mean and a raw log std; the std is
+    exp(clip(raw, -clamp, clamp)), whose gradient passes only through the
+    interior of the clip.
+    """
+    inputs, weights = tuple(inputs), tuple(weights)
+    xv, h0, h1, raw = _mlp3_forward("gaussian_mlp", inputs, weights)
+    if raw.shape[-1] != 2 * d:
+        raise ValueError(f"gaussian_mlp: expected {2 * d} raw outputs, got {raw.shape[-1]}")
+    mean = raw[:, :d].copy()
+    raw_std = raw[:, d:].copy()
+    std = np.exp(np.clip(raw_std, -clamp, clamp))
+
+    def back(g):
+        g_mean, g_std = g
+        g_raw = np.zeros(raw.shape)
+        if g_std is not None:
+            g_raw[:, d:] = g_std * std * ((raw_std > -clamp) & (raw_std < clamp))
+        if g_mean is not None:
+            g_raw[:, :d] = g_mean
+        return _mlp3_backward(g_raw, inputs, weights, xv, h0, h1)
+
+    return _emit((mean, std), inputs + weights, back)
 
 
 def gru_cell(x, h, wr, br, wu, bu, wc, bc):
@@ -484,15 +401,6 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
     return _emit(out, (x, h, wr, br, wu, bu, wc, bc), back)
 
 
-def exp_clamp(a, lo, hi):
-    """exp(clip(a, lo, hi)); the gradient passes only through the interior."""
-    av = a.value
-    out = np.exp(np.clip(av, lo, hi))
-    return _emit(
-        out, (a,), lambda g: (g * out * ((av > lo) & (av < hi)) if _wants(a) else None,)
-    )
-
-
 def gaussian_log_pdf(x, mean, std):
     """log N(x; mean, diag(std**2)) summed over the last axis; std > 0."""
     inv = 1.0 / std.value
@@ -530,3 +438,142 @@ def gaussian_kl(qm, qs, pm, ps):
         )
 
     return _emit(out, (qm, qs, pm, ps), back)
+
+
+# ---------------------------------------------------------------------------
+# filtering and loss glue: mixture branches are k consecutive rows of a
+# (B*k, ...) array, and branch weights are a constant (B, k) array
+# ---------------------------------------------------------------------------
+
+def repeat_rows(a, k):
+    """Each row of a (B, d) tensor repeated k times in place: (B*k, d)."""
+    av = a.value
+    b, d = av.shape
+    return _emit(
+        np.repeat(av, k, axis=0),
+        (a,),
+        lambda g: (g.reshape(b, k, d).sum(axis=1) if _wants(a) else None,),
+    )
+
+
+def reparameterize(mean, std, eps, axis=None):
+    """mean + std * eps for a constant array ``eps``.
+
+    With ``axis``, eps has one more axis than mean and std, at ``axis``; the
+    Gaussian parameters repeat along it.
+    """
+    mv, sv = mean.value, std.value
+    if axis is not None:
+        mv, sv = np.expand_dims(mv, axis), np.expand_dims(sv, axis)
+    out = mv + sv * eps
+
+    def reduce(grad, shape):
+        return _unbroadcast(grad, shape) if axis is None else grad.sum(axis=axis)
+
+    return _emit(
+        out,
+        (mean, std),
+        lambda g: (
+            reduce(g, mv.shape) if _wants(mean) else None,
+            reduce(g * eps, sv.shape) if _wants(std) else None,
+        ),
+    )
+
+
+def weighted_sum(weights, tensors):
+    """For each tensor of B*k rows of width d, flat or as (B, k, d), the
+    (B, d) sum over its k branches weighted by ``weights``."""
+    b, k = weights.shape
+    w3 = weights[:, :, None]
+    tensors = tuple(tensors)
+    outs = tuple((w3 * t.value.reshape(b, k, -1)).sum(axis=1) for t in tensors)
+
+    def back(g):
+        return tuple(
+            (np.expand_dims(gi, 1) * w3).reshape(t.value.shape)
+            if gi is not None and _wants(t) else None
+            for t, gi in zip(tensors, g)
+        )
+
+    return _emit(outs, tensors, back)
+
+
+def select_bound(weights, recon, kl, const):
+    """Per row, sum_k w * recon - sum_k w * kl - const, for flat (B*k,)
+    reconstruction and KL terms: the evidence bound of one filtering step."""
+    b, k = weights.shape
+    rv, kv = recon.value, kl.value
+    out = (weights * rv.reshape(b, k)).sum(axis=1) - (weights * kv.reshape(b, k)).sum(axis=1)
+    out = out - const
+
+    def back(g):
+        g = np.expand_dims(g, 1)
+        return (
+            (g * weights).reshape(rv.shape) if _wants(recon) else None,
+            (-g * weights).reshape(kv.shape) if _wants(kl) else None,
+        )
+
+    return _emit(out, (recon, kl), back)
+
+
+def log_mean_exp(a):
+    """log of the mean of exp(a) over the k columns of a (B, k) tensor,
+    shifted by the row maximum, which is held constant."""
+    av = a.value
+    m = np.max(av, axis=1, keepdims=True)
+    e = np.exp(av - m)
+    s = e.sum(axis=1)
+    out = (np.log(s) + np.squeeze(m, axis=1)) - math.log(av.shape[1])
+    return _emit(out, (a,), lambda g: (np.expand_dims(g / s, 1) * e if _wants(a) else None,))
+
+
+def gan_losses(d_gen, d_real, d_fake, floor):
+    """Non-saturating GAN losses from (B, 1) discriminator probabilities,
+    each clipped to [floor, 1 - floor]; returns two (B,) tensors:
+    generator -log d_gen and discriminator -log d_real - log(1 - d_fake).
+    The gradient passes only through the interior of each clip."""
+    lo, hi = floor, 1.0 - floor
+    gv, rv = d_gen.value, d_real.value
+    fv = 1.0 - d_fake.value
+    cg, cr, cf = np.clip(gv, lo, hi), np.clip(rv, lo, hi), np.clip(fv, lo, hi)
+    gen = -np.log(cg)
+    disc = -np.log(cr) - np.log(cf)
+
+    def back(g):
+        g_gen, g_disc = g
+        grads = [None, None, None]
+        if g_gen is not None and _wants(d_gen):
+            grads[0] = (-g_gen.reshape(gv.shape) / cg) * ((gv > lo) & (gv < hi))
+        if g_disc is not None:
+            g_disc = g_disc.reshape(rv.shape)
+            if _wants(d_real):
+                grads[1] = (-g_disc / cr) * ((rv > lo) & (rv < hi))
+            if _wants(d_fake):
+                grads[2] = -((-g_disc / cf) * ((fv > lo) & (fv < hi)))
+        return tuple(grads)
+
+    b = gv.shape[0]
+    return _emit((gen.reshape(b), disc.reshape(b)), (d_gen, d_real, d_fake), back)
+
+
+def sum_of_means(*series):
+    """For each sequence of tensors, the left-to-right sum of their means,
+    as a scalar tensor; returns one per sequence."""
+    series = tuple(tuple(terms) for terms in series)
+    outs = []
+    for terms in series:
+        total = terms[0].value.mean()
+        for t in terms[1:]:
+            total = total + t.value.mean()
+        outs.append(total)
+    parents = tuple(t for terms in series for t in terms)
+
+    def back(g):
+        return tuple(
+            np.broadcast_to(gi / t.value.size, t.value.shape).copy()
+            if gi is not None and _wants(t) else None
+            for gi, terms in zip(g, series)
+            for t in terms
+        )
+
+    return _emit(tuple(outs), parents, back)

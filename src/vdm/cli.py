@@ -147,8 +147,8 @@ SIMULATE_SETTINGS = {
     "n_train": (int, 5000, None),
     "n_val": (int, 200, None),
     "n_test": (int, 800, None),
-    "seq_len": (int, None, None),  # lorenz: 100; four_mode: fixed at 4
-    "prefix_len": (int, None, None),  # lorenz: 10; four_mode: 1
+    "seq_len": (int, None, AT_LEAST_1),  # lorenz: 100; four_mode: fixed at 4
+    "prefix_len": (int, None, AT_LEAST_1),  # lorenz: 10; four_mode: 1
     "n_groups": (int, 10, None),
     "group_size": (int, 100, None),
 }
@@ -156,6 +156,16 @@ SIMULATE_SETTINGS = {
 
 def cmd_simulate(args):
     resolved = _resolve(args, SIMULATE_SETTINGS)
+    lorenz = resolved["gen"] == "lorenz"
+    if not lorenz and resolved["seq_len"] not in (None, vdata.FOUR_MODE_LEN):
+        raise ValueError(
+            f"setting 'seq_len' is fixed at {vdata.FOUR_MODE_LEN} for four_mode data, "
+            f"got {resolved['seq_len']}"
+        )
+    defaults = (100, 10) if lorenz else (vdata.FOUR_MODE_LEN, 1)
+    for name, default in zip(("seq_len", "prefix_len"), defaults):
+        if resolved[name] is None:
+            resolved[name] = default
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -163,9 +173,7 @@ def cmd_simulate(args):
     outputs = []
     group_files = []
 
-    if resolved["gen"] == "lorenz":
-        resolved["seq_len"] = resolved["seq_len"] or 100
-        resolved["prefix_len"] = resolved["prefix_len"] or 10
+    if lorenz:
         cfg = vdata.LorenzConfig(seq_len=resolved["seq_len"], prefix_len=resolved["prefix_len"])
         sim = vdata.simulate_lorenz(
             cfg, rng, counts, n_groups=resolved["n_groups"], group_size=resolved["group_size"]
@@ -176,8 +184,6 @@ def cmd_simulate(args):
             vdata.save_csv(group, os.path.join(out_dir, name))
             group_files.append(name)
     else:
-        resolved["seq_len"] = vdata.FOUR_MODE_LEN
-        resolved["prefix_len"] = resolved["prefix_len"] or 1
         train_ds, val_ds, test_ds = vdata.generate_four_mode(
             counts, rng, prefix_len=resolved["prefix_len"]
         )

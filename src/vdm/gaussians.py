@@ -22,9 +22,9 @@ class DiagGaussian:
             raise ValueError(
                 f"DiagGaussian: mean shape {self.mean.shape} != std shape {self.std.shape}"
             )
-        if not np.all(np.isfinite(self.mean.value)) or not np.all(np.isfinite(self.std.value)):
+        if not (np.isfinite(self.mean.value).all() and np.isfinite(self.std.value).all()):
             raise NonFiniteError("DiagGaussian: parameters must be finite")
-        if np.any(self.std.value <= 0.0):
+        if (self.std.value <= 0.0).any():
             raise ValueError("DiagGaussian: std must be strictly positive")
 
     @property

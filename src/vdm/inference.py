@@ -36,7 +36,7 @@ __all__ = [
 class MixtureBelief:
     """Filtering state after absorbing one observation.
 
-    components: (B, k, d_z) mixture over z_t
+    components: (B, k, d_z) mixture over z_t, as constants
     weights:    (B, k) simplex, exactly one-hot per row under indicator modes
     branch_states: (B, k, d_h) recurrent samples s_{t-1}
     expected_h: (B, d_h) convex combination of branch states
@@ -132,9 +132,8 @@ def belief_init(model, x_first):
     x = _as_batch_array(x_first, model.config.d_x, "belief_init")
     b = x.shape[0]
     g = model.encode_initial(Tensor(x))
-    comp = DiagGaussian(ad.expand_dim(g.mean, 1, 1), ad.expand_dim(g.std, 1, 1))
     return MixtureBelief(
-        components=comp,
+        components=DiagGaussian(g.mean.value[:, None, :], g.std.value[:, None, :]),
         weights=np.ones((b, 1)),
         branch_states=Tensor(np.zeros((b, 1, model.config.d_h))),
         expected_h=Tensor(np.zeros((b, model.config.d_h))),
@@ -142,13 +141,9 @@ def belief_init(model, x_first):
     )
 
 
-def belief_step(model, belief, x, rng, weights_override=None):
+def belief_step(model, belief, x, rng):
     """Advance the belief by one observation; returns the new belief and
-    the intermediate quantities the training losses reuse.
-
-    ``weights_override`` replaces the computed indicator weights (used by
-    gradient checks that must hold the branch selection fixed).
-    """
+    the intermediate quantities the training losses reuse."""
     cfg = model.config
     x_arr = _as_batch_array(x, cfg.d_x, "belief_step")
     b = x_arr.shape[0]
@@ -156,35 +151,27 @@ def belief_step(model, belief, x, rng, weights_override=None):
 
     z = latent_sample_batch(belief.collapsed, cfg, rng)           # (B, k, d_z)
     z_flat = ad.reshape(z, (b * k, cfg.d_z))
-    h_rep = ad.reshape(ad.expand_dim(belief.expected_h, 1, k), (b * k, cfg.d_h))
+    h_rep = ad.repeat_rows(belief.expected_h, k)
     s_flat = model.gru_advance(z_flat, h_rep)                      # (B*k, d_h)
+    # recorded here, not inside the collapse below, so that the gradient of
+    # s_flat sums its consumers' contributions in the order they were recorded
     s = ad.reshape(s_flat, (b, k, cfg.d_h))
 
     x_rep = Tensor(np.repeat(x_arr, k, axis=0))
     q_flat = model.infer_component(s_flat, x_rep)                  # (B*k, d_z)
 
     loglik, prior_flat = _branch_likelihood(model, s_flat, x_arr, k)
-    if weights_override is not None:
-        weights = np.asarray(weights_override, dtype=np.float64)
-    else:
-        weights = weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
-
-    w3 = Tensor(weights[:, :, None])
-    expected_h = ad.reduce_sum(w3 * s, axis=1)                     # (B, d_h)
-
-    q_mean = ad.reshape(q_flat.mean, (b, k, cfg.d_z))
-    q_std = ad.reshape(q_flat.std, (b, k, cfg.d_z))
-    collapsed = DiagGaussian(
-        ad.reduce_sum(w3 * q_mean, axis=1),
-        ad.reduce_sum(w3 * q_std, axis=1),
-    )
+    weights = weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
+    expected_h, mean, std = ad.weighted_sum(weights, (s, q_flat.mean, q_flat.std))
 
     new_belief = MixtureBelief(
-        components=DiagGaussian(q_mean, q_std),
+        components=DiagGaussian(
+            q_flat.mean.value.reshape(b, k, cfg.d_z), q_flat.std.value.reshape(b, k, cfg.d_z)
+        ),
         weights=weights,
         branch_states=s,
         expected_h=expected_h,
-        collapsed=collapsed,
+        collapsed=DiagGaussian(mean, std),
     )
     info = StepInfo(
         z_samples=z,

@@ -84,14 +84,14 @@ def _init_gru(store, prefix, d_in, d_h, rng):
         store.add(f"{prefix}.b{gate}", rng.uniform(-bound, bound, size=d_h))
 
 
-def _mlp3(store, prefix, x):
-    """Three linear layers with ReLU on the two hidden layers."""
-    return ad.mlp3(x, *(store[f"{prefix}{i}.{p}"] for i in range(3) for p in ("w", "b")))
+def _mlp3_weights(store, prefix):
+    return tuple(store[f"{prefix}{i}.{p}"] for i in range(3) for p in ("w", "b"))
 
 
-def _gaussian_head(raw, d):
-    mean = ad.narrow(raw, -1, 0, d)
-    std = ad.exp_clamp(ad.narrow(raw, -1, d, d), -RAW_STD_CLAMP, RAW_STD_CLAMP)
+def _gaussian_head(store, prefix, inputs, d):
+    """Three-layer MLP on the concatenated inputs whose 2d outputs are a mean
+    and a raw log std, clamped before the exp."""
+    mean, std = ad.gaussian_mlp(inputs, _mlp3_weights(store, prefix), d, RAW_STD_CLAMP)
     return DiagGaussian(mean, std)
 
 
@@ -99,7 +99,7 @@ def _check_input(name, x, dim):
     v = x.value if isinstance(x, Tensor) else np.asarray(x)
     if v.shape[-1] != dim:
         raise ValueError(f"{name}: expected trailing dimension {dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError(f"{name}: non-finite input")
 
 
@@ -169,14 +169,14 @@ class VdmModel:
         """Belief over z from the first observation of a sequence."""
         _check_input("encode_initial", x, self.config.d_x)
         xb, single = _as_batch(x)
-        g = _gaussian_head(_mlp3(self.params, "enc", xb), self.config.d_z)
+        g = _gaussian_head(self.params, "enc", (xb,), self.config.d_z)
         return _squeeze_gaussian(g, single)
 
     def transition_prior(self, h):
         """p(z_t | h_{t-1}) as a diagonal Gaussian."""
         _check_input("transition_prior", h, self.config.d_h)
         hb, single = _as_batch(h)
-        g = _gaussian_head(_mlp3(self.params, "tra", hb), self.config.d_z)
+        g = _gaussian_head(self.params, "tra", (hb,), self.config.d_z)
         return _squeeze_gaussian(g, single)
 
     def gru_advance(self, z, h_prev):
@@ -196,9 +196,7 @@ class VdmModel:
         _check_input("emit", h_prev, self.config.d_h)
         zb, single = _as_batch(z)
         hb, _ = _as_batch(h_prev)
-        g = _gaussian_head(
-            _mlp3(self.params, "dec", ad.concat([zb, hb], axis=-1)), self.config.d_x
-        )
+        g = _gaussian_head(self.params, "dec", (zb, hb), self.config.d_x)
         return _squeeze_gaussian(g, single)
 
     def infer_component(self, s, x):
@@ -207,9 +205,7 @@ class VdmModel:
         _check_input("infer_component", x, self.config.d_x)
         sb, single = _as_batch(s)
         xb, _ = _as_batch(x)
-        g = _gaussian_head(
-            _mlp3(self.params, "inf", ad.concat([sb, xb], axis=-1)), self.config.d_z
-        )
+        g = _gaussian_head(self.params, "inf", (sb, xb), self.config.d_z)
         return _squeeze_gaussian(g, single)
 
     # ------------------------------------------------------------------
@@ -236,8 +232,7 @@ class VdmModel:
         _check_input("discriminate", x, self.config.d_x)
         hb, single = _as_batch(prefix_summary)
         xb, _ = _as_batch(x)
-        logit = _mlp3(self.disc, "mlp", ad.concat([hb, xb], axis=-1))
-        p = ad.sigmoid(logit)
+        p = ad.mlp3((hb, xb), _mlp3_weights(self.disc, "mlp"), sigmoid=True)
         if single:
             return ad.reshape(p, (1,))
         return p

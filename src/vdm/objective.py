@@ -52,11 +52,6 @@ class LossBreakdown:
     disc_node: Tensor | None = None
 
 
-def _select(weights, per_branch):
-    """Reduce a (B, k) tensor to (B,) under constant indicator weights."""
-    return ad.reduce_sum(Tensor(weights) * per_branch, axis=1)
-
-
 def _elbo_from_info(model, info, x_arr):
     """Per-trajectory evidence bound for one step, shape (B,).
 
@@ -64,24 +59,22 @@ def _elbo_from_info(model, info, x_arr):
     to k at the selected index and 0 elsewhere, cancelling the 1/k front
     factor), and the weight normalization contributes the constant -log k.
     """
-    cfg = model.config
-    b, k = info.weights.shape
-    rng_eps = info.recon_eps
-    z_tilde = info.q_flat.mean + info.q_flat.std * Tensor(rng_eps)
+    k = info.weights.shape[1]
+    z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, info.recon_eps)
     em = model.emit(z_tilde, info.branch_states_flat)
     x_rep = Tensor(np.repeat(x_arr, k, axis=0))
-    recon = ad.reshape(gaussian_log_pdf(x_rep, em), (b, k))
-    kl = ad.reshape(gaussian_kl(info.q_flat, info.prior_flat), (b, k))
-    return _select(info.weights, recon) - _select(info.weights, kl) - math.log(k)
+    recon = gaussian_log_pdf(x_rep, em)
+    kl = gaussian_kl(info.q_flat, info.prior_flat)
+    return ad.select_bound(info.weights, recon, kl, math.log(k))
 
 
-def elbo_step(model, belief_prev, x, rng, weights_override=None):
+def elbo_step(model, belief_prev, x, rng):
     """One-step evidence bound; returns a (B,) tensor.
 
     Runs the belief update internally so branch samples and weights are the
     ones the bound is defined over.
     """
-    new_belief, info = belief_step(model, belief_prev, x, rng, weights_override)
+    new_belief, info = belief_step(model, belief_prev, x, rng)
     x_arr = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=np.float64)
     if x_arr.ndim == 1:
         x_arr = x_arr[None, :]
@@ -97,12 +90,7 @@ def pred_regularizer(info):
 
     Stabilized as logsumexp over branches minus log k.
     """
-    k = info.weights.shape[1]
-    return ad.logsumexp(info.branch_loglik, axis=1) - math.log(k)
-
-
-def _clamped_log(p):
-    return ad.log(ad.clamp(p, DISC_PROB_FLOOR, 1.0 - DISC_PROB_FLOOR))
+    return ad.log_mean_exp(info.branch_loglik)
 
 
 def adv_regularizer(model, prefix_summary, x_real, x_gen):
@@ -116,19 +104,13 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
     """
     frozen = VdmModel(model.config, model.params, model.disc.detached())
     d_gen = frozen.discriminate(as_tensor(prefix_summary).detach(), x_gen)
-    gen_loss = -_clamped_log(d_gen)
     d_real = model.discriminate(prefix_summary, Tensor(np.asarray(x_real, dtype=np.float64)))
     d_fake = model.discriminate(prefix_summary, x_gen.detach() if isinstance(x_gen, Tensor) else Tensor(x_gen))
-    disc_loss = -_clamped_log(d_real) - _clamped_log(1.0 - d_fake)
-    return ad.reshape(gen_loss, (gen_loss.shape[0],)), ad.reshape(disc_loss, (disc_loss.shape[0],))
+    return ad.gan_losses(d_gen, d_real, d_fake, DISC_PROB_FLOOR)
 
 
-def total_loss(model, batch, rng, weights_override=None):
-    """Loss breakdown for a (B, T, d_x) batch; one filtering pass computes all terms.
-
-    ``weights_override`` is an optional list with one (B, k) indicator array
-    per step t >= 1, used by gradient checks to freeze branch selection.
-    """
+def total_loss(model, batch, rng):
+    """Loss breakdown for a (B, T, d_x) batch; one filtering pass computes all terms."""
     cfg = model.config
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim == 2:
@@ -146,9 +128,8 @@ def total_loss(model, batch, rng, weights_override=None):
     breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0)
     for t in range(1, t_len):
         x_t = arr[:, t]
-        override = weights_override[t - 1] if weights_override is not None else None
         try:
-            elbo_t, belief, info = elbo_step(model, belief, x_t, rng, override)
+            elbo_t, belief, info = elbo_step(model, belief, x_t, rng)
         except FloatingPointError as err:
             raise FloatingPointError(f"total_loss: {err} at step {t}") from None
         pred_t = pred_regularizer(info)
@@ -159,37 +140,32 @@ def total_loss(model, batch, rng, weights_override=None):
             # chosen branch state (no reweighting by x_t leaks in)
             h_disc = model.disc_step(Tensor(arr[:, t - 1]), h_disc)
             k = cfg.k
-            pick = np.zeros((b, k, 1))
-            pick[np.arange(b), rng.integers(0, k, size=b), 0] = 1.0
-            s_branch = ad.reshape(info.branch_states_flat, (b, k, cfg.d_h))
-            s_sel = ad.reduce_sum(Tensor(pick) * s_branch, axis=1)
+            pick = np.zeros((b, k))
+            pick[np.arange(b), rng.integers(0, k, size=b)] = 1.0
+            (s_sel,) = ad.weighted_sum(pick, (info.branch_states_flat,))
             prior = model.transition_prior(s_sel)
-            z_gen = prior.mean + prior.std * Tensor(rng.standard_normal((b, cfg.d_z)))
+            z_gen = ad.reparameterize(prior.mean, prior.std, rng.standard_normal((b, cfg.d_z)))
             em = model.emit(z_gen, s_sel)
-            x_gen = em.mean + em.std * Tensor(rng.standard_normal((b, cfg.d_x)))
+            x_gen = ad.reparameterize(em.mean, em.std, rng.standard_normal((b, cfg.d_x)))
             gen_t, disc_t = adv_regularizer(model, h_disc, x_t, x_gen)
+            gen_terms.append(gen_t)
+            disc_terms.append(disc_t)
 
-        elbo_terms.append(ad.reduce_mean(elbo_t))
-        pred_terms.append(ad.reduce_mean(pred_t))
-        breakdown.per_step_elbo.append(float(elbo_terms[-1].value))
-        if use_adv:
-            gen_terms.append(ad.reduce_mean(gen_t))
-            disc_terms.append(ad.reduce_mean(disc_t))
+        elbo_terms.append(elbo_t)
+        pred_terms.append(pred_t)
+        breakdown.per_step_elbo.append(float(elbo_t.value.mean()))
 
-    def _accum(terms):
-        out = terms[0]
-        for term in terms[1:]:
-            out = out + term
-        return out
-
-    elbo_sum = _accum(elbo_terms)
-    pred_sum = _accum(pred_terms)
+    # per-step batch means summed left to right over the steps
+    if use_adv:
+        elbo_sum, pred_sum, gen_sum, disc_sum = ad.sum_of_means(
+            elbo_terms, pred_terms, gen_terms, disc_terms
+        )
+    else:
+        elbo_sum, pred_sum = ad.sum_of_means(elbo_terms, pred_terms)
     total = -1.0 * elbo_sum - cfg.omega1 * pred_sum
     if use_adv:
-        gen_sum = _accum(gen_terms)
         total = total + cfg.omega2 * gen_sum
         breakdown.adv = float(gen_sum.value)
-        disc_sum = _accum(disc_terms)
         breakdown.disc_loss = float(disc_sum.value)
         breakdown.disc_node = disc_sum
     breakdown.elbo = float(elbo_sum.value)
@@ -248,6 +224,8 @@ def train(
     val_scaled = None
     if val_dataset is not None:
         val_arr = _dataset_array(val_dataset)
+        if val_arr.shape[0] == 0:
+            raise ValueError("train: the validation set holds no sequences")
         if not np.all(np.isfinite(val_arr)):
             raise ValueError("train: validation set holds a non-finite value")
         val_scaled = (val_arr - obs_mean) / obs_std

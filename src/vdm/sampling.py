@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 __all__ = ["sigma_points", "latent_sample_batch"]
 
@@ -51,6 +50,4 @@ def latent_sample_batch(g, config, rng):
         offset = xi[None, :, :] + rng.standard_normal((b, k, d))
     else:
         offset = rng.standard_normal((b, k, d))
-    mean = ad.expand_dim(g.mean, 1, k)
-    std = ad.expand_dim(g.std, 1, k)
-    return mean + std * Tensor(offset)
+    return ad.reparameterize(g.mean, g.std, offset, axis=1)

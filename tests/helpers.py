@@ -1,9 +1,18 @@
-"""Shared test utilities: finite-difference oracles, error measures and the
-row-at-a-time CSV rendering that the block writer must reproduce."""
+"""Shared test utilities: finite-difference oracles, error measures, frozen
+branch selection, the unfused tape primitives that fused records are checked
+against and test losses are built from, and the row-at-a-time CSV rendering
+that the block writer must reproduce."""
+import contextlib
 import csv
 import io
+import itertools
+from unittest import mock
 
 import numpy as np
+from scipy.special import expit
+
+import vdm.autodiff as ad
+import vdm.inference
 
 
 def finite_diff_store(store, loss_fn, eps=1e-5, names=None):
@@ -106,3 +115,179 @@ def rerendered_csv(path, n_keys):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     return row_writer_csv(header, [(row[:n_keys], map(float, row[n_keys:])) for row in rows])
+
+
+@contextlib.contextmanager
+def frozen_branch_selection(step_weights):
+    """Inside the block every belief step takes its indicator weights from
+    ``step_weights`` instead of its branch likelihoods.
+
+    ``step_weights`` holds one (B, k) array per filtering step, as
+    ``LossBreakdown.step_weights`` records them; each ``total_loss`` call
+    over the same batch takes them again from the first, so finite
+    differences see the same branch selection as the analytic pass.
+    """
+    weights = itertools.cycle(step_weights)
+
+    def recorded(loglik, mode, rng=None):
+        w = next(weights)
+        assert w.shape == np.shape(loglik), (w.shape, np.shape(loglik))
+        return w
+
+    with mock.patch.object(vdm.inference, "weights_from_loglik", recorded):
+        yield
+
+
+# ---------------------------------------------------------------------------
+# unfused tape primitives: the compositions that fused records replace, kept
+# as their references
+# ---------------------------------------------------------------------------
+
+def concat(tensors, axis=-1):
+    tensors = tuple(tensors)
+    values = [t.value for t in tensors]
+    splits = np.cumsum([v.shape[axis] for v in values])[:-1]
+    return ad._emit(
+        np.concatenate(values, axis=axis),
+        tensors,
+        lambda g: tuple(np.split(g, splits, axis=axis)),
+    )
+
+
+def narrow(a, axis, start, size):
+    """Contiguous slice of ``size`` entries along ``axis`` starting at ``start``."""
+    idx = [slice(None)] * a.value.ndim
+    idx[axis] = slice(start, start + size)
+    idx = tuple(idx)
+    shape = a.value.shape
+
+    def back(g):
+        full = np.zeros(shape, dtype=np.float64)
+        full[idx] = g
+        return (full,)
+
+    return ad._emit(a.value[idx].copy(), (a,), back)
+
+
+def expand_dim(a, axis, reps):
+    """Insert an axis of length ``reps`` by broadcasting; gradient sums it out."""
+    expanded = np.expand_dims(a.value, axis)
+    target = list(expanded.shape)
+    target[axis] = reps
+    return ad._emit(
+        np.broadcast_to(expanded, target).copy(),
+        (a,),
+        lambda g: (g.sum(axis=axis),),
+    )
+
+
+def logsumexp(a, axis):
+    """Numerically stable log-sum-exp along ``axis`` (max shift is constant)."""
+    m = np.max(a.value, axis=axis, keepdims=True)
+    shifted = exp(ad.sub(a, ad.Tensor(m)))
+    return ad.add(log(reduce_sum(shifted, axis=axis)), ad.Tensor(np.squeeze(m, axis=axis)))
+
+
+def exp_clamp(a, lo, hi):
+    """exp(clip(a, lo, hi)) as one record, as the Gaussian heads computed
+    their std before ``gaussian_mlp``; the gradient passes only through the
+    interior."""
+    av = a.value
+    out = np.exp(np.clip(av, lo, hi))
+    return ad._emit(
+        out, (a,), lambda g: (g * out * ((av > lo) & (av < hi)) if ad._wants(a) else None,)
+    )
+
+
+# ---------------------------------------------------------------------------
+# elementwise and reduction primitives with no caller in the package: the
+# algebra the tests build losses and unfused references from
+# ---------------------------------------------------------------------------
+
+def div(a, b):
+    ad._check_broadcast("div", a.value, b.value)
+    inv = 1.0 / b.value
+    return ad._emit(
+        a.value * inv,
+        (a, b),
+        lambda g: (
+            ad._unbroadcast(g * inv, a.value.shape),
+            ad._unbroadcast(-g * a.value * inv * inv, b.value.shape),
+        ),
+    )
+
+
+def neg(a):
+    return ad._emit(-a.value, (a,), lambda g: (-g,))
+
+
+def matmul(a, b):
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
+        raise ValueError(
+            f"matmul: incompatible shapes {a.value.shape} and {b.value.shape}"
+        )
+    av, bv = a.value, b.value
+    return ad._emit(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+
+def relu(a):
+    mask = a.value > 0.0
+    return ad._emit(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+
+
+def sigmoid(a):
+    out = expit(a.value)
+    return ad._emit(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(a):
+    out = np.tanh(a.value)
+    return ad._emit(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def exp(a):
+    out = np.exp(a.value)
+    return ad._emit(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    if np.any(a.value <= 0.0):
+        raise ValueError("log: input must be strictly positive")
+    av = a.value
+    return ad._emit(np.log(av), (a,), lambda g: (g / av,))
+
+
+def square(a):
+    av = a.value
+    return ad._emit(av * av, (a,), lambda g: (2.0 * g * av,))
+
+
+def clamp(a, lo, hi):
+    """Elementwise clip; gradient passes only through the interior."""
+    mask = (a.value > lo) & (a.value < hi)
+    return ad._emit(np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    shape = a.value.shape
+
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g, shape).copy(),)
+        g_exp = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_exp, shape).copy(),)
+
+    return ad._emit(a.value.sum(axis=axis, keepdims=keepdims), (a,), back)
+
+
+def reduce_mean(a, axis=None, keepdims=False):
+    shape = a.value.shape
+    n = a.value.size if axis is None else shape[axis]
+
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g / n, shape).copy(),)
+        g_exp = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_exp / n, shape).copy(),)
+
+    return ad._emit(a.value.mean(axis=axis, keepdims=keepdims), (a,), back)

@@ -1,7 +1,10 @@
 """Reverse-mode engine: primitive values, gradients vs finite differences,
-tape replay determinism, tape state across threads."""
+tuple-output records, fused records against their compositions, tape replay
+determinism, tape state across threads."""
 import contextvars
+import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,25 +12,45 @@ import pytest
 import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
 
-from helpers import finite_diff_store, rel_error
+from helpers import (
+    clamp,
+    concat,
+    div,
+    exp,
+    exp_clamp,
+    expand_dim,
+    finite_diff_store,
+    log,
+    logsumexp,
+    matmul,
+    narrow,
+    neg,
+    reduce_mean,
+    reduce_sum,
+    rel_error,
+    relu,
+    sigmoid,
+    square,
+    tanh,
+)
 
 
 def test_relu_values():
-    out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
+    out = relu(Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.value, [0.0, 0.0, 2.0])
 
 
 def test_sigmoid_symmetry_point():
-    assert ad.sigmoid(Tensor([0.0])).value[0] == 0.5
+    assert sigmoid(Tensor([0.0])).value[0] == 0.5
 
 
 def test_exp_log_inverse_pair():
-    np.testing.assert_allclose(ad.exp(ad.log(Tensor([3.5]))).value, [3.5], rtol=1e-15)
+    np.testing.assert_allclose(exp(log(Tensor([3.5]))).value, [3.5], rtol=1e-15)
 
 
 def test_matmul_shape_error_names_primitive():
     with pytest.raises(ValueError, match="matmul"):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_add_shape_error():
@@ -38,7 +61,7 @@ def test_add_shape_error():
 def test_backward_requires_scalar():
     p = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        y = ad.square(p)
+        y = square(p)
     with pytest.raises(ValueError, match="scalar"):
         backward(tape, y)
 
@@ -46,7 +69,7 @@ def test_backward_requires_scalar():
 def test_backward_sum_is_ones():
     p = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
     with Tape() as tape:
-        loss = ad.reduce_sum(p)
+        loss = reduce_sum(p)
         backward(tape, loss)
     np.testing.assert_array_equal(p.grad, np.ones(3))
 
@@ -54,7 +77,7 @@ def test_backward_sum_is_ones():
 def test_backward_square_power_rule():
     p = Tensor(np.array([3.0]), requires_grad=True)
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.square(p))
+        loss = reduce_sum(square(p))
         backward(tape, loss)
     np.testing.assert_allclose(p.grad, [6.0], rtol=1e-15)
 
@@ -63,18 +86,18 @@ def test_fanout_accumulates_additively():
     p = Tensor(np.array([2.0]), requires_grad=True)
     with Tape() as tape:
         y = p * p + p  # p used three times
-        backward(tape, ad.reduce_sum(y))
+        backward(tape, reduce_sum(y))
     np.testing.assert_allclose(p.grad, [5.0], rtol=1e-15)
 
 
 def _random_unary_cases():
     return [
-        ("relu", ad.relu),
-        ("sigmoid", ad.sigmoid),
-        ("tanh", ad.tanh),
-        ("exp", ad.exp),
-        ("square", ad.square),
-        ("clamp", lambda t: ad.clamp(t, -1.5, 1.5)),
+        ("relu", relu),
+        ("sigmoid", sigmoid),
+        ("tanh", tanh),
+        ("exp", exp),
+        ("square", square),
+        ("clamp", lambda t: clamp(t, -1.5, 1.5)),
     ]
 
 
@@ -89,11 +112,11 @@ def test_unary_gradients_match_finite_differences(name, op):
 
     def run():
         with Tape() as tape:
-            loss = ad.reduce_sum(ad.square(op(p)))
+            loss = reduce_sum(square(op(p)))
         return float(loss.value)
 
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.square(op(p)))
+        loss = reduce_sum(square(op(p)))
         backward(tape, loss)
     fd = finite_diff_store(store, run)
     assert rel_error(p.grad, fd["x"]) < 1e-4
@@ -108,7 +131,7 @@ def test_div_sub_gradients_match_finite_differences():
     b = store.add("b", rng.uniform(0.5, 2.0, size=(3, 4)))
 
     def forward():
-        return ad.reduce_sum(ad.square(ad.sub(ad.div(a, b), ad.neg(b))))
+        return reduce_sum(square(ad.sub(div(a, b), neg(b))))
 
     def run():
         with Tape():
@@ -130,11 +153,11 @@ def test_log_gradient_positive_domain():
 
     def run():
         with Tape():
-            loss = ad.reduce_sum(ad.log(p))
+            loss = reduce_sum(log(p))
         return float(loss.value)
 
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.log(p))
+        loss = reduce_sum(log(p))
         backward(tape, loss)
     fd = finite_diff_store(store, run)
     assert rel_error(p.grad, fd["x"]) < 1e-4
@@ -155,9 +178,9 @@ def test_three_layer_mlp_gradient_oracle():
     x = Tensor(rng.uniform(-2.0, 2.0, size=(6, 4)))
 
     def forward():
-        h = ad.relu(ad.matmul(x, w1) + b1)
-        h = ad.tanh(ad.matmul(h, w2) + b2)
-        return ad.reduce_sum(ad.square(ad.matmul(h, w3) + b3))
+        h = relu(matmul(x, w1) + b1)
+        h = tanh(matmul(h, w2) + b2)
+        return reduce_sum(square(matmul(h, w3) + b3))
 
     def run():
         with Tape():
@@ -178,14 +201,14 @@ def test_reductions_and_shapes(axis):
     store = ParameterStore()
     p = store.add("x", rng.uniform(-2, 2, size=(3, 4)))
 
-    for reducer in (ad.reduce_sum, ad.reduce_mean):
+    for reducer in (reduce_sum, reduce_mean):
         def run():
             with Tape():
-                return float(ad.reduce_sum(ad.square(reducer(p, axis=axis))).value)
+                return float(reduce_sum(square(reducer(p, axis=axis))).value)
 
         store.zero_grad()
         with Tape() as tape:
-            backward(tape, ad.reduce_sum(ad.square(reducer(p, axis=axis))))
+            backward(tape, reduce_sum(square(reducer(p, axis=axis))))
         fd = finite_diff_store(store, run)
         assert rel_error(p.grad, fd["x"]) < 1e-4
 
@@ -199,11 +222,11 @@ def test_concat_narrow_reshape_expand_gradients():
     b = store.add("b", rng.uniform(-2, 2, size=(3, 5)))
 
     def forward():
-        cat = ad.concat([a, b], axis=1)           # (3, 7)
-        left = ad.narrow(cat, 1, 1, 4)            # (3, 4)
-        grown = ad.expand_dim(left, 1, 3)         # (3, 3, 4)
+        cat = concat([a, b], axis=1)              # (3, 7)
+        left = narrow(cat, 1, 1, 4)               # (3, 4)
+        grown = expand_dim(left, 1, 3)            # (3, 3, 4)
         flat = ad.reshape(grown, (9, 4))
-        return ad.reduce_sum(ad.square(flat))
+        return reduce_sum(square(flat))
 
     def run():
         with Tape():
@@ -219,7 +242,7 @@ def test_concat_narrow_reshape_expand_gradients():
 def test_logsumexp_matches_dense_evaluation():
     rng = np.random.default_rng(13)
     x = rng.uniform(-5, 5, size=(4, 6))
-    got = ad.logsumexp(Tensor(x), axis=1).value
+    got = logsumexp(Tensor(x), axis=1).value
     want = np.log(np.exp(x).sum(axis=1))
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -234,10 +257,10 @@ def test_broadcast_mul_gradient():
 
     def run():
         with Tape():
-            return float(ad.reduce_sum(ad.square(w * x)).value)
+            return float(reduce_sum(square(w * x)).value)
 
     with Tape() as tape:
-        backward(tape, ad.reduce_sum(ad.square(w * x)))
+        backward(tape, reduce_sum(square(w * x)))
     fd = finite_diff_store(store, run)
     assert rel_error(w.grad, fd["w"]) < 1e-4
 
@@ -252,7 +275,7 @@ def test_tape_replay_determinism():
         w = store.add("w", rng.uniform(-1, 1, size=(5, 5)))
         x = Tensor(rng.uniform(-1, 1, size=(7, 5)))
         with Tape() as tape:
-            loss = ad.reduce_sum(ad.square(ad.sigmoid(ad.matmul(x, w))))
+            loss = reduce_sum(square(sigmoid(matmul(x, w))))
             backward(tape, loss)
         return float(loss.value), w.grad.copy()
 
@@ -273,7 +296,7 @@ def test_pause_suppresses_recording():
     p = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
         with Tape.pause():
-            _ = ad.square(p)
+            _ = square(p)
         assert len(tape.records) == 0
 
 
@@ -307,42 +330,163 @@ def test_interleaved_pause_in_two_threads_keeps_callers_tape():
         for thread in threads:
             thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads)
-        _ = ad.square(p)
+        _ = square(p)
     assert len(tape.records) == 1
 
 
 # ---------------------------------------------------------------------------
-# fused layer primitives
+# tuple-output records
 # ---------------------------------------------------------------------------
 
+def test_unread_output_gets_none_gradient():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    seen = []
+
+    def back(g):
+        seen.append(g)
+        return (2.0 * g[0],)
+
+    with Tape() as tape:
+        first, _ = ad._emit((2.0 * p.value, 3.0 * p.value), (p,), back)
+        backward(tape, reduce_sum(first))
+    (g_first, g_second), = seen
+    np.testing.assert_array_equal(g_first, np.ones(2))
+    assert g_second is None
+    np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+
+
+def test_record_with_no_output_read_is_skipped():
+    p = Tensor(np.ones(2), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        ad._emit((p.value, p.value), (p,), lambda g: seen.append(g) or (None,))
+        backward(tape, reduce_sum(p))
+    assert seen == []
+
+
+def test_output_read_twice_accumulates_its_gradient():
+    p = Tensor(np.array([0.5, 1.5]), requires_grad=True)
+    seen = []
+
+    def back(g):
+        seen.append(g)
+        return (g[0] * 2.0,)
+
+    with Tape() as tape:
+        first, _ = ad._emit((2.0 * p.value, 3.0 * p.value), (p,), back)
+        loss = reduce_sum(first) + reduce_sum(first * 3.0)
+        backward(tape, loss)
+    (g_first, g_second), = seen
+    np.testing.assert_array_equal(g_first, [4.0, 4.0])
+    assert g_second is None
+    np.testing.assert_array_equal(p.grad, [8.0, 8.0])
+
+
+def test_record_without_tape_keeps_no_closure():
+    def back(g):
+        return (g[0],)
+
+    ref = weakref.ref(back)
+    p = Tensor(np.ones(2), requires_grad=True)
+    outs = ad._emit((p.value * 2.0, p.value * 3.0), (p,), back)
+    del back
+    assert ref() is None
+    assert not any(t._from_tape for t in outs)
+
+
+# ---------------------------------------------------------------------------
+# fused records against the compositions they replace
+# ---------------------------------------------------------------------------
+
+B, K = 3, 4
+ONE_HOT = np.eye(K)[[2, 0, 3]]             # (B, K) indicator weights
+_CONST_RNG = np.random.default_rng(41)
+EPS_BKD = _CONST_RNG.standard_normal((B, K, 2))
+EPS_BD = _CONST_RNG.standard_normal((B, 2))
+STD_CLAMP = 0.9
+PROB_FLOOR = 0.05
+
+
 def _mlp3_composed(x, w0, b0, w1, b1, w2, b2):
-    h = ad.relu(ad.matmul(x, w0) + b0)
-    h = ad.relu(ad.matmul(h, w1) + b1)
-    return ad.matmul(h, w2) + b2
+    h = relu(matmul(x, w0) + b0)
+    h = relu(matmul(h, w1) + b1)
+    return matmul(h, w2) + b2
+
+
+def _sigmoid_mlp3_composed(x, h, *weights):
+    return sigmoid(_mlp3_composed(concat([x, h], axis=-1), *weights))
+
+
+def _gaussian_mlp_composed(x, h, *weights):
+    raw = _mlp3_composed(concat([x, h], axis=-1), *weights)
+    d = raw.shape[-1] // 2
+    return narrow(raw, -1, 0, d), exp_clamp(narrow(raw, -1, d, d), -STD_CLAMP, STD_CLAMP)
 
 
 def _gru_composed(x, h, wr, br, wu, bu, wc, bc):
-    xh = ad.concat([x, h], axis=-1)
-    r = ad.sigmoid(ad.matmul(xh, wr) + br)
-    u = ad.sigmoid(ad.matmul(xh, wu) + bu)
-    c = ad.tanh(ad.matmul(ad.concat([x, r * h], axis=-1), wc) + bc)
+    xh = concat([x, h], axis=-1)
+    r = sigmoid(matmul(xh, wr) + br)
+    u = sigmoid(matmul(xh, wu) + bu)
+    c = tanh(matmul(concat([x, r * h], axis=-1), wc) + bc)
     return u * h + (1.0 - u) * c
 
 
 def _exp_clamp_composed(a, lo, hi):
-    return ad.exp(ad.clamp(a, lo, hi))
+    return exp(clamp(a, lo, hi))
 
 
 def _log_pdf_composed(x, mean, std):
-    z = (x - mean) / std
-    return ad.reduce_sum(-0.5 * ad.LOG_2PI - ad.log(std) - 0.5 * ad.square(z), axis=-1)
+    z = div(x - mean, std)
+    return reduce_sum(-0.5 * ad.LOG_2PI - log(std) - 0.5 * square(z), axis=-1)
 
 
 def _kl_composed(qm, qs, pm, ps):
-    var_ratio = ad.square(qs / ps)
-    mean_term = ad.square((qm - pm) / ps)
-    per_dim = 0.5 * (var_ratio + mean_term - 1.0) + ad.log(ps) - ad.log(qs)
-    return ad.reduce_sum(per_dim, axis=-1)
+    var_ratio = square(div(qs, ps))
+    mean_term = square(div(qm - pm, ps))
+    per_dim = 0.5 * (var_ratio + mean_term - 1.0) + log(ps) - log(qs)
+    return reduce_sum(per_dim, axis=-1)
+
+
+def _repeat_rows_composed(a):
+    return ad.reshape(expand_dim(a, 1, K), (a.shape[0] * K, a.shape[1]))
+
+
+def _latent_sample_composed(mean, std):
+    return expand_dim(mean, 1, K) + expand_dim(std, 1, K) * Tensor(EPS_BKD)
+
+
+def _reparameterize_composed(mean, std):
+    return mean + std * Tensor(EPS_BD)
+
+
+def _weighted_sum_composed(s, q_mean, q_std):
+    w3 = Tensor(ONE_HOT[:, :, None])
+    return tuple(
+        reduce_sum(w3 * ad.reshape(t, (B, K, t.shape[-1])), axis=1) for t in (s, q_mean, q_std)
+    )
+
+
+def _select_bound_composed(recon, kl):
+    w = Tensor(ONE_HOT)
+    picked = reduce_sum(w * ad.reshape(recon, (B, K)), axis=1)
+    return picked - reduce_sum(w * ad.reshape(kl, (B, K)), axis=1) - math.log(K)
+
+
+def _log_mean_exp_composed(a):
+    return logsumexp(a, axis=1) - math.log(K)
+
+
+def _gan_losses_composed(d_gen, d_real, d_fake):
+    def clamped_log(p):
+        return log(clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+
+    gen = neg(clamped_log(d_gen))
+    disc = neg(clamped_log(d_real)) - clamped_log(1.0 - d_fake)
+    return ad.reshape(gen, (B,)), ad.reshape(disc, (B,))
+
+
+def _sum_of_means_composed(a, b, c, d):
+    return (reduce_mean(a) + reduce_mean(b)) + reduce_mean(c), reduce_mean(d)
 
 
 def _fused_cases():
@@ -353,47 +497,86 @@ def _fused_cases():
         return rng.uniform(lo, hi, size=shape)
 
     return [
-        ("mlp3", ad.mlp3, _mlp3_composed, {
+        ("mlp3", lambda x, *w: ad.mlp3((x,), w), _mlp3_composed, {
             "x": u(5, 3), "w0": u(3, 6), "b0": u(6), "w1": u(6, 4), "b1": u(4),
             "w2": u(4, 2), "b2": u(2)}),
+        ("mlp3_sigmoid", lambda x, h, *w: ad.mlp3((x, h), w, sigmoid=True),
+         _sigmoid_mlp3_composed, {
+            "x": u(5, 2), "h": u(5, 3), "w0": u(5, 6), "b0": u(6), "w1": u(6, 4),
+            "b1": u(4), "w2": u(4, 1), "b2": u(1)}),
+        ("gaussian_mlp", lambda x, h, *w: ad.gaussian_mlp((x, h), w, 3, STD_CLAMP),
+         _gaussian_mlp_composed, {
+            "x": u(5, 2), "h": u(5, 3), "w0": u(5, 6), "b0": u(6), "w1": u(6, 4),
+            "b1": u(4), "w2": u(4, 6), "b2": u(6)}),
         ("gru_cell", ad.gru_cell, _gru_composed, {
             "x": u(5, 2), "h": u(5, 3), "wr": u(5, 3), "br": u(3), "wu": u(5, 3),
             "bu": u(3), "wc": u(5, 3), "bc": u(3)}),
-        ("exp_clamp", lambda a: ad.exp_clamp(a, -1.5, 1.5),
+        ("exp_clamp", lambda a: exp_clamp(a, -1.5, 1.5),
          lambda a: _exp_clamp_composed(a, -1.5, 1.5), {"a": u(4, 3, lo=-2.0, hi=2.0)}),
         ("gaussian_log_pdf", ad.gaussian_log_pdf, _log_pdf_composed, {
             "x": u(4, 3, lo=-2.0, hi=2.0), "mean": u(4, 3), "std": u(4, 3, lo=0.3, hi=2.0)}),
         ("gaussian_kl", ad.gaussian_kl, _kl_composed, {
             "qm": u(4, 3), "qs": u(4, 3, lo=0.3, hi=2.0), "pm": u(4, 3),
             "ps": u(4, 3, lo=0.3, hi=2.0)}),
+        ("repeat_rows", lambda a: ad.repeat_rows(a, K), _repeat_rows_composed, {"a": u(B, 3)}),
+        ("latent_sample", lambda m, s: ad.reparameterize(m, s, EPS_BKD, axis=1),
+         _latent_sample_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
+        ("reparameterize", lambda m, s: ad.reparameterize(m, s, EPS_BD),
+         _reparameterize_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
+        ("weighted_sum", lambda s, qm, qs: ad.weighted_sum(ONE_HOT, (s, qm, qs)),
+         _weighted_sum_composed, {
+            "s": u(B, K, 3), "q_mean": u(B * K, 2), "q_std": u(B * K, 2, lo=0.3, hi=2.0)}),
+        ("select_bound", lambda r, kl: ad.select_bound(ONE_HOT, r, kl, math.log(K)),
+         _select_bound_composed, {"recon": u(B * K, lo=-3.0), "kl": u(B * K, lo=0.0, hi=2.0)}),
+        ("log_mean_exp", ad.log_mean_exp, _log_mean_exp_composed, {"a": u(B, K, lo=-5.0, hi=5.0)}),
+        ("gan_losses", lambda dg, dr, df: ad.gan_losses(dg, dr, df, PROB_FLOOR),
+         _gan_losses_composed, {
+            "d_gen": u(B, 1, lo=0.01, hi=0.99), "d_real": u(B, 1, lo=0.01, hi=0.99),
+            "d_fake": u(B, 1, lo=0.01, hi=0.99)}),
+        ("sum_of_means", lambda a, b, c, d: ad.sum_of_means((a, b, c), (d,)),
+         _sum_of_means_composed, {"a": u(B), "b": u(B), "c": u(B, 2), "d": u(4)}),
     ]
 
 
 _FUSED = {case[0]: case for case in _fused_cases()}
+_TUPLE_OUTPUT = ("gaussian_mlp", "weighted_sum", "gan_losses", "sum_of_means")
+
+
+def _outputs(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _square_sum(outputs):
+    loss = reduce_sum(square(outputs[0]))
+    for out in outputs[1:]:
+        loss = loss + reduce_sum(square(out))
+    return loss
 
 
 @pytest.mark.parametrize("name", sorted(_FUSED))
 def test_fused_forward_bit_identical_to_composition(name):
     _, fused, composed, inputs = _FUSED[name]
     args = [Tensor(v) for v in inputs.values()]
-    want = composed(*args).value
-    np.testing.assert_array_equal(fused(*args).value, want)
+    want = [out.value for out in _outputs(composed(*args))]
+    got = _outputs(fused(*args))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.value, w)
     with Tape() as tape:
-        got = fused(*args).value
+        got = _outputs(fused(*args))
     assert len(tape.records) == 1
-    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.value, w)
 
 
-@pytest.mark.parametrize("name", sorted(_FUSED))
-def test_fused_gradients_match_finite_differences(name):
+def _fd_check(fused, inputs, pick):
     from vdm.optim import ParameterStore
 
-    _, fused, _, inputs = _FUSED[name]
     store = ParameterStore()
     args = [store.add(key, value.copy()) for key, value in inputs.items()]
 
     def forward():
-        return ad.reduce_sum(ad.square(fused(*args)))
+        return _square_sum(pick(_outputs(fused(*args))))
 
     def run():
         with Tape():
@@ -407,6 +590,21 @@ def test_fused_gradients_match_finite_differences(name):
 
 
 @pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_gradients_match_finite_differences(name):
+    _, fused, _, inputs = _FUSED[name]
+    _fd_check(fused, inputs, lambda outs: outs)
+
+
+@pytest.mark.parametrize("name", _TUPLE_OUTPUT)
+def test_fused_gradients_with_one_output_read(name):
+    """Each output alone: the others reach the backward as None."""
+    _, fused, _, inputs = _FUSED[name]
+    n_out = len(_outputs(fused(*[Tensor(v) for v in inputs.values()])))
+    for j in range(n_out):
+        _fd_check(fused, inputs, lambda outs: outs[j : j + 1])
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
 def test_fused_backward_skips_constant_inputs(name):
     """A parent that is neither recorded nor a parameter gets no gradient."""
     _, fused, _, inputs = _FUSED[name]
@@ -416,7 +614,10 @@ def test_fused_backward_skips_constant_inputs(name):
         with Tape() as tape:
             out = fused(*args)
         (_, parents, back), = tape.records
-        grads = back(np.ones_like(out.value))
+        if isinstance(out, tuple):
+            grads = back(tuple(np.ones_like(t.value) for t in out))
+        else:
+            grads = back(np.ones_like(out.value))
         assert len(grads) == len(parents) == len(keys)
         for i, (key, g, t) in enumerate(zip(keys, grads, args)):
             if i == const:
@@ -437,7 +638,7 @@ def test_fused_gru_input_gradient_through_recorded_state():
 
     def forward():
         # both parents are tape products, not leaves
-        return ad.reduce_sum(ad.square(ad.gru_cell(ad.tanh(x0), ad.tanh(h0), *weights)))
+        return reduce_sum(square(ad.gru_cell(tanh(x0), tanh(h0), *weights)))
 
     def run():
         with Tape():
@@ -463,5 +664,5 @@ def test_sigmoid_matches_two_branch_formula():
     want[~pos] = ex / (1.0 + ex)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        got = ad.sigmoid(Tensor(x)).value
+        got = sigmoid(Tensor(x)).value
     assert np.abs(got - want).max() <= 2.3e-16

@@ -229,6 +229,38 @@ def test_count_below_one_fails(tmp_path, capsys, command, flag):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seq-len", "0"], "setting 'seq_len' must be >= 1, got 0"),
+        (["--prefix-len", "0"], "setting 'prefix_len' must be >= 1, got 0"),
+        (["--gen", "four_mode", "--seq-len", "50"],
+         "setting 'seq_len' is fixed at 4 for four_mode data, got 50"),
+    ],
+    ids=["seq_len_0", "prefix_len_0", "four_mode_seq_len_50"],
+)
+def test_simulate_length_checked(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "simulate", *flags, "--seed", "1", "--out", str(out), "--n-train", "2",
+            "--n-val", "1", "--n-test", "1", "--n-groups", "0",
+        ]
+    )
+    assert rc == 1
+    assert f"vdm simulate: error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_train_rejects_an_empty_validation_set(tmp_path, capsys):
+    manifest = simulate_four_mode(tmp_path / "data", n=(40, 0, 10))
+    rc, ckpt = train_tiny(manifest, tmp_path / "run")
+    assert rc == 1
+    assert "vdm train: error: train: the validation set holds no sequences" in capsys.readouterr().err
+    assert not os.path.exists(ckpt)
+    assert not os.path.exists(tmp_path / "run" / "metrics.csv")
+
+
 def test_written_files_follow_the_umask(tmp_path):
     old = os.umask(0o022)
     try:

@@ -2,12 +2,11 @@
 import numpy as np
 import pytest
 
-import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
 from vdm.nets import ModelConfig, VdmModel, parameter_counts
 from vdm.optim import ParameterStore
 
-from helpers import finite_diff_array, finite_diff_store, rel_error
+from helpers import finite_diff_array, finite_diff_store, reduce_sum, rel_error, square
 
 
 def make_model(d_x=3, d_z=2, d_h=4, k=5, seed=0, **kw):
@@ -72,13 +71,13 @@ def test_transition_gradient_wrt_input():
 
     def loss_value():
         g = model.transition_prior(Tensor(h0))
-        return float(ad.reduce_sum(g.mean + g.std).value)
+        return float(reduce_sum(g.mean + g.std).value)
 
     store = ParameterStore()
     hp = store.add("h", h0)
     with Tape() as tape:
         g = model.transition_prior(hp)
-        backward(tape, ad.reduce_sum(g.mean + g.std))
+        backward(tape, reduce_sum(g.mean + g.std))
     fd = finite_diff_array(h0, loss_value)
     assert rel_error(hp.grad, fd) < 1e-4
 
@@ -165,11 +164,11 @@ def test_infer_component_gradient_wrt_both_inputs():
 
     def loss_value():
         g = model.infer_component(Tensor(store["s"].value), Tensor(store["x"].value))
-        return float(ad.reduce_sum(g.mean + g.std).value)
+        return float(reduce_sum(g.mean + g.std).value)
 
     with Tape() as tape:
         g = model.infer_component(sp, xp)
-        backward(tape, ad.reduce_sum(g.mean + g.std))
+        backward(tape, reduce_sum(g.mean + g.std))
     fd = finite_diff_store(store, loss_value)
     assert rel_error(sp.grad, fd["s"]) < 1e-4
     assert rel_error(xp.grad, fd["x"]) < 1e-4
@@ -263,7 +262,7 @@ def test_every_network_parameter_gradient(seed):
         em = model.emit(Tensor(z), s)
         inf = model.infer_component(s, Tensor(x))
         parts = [enc.mean, enc.std, tra.mean, tra.std, em.mean, em.std, inf.mean, inf.std]
-        return sum((ad.reduce_sum(ad.square(p)) for p in parts[1:]), ad.reduce_sum(ad.square(parts[0])))
+        return sum((reduce_sum(square(p)) for p in parts[1:]), reduce_sum(square(parts[0])))
 
     def loss_value():
         with Tape.pause():

@@ -21,7 +21,13 @@ from vdm.objective import (
     train,
 )
 
-from helpers import entry_grads, finite_diff_entries, rel_error, sample_entries
+from helpers import (
+    entry_grads,
+    finite_diff_entries,
+    frozen_branch_selection,
+    rel_error,
+    sample_entries,
+)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -202,15 +208,16 @@ def test_total_loss_gradient_matches_finite_differences(seed):
 
     def loss_value():
         with Tape.pause():
-            bd = total_loss(model, batch, np.random.default_rng(777), weights_override=frozen)
+            bd = total_loss(model, batch, np.random.default_rng(777))
         return bd.total
 
-    with Tape() as tape:
-        bd = total_loss(model, batch, np.random.default_rng(777), weights_override=frozen)
-        backward(tape, bd.total_node)
-    rng = np.random.default_rng(seed)
-    entries = sample_entries(model.params, 3, rng)
-    fd = finite_diff_entries(model.params, loss_value, entries)
+    with frozen_branch_selection(frozen):
+        with Tape() as tape:
+            bd = total_loss(model, batch, np.random.default_rng(777))
+            backward(tape, bd.total_node)
+        rng = np.random.default_rng(seed)
+        entries = sample_entries(model.params, 3, rng)
+        fd = finite_diff_entries(model.params, loss_value, entries)
     assert rel_error(entry_grads(model.params, entries), fd) < 1e-4
 
 
@@ -222,16 +229,28 @@ def test_discriminator_gradient_matches_finite_differences():
 
     def disc_value():
         with Tape.pause():
-            bd = total_loss(model, batch, np.random.default_rng(88), weights_override=frozen)
+            bd = total_loss(model, batch, np.random.default_rng(88))
         return bd.disc_loss
 
-    with Tape() as tape:
-        bd = total_loss(model, batch, np.random.default_rng(88), weights_override=frozen)
-        model.disc.zero_grad()
-        backward(tape, bd.disc_node)
-    entries = sample_entries(model.disc, 4, np.random.default_rng(4))
-    fd = finite_diff_entries(model.disc, disc_value, entries)
+    with frozen_branch_selection(frozen):
+        with Tape() as tape:
+            bd = total_loss(model, batch, np.random.default_rng(88))
+            model.disc.zero_grad()
+            backward(tape, bd.disc_node)
+        entries = sample_entries(model.disc, 4, np.random.default_rng(4))
+        fd = finite_diff_entries(model.disc, disc_value, entries)
     assert rel_error(entry_grads(model.disc, entries), fd) < 1e-4
+
+
+def test_training_step_tape_record_count():
+    """One B=32 step at Lorenz desk scale (d_x 3, d_z 6, d_h 32, k 13, T=30,
+    omega2=1) records 27 entries per filtering step plus 7 others: within
+    the 800-entry budget, and any added record shows here."""
+    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
+    batch = np.random.default_rng(1).normal(size=(32, 30, 3))
+    with Tape() as tape:
+        total_loss(model, batch, np.random.default_rng(2))
+    assert len(tape.records) == 790
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +358,10 @@ def test_nonfinite_validation_data_is_an_error():
 def _live_discriminator_adv(model, prefix_summary, x_real, x_gen):
     """The adversarial losses with the generator reading the live
     discriminator, as when each loss had its own backward sweep."""
-    gen_loss = -objective._clamped_log(model.discriminate(prefix_summary, x_gen))
+    d_gen = model.discriminate(prefix_summary, x_gen)
     d_real = model.discriminate(prefix_summary, Tensor(np.asarray(x_real, dtype=np.float64)))
     d_fake = model.discriminate(prefix_summary, x_gen.detach())
-    disc_loss = -objective._clamped_log(d_real) - objective._clamped_log(1.0 - d_fake)
-    return ad.reshape(gen_loss, (gen_loss.shape[0],)), ad.reshape(disc_loss, (disc_loss.shape[0],))
+    return ad.gan_losses(d_gen, d_real, d_fake, objective.DISC_PROB_FLOOR)
 
 
 def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
