@@ -3,7 +3,7 @@
 # gradients back through it, check one against finite differences, and take a
 # few optimizer steps on a toy curve fit.  Each call below is one fused tape
 # record with an analytic backward; gaussian_mlp returns two outputs, a mean
-# and a std, from one record.
+# and a std, from one record, and an output nothing reads gets no gradient.
 
 import numpy as np
 
@@ -15,7 +15,7 @@ rng = np.random.default_rng(0)
 
 
 def init_mlp3(store, sizes):
-    """Register a three-layer MLP's weights; returns them in mlp3's order."""
+    """Register a three-layer MLP's weights; returns them in gaussian_mlp's order."""
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = 1.0 / np.sqrt(fan_in)
         store.add(f"w{i}", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
@@ -25,15 +25,17 @@ def init_mlp3(store, sizes):
 
 # --- gradients of a small expression -------------------------------------
 store = ParameterStore()
-weights = init_mlp3(store, (3, 8, 8, 2))
+weights = init_mlp3(store, (3, 8, 8, 4))
 x = Tensor(rng.normal(size=(5, 3)))
 target = Tensor(rng.normal(size=(5, 2)))
 unit_std = Tensor(np.ones((5, 2)))
 
 
 def mean_nll():
-    """Mean negative log-likelihood of target under N(mlp3(x), I)."""
-    ll = ad.gaussian_log_pdf(target, ad.mlp3((x,), weights), unit_std)
+    """Mean negative log-likelihood of target under N(mean(x), I); the
+    head's std output is left unread."""
+    mean, _ = ad.gaussian_mlp((x,), weights, 2, 10.0)
+    ll = ad.gaussian_log_pdf(target, mean, unit_std)
     (mean_ll,) = ad.sum_of_means([ll])
     return -1.0 * mean_ll
 

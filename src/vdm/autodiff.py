@@ -8,7 +8,7 @@ evaluations, which keeps rollout / evaluation paths cheap.
 A record may return a tuple of outputs; its backward then receives a tuple
 of gradients, with ``None`` for an output that nothing read.  Besides
 ``add``, ``sub``, ``mul`` and ``reshape`` every primitive is a fused record
-(``mlp3``, ``gaussian_mlp``, ``gru_cell``, ``gaussian_log_pdf``,
+(``sigmoid_mlp3``, ``gaussian_mlp``, ``gru_cell``, ``gaussian_log_pdf``,
 ``gaussian_kl`` and the filtering and loss glue after them): each forward
 gives, bit for bit, the values of the composition of elementwise primitives
 it replaces, and each backward is written out analytically in the same
@@ -32,7 +32,7 @@ __all__ = [
     "mul",
     "reshape",
     "LOG_2PI",
-    "mlp3",
+    "sigmoid_mlp3",
     "gaussian_mlp",
     "gru_cell",
     "gaussian_log_pdf",
@@ -311,27 +311,26 @@ def _mlp3_backward(g, inputs, weights, xv, h0, h1):
     return tuple(input_grads) + tuple(grads)
 
 
-def mlp3(inputs, weights, sigmoid=False):
-    """Three linear layers with ReLU on the two hidden layers.
+def sigmoid_mlp3(inputs, weights):
+    """Three linear layers with ReLU on the two hidden layers and the
+    logistic function on the output.
 
     ``inputs`` is a sequence of (B, d_i) tensors, concatenated along the last
-    axis; ``weights`` is (w0, b0, w1, b1, w2, b2).  With ``sigmoid`` the
-    output is passed through the logistic function.
+    axis; ``weights`` is (w0, b0, w1, b1, w2, b2).
     """
     inputs, weights = tuple(inputs), tuple(weights)
-    xv, h0, h1, raw = _mlp3_forward("mlp3", inputs, weights)
-    out = expit(raw) if sigmoid else raw
+    xv, h0, h1, raw = _mlp3_forward("sigmoid_mlp3", inputs, weights)
+    out = expit(raw)
 
     def back(g):
-        if sigmoid:
-            g = g * out * (1.0 - out)
-        return _mlp3_backward(g, inputs, weights, xv, h0, h1)
+        return _mlp3_backward(g * out * (1.0 - out), inputs, weights, xv, h0, h1)
 
     return _emit(out, inputs + weights, back)
 
 
 def gaussian_mlp(inputs, weights, d, clamp):
-    """``mlp3`` with a diagonal-Gaussian head: returns (mean, std).
+    """The three layers of ``sigmoid_mlp3`` with a diagonal-Gaussian head in
+    place of the logistic: returns (mean, std).
 
     The 2d raw outputs split into a mean and a raw log std; the std is
     exp(clip(raw, -clamp, clamp)), whose gradient passes only through the

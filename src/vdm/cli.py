@@ -257,8 +257,6 @@ def cmd_train(args):
         omega2=resolved["omega2"],
         lr=resolved["lr"],
     )
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     result = train(
         train_ds,
@@ -272,6 +270,8 @@ def cmd_train(args):
         verbose=args.verbose,
     )
     result.checkpoint.provenance["manifest_sha256"] = sha256_file(resolved["data"])
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.vdm")
     save_checkpoint(result.checkpoint, ckpt_path)
 

@@ -232,7 +232,7 @@ class VdmModel:
         _check_input("discriminate", x, self.config.d_x)
         hb, single = _as_batch(prefix_summary)
         xb, _ = _as_batch(x)
-        p = ad.mlp3((hb, xb), _mlp3_weights(self.disc, "mlp"), sigmoid=True)
+        p = ad.sigmoid_mlp3((hb, xb), _mlp3_weights(self.disc, "mlp"))
         if single:
             return ad.reshape(p, (1,))
         return p

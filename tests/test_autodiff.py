@@ -413,8 +413,8 @@ def _mlp3_composed(x, w0, b0, w1, b1, w2, b2):
     return matmul(h, w2) + b2
 
 
-def _sigmoid_mlp3_composed(x, h, *weights):
-    return sigmoid(_mlp3_composed(concat([x, h], axis=-1), *weights))
+def _sigmoid_mlp3_composed(x, *weights):
+    return sigmoid(_mlp3_composed(x, *weights))
 
 
 def _gaussian_mlp_composed(x, h, *weights):
@@ -497,13 +497,9 @@ def _fused_cases():
         return rng.uniform(lo, hi, size=shape)
 
     return [
-        ("mlp3", lambda x, *w: ad.mlp3((x,), w), _mlp3_composed, {
+        ("mlp3", lambda x, *w: ad.sigmoid_mlp3((x,), w), _sigmoid_mlp3_composed, {
             "x": u(5, 3), "w0": u(3, 6), "b0": u(6), "w1": u(6, 4), "b1": u(4),
             "w2": u(4, 2), "b2": u(2)}),
-        ("mlp3_sigmoid", lambda x, h, *w: ad.mlp3((x, h), w, sigmoid=True),
-         _sigmoid_mlp3_composed, {
-            "x": u(5, 2), "h": u(5, 3), "w0": u(5, 6), "b0": u(6), "w1": u(6, 4),
-            "b1": u(4), "w2": u(4, 1), "b2": u(1)}),
         ("gaussian_mlp", lambda x, h, *w: ad.gaussian_mlp((x, h), w, 3, STD_CLAMP),
          _gaussian_mlp_composed, {
             "x": u(5, 2), "h": u(5, 3), "w0": u(5, 6), "b0": u(6), "w1": u(6, 4),

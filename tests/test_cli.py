@@ -254,11 +254,10 @@ def test_simulate_length_checked(tmp_path, capsys, flags, message):
 
 def test_train_rejects_an_empty_validation_set(tmp_path, capsys):
     manifest = simulate_four_mode(tmp_path / "data", n=(40, 0, 10))
-    rc, ckpt = train_tiny(manifest, tmp_path / "run")
+    rc, _ = train_tiny(manifest, tmp_path / "run")
     assert rc == 1
     assert "vdm train: error: train: the validation set holds no sequences" in capsys.readouterr().err
-    assert not os.path.exists(ckpt)
-    assert not os.path.exists(tmp_path / "run" / "metrics.csv")
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_written_files_follow_the_umask(tmp_path):
