@@ -44,7 +44,7 @@ for name, ckpt in results.items():
 # --- latent predictive-prior draws for external plotting ------------------
 ckpt = results["k=9"]
 model = ckpt.build_model()
-_, beliefs = filter_sequence(model, ckpt.normalize(test_ds.data[0][None, ...]),
+_, beliefs = filter_sequence(model, ckpt.normalize(test_ds.data[:1]),
                              np.random.default_rng(9))
 draws = export_predictive_prior(model, beliefs, n_draws=500, rng=np.random.default_rng(10))
 spread = draws[1].std(axis=0)

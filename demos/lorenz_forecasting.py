@@ -27,7 +27,7 @@ def score(ckpt):
     scaled = ckpt.normalize(sim.test.data)
     nll = dataset_multi_step_nll(model, scaled, 10, 100, np.random.default_rng(3),
                                  reduction="sum")
-    one = one_step_nll(model, scaled, np.random.default_rng(4), prefix_len=10)
+    one = one_step_nll(model, scaled, 10, np.random.default_rng(4))
     groups = [Dataset(ckpt.normalize(g.data), g.prefix_len) for g in sim.groups]
     w, se = w_distance_protocol(model, groups, np.random.default_rng(5))
     return nll, one, w, se

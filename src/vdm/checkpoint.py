@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,7 @@ def save_checkpoint(ckpt, path):
         raw = arr.tobytes()
         chunks.append(raw)
         offset += len(raw)
-    header = {"config": ckpt.config.to_dict(), "arrays": entries, "provenance": ckpt.provenance}
+    header = {"config": asdict(ckpt.config), "arrays": entries, "provenance": ckpt.provenance}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = b"".join(
         [
@@ -110,7 +110,7 @@ def _config_from_header(config, version):
         mode = config.pop("branch_likelihood", "prior_mean")
         if mode != "prior_mean":
             raise ValueError(f"branch_likelihood {mode!r} is a removed mode")
-    return ModelConfig.from_dict(config)
+    return ModelConfig(**config)
 
 
 def load_checkpoint(path):

@@ -166,6 +166,11 @@ def cmd_simulate(args):
     for name, default in zip(("seq_len", "prefix_len"), defaults):
         if resolved[name] is None:
             resolved[name] = default
+    if resolved["prefix_len"] > resolved["seq_len"]:
+        raise ValueError(
+            f"setting 'prefix_len' must be <= seq_len = {resolved['seq_len']}, "
+            f"got {resolved['prefix_len']}"
+        )
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -306,8 +311,6 @@ def cmd_evaluate(args):
     manifest, base, ckpt, model, test_ds = _load_scoring_inputs("evaluate", resolved, "test")
     ckpt_id = sha256_file(resolved["checkpoint"])[:12]
     groups = [_load_csv(manifest, base, rel) for rel in manifest.get("groups", [])]
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     scaled = ckpt.normalize(test_ds.data)
 
@@ -321,7 +324,7 @@ def cmd_evaluate(args):
         reduction=resolved["nll_reduction"],
     )
     rows.append(["multi_step_nll", repr(ms), "", len(test_ds), args.seed, ckpt_id])
-    os_nll = one_step_nll(model, scaled, rng, prefix_len=test_ds.prefix_len)
+    os_nll = one_step_nll(model, scaled, test_ds.prefix_len, rng)
     rows.append(["one_step_nll", repr(os_nll), "", len(test_ds), args.seed, ckpt_id])
     note = None
     if groups:
@@ -333,6 +336,8 @@ def cmd_evaluate(args):
     else:
         note = "w_distance omitted: no groups in dataset manifest"
 
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["metric", "value", "stderr", "n", "seed", "checkpoint_id"])
@@ -388,7 +393,7 @@ def cmd_forecast(args):
 
     if resolved["export_prior"]:
         for i in range(len(ds)):
-            _, beliefs = filter_sequence(model, scaled[i, : ds.prefix_len], rng)
+            _, beliefs = filter_sequence(model, scaled[i : i + 1, : ds.prefix_len], rng)
             draws = export_predictive_prior(model, beliefs, resolved["prior_draws"], rng)
             name = f"prior_{i}.csv"
             header = ["step"] + [f"z{d}" for d in range(ckpt.config.d_z)]

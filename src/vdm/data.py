@@ -19,7 +19,6 @@ from .util import atomic_write_text
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "Trajectory",
     "Dataset",
     "LorenzConfig",
     "LorenzData",
@@ -32,37 +31,6 @@ __all__ = [
     "write_csv",
     "group_by_prefix",
 ]
-
-
-@dataclass
-class Trajectory:
-    """One T x d_x observation sequence with a declared conditioning prefix."""
-
-    observations: np.ndarray
-    prefix_len: int
-
-    def __post_init__(self):
-        self.observations = np.asarray(self.observations, dtype=np.float64)
-        if self.observations.ndim != 2:
-            raise ValueError(f"Trajectory: expected (T, d_x), got {self.observations.shape}")
-        if not np.all(np.isfinite(self.observations)):
-            raise ValueError("Trajectory: non-finite observations")
-        if not 1 <= self.prefix_len <= self.observations.shape[0]:
-            raise ValueError(
-                f"Trajectory: prefix_len {self.prefix_len} out of range for T={self.observations.shape[0]}"
-            )
-
-    @property
-    def horizon(self):
-        return self.observations.shape[0] - self.prefix_len
-
-    @property
-    def prefix(self):
-        return self.observations[: self.prefix_len]
-
-    @property
-    def continuation(self):
-        return self.observations[self.prefix_len :]
 
 
 @dataclass
@@ -91,10 +59,6 @@ class Dataset:
     @property
     def seq_len(self):
         return self.data.shape[1]
-
-    @property
-    def trajectories(self):
-        return [Trajectory(self.data[i], self.prefix_len) for i in range(len(self))]
 
     def subset(self, indices):
         return Dataset(self.data[np.asarray(indices)], self.prefix_len)

@@ -7,7 +7,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .gaussians import LOG_2PI
+from .autodiff import Tensor
+from .gaussians import LOG_2PI, DiagGaussian
 from .inference import MixtureBelief, filter_sequence, generate, one_step_predictive
 from .util import parallel_map
 
@@ -62,16 +63,11 @@ def multi_step_nll(bundle, reduction="mean"):
 
 def _repeat_belief(belief, reps):
     """Tile a tape-free belief along the batch axis (plain values only)."""
-    from .autodiff import Tensor
-    from .gaussians import DiagGaussian
 
     def rep(a):
         return np.repeat(a, reps, axis=0)
 
     return MixtureBelief(
-        components=DiagGaussian(
-            Tensor(rep(belief.components.mean.value)), Tensor(rep(belief.components.std.value))
-        ),
         weights=rep(belief.weights),
         branch_states=Tensor(rep(belief.branch_states.value)),
         expected_h=Tensor(rep(belief.expected_h.value)),
@@ -105,11 +101,10 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
     return float(np.mean(vals))
 
 
-def one_step_nll(model, dataset, rng, prefix_len=None):
-    """Average next-step NLL over continuation steps, filtering with the true past."""
-    data = dataset if isinstance(dataset, np.ndarray) else dataset.data
-    if prefix_len is None:
-        prefix_len = getattr(dataset, "prefix_len", 1)
+def one_step_nll(model, data, prefix_len, rng):
+    """Average next-step NLL over the continuation steps of a (N, T, d_x)
+    array, filtering with the true past."""
+    data = np.asarray(data, dtype=np.float64)
     t_len = data.shape[1]
     if t_len - prefix_len < 1:
         raise ValueError("one_step_nll: no continuation to score")

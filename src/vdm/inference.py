@@ -36,14 +36,12 @@ __all__ = [
 class MixtureBelief:
     """Filtering state after absorbing one observation.
 
-    components: (B, k, d_z) mixture over z_t, as constants
     weights:    (B, k) simplex, exactly one-hot per row under indicator modes
     branch_states: (B, k, d_h) recurrent samples s_{t-1}
     expected_h: (B, d_h) convex combination of branch states
     collapsed:  (B, d_z) single Gaussian carried to the next step
     """
 
-    components: DiagGaussian
     weights: np.ndarray
     branch_states: Tensor
     expected_h: Tensor
@@ -53,28 +51,20 @@ class MixtureBelief:
     def batch(self):
         return self.weights.shape[0]
 
-    @property
-    def k(self):
-        return self.weights.shape[1]
-
 
 @dataclass
 class StepInfo:
     """Intermediate tensors of one belief step, reused by the training losses."""
 
-    z_samples: Tensor          # (B, k, d_z) latents drawn from the previous posterior
     branch_states_flat: Tensor  # (B*k, d_h)
     q_flat: DiagGaussian       # (B*k, d_z) mixture components
     prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
     branch_loglik: Tensor      # (B, k) log p(x_t | h_{t-1} = s^{(j)})
     weights: np.ndarray        # (B, k)
-    recon_eps: np.ndarray | None = None  # reparameterization noise for the bound
 
 
 def _as_batch_array(x, dim, name):
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{name}: expected (B, {dim}) observations, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -104,8 +94,8 @@ def weights_from_loglik(loglik, mode, rng=None):
     one-hot at an index drawn with probability proportional to likelihood.
     """
     ll = np.asarray(loglik, dtype=np.float64)
-    if ll.ndim == 1:
-        ll = ll[None, :]
+    if ll.ndim != 2:
+        raise ValueError(f"weights_from_loglik: expected (B, k) log-likelihoods, got {ll.shape}")
     if np.any(np.isnan(ll)) or np.any(np.all(np.isneginf(ll), axis=1)):
         raise FloatingPointError("weights_from_loglik: degenerate branch likelihoods")
     b, k = ll.shape
@@ -133,7 +123,6 @@ def belief_init(model, x_first):
     b = x.shape[0]
     g = model.encode_initial(Tensor(x))
     return MixtureBelief(
-        components=DiagGaussian(g.mean.value[:, None, :], g.std.value[:, None, :]),
         weights=np.ones((b, 1)),
         branch_states=Tensor(np.zeros((b, 1, model.config.d_h))),
         expected_h=Tensor(np.zeros((b, model.config.d_h))),
@@ -165,16 +154,12 @@ def belief_step(model, belief, x, rng):
     expected_h, mean, std = ad.weighted_sum(weights, (s, q_flat.mean, q_flat.std))
 
     new_belief = MixtureBelief(
-        components=DiagGaussian(
-            q_flat.mean.value.reshape(b, k, cfg.d_z), q_flat.std.value.reshape(b, k, cfg.d_z)
-        ),
         weights=weights,
         branch_states=s,
         expected_h=expected_h,
         collapsed=DiagGaussian(mean, std),
     )
     info = StepInfo(
-        z_samples=z,
         branch_states_flat=s_flat,
         q_flat=q_flat,
         prior_flat=prior_flat,
@@ -187,8 +172,6 @@ def belief_step(model, belief, x, rng):
 def filter_sequence(model, x_prefix, rng):
     """Run the recursion over x_{1:tau}; returns the final and per-step beliefs."""
     arr = np.asarray(x_prefix, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, ...]
     if arr.ndim != 3 or arr.shape[1] < 1:
         raise ValueError(f"filter_sequence: expected (B, T>=1, d_x), got {arr.shape}")
     belief = belief_init(model, arr[:, 0])
@@ -234,9 +217,8 @@ class PredictiveMixture:
         return self.means.shape[1]
 
     def log_density(self, x):
+        """(B,) log densities of the (B, d_x) observations ``x``."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         z = (x[:, None, :] - self.means) / self.stds
         comp = -0.5 * np.log(2.0 * np.pi) - np.log(self.stds) - 0.5 * z * z
         comp_ll = comp.sum(axis=2)  # (B, m)
@@ -274,13 +256,12 @@ def one_step_predictive(model, belief):
     return PredictiveMixture(means=means.copy(), stds=stds.copy())
 
 
-def export_predictive_prior(model, beliefs, n_draws=1000, rng=None):
+def export_predictive_prior(model, beliefs, n_draws, rng):
     """Per-step latent draws from the equal-weight mixture of branch priors.
 
     Operates on a single trajectory's beliefs (batch of one); returns one
     (n_draws, d_z) array per step, suitable for external density plotting.
     """
-    rng = np.random.default_rng() if rng is None else rng
     cfg = model.config
     out = []
     with Tape.pause():

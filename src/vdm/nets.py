@@ -1,13 +1,14 @@
 """Model configuration and the six parameterized networks.
 
-All networks are pure functions of (parameters, inputs).  Inputs may be a
-single vector ``(d,)`` or a batch ``(B, d)``; outputs follow the input rank.
-Standard deviations are produced as ``exp(raw)`` with the raw output clamped
-to [-10, 10] to guard overflow.
+All networks are pure functions of (parameters, inputs).  Every input is a
+batch ``(B, d)`` (a single vector is the B = 1 row ``(1, d)``), and every
+output is a batch with the same B; a lower-rank input raises ValueError
+naming the network.  Standard deviations are produced as ``exp(raw)`` with
+the raw output clamped to [-10, 10] to guard overflow.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +62,6 @@ class ModelConfig:
         if self.lr <= 0:
             raise ValueError("ModelConfig: lr must be positive")
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def _init_linear(store, name, fan_in, fan_out, rng):
     # biases share the uniform fan-in bound so no hidden unit starts exactly
@@ -97,25 +91,10 @@ def _gaussian_head(store, prefix, inputs, d):
 
 def _check_input(name, x, dim):
     v = x.value if isinstance(x, Tensor) else np.asarray(x)
-    if v.shape[-1] != dim:
-        raise ValueError(f"{name}: expected trailing dimension {dim}, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[1] != dim:
+        raise ValueError(f"{name}: expected a (B, {dim}) batch, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteError(f"{name}: non-finite input")
-
-
-def _as_batch(x):
-    """Lift to (B, d); report whether the caller passed a single vector."""
-    t = as_tensor(x)
-    if t.ndim == 1:
-        return ad.reshape(t, (1, t.shape[0])), True
-    return t, False
-
-
-def _squeeze_gaussian(g, single):
-    if not single:
-        return g
-    d = g.mean.shape[-1]
-    return DiagGaussian(ad.reshape(g.mean, (d,)), ad.reshape(g.std, (d,)))
 
 
 def _gru_cell(store, prefix, x, h_prev):
@@ -168,74 +147,52 @@ class VdmModel:
     def encode_initial(self, x):
         """Belief over z from the first observation of a sequence."""
         _check_input("encode_initial", x, self.config.d_x)
-        xb, single = _as_batch(x)
-        g = _gaussian_head(self.params, "enc", (xb,), self.config.d_z)
-        return _squeeze_gaussian(g, single)
+        return _gaussian_head(self.params, "enc", (as_tensor(x),), self.config.d_z)
 
     def transition_prior(self, h):
         """p(z_t | h_{t-1}) as a diagonal Gaussian."""
         _check_input("transition_prior", h, self.config.d_h)
-        hb, single = _as_batch(h)
-        g = _gaussian_head(self.params, "tra", (hb,), self.config.d_z)
-        return _squeeze_gaussian(g, single)
+        return _gaussian_head(self.params, "tra", (as_tensor(h),), self.config.d_z)
 
     def gru_advance(self, z, h_prev):
         """One recurrent update; the same parameters serve generation and inference."""
         _check_input("gru_advance", z, self.config.d_z)
         _check_input("gru_advance", h_prev, self.config.d_h)
-        zb, single = _as_batch(z)
-        hb, _ = _as_batch(h_prev)
-        out = _gru_cell(self.params, "gru", zb, hb)
-        if single:
-            return ad.reshape(out, (self.config.d_h,))
-        return out
+        return _gru_cell(self.params, "gru", as_tensor(z), as_tensor(h_prev))
 
     def emit(self, z, h_prev):
         """Emission density p(x_t | z_t, h_{t-1}); h is the previous recurrent state."""
         _check_input("emit", z, self.config.d_z)
         _check_input("emit", h_prev, self.config.d_h)
-        zb, single = _as_batch(z)
-        hb, _ = _as_batch(h_prev)
-        g = _gaussian_head(self.params, "dec", (zb, hb), self.config.d_x)
-        return _squeeze_gaussian(g, single)
+        inputs = (as_tensor(z), as_tensor(h_prev))
+        return _gaussian_head(self.params, "dec", inputs, self.config.d_x)
 
     def infer_component(self, s, x):
         """One mixture component q(z_t | s_{t-1}, x_t)."""
         _check_input("infer_component", s, self.config.d_h)
         _check_input("infer_component", x, self.config.d_x)
-        sb, single = _as_batch(s)
-        xb, _ = _as_batch(x)
-        g = _gaussian_head(self.params, "inf", (sb, xb), self.config.d_z)
-        return _squeeze_gaussian(g, single)
+        inputs = (as_tensor(s), as_tensor(x))
+        return _gaussian_head(self.params, "inf", inputs, self.config.d_z)
 
     # ------------------------------------------------------------------
     # discriminator (disjoint parameters)
     # ------------------------------------------------------------------
 
-    def disc_initial_state(self, batch=None):
-        shape = (self.config.d_h,) if batch is None else (batch, self.config.d_h)
-        return Tensor(np.zeros(shape))
+    def disc_initial_state(self, batch):
+        return Tensor(np.zeros((batch, self.config.d_h)))
 
     def disc_step(self, x, h_prev):
         """Advance the discriminator's own prefix summarizer by one observation."""
         _check_input("disc_step", x, self.config.d_x)
-        xb, single = _as_batch(x)
-        hb, _ = _as_batch(h_prev)
-        out = _gru_cell(self.disc, "gru", xb, hb)
-        if single:
-            return ad.reshape(out, (self.config.d_h,))
-        return out
+        _check_input("disc_step", h_prev, self.config.d_h)
+        return _gru_cell(self.disc, "gru", as_tensor(x), as_tensor(h_prev))
 
     def discriminate(self, prefix_summary, x):
-        """Probability in (0,1) that x is a real continuation of the prefix."""
+        """Probability in (0,1), shape (B, 1), that x is a real continuation of the prefix."""
         _check_input("discriminate", prefix_summary, self.config.d_h)
         _check_input("discriminate", x, self.config.d_x)
-        hb, single = _as_batch(prefix_summary)
-        xb, _ = _as_batch(x)
-        p = ad.sigmoid_mlp3((hb, xb), _mlp3_weights(self.disc, "mlp"))
-        if single:
-            return ad.reshape(p, (1,))
-        return p
+        inputs = (as_tensor(prefix_summary), as_tensor(x))
+        return ad.sigmoid_mlp3(inputs, _mlp3_weights(self.disc, "mlp"))
 
 
 def parameter_counts(config):

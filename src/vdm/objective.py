@@ -52,15 +52,16 @@ class LossBreakdown:
     disc_node: Tensor | None = None
 
 
-def _elbo_from_info(model, info, x_arr):
-    """Per-trajectory evidence bound for one step, shape (B,).
+def _elbo_from_info(model, info, x_arr, recon_eps):
+    """Per-trajectory evidence bound for one step, shape (B,); ``recon_eps``
+    is the (B*k, d_z) reparameterization noise of the reconstruction.
 
     The active branch receives full weight (the weighting function evaluates
     to k at the selected index and 0 elsewhere, cancelling the 1/k front
     factor), and the weight normalization contributes the constant -log k.
     """
     k = info.weights.shape[1]
-    z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, info.recon_eps)
+    z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
     em = model.emit(z_tilde, info.branch_states_flat)
     x_rep = Tensor(np.repeat(x_arr, k, axis=0))
     recon = gaussian_log_pdf(x_rep, em)
@@ -75,11 +76,9 @@ def elbo_step(model, belief_prev, x, rng):
     ones the bound is defined over.
     """
     new_belief, info = belief_step(model, belief_prev, x, rng)
-    x_arr = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=np.float64)
-    if x_arr.ndim == 1:
-        x_arr = x_arr[None, :]
-    info.recon_eps = rng.standard_normal((x_arr.shape[0] * model.config.k, model.config.d_z))
-    value = _elbo_from_info(model, info, x_arr)
+    x_arr = np.asarray(x, dtype=np.float64)
+    recon_eps = rng.standard_normal((x_arr.shape[0] * model.config.k, model.config.d_z))
+    value = _elbo_from_info(model, info, x_arr, recon_eps)
     if not np.all(np.isfinite(value.value)):
         raise FloatingPointError("elbo_step: non-finite bound")
     return value, new_belief, info
@@ -113,11 +112,9 @@ def total_loss(model, batch, rng):
     """Loss breakdown for a (B, T, d_x) batch; one filtering pass computes all terms."""
     cfg = model.config
     arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, ...]
+    if arr.ndim != 3 or arr.shape[1] < 2:
+        raise ValueError(f"total_loss: expected (B, T, d_x) with length T >= 2, got {arr.shape}")
     b, t_len, _ = arr.shape
-    if t_len < 2:
-        raise ValueError("total_loss: trajectory length must be >= 2")
 
     belief = belief_init(model, arr[:, 0])
     use_adv = cfg.omega2 > 0.0
@@ -184,10 +181,6 @@ class TrainResult:
     aborted: bool = False
 
 
-def _dataset_array(dataset):
-    return dataset if isinstance(dataset, np.ndarray) else dataset.data
-
-
 def train(
     dataset,
     config,
@@ -197,11 +190,12 @@ def train(
     batch_size=64,
     patience=10,
     val_forecasts=100,
-    normalize=True,
     verbose=False,
 ):
     """Minibatch Adam over the full objective with 1:1 discriminator updates.
 
+    ``dataset`` and ``val_dataset`` are ``vdm.data.Dataset``s; validation
+    scores the continuation after the training set's ``prefix_len``.
     Observations are standardized per dimension with training-set statistics
     (stored on the checkpoint); validation multi-step NLL is tracked per
     epoch and the best-validation parameters are retained.
@@ -209,21 +203,16 @@ def train(
     from .checkpoint import Checkpoint  # local import to avoid a cycle
     from .evaluation import dataset_multi_step_nll
 
-    data = _dataset_array(dataset)
-    prefix_len = getattr(dataset, "prefix_len", max(1, data.shape[1] // 2))
-    if data.ndim != 3 or data.shape[0] == 0:
-        raise ValueError("train: dataset must be a nonempty (N, T, d_x) array")
-    if normalize:
-        obs_mean = data.reshape(-1, data.shape[2]).mean(axis=0)
-        obs_std = data.reshape(-1, data.shape[2]).std(axis=0)
-        obs_std = np.where(obs_std < 1e-12, 1.0, obs_std)
-    else:
-        obs_mean = np.zeros(data.shape[2])
-        obs_std = np.ones(data.shape[2])
+    data, prefix_len = dataset.data, dataset.prefix_len
+    if len(dataset) == 0:
+        raise ValueError("train: the training set holds no sequences")
+    obs_mean = data.reshape(-1, data.shape[2]).mean(axis=0)
+    obs_std = data.reshape(-1, data.shape[2]).std(axis=0)
+    obs_std = np.where(obs_std < 1e-12, 1.0, obs_std)
     scaled = (data - obs_mean) / obs_std
     val_scaled = None
     if val_dataset is not None:
-        val_arr = _dataset_array(val_dataset)
+        val_arr = val_dataset.data
         if val_arr.shape[0] == 0:
             raise ValueError("train: the validation set holds no sequences")
         if not np.all(np.isfinite(val_arr)):

@@ -172,8 +172,8 @@ def test_criterion_3_wasserstein_oracle():
 def _quadrature_log_evidence(model, x1, x2, n1=801, n2=801):
     """Independent trapezoid oracle for log p(x2 | x1) on the tiny model,
     with z1 distributed as the initial-observation belief."""
-    enc = model.encode_initial(np.array([x1]))
-    mu1, sd1 = float(enc.mean.value[0]), float(enc.std.value[0])
+    enc = model.encode_initial(np.array([[x1]]))
+    mu1, sd1 = float(enc.mean.value[0, 0]), float(enc.std.value[0, 0])
     z1 = np.linspace(mu1 - 8 * sd1, mu1 + 8 * sd1, n1)
     q1 = np.exp(-0.5 * ((z1 - mu1) / sd1) ** 2) / (sd1 * np.sqrt(2 * np.pi))
     h1 = model.gru_advance(Tensor(z1[:, None]), Tensor(np.zeros((n1, 2)))).value
@@ -274,7 +274,7 @@ def test_criterion_6_lorenz_desk_scale():
         nll = dataset_multi_step_nll(
             model, scaled, 10, 100, np.random.default_rng(3), reduction="sum"
         )
-        one_step = one_step_nll(model, scaled, np.random.default_rng(4), prefix_len=10)
+        one_step = one_step_nll(model, scaled, 10, np.random.default_rng(4))
         groups = [Dataset(ckpt.normalize(g.data), g.prefix_len) for g in sim.groups]
         w_mean, _ = w_distance_protocol(model, groups, np.random.default_rng(5))
         return nll, one_step, w_mean

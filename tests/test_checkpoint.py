@@ -31,7 +31,7 @@ def make_checkpoint(seed=0):
 
 
 def assert_same_checkpoint(got, want):
-    assert got.config.to_dict() == want.config.to_dict()
+    assert got.config == want.config
     assert got.provenance == want.provenance
     assert got.model_arrays.keys() == want.model_arrays.keys()
     for name, arr in want.model_arrays.items():

@@ -236,8 +236,13 @@ def test_count_below_one_fails(tmp_path, capsys, command, flag):
         (["--prefix-len", "0"], "setting 'prefix_len' must be >= 1, got 0"),
         (["--gen", "four_mode", "--seq-len", "50"],
          "setting 'seq_len' is fixed at 4 for four_mode data, got 50"),
+        (["--gen", "four_mode", "--prefix-len", "5"],
+         "setting 'prefix_len' must be <= seq_len = 4, got 5"),
+        (["--seq-len", "5", "--prefix-len", "9"],
+         "setting 'prefix_len' must be <= seq_len = 5, got 9"),
     ],
-    ids=["seq_len_0", "prefix_len_0", "four_mode_seq_len_50"],
+    ids=["seq_len_0", "prefix_len_0", "four_mode_seq_len_50", "four_mode_prefix_len_5",
+         "prefix_len_9_over_seq_len_5"],
 )
 def test_simulate_length_checked(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
@@ -340,6 +345,28 @@ def test_evaluate_dimension_mismatch_fails(tmp_path):
         ]
     )
     assert rc == 1
+
+
+def test_evaluate_failure_leaves_no_output_directory(tmp_path, capsys):
+    """A manifest whose prefix fills the whole sequence leaves nothing to
+    score; evaluate fails before it creates --out."""
+    manifest = simulate_four_mode(tmp_path / "data")
+    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    with open(manifest) as fh:
+        body = json.load(fh)
+    body["prefix_len"] = body["seq_len"]
+    with open(manifest, "w") as fh:
+        json.dump(body, fh)
+    out = tmp_path / "eval"
+    rc = main(
+        [
+            "evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "1",
+            "--out", str(out), "--n-forecasts", "5",
+        ]
+    )
+    assert rc == 1
+    assert "dataset_multi_step_nll: no continuation to score" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_evaluate_truncated_checkpoint_fails_cleanly(tmp_path, capsys):

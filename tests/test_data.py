@@ -9,7 +9,6 @@ import pytest
 from vdm.data import (
     Dataset,
     LorenzConfig,
-    Trajectory,
     generate_four_mode,
     group_by_prefix,
     load_csv,
@@ -194,8 +193,8 @@ def test_csv_single_sequence_taxi_slicing(tmp_path):
     save_csv(ds, path)
     back = load_csv(path, d_x=2, seq_len=30, prefix_len=10)
     assert len(back) == 1
-    assert back.trajectories[0].prefix.shape == (10, 2)
-    assert back.trajectories[0].continuation.shape == (20, 2)
+    assert back.data[0, : back.prefix_len].shape == (10, 2)
+    assert back.data[0, back.prefix_len :].shape == (20, 2)
 
 
 def test_csv_empty_file_gives_empty_dataset(tmp_path):
@@ -337,9 +336,9 @@ def test_csv_wrong_header_rejected(tmp_path):
 
 def test_trajectory_invariants():
     with pytest.raises(ValueError, match="finite"):
-        Trajectory(np.array([[np.nan, 0.0]]), prefix_len=1)
+        Dataset(np.array([[[np.nan, 0.0]]]), prefix_len=1)
     with pytest.raises(ValueError, match="prefix_len"):
-        Trajectory(np.zeros((3, 2)), prefix_len=4)
+        Dataset(np.zeros((1, 3, 2)), prefix_len=4)
 
 
 # ---------------------------------------------------------------------------

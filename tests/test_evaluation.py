@@ -94,7 +94,7 @@ def test_one_step_nll_calibrated_unit_gaussian():
         for t in store.params.values():
             t.value[...] = 0.0
     ds = Dataset(np.zeros((3, 4, 1)), prefix_len=1)
-    got = one_step_nll(model, ds, np.random.default_rng(1))
+    got = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(1))
     np.testing.assert_allclose(got, HALF_LOG_2PI, rtol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_one_step_nll_k1_gaussian_predictive():
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=1, sampler_mode="monte_carlo")
     model = VdmModel.initialize(cfg, np.random.default_rng(2))
     ds = Dataset(np.random.default_rng(3).normal(size=(4, 5, 2)), prefix_len=2)
-    val = one_step_nll(model, ds, np.random.default_rng(4))
+    val = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(4))
     assert math.isfinite(val)
 
 
@@ -110,8 +110,8 @@ def test_one_step_nll_deterministic():
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5)
     model = VdmModel.initialize(cfg, np.random.default_rng(5))
     ds = Dataset(np.random.default_rng(6).normal(size=(3, 6, 2)), prefix_len=2)
-    a = one_step_nll(model, ds, np.random.default_rng(7))
-    b = one_step_nll(model, ds, np.random.default_rng(7))
+    a = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(7))
+    b = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(7))
     assert a == b
 
 

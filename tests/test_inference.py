@@ -78,9 +78,27 @@ def test_degenerate_likelihoods_error():
         weights_from_loglik(np.zeros((1, 2)), "categorical")
 
 
+def test_weights_reject_a_single_row():
+    with pytest.raises(ValueError, match=r"^weights_from_loglik: expected \(B, k\)"):
+        weights_from_loglik(np.zeros(3), "delta")
+
+
 # ---------------------------------------------------------------------------
 # belief recursion
 # ---------------------------------------------------------------------------
+
+def test_recursion_rejects_lower_rank_observations():
+    """belief_init and belief_step take (B, d_x) observations and
+    filter_sequence a (B, T, d_x) batch; a single trajectory is B = 1."""
+    model = make_model()
+    with pytest.raises(ValueError, match=r"^belief_init: expected \(B, 3\)"):
+        belief_init(model, np.zeros(3))
+    belief = belief_init(model, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"^belief_step: expected \(B, 3\)"):
+        belief_step(model, belief, np.zeros(3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^filter_sequence: expected \(B, T>=1, d_x\)"):
+        filter_sequence(model, np.zeros((2, 3)), np.random.default_rng(0))
+
 
 def test_belief_init_contract():
     model = make_model(seed=6)
@@ -88,8 +106,9 @@ def test_belief_init_contract():
     belief = belief_init(model, x)
     np.testing.assert_array_equal(belief.weights, [[1.0]])
     np.testing.assert_array_equal(belief.expected_h.value, np.zeros((1, 4)))
-    np.testing.assert_array_equal(belief.collapsed.mean.value, belief.components.mean.value[:, 0])
-    np.testing.assert_array_equal(belief.collapsed.std.value, belief.components.std.value[:, 0])
+    g = model.encode_initial(x)
+    np.testing.assert_array_equal(belief.collapsed.mean.value, g.mean.value)
+    np.testing.assert_array_equal(belief.collapsed.std.value, g.std.value)
 
 
 def test_belief_step_determinism():
@@ -123,13 +142,12 @@ def test_collapsed_matches_selected_component():
     belief, info = belief_step(model, belief, np.random.default_rng(4).normal(size=(2, 3)),
                                np.random.default_rng(5))
     idx = np.argmax(belief.weights, axis=1)
+    k, d_z = model.config.k, model.config.d_z
+    means = info.q_flat.mean.value.reshape(2, k, d_z)
+    stds = info.q_flat.std.value.reshape(2, k, d_z)
     for b in range(2):
-        np.testing.assert_array_equal(
-            belief.collapsed.mean.value[b], belief.components.mean.value[b, idx[b]]
-        )
-        np.testing.assert_array_equal(
-            belief.collapsed.std.value[b], belief.components.std.value[b, idx[b]]
-        )
+        np.testing.assert_array_equal(belief.collapsed.mean.value[b], means[b, idx[b]])
+        np.testing.assert_array_equal(belief.collapsed.std.value[b], stds[b, idx[b]])
 
 
 def test_k1_matches_independent_single_sample_filter():
@@ -137,28 +155,28 @@ def test_k1_matches_independent_single_sample_filter():
     for seed in range(3):
         model = make_model(k=1, sampler_mode="monte_carlo", seed=seed)
         rng = np.random.default_rng(100 + seed)
-        xs = rng.normal(size=(4, 3))
+        xs = rng.normal(size=(1, 4, 3))
 
         rng_a = np.random.default_rng(7)
         belief, beliefs = filter_sequence(model, xs, rng_a)
 
         # independent reference: one latent draw, h <- s, q <- infer(s, x)
         rng_b = np.random.default_rng(7)
-        g = model.encode_initial(xs[0])
-        h = np.zeros(model.config.d_h)
+        g = model.encode_initial(xs[:, 0])
+        h = np.zeros((1, model.config.d_h))
         ref_means, ref_stds = [g.mean.value.copy()], [g.std.value.copy()]
         for t in range(1, 4):
             eps = rng_b.standard_normal((1, 1, model.config.d_z))
-            z = g.mean.value + g.std.value * eps[0, 0]
+            z = g.mean.value + g.std.value * eps[:, 0]
             s = model.gru_advance(Tensor(z), Tensor(h)).value
-            g = model.infer_component(Tensor(s), Tensor(xs[t]))
+            g = model.infer_component(Tensor(s), Tensor(xs[:, t]))
             h = s
             ref_means.append(g.mean.value.copy())
             ref_stds.append(g.std.value.copy())
 
         for t, b in enumerate(beliefs):
-            np.testing.assert_allclose(b.collapsed.mean.value[0], ref_means[t], rtol=1e-12)
-            np.testing.assert_allclose(b.collapsed.std.value[0], ref_stds[t], rtol=1e-12)
+            np.testing.assert_allclose(b.collapsed.mean.value, ref_means[t], rtol=1e-12)
+            np.testing.assert_allclose(b.collapsed.std.value, ref_stds[t], rtol=1e-12)
             np.testing.assert_array_equal(b.weights, [[1.0]])
 
 
@@ -318,6 +336,16 @@ def test_export_prior_draw_count_and_steps():
     draws = export_predictive_prior(model, beliefs, n_draws=17, rng=np.random.default_rng(2))
     assert len(draws) == 3
     assert all(d.shape == (17, 2) for d in draws)
+
+
+def test_export_prior_needs_a_draw_count_and_an_rng():
+    """No unseeded fallback: the same seed must give the same draws."""
+    model = make_model(seed=23)
+    _, beliefs = filter_sequence(model, np.zeros((1, 2, 3)), np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        export_predictive_prior(model, beliefs)
+    with pytest.raises(TypeError):
+        export_predictive_prior(model, beliefs, 5)
 
 
 def test_export_prior_rejects_batches():

@@ -34,22 +34,22 @@ def test_encoder_zero_final_layer_standard_normal():
     model = make_model()
     model.params["enc2.w"].value[...] = 0.0
     model.params["enc2.b"].value[...] = 0.0
-    g = model.encode_initial(np.array([0.7, -2.0, 3.3]))
-    np.testing.assert_array_equal(g.mean.value, np.zeros(2))
-    np.testing.assert_array_equal(g.std.value, np.ones(2))
+    g = model.encode_initial(np.array([[0.7, -2.0, 3.3]]))
+    np.testing.assert_array_equal(g.mean.value, np.zeros((1, 2)))
+    np.testing.assert_array_equal(g.std.value, np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("d_z", [4, 6, 8])
 def test_encoder_output_dimension(d_z):
     model = make_model(d_z=d_z, k=2 * d_z + 1)
-    g = model.encode_initial(np.zeros(3))
-    assert g.mean.value.shape == (d_z,)
-    assert g.std.value.shape == (d_z,)
+    g = model.encode_initial(np.zeros((1, 3)))
+    assert g.mean.value.shape == (1, d_z)
+    assert g.std.value.shape == (1, d_z)
 
 
 def test_encoder_deterministic():
     model = make_model(seed=3)
-    x = np.array([0.1, 0.2, 0.3])
+    x = np.array([[0.1, 0.2, 0.3]])
     g1 = model.encode_initial(x)
     g2 = model.encode_initial(x)
     np.testing.assert_array_equal(g1.mean.value, g2.mean.value)
@@ -60,14 +60,14 @@ def test_transition_zero_final_layer_standard_normal_prior():
     model = make_model()
     model.params["tra2.w"].value[...] = 0.0
     model.params["tra2.b"].value[...] = 0.0
-    g = model.transition_prior(np.linspace(-1, 1, 4))
-    np.testing.assert_array_equal(g.mean.value, np.zeros(2))
-    np.testing.assert_array_equal(g.std.value, np.ones(2))
+    g = model.transition_prior(np.linspace(-1, 1, 4)[None, :])
+    np.testing.assert_array_equal(g.mean.value, np.zeros((1, 2)))
+    np.testing.assert_array_equal(g.std.value, np.ones((1, 2)))
 
 
 def test_transition_gradient_wrt_input():
     model = make_model(seed=5)
-    h0 = np.random.default_rng(1).uniform(-1, 1, size=4)
+    h0 = np.random.default_rng(1).uniform(-1, 1, size=(1, 4))
 
     def loss_value():
         g = model.transition_prior(Tensor(h0))
@@ -85,34 +85,37 @@ def test_transition_gradient_wrt_input():
 def test_lorenz_configuration_dimensions():
     cfg = ModelConfig(d_x=3, d_z=6, d_h=32, k=13)
     model = VdmModel.initialize(cfg, np.random.default_rng(0))
-    g = model.transition_prior(np.zeros(32))
-    assert g.mean.value.shape == (6,)
+    g = model.transition_prior(np.zeros((1, 32)))
+    assert g.mean.value.shape == (1, 6)
 
 
 def test_gru_all_zero_weights_zero_state():
     model = make_model()
     zero_all(model.params)
-    out = model.gru_advance(np.zeros(2), np.zeros(4))
-    np.testing.assert_array_equal(out.value, np.zeros(4))
+    out = model.gru_advance(np.zeros((1, 2)), np.zeros((1, 4)))
+    np.testing.assert_array_equal(out.value, np.zeros((1, 4)))
 
 
 def test_gru_update_gate_saturation_carries_state_through():
     model = make_model(seed=7)
     model.params["gru.bu"].value[...] = 50.0  # update gate ~ 1
-    h_prev = np.array([0.3, -0.7, 0.2, 0.9])
-    out = model.gru_advance(np.array([1.0, -1.0]), h_prev)
+    h_prev = np.array([[0.3, -0.7, 0.2, 0.9]])
+    out = model.gru_advance(np.array([[1.0, -1.0]]), h_prev)
     np.testing.assert_allclose(out.value, h_prev, atol=1e-12)
 
 
 def test_gru_shared_between_generation_and_inference():
     """The inference-side recurrent sample uses the generative cell parameters."""
     from vdm.inference import belief_init, belief_step
+    from vdm.sampling import latent_sample_batch
 
     model = make_model(seed=9)
     belief = belief_init(model, np.array([[0.1, 0.2, -0.1]]))
     new_belief, info = belief_step(model, belief, np.array([[0.4, -0.2, 0.0]]),
                                    np.random.default_rng(11))
-    z = info.z_samples.value[0]  # (k, d_z)
+    # belief_step's first draw: the same seed gives the same latents
+    z = latent_sample_batch(belief.collapsed, model.config, np.random.default_rng(11))
+    z = z.value[0]  # (k, d_z)
     manual = model.gru_advance(Tensor(z), Tensor(np.zeros((z.shape[0], 4))))
     np.testing.assert_allclose(new_belief.branch_states.value[0], manual.value, rtol=1e-12)
 
@@ -121,16 +124,16 @@ def test_emit_zero_final_layer():
     model = make_model()
     model.params["dec2.w"].value[...] = 0.0
     model.params["dec2.b"].value[...] = 0.0
-    g = model.emit(np.ones(2), np.ones(4))
-    np.testing.assert_array_equal(g.mean.value, np.zeros(3))
-    np.testing.assert_array_equal(g.std.value, np.ones(3))
+    g = model.emit(np.ones((1, 2)), np.ones((1, 4)))
+    np.testing.assert_array_equal(g.mean.value, np.zeros((1, 3)))
+    np.testing.assert_array_equal(g.std.value, np.ones((1, 3)))
 
 
 def test_emit_taxi_dimensions():
     cfg = ModelConfig(d_x=2, d_z=6, d_h=32, k=13)
     model = VdmModel.initialize(cfg, np.random.default_rng(1))
-    g = model.emit(np.zeros(6), np.zeros(32))
-    assert g.mean.value.shape == (2,)
+    g = model.emit(np.zeros((1, 6)), np.zeros((1, 32)))
+    assert g.mean.value.shape == (1, 2)
 
 
 def test_infer_component_identical_inputs_identical_components():
@@ -147,16 +150,16 @@ def test_infer_component_zero_final_layer():
     model = make_model()
     model.params["inf2.w"].value[...] = 0.0
     model.params["inf2.b"].value[...] = 0.0
-    g = model.infer_component(np.ones(4), np.ones(3))
-    np.testing.assert_array_equal(g.mean.value, np.zeros(2))
-    np.testing.assert_array_equal(g.std.value, np.ones(2))
+    g = model.infer_component(np.ones((1, 4)), np.ones((1, 3)))
+    np.testing.assert_array_equal(g.mean.value, np.zeros((1, 2)))
+    np.testing.assert_array_equal(g.std.value, np.ones((1, 2)))
 
 
 def test_infer_component_gradient_wrt_both_inputs():
     model = make_model(seed=15)
     rng = np.random.default_rng(3)
-    s0 = rng.uniform(-1, 1, size=4)
-    x0 = rng.uniform(-1, 1, size=3)
+    s0 = rng.uniform(-1, 1, size=(1, 4))
+    x0 = rng.uniform(-1, 1, size=(1, 3))
 
     store = ParameterStore()
     sp = store.add("s", s0.copy())
@@ -178,16 +181,16 @@ def test_discriminator_zero_output_layer_gives_half():
     model = make_model()
     model.disc["mlp2.w"].value[...] = 0.0
     model.disc["mlp2.b"].value[...] = 0.0
-    p = model.discriminate(np.ones(4), np.ones(3))
-    np.testing.assert_array_equal(p.value, [0.5])
+    p = model.discriminate(np.ones((1, 4)), np.ones((1, 3)))
+    np.testing.assert_array_equal(p.value, [[0.5]])
 
 
 def test_discriminator_output_strictly_inside_unit_interval():
     model = make_model(seed=21)
     rng = np.random.default_rng(8)
     for _ in range(20):
-        p = model.discriminate(rng.uniform(-50, 50, 4), rng.uniform(-50, 50, 3))
-        assert 0.0 < p.value[0] < 1.0
+        p = model.discriminate(rng.uniform(-50, 50, (1, 4)), rng.uniform(-50, 50, (1, 3)))
+        assert 0.0 < p.value[0, 0] < 1.0
 
 
 def test_discriminator_parameters_disjoint_from_model():
@@ -203,23 +206,23 @@ def test_all_zero_parameters_smoke():
     model = make_model()
     zero_all(model.params)
     zero_all(model.disc)
-    x = np.array([1.0, 2.0, 3.0])
+    x = np.array([[1.0, 2.0, 3.0]])
     for g in (
         model.encode_initial(x),
-        model.transition_prior(np.ones(4)),
-        model.emit(np.ones(2), np.ones(4)),
-        model.infer_component(np.ones(4), x),
+        model.transition_prior(np.ones((1, 4))),
+        model.emit(np.ones((1, 2)), np.ones((1, 4))),
+        model.infer_component(np.ones((1, 4)), x),
     ):
         np.testing.assert_array_equal(g.mean.value, np.zeros_like(g.mean.value))
         np.testing.assert_array_equal(g.std.value, np.ones_like(g.std.value))
-    np.testing.assert_array_equal(model.discriminate(np.ones(4), x).value, [0.5])
+    np.testing.assert_array_equal(model.discriminate(np.ones((1, 4)), x).value, [[0.5]])
 
 
 def test_std_strictly_positive_everywhere():
     rng = np.random.default_rng(31)
     model = make_model(seed=31)
     for _ in range(20):
-        g = model.infer_component(rng.uniform(-30, 30, 4), rng.uniform(-30, 30, 3))
+        g = model.infer_component(rng.uniform(-30, 30, (1, 4)), rng.uniform(-30, 30, (1, 3)))
         assert np.all(g.std.value > 0)
 
 
@@ -239,9 +242,36 @@ def test_parameter_counts_stable_and_match_init():
 def test_nonfinite_input_rejected():
     model = make_model()
     with pytest.raises(ValueError, match="non-finite"):
-        model.encode_initial(np.array([np.nan, 0.0, 0.0]))
+        model.encode_initial(np.array([[np.nan, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
-        model.gru_advance(np.array([np.inf, 0.0]), np.zeros(4))
+        model.gru_advance(np.array([[np.inf, 0.0]]), np.zeros((1, 4)))
+
+
+# trailing dimension of each argument under make_model's d_x=3, d_z=2, d_h=4
+NETWORK_INPUT_DIMS = {
+    "encode_initial": (3,),
+    "transition_prior": (4,),
+    "gru_advance": (2, 4),
+    "emit": (2, 4),
+    "infer_component": (4, 3),
+    "disc_step": (3, 4),
+    "discriminate": (4, 3),
+}
+
+
+@pytest.mark.parametrize("method", sorted(NETWORK_INPUT_DIMS))
+def test_network_rejects_a_lower_rank_input(method):
+    """Every network takes (B, d) batches: a single vector in any argument
+    position raises ValueError naming the network, and the (1, d) batch of
+    the same values is accepted."""
+    model = make_model()
+    dims = NETWORK_INPUT_DIMS[method]
+    getattr(model, method)(*[np.zeros((1, d)) for d in dims])
+    for pos, dim in enumerate(dims):
+        args = [np.zeros((1, d)) for d in dims]
+        args[pos] = np.zeros(dim)
+        with pytest.raises(ValueError, match=rf"^{method}: expected a \(B, {dim}\) batch"):
+            getattr(model, method)(*args)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -90,20 +90,18 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
     x = np.random.default_rng(1).normal(size=(1, 3))
     _, info = belief_step(model, belief, x, np.random.default_rng(2))
     k = model.config.k
-    info.recon_eps = np.random.default_rng(3).standard_normal((k, model.config.d_z))
-    base = _elbo_from_info(model, info, x)
+    recon_eps = np.random.default_rng(3).standard_normal((k, model.config.d_z))
+    base = _elbo_from_info(model, info, x, recon_eps)
 
     perm = np.random.default_rng(4).permutation(k)
     permuted = type(info)(
-        z_samples=info.z_samples,
         branch_states_flat=Tensor(info.branch_states_flat.value[perm]),
         q_flat=DiagGaussian(Tensor(info.q_flat.mean.value[perm]), Tensor(info.q_flat.std.value[perm])),
         prior_flat=DiagGaussian(Tensor(info.prior_flat.mean.value[perm]), Tensor(info.prior_flat.std.value[perm])),
         branch_loglik=Tensor(info.branch_loglik.value[:, perm]),
         weights=weights_from_loglik(info.branch_loglik.value[:, perm], "delta"),
-        recon_eps=info.recon_eps[perm],
     )
-    again = _elbo_from_info(model, permuted, x)
+    again = _elbo_from_info(model, permuted, x, recon_eps[perm])
     np.testing.assert_allclose(again.value, base.value, rtol=1e-12)
 
 
@@ -197,6 +195,12 @@ def test_short_trajectory_rejected():
         total_loss(model, np.zeros((1, 1, 3)), np.random.default_rng(0))
 
 
+def test_total_loss_rejects_a_single_trajectory_without_batch_axis():
+    model = make_model()
+    with pytest.raises(ValueError, match=r"^total_loss: expected \(B, T, d_x\)"):
+        total_loss(model, np.zeros((4, 3)), np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_total_loss_gradient_matches_finite_differences(seed):
     """d_z=2, d_h=4, T=3; weights and sample noise frozen across FD evaluations."""
@@ -268,7 +272,7 @@ def _tiny_four_mode(n=60, seed=0):
 def test_zero_epochs_returns_initialized_checkpoint():
     train_ds, _ = _tiny_four_mode()
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
-    result = train(train_ds, cfg, np.random.default_rng(11), epochs=0, normalize=False)
+    result = train(train_ds, cfg, np.random.default_rng(11), epochs=0)
     ref = VdmModel.initialize(cfg, np.random.default_rng(11))
     for name in ref.params.names():
         np.testing.assert_array_equal(
@@ -333,26 +337,26 @@ def test_divergence_aborts_with_last_good_checkpoint():
 
 
 def test_nonfinite_training_data_is_an_error_not_divergence():
-    """A NaN in a raw training array is bad input: train raises instead of
-    reporting a diverged run."""
+    """A NaN in the training data is bad input: train raises instead of
+    reporting a diverged run.  The NaN is written after the Dataset checked
+    its values, so it reaches the filtering recursion."""
     train_ds, _ = _tiny_four_mode()
-    data = train_ds.data.copy()
-    data[3, 2, 1] = np.nan
+    train_ds.data[3, 2, 1] = np.nan
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
     with pytest.raises(ValueError, match="non-finite") as excinfo:
-        train(data, cfg, np.random.default_rng(5), epochs=2, batch_size=16)
+        train(train_ds, cfg, np.random.default_rng(5), epochs=2, batch_size=16)
     assert not isinstance(excinfo.value, FloatingPointError)
 
 
 def test_nonfinite_validation_data_is_an_error():
-    """A NaN in the validation array would score every epoch as nan and
-    switch off best-model selection; train rejects it up front."""
+    """A NaN in the validation data would score every epoch as nan and
+    switch off best-model selection; train rejects it up front.  The NaN is
+    written after the Dataset checked its values."""
     train_ds, val_ds = _tiny_four_mode()
-    val = val_ds.data.copy()
-    val[0, 1, 0] = np.nan
+    val_ds.data[0, 1, 0] = np.nan
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
     with pytest.raises(ValueError, match="validation"):
-        train(train_ds, cfg, np.random.default_rng(5), val_dataset=val, epochs=3, batch_size=16)
+        train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=3, batch_size=16)
 
 
 def _live_discriminator_adv(model, prefix_summary, x_real, x_gen):
@@ -369,7 +373,7 @@ def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
     gradients it hands to Adam equal those of the two-sweep reference: the
     generator loss swept alone, then the discriminator loss alone after
     zeroing the discriminator gradients."""
-    data = generate_four_mode((16, 20, 1), np.random.default_rng(0))[0].data
+    train_ds = generate_four_mode((16, 20, 1), np.random.default_rng(0))[0]
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5)
     sweeps, handed = [], []
     real_backward, real_adam = objective.backward, objective.adam_step
@@ -384,7 +388,7 @@ def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
 
     monkeypatch.setattr(objective, "backward", counting_backward)
     monkeypatch.setattr(objective, "adam_step", spying_adam)
-    train(data, cfg, np.random.default_rng(3), epochs=1, batch_size=16, normalize=False)
+    result = train(train_ds, cfg, np.random.default_rng(3), epochs=1, batch_size=16)
     assert len(sweeps) == 1
     assert len(handed) == 2
     monkeypatch.undo()
@@ -392,6 +396,8 @@ def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
     monkeypatch.setattr(objective, "adv_regularizer", _live_discriminator_adv)
     rng = np.random.default_rng(3)
     model = VdmModel.initialize(cfg, rng)
+    # train standardizes with training-set statistics, which the checkpoint keeps
+    data = result.checkpoint.normalize(train_ds.data)
     batch = data[rng.permutation(len(data))]
     with Tape() as tape:
         bd = total_loss(model, batch, rng)

@@ -1,6 +1,11 @@
-"""Package surface: the top-level exports match the README quick start, and
-the fast demos run."""
+"""Package surface: the top-level exports match the README quick start,
+every submodule export and every name a demo imports resolves, and the fast
+demos run."""
+import ast
+import glob
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -25,6 +30,38 @@ def test_public_api_is_the_readme_quick_start():
     assert sorted(vdm.__all__) == sorted(names)
     for name in names:
         assert callable(getattr(vdm, name)), name
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(vdm.__path__, "vdm."))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_exports_resolve(module):
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.__all__ lists {name!r}, which is not defined"
+
+
+def demo_imports(path):
+    """(module, name) for every ``from vdm... import name`` in a demo, read
+    without running it."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vdm"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_imports_resolve(demo):
+    imports = demo_imports(demo)
+    assert imports, f"{demo} imports nothing from vdm"
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 @pytest.mark.parametrize(
