@@ -42,14 +42,13 @@ class Checkpoint:
     provenance: dict = field(default_factory=dict)
 
     @classmethod
-    def from_stores(cls, config, params, disc, obs_mean, obs_std, provenance=None):
+    def from_stores(cls, config, params, disc, obs_mean, obs_std):
         return cls(
             config=config,
             model_arrays={k: v.value.copy() for k, v in params.params.items()},
             disc_arrays={k: v.value.copy() for k, v in disc.params.items()},
             obs_mean=np.asarray(obs_mean, dtype=np.float64),
             obs_std=np.asarray(obs_std, dtype=np.float64),
-            provenance=dict(provenance or {}),
         )
 
     def build_model(self):

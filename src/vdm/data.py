@@ -8,8 +8,8 @@ toy.  Real trajectory files enter through a generic CSV reader with rows
 from __future__ import annotations
 
 import csv
+import io
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,47 +212,108 @@ def _csv_header(d_x):
     return ["seq_id", "t"] + [f"x{i}" for i in range(d_x)]
 
 
+def _row_fields(d_x):
+    return [("seq_id", object), ("t", np.int64), ("x", np.float64, (d_x,))]
+
+
+def _parse_rows(fh, d_x, max_rows=None):
+    """The body rows of a trajectory CSV in one vectorized pass.
+
+    Numbers follow numpy's grammar: no digit separators, and ``t`` is a
+    64-bit integer.  A blank line is skipped; any other malformed row raises.
+    """
+    return np.loadtxt(fh, dtype=np.dtype(_row_fields(d_x)), delimiter=",", quotechar='"',
+                      comments=None, ndmin=1, max_rows=max_rows)
+
+
+def _raise_first_malformed_row(path, body, d_x):
+    """Raise for the first body row with the wrong field count or a field that
+    ``_parse_rows`` rejects, if there is one.  A non-finite value or a step
+    index out of order in an earlier row is reported first, as a row-by-row
+    reader would."""
+    numbers = np.dtype(_row_fields(d_x)[1:])
+    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
+        if len(row) != 2 + d_x:
+            reason = f"expected {2 + d_x} fields"
+        else:
+            try:
+                np.loadtxt([",".join(row[1:])], dtype=numbers, delimiter=",", comments=None)
+                continue
+            except ValueError:
+                reason = "non-numeric field"
+        if lineno > 2:
+            _check_rows(path, _parse_rows(io.StringIO(body), d_x, max_rows=lineno - 2))
+        raise ValueError(f"{path}: malformed row {lineno}: {reason}")
+
+
+def _check_rows(path, rows):
+    """Raise for the first row, in file order, with a non-finite value or a
+    step index not above the previous one of its sequence.
+
+    Returns each row's sequence index, numbered by first appearance, and the
+    stable order that puts each sequence's rows together.
+    """
+    first_seen = {}
+    codes = np.fromiter(
+        (first_seen.setdefault(s, len(first_seen)) for s in rows["seq_id"]), np.intp, len(rows)
+    )
+    order = np.argsort(codes, kind="stable")
+    t = rows["t"][order]
+    repeats = order[1:][(codes[order][1:] == codes[order][:-1]) & (t[1:] <= t[:-1])]
+    nonfinite = np.flatnonzero(~np.isfinite(rows["x"]).all(axis=1))
+    bad_t = repeats.min() if repeats.size else len(rows)
+    bad_x = nonfinite[0] if nonfinite.size else len(rows)
+    if bad_x < len(rows) and bad_x <= bad_t:
+        raise ValueError(f"{path}: non-finite value at row {bad_x + 2}")
+    if bad_t < len(rows):
+        seq_id = rows["seq_id"][bad_t]
+        raise ValueError(
+            f"{path}: sequence {seq_id!r}: step index not ascending at row {bad_t + 2}"
+        )
+    return codes, order
+
+
 def load_csv(path, d_x, seq_len, prefix_len):
     """Assemble a Dataset from rows ``seq_id,t,x0..x{d_x-1}``.
 
-    Sequences shorter than seq_len are skipped (count logged); longer ones
-    are truncated.  Malformed or non-finite rows and out-of-order step
-    indices raise with the offending row or sequence named.
+    The file is parsed in one vectorized pass and checked in numpy; sequences
+    keep their order of first appearance.  Sequences shorter than seq_len
+    are skipped (count logged); longer ones are truncated.  Malformed or
+    non-finite rows and out-of-order step indices raise with the first
+    offending row, and its sequence, named.
     """
-    sequences = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return Dataset(np.zeros((0, seq_len, d_x)), prefix_len)
+    empty = Dataset(np.zeros((0, seq_len, d_x)), prefix_len)
+    with open(path) as fh:
+        line = fh.readline()
+        if not line:
+            return empty
+        header = next(csv.reader([line]))
         if header != _csv_header(d_x):
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2 + d_x:
-                raise ValueError(f"{path}: malformed row {lineno}: expected {2 + d_x} fields")
-            seq_id = row[0]
-            try:
-                t = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError:
-                raise ValueError(f"{path}: malformed row {lineno}: non-numeric field") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: non-finite value at row {lineno}")
-            steps = sequences.setdefault(seq_id, [])
-            if steps and t <= steps[-1][0]:
-                raise ValueError(f"{path}: sequence {seq_id!r}: step index not ascending at row {lineno}")
-            steps.append((t, values))
+        start = fh.tell()
+        body = fh.read()
+        if not body:
+            return empty
+        fh.seek(start)
+        try:
+            rows = _parse_rows(fh, d_x)
+        except ValueError:
+            _raise_first_malformed_row(path, body, d_x)
+            raise
+    # loadtxt skips a blank line, which is a malformed row here unless it lies
+    # inside a quoted seq_id
+    if body.startswith("\n") or "\n\n" in body:
+        _raise_first_malformed_row(path, body, d_x)
 
-    kept, skipped = [], 0
-    for seq_id, steps in sequences.items():
-        if len(steps) < seq_len:
-            skipped += 1
-            continue
-        kept.append([v for _, v in steps[:seq_len]])
-    if skipped:
-        log.warning("load_csv: skipped %d sequence(s) shorter than %d", skipped, seq_len)
-    data = np.asarray(kept, dtype=np.float64).reshape(len(kept), seq_len, d_x)
+    codes, order = _check_rows(path, rows)
+    counts = np.bincount(codes)
+    kept = np.flatnonzero(counts >= seq_len)
+    if kept.size < counts.size:
+        log.warning(
+            "load_csv: skipped %d sequence(s) shorter than %d", counts.size - kept.size, seq_len
+        )
+    starts = np.cumsum(counts) - counts
+    data = rows["x"][order[starts[kept, None] + np.arange(seq_len)]]
     return Dataset(data, prefix_len)
 
 

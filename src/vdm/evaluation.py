@@ -108,7 +108,8 @@ def one_step_nll(model, data, prefix_len, rng):
     t_len = data.shape[1]
     if t_len - prefix_len < 1:
         raise ValueError("one_step_nll: no continuation to score")
-    _, beliefs = filter_sequence(model, data, rng)
+    # the belief after the last observation predicts nothing that is scored
+    _, beliefs = filter_sequence(model, data[:, :-1], rng)
     totals = []
     for t in range(prefix_len, t_len):
         mixture = one_step_predictive(model, beliefs[t - 1])

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, as_tensor, backward
+from .data import Dataset
 from .gaussians import gaussian_kl, gaussian_log_pdf
 from .inference import belief_init, belief_step
 from .nets import VdmModel
@@ -203,6 +204,13 @@ def train(
     from .checkpoint import Checkpoint  # local import to avoid a cycle
     from .evaluation import dataset_multi_step_nll
 
+    if not isinstance(dataset, Dataset):
+        raise ValueError(f"train: dataset must be a Dataset, got {type(dataset).__name__}")
+    # checked by type: a bare array has a .data attribute too (a memoryview)
+    if val_dataset is not None and not isinstance(val_dataset, Dataset):
+        raise ValueError(
+            f"train: val_dataset must be a Dataset, got {type(val_dataset).__name__}"
+        )
     data, prefix_len = dataset.data, dataset.prefix_len
     if len(dataset) == 0:
         raise ValueError("train: the training set holds no sequences")

@@ -1,15 +1,15 @@
 """Shared test utilities: finite-difference oracles, error measures, frozen
 branch selection, the unfused tape primitives that fused records are checked
 against and test losses are built from, and the row-at-a-time CSV rendering
-that the block writer must reproduce."""
+and reading that the block writer and the vectorized loader must reproduce."""
 import contextlib
 import csv
 import io
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
-from scipy.special import expit
 
 import vdm.autodiff as ad
 import vdm.inference
@@ -115,6 +115,48 @@ def rerendered_csv(path, n_keys):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     return row_writer_csv(header, [(row[:n_keys], map(float, row[n_keys:])) for row in rows])
+
+
+def row_reader_csv(path, d_x, seq_len):
+    """The trajectory CSV at ``path`` read one row at a time by ``csv.reader``
+    and ``float``; returns the (N, seq_len, d_x) array and the number of
+    sequences skipped as shorter than seq_len.
+
+    This is the loader ``vdm.data.load_csv`` replaced, kept as its reference:
+    the same arrays, the same skipped count, and the same errors, in the same
+    words and at the same rows, for input in numpy's number grammar.
+    """
+    sequences = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return np.zeros((0, seq_len, d_x)), 0
+        if header != ["seq_id", "t"] + [f"x{i}" for i in range(d_x)]:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2 + d_x:
+                raise ValueError(f"{path}: malformed row {lineno}: expected {2 + d_x} fields")
+            seq_id = row[0]
+            try:
+                t = int(row[1])
+                values = [float(v) for v in row[2:]]
+            except ValueError:
+                raise ValueError(f"{path}: malformed row {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: non-finite value at row {lineno}")
+            steps = sequences.setdefault(seq_id, [])
+            if steps and t <= steps[-1][0]:
+                raise ValueError(
+                    f"{path}: sequence {seq_id!r}: step index not ascending at row {lineno}"
+                )
+            steps.append((t, values))
+    kept = [
+        [v for _, v in steps[:seq_len]] for steps in sequences.values() if len(steps) >= seq_len
+    ]
+    data = np.asarray(kept, dtype=np.float64).reshape(len(kept), seq_len, d_x)
+    return data, len(sequences) - len(kept)
 
 
 @contextlib.contextmanager
@@ -236,7 +278,7 @@ def relu(a):
 
 
 def sigmoid(a):
-    out = expit(a.value)
+    out = ad._sigmoid(a.value.copy())
     return ad._emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -20,14 +20,15 @@ V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1.vdm"
 def make_checkpoint(seed=0):
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega1=0.5, omega2=0.25)
     model = VdmModel.initialize(cfg, np.random.default_rng(seed))
-    return Checkpoint.from_stores(
+    ckpt = Checkpoint.from_stores(
         config=cfg,
         params=model.params,
         disc=model.disc,
         obs_mean=np.array([0.5, -1.0]),
         obs_std=np.array([2.0, 0.25]),
-        provenance={"epoch": 4, "val_nll": 1.25, "manifest_sha256": "ab" * 32},
     )
+    ckpt.provenance = {"epoch": 4, "val_nll": 1.25, "manifest_sha256": "ab" * 32}
+    return ckpt
 
 
 def assert_same_checkpoint(got, want):

@@ -1,7 +1,9 @@
 """Simulators and ingestion: RK4 against an independent oracle, noise
 recovery, four-mode geometry, CSV round trips and writer bytes, prefix
 grouping."""
+import csv
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from vdm.data import (
     write_csv,
 )
 
-from helpers import row_writer_csv
+from helpers import row_reader_csv, row_writer_csv
 
 SIGMA, RHO, BETA = 10.0, 28.0, 8.0 / 3.0
 
@@ -264,6 +266,106 @@ def test_csv_crlf_line_endings(tmp_path):
     path.write_bytes(b"seq_id,t,x0,x1\r\na,0,1.0,-2.5\r\na,1,0.25,1e-05\r\n")
     ds = load_csv(path, d_x=2, seq_len=2, prefix_len=1)
     np.testing.assert_array_equal(ds.data, [[[1.0, -2.5], [0.25, 1e-05]]])
+
+
+def _random_trajectory_csv(path, rng, d_x, seq_len, newline):
+    """A trajectory CSV whose sequences interleave, with short and over-long
+    sequences, step gaps, quoted ids holding commas and ids longer than 32
+    characters that share their first 32."""
+    ids = [f"s{i}" for i in range(6)] + ['q,"1"', "x" * 40 + "a", "x" * 40 + "b"]
+    queue = []
+    for seq_id in ids:
+        length = int(rng.integers(1, 2 * seq_len + 1))
+        steps = np.cumsum(rng.integers(1, 4, size=length)) - 1
+        values = rng.normal(size=(length, d_x)) * 10.0 ** rng.integers(-8, 9, size=(length, d_x))
+        queue.append([(seq_id, t, v) for t, v in zip(steps.tolist(), values.tolist())])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=newline)
+        writer.writerow(["seq_id", "t"] + [f"x{i}" for i in range(d_x)])
+        while any(queue):
+            seq = queue[int(rng.choice([i for i, q in enumerate(queue) if q]))]
+            seq_id, t, v = seq.pop(0)
+            writer.writerow([seq_id, t] + [repr(x) for x in v])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csv_load_matches_row_reader(tmp_path, caplog, seed):
+    rng = np.random.default_rng(seed)
+    d_x, seq_len = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+    path = tmp_path / "random.csv"
+    _random_trajectory_csv(path, rng, d_x, seq_len, "\r\n" if seed % 2 else "\n")
+    want, skipped = row_reader_csv(path, d_x, seq_len)
+    with caplog.at_level(logging.WARNING):
+        got = load_csv(path, d_x=d_x, seq_len=seq_len, prefix_len=1).data
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    warned = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    want_warned = f"load_csv: skipped {skipped} sequence(s) shorter than {seq_len}"
+    assert warned == ([want_warned] if skipped else [])
+
+
+def test_csv_quoted_and_long_ids_stay_distinct(tmp_path):
+    """A quoted id may hold a comma or a blank line; ids longer than 32
+    characters are not cut."""
+    path = tmp_path / "ids.csv"
+    long_a, long_b = "x" * 40 + "a", "x" * 40 + "b"
+    path.write_text(
+        f'seq_id,t,x0\n"a,b",0,1.0\n{long_a},0,2.0\n{long_b},0,3.0\n"c\n\nd",0,4.0\n'
+        f'"a,b",1,5.0\n{long_a},1,6.0\n{long_b},1,7.0\n"c\n\nd",1,8.0\n'
+    )
+    ds = load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+    want = [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]]
+    np.testing.assert_array_equal(ds.data[..., 0], want)
+    np.testing.assert_array_equal(ds.data, row_reader_csv(path, 1, 2)[0])
+
+
+def test_csv_header_only_gives_empty_dataset_without_warning(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("seq_id,t,x0,x1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_csv(path, d_x=2, seq_len=3, prefix_len=1)
+    assert ds.data.shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("a,0,1.0\n\na,1,2.0\n", "malformed row 3: expected 3 fields"),
+        ("\na,0,1.0\n", "malformed row 2: expected 3 fields"),
+        ("a,0,1.0\na,1,2.0\n\n", "malformed row 4: expected 3 fields"),
+        ("a,0,1.0\n  \n", "malformed row 3: expected 3 fields"),
+        ("a,0,1.0\na,1,2.0,3.0\n", "malformed row 3: expected 3 fields"),
+        ("a,0,1.0\na,1\n", "malformed row 3: expected 3 fields"),
+        ("a,0,1.0\na,1.0,2.0\n", "malformed row 3: non-numeric field"),
+        ("a,0,1.0\na,1,\n", "malformed row 3: non-numeric field"),
+        ("a,0,nan\na,1,x\n", "non-finite value at row 2"),
+        ("a,1,1.0\na,0,2.0\na,2,x\n", "sequence 'a': step index not ascending at row 3"),
+        ("a,1,1.0\nb,0,inf\na,0,2.0\n", "non-finite value at row 3"),
+        ("a,1,1.0\na,0,inf\n", "non-finite value at row 3"),
+        ("a,1,1.0\nb,0,2.0\na,1,3.0\n\n", "sequence 'a': step index not ascending at row 4"),
+    ],
+)
+def test_csv_row_errors_name_the_first_bad_row(tmp_path, body, message):
+    """The first bad row in file order is reported, with the message and row
+    number of the row-by-row reader."""
+    path = tmp_path / "bad.csv"
+    path.write_text("seq_id,t,x0\n" + body)
+    with pytest.raises(ValueError) as want:
+        row_reader_csv(path, 1, 2)
+    with pytest.raises(ValueError) as got:
+        load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+    assert str(got.value) == str(want.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("bad_row", ["a,1_0,2.0", "a,1,1_0.5", "a,99999999999999999999,2.0"])
+def test_csv_numbers_follow_numpy_grammar(tmp_path, bad_row):
+    """Digit separators and steps beyond 64 bits, which Python's int and
+    float accept, are non-numeric fields."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"seq_id,t,x0\na,0,1.0\n{bad_row}\n")
+    with pytest.raises(ValueError, match="malformed row 3: non-numeric field"):
+        load_csv(path, d_x=1, seq_len=2, prefix_len=1)
 
 
 # Values whose shortest repr takes every form: signed zero, exponent

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from vdm import inference
 from vdm.data import Dataset
 from vdm.evaluation import (
     ForecastBundle,
@@ -113,6 +114,35 @@ def test_one_step_nll_deterministic():
     a = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(7))
     b = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(7))
     assert a == b
+
+
+def test_one_step_nll_skips_the_unread_last_filtering_step(monkeypatch):
+    """At T = 12 and prefix_len 10 the beliefs after observations 10 and 11
+    predict the two scored steps.  The belief after the last observation is
+    never read, so its filtering step is not run: 10 belief steps, not 11,
+    and the score of filtering all 12 observations."""
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5)
+    model = VdmModel.initialize(cfg, np.random.default_rng(5))
+    data = np.random.default_rng(6).normal(size=(3, 12, 2))
+    calls = []
+    real_step = inference.belief_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "belief_step", counted)
+        got = one_step_nll(model, data, 10, np.random.default_rng(7))
+    assert len(calls) == 10
+    _, beliefs = inference.filter_sequence(model, data, np.random.default_rng(7))
+    want = np.mean(
+        [
+            -inference.one_step_predictive(model, beliefs[t - 1]).log_density(data[:, t])
+            for t in (10, 11)
+        ]
+    )
+    assert got == float(want)
 
 
 # ---------------------------------------------------------------------------

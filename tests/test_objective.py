@@ -359,6 +359,18 @@ def test_nonfinite_validation_data_is_an_error():
         train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=3, batch_size=16)
 
 
+@pytest.mark.parametrize("position", ["dataset", "val_dataset"])
+def test_bare_array_input_is_an_error(position):
+    """Only Datasets are accepted; a bare array used to pass as val_dataset
+    through ndarray.data, a memoryview."""
+    train_ds, val_ds = _tiny_four_mode()
+    inputs = {"dataset": train_ds, "val_dataset": val_ds}
+    inputs[position] = inputs[position].data
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    with pytest.raises(ValueError, match=f"train: {position} must be a Dataset, got ndarray"):
+        train(config=cfg, rng=np.random.default_rng(5), epochs=1, batch_size=16, **inputs)
+
+
 def _live_discriminator_adv(model, prefix_summary, x_real, x_gen):
     """The adversarial losses with the generator reading the live
     discriminator, as when each loss had its own backward sweep."""
