@@ -10,7 +10,7 @@ import numpy as np
 
 from vdm.data import generate_four_mode
 from vdm.evaluation import dataset_multi_step_nll, forecast_dataset
-from vdm.inference import export_predictive_prior, filter_sequence
+from vdm.inference import export_predictive_prior
 from vdm.nets import ModelConfig
 from vdm.objective import train
 
@@ -44,9 +44,8 @@ for name, ckpt in results.items():
 # --- latent predictive-prior draws for external plotting ------------------
 ckpt = results["k=9"]
 model = ckpt.build_model()
-_, beliefs = filter_sequence(model, ckpt.normalize(test_ds.data[:1]),
-                             np.random.default_rng(9))
-draws = export_predictive_prior(model, beliefs, n_draws=500, rng=np.random.default_rng(10))
+draws = export_predictive_prior(model, ckpt.normalize(test_ds.data[:1]), n_draws=500,
+                                rng=np.random.default_rng(10))
 spread = draws[1].std(axis=0)
 print(f"\npredictive-prior draw spread at step 2 (multi-modal if much wider "
       f"than one component): {spread}")

@@ -24,7 +24,7 @@ from .evaluation import (
     one_step_nll,
     w_distance_protocol,
 )
-from .inference import export_predictive_prior, filter_sequence
+from .inference import export_predictive_prior
 from .nets import ModelConfig
 from .objective import train
 from .util import atomic_write_text, sha256_file
@@ -125,6 +125,8 @@ def _load_scoring_inputs(command, resolved, split):
         )
     model = ckpt.build_model()
     ds = _load_csv(manifest, base, manifest["files"][split])
+    if len(ds) == 0:
+        raise ValueError(f"{command}: the {split!r} split holds no sequences")
     if resolved["limit"] is not None:
         ds = ds.subset(np.arange(min(resolved["limit"], len(ds))))
     return manifest, base, ckpt, model, ds
@@ -135,6 +137,7 @@ def _load_scoring_inputs(command, resolved, split):
 # sets True.  A ``None`` default means "unset" and is the only None accepted.
 # A range bound suits int settings only: ``in`` is O(1) for an int but scans
 # the range for a float, so _resolve checks the type first.
+AT_LEAST_0 = range(0, 2**63)
 AT_LEAST_1 = range(1, 2**63)
 
 
@@ -144,13 +147,13 @@ AT_LEAST_1 = range(1, 2**63)
 
 SIMULATE_SETTINGS = {
     "gen": (str, "lorenz", ("lorenz", "four_mode")),
-    "n_train": (int, 5000, None),
-    "n_val": (int, 200, None),
-    "n_test": (int, 800, None),
+    "n_train": (int, 5000, AT_LEAST_1),
+    "n_val": (int, 200, AT_LEAST_0),
+    "n_test": (int, 800, AT_LEAST_0),
     "seq_len": (int, None, AT_LEAST_1),  # lorenz: 100; four_mode: fixed at 4
     "prefix_len": (int, None, AT_LEAST_1),  # lorenz: 10; four_mode: 1
-    "n_groups": (int, 10, None),
-    "group_size": (int, 100, None),
+    "n_groups": (int, 10, AT_LEAST_0),
+    "group_size": (int, 100, AT_LEAST_1),
 }
 
 
@@ -311,6 +314,9 @@ def cmd_evaluate(args):
     manifest, base, ckpt, model, test_ds = _load_scoring_inputs("evaluate", resolved, "test")
     ckpt_id = sha256_file(resolved["checkpoint"])[:12]
     groups = [_load_csv(manifest, base, rel) for rel in manifest.get("groups", [])]
+    for rel, group in zip(manifest.get("groups", []), groups):
+        if len(group) == 0:
+            raise ValueError(f"evaluate: group file {rel!r} holds no sequences")
     rng = np.random.default_rng(args.seed)
     scaled = ckpt.normalize(test_ds.data)
 
@@ -393,8 +399,8 @@ def cmd_forecast(args):
 
     if resolved["export_prior"]:
         for i in range(len(ds)):
-            _, beliefs = filter_sequence(model, scaled[i : i + 1, : ds.prefix_len], rng)
-            draws = export_predictive_prior(model, beliefs, resolved["prior_draws"], rng)
+            prefix = scaled[i : i + 1, : ds.prefix_len]
+            draws = export_predictive_prior(model, prefix, resolved["prior_draws"], rng)
             name = f"prior_{i}.csv"
             header = ["step"] + [f"z{d}" for d in range(ckpt.config.d_z)]
             blocks = (([str(step)] * len(arr), arr) for step, arr in enumerate(draws))

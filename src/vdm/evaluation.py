@@ -61,29 +61,17 @@ def multi_step_nll(bundle, reduction="mean"):
     return 0.5 * LOG_2PI + np.log(n) - lse
 
 
-def _repeat_belief(belief, reps):
-    """Tile a tape-free belief along the batch axis (plain values only)."""
-
-    def rep(a):
-        return np.repeat(a, reps, axis=0)
-
-    return MixtureBelief(
-        weights=rep(belief.weights),
-        branch_states=Tensor(rep(belief.branch_states.value)),
-        expected_h=Tensor(rep(belief.expected_h.value)),
-        collapsed=DiagGaussian(
-            Tensor(rep(belief.collapsed.mean.value)), Tensor(rep(belief.collapsed.std.value))
-        ),
-    )
-
-
 def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
     """(N, n_forecasts, horizon, d_x) continuations after filtering each prefix."""
     data = np.asarray(data, dtype=np.float64)
     n_traj = data.shape[0]
     belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
-    tiled = _repeat_belief(belief, n_forecasts)
-    out = generate(model, tiled, horizon, rng)
+
+    def rep(t):
+        return Tensor(np.repeat(t.value, n_forecasts, axis=0))
+
+    collapsed = DiagGaussian(rep(belief.collapsed.mean), rep(belief.collapsed.std))
+    out = generate(model, MixtureBelief(rep(belief.expected_h), collapsed), horizon, rng)
     return out.reshape(n_traj, n_forecasts, horizon, data.shape[2])
 
 

@@ -34,22 +34,19 @@ __all__ = [
 
 @dataclass
 class MixtureBelief:
-    """Filtering state after absorbing one observation.
+    """Filtering state after absorbing one observation: what the next step,
+    ``generate`` and ``one_step_predictive`` read.
 
-    weights:    (B, k) simplex, exactly one-hot per row under indicator modes
-    branch_states: (B, k, d_h) recurrent samples s_{t-1}
-    expected_h: (B, d_h) convex combination of branch states
+    expected_h: (B, d_h) convex combination of the step's branch states
     collapsed:  (B, d_z) single Gaussian carried to the next step
     """
 
-    weights: np.ndarray
-    branch_states: Tensor
     expected_h: Tensor
     collapsed: DiagGaussian
 
     @property
     def batch(self):
-        return self.weights.shape[0]
+        return self.expected_h.shape[0]
 
 
 @dataclass
@@ -57,6 +54,7 @@ class StepInfo:
     """Intermediate tensors of one belief step, reused by the training losses."""
 
     branch_states_flat: Tensor  # (B*k, d_h)
+    x_rep: Tensor              # (B*k, d_x) the observation repeated per branch
     q_flat: DiagGaussian       # (B*k, d_z) mixture components
     prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
     branch_loglik: Tensor      # (B, k) log p(x_t | h_{t-1} = s^{(j)})
@@ -72,19 +70,17 @@ def _as_batch_array(x, dim, name):
     return arr
 
 
-def _branch_likelihood(model, s_flat, x, k):
+def _branch_likelihood(model, s_flat, x_rep, k):
     """Differentiable log p(x_t | h_{t-1}=s) per branch, plus the branch priors.
 
     The latent is resolved at the transition prior's mean, so the branch
     likelihood is deterministic and draws nothing from the rng.
     """
-    b = x.shape[0]
     prior_flat = model.transition_prior(s_flat)
     z_branch = prior_flat.mean
     em = model.emit(z_branch, s_flat)
-    x_rep = Tensor(np.repeat(x, k, axis=0))
     ll_flat = gaussian_log_pdf(x_rep, em)
-    return ad.reshape(ll_flat, (b, k)), prior_flat
+    return ad.reshape(ll_flat, (x_rep.shape[0] // k, k)), prior_flat
 
 
 def weights_from_loglik(loglik, mode, rng=None):
@@ -120,14 +116,8 @@ def weights_from_loglik(loglik, mode, rng=None):
 def belief_init(model, x_first):
     """Single-component belief from the initial-observation encoder; h_0 = 0."""
     x = _as_batch_array(x_first, model.config.d_x, "belief_init")
-    b = x.shape[0]
-    g = model.encode_initial(Tensor(x))
-    return MixtureBelief(
-        weights=np.ones((b, 1)),
-        branch_states=Tensor(np.zeros((b, 1, model.config.d_h))),
-        expected_h=Tensor(np.zeros((b, model.config.d_h))),
-        collapsed=g,
-    )
+    h0 = Tensor(np.zeros((x.shape[0], model.config.d_h)))
+    return MixtureBelief(expected_h=h0, collapsed=model.encode_initial(Tensor(x)))
 
 
 def belief_step(model, belief, x, rng):
@@ -146,21 +136,18 @@ def belief_step(model, belief, x, rng):
     # s_flat sums its consumers' contributions in the order they were recorded
     s = ad.reshape(s_flat, (b, k, cfg.d_h))
 
+    # one copy per step, read again by the branch likelihood and the ELBO
     x_rep = Tensor(np.repeat(x_arr, k, axis=0))
     q_flat = model.infer_component(s_flat, x_rep)                  # (B*k, d_z)
 
-    loglik, prior_flat = _branch_likelihood(model, s_flat, x_arr, k)
+    loglik, prior_flat = _branch_likelihood(model, s_flat, x_rep, k)
     weights = weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
     expected_h, mean, std = ad.weighted_sum(weights, (s, q_flat.mean, q_flat.std))
 
-    new_belief = MixtureBelief(
-        weights=weights,
-        branch_states=s,
-        expected_h=expected_h,
-        collapsed=DiagGaussian(mean, std),
-    )
+    new_belief = MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
     info = StepInfo(
         branch_states_flat=s_flat,
+        x_rep=x_rep,
         q_flat=q_flat,
         prior_flat=prior_flat,
         branch_loglik=loglik,
@@ -256,24 +243,30 @@ def one_step_predictive(model, belief):
     return PredictiveMixture(means=means.copy(), stds=stds.copy())
 
 
-def export_predictive_prior(model, beliefs, n_draws, rng):
+def export_predictive_prior(model, x_prefix, n_draws, rng):
     """Per-step latent draws from the equal-weight mixture of branch priors.
 
-    Operates on a single trajectory's beliefs (batch of one); returns one
-    (n_draws, d_z) array per step, suitable for external density plotting.
+    Filters a single (1, P, d_x) prefix and returns one (n_draws, d_z) array
+    per step, suitable for external density plotting.  Step 0's prior sits
+    at h_0 = 0; each later step's are the branch priors its belief step
+    computed.  All filtering draws come from ``rng`` before the export draws.
     """
-    cfg = model.config
+    arr = np.asarray(x_prefix, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[0] != 1 or arr.shape[1] < 1:
+        raise ValueError(
+            f"export_predictive_prior: expects a single-trajectory (1, P>=1, d_x) prefix, "
+            f"got {arr.shape}"
+        )
     out = []
     with Tape.pause():
-        for belief in beliefs:
-            if belief.batch != 1:
-                raise ValueError("export_predictive_prior: expects single-trajectory beliefs")
-            s = belief.branch_states.value[0]  # (k, d_h)
-            k = s.shape[0]
-            prior = model.transition_prior(Tensor(s))
-            means = prior.mean.value
-            stds = prior.std.value
+        belief = belief_init(model, arr[:, 0])
+        priors = [model.transition_prior(belief.expected_h)]
+        for t in range(1, arr.shape[1]):
+            belief, info = belief_step(model, belief, arr[:, t], rng)
+            priors.append(info.prior_flat)
+        for prior in priors:
+            k = prior.mean.shape[0]
             idx = rng.integers(0, k, size=n_draws)
-            eps = rng.standard_normal((n_draws, cfg.d_z))
-            out.append(means[idx] + stds[idx] * eps)
+            eps = rng.standard_normal((n_draws, model.config.d_z))
+            out.append(prior.mean.value[idx] + prior.std.value[idx] * eps)
     return out

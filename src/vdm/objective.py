@@ -53,7 +53,7 @@ class LossBreakdown:
     disc_node: Tensor | None = None
 
 
-def _elbo_from_info(model, info, x_arr, recon_eps):
+def _elbo_from_info(model, info, recon_eps):
     """Per-trajectory evidence bound for one step, shape (B,); ``recon_eps``
     is the (B*k, d_z) reparameterization noise of the reconstruction.
 
@@ -64,8 +64,7 @@ def _elbo_from_info(model, info, x_arr, recon_eps):
     k = info.weights.shape[1]
     z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
     em = model.emit(z_tilde, info.branch_states_flat)
-    x_rep = Tensor(np.repeat(x_arr, k, axis=0))
-    recon = gaussian_log_pdf(x_rep, em)
+    recon = gaussian_log_pdf(info.x_rep, em)
     kl = gaussian_kl(info.q_flat, info.prior_flat)
     return ad.select_bound(info.weights, recon, kl, math.log(k))
 
@@ -77,9 +76,8 @@ def elbo_step(model, belief_prev, x, rng):
     ones the bound is defined over.
     """
     new_belief, info = belief_step(model, belief_prev, x, rng)
-    x_arr = np.asarray(x, dtype=np.float64)
-    recon_eps = rng.standard_normal((x_arr.shape[0] * model.config.k, model.config.d_z))
-    value = _elbo_from_info(model, info, x_arr, recon_eps)
+    recon_eps = rng.standard_normal((info.x_rep.shape[0], model.config.d_z))
+    value = _elbo_from_info(model, info, recon_eps)
     if not np.all(np.isfinite(value.value)):
         raise FloatingPointError("elbo_step: non-finite bound")
     return value, new_belief, info

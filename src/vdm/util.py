@@ -19,11 +19,16 @@ class NonFiniteError(FloatingPointError, ValueError):
 
 
 def worker_count():
-    """Worker parallelism cap from VDM_THREADS (default 1, fully deterministic)."""
+    """Worker parallelism cap from VDM_THREADS (default 1, fully deterministic);
+    a value that is not an integer >= 1 raises ValueError."""
+    raw = os.environ.get("VDM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("VDM_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"VDM_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def parallel_map(fn, items):

@@ -180,6 +180,25 @@ def frozen_branch_selection(step_weights):
         yield
 
 
+def reference_export_prior(model, x_prefix, n_draws, rng):
+    """Predictive-prior draws with the transition network run again on each
+    step's branch states: filter the (1, P, d_x) prefix, take the priors at
+    h_0 = 0 for step 0 and at the k branch states of each later step, then
+    draw a branch index and a standard normal per draw, step by step."""
+    belief = vdm.inference.belief_init(model, x_prefix[:, 0])
+    states = [np.zeros((1, model.config.d_h))]
+    for t in range(1, x_prefix.shape[1]):
+        belief, info = vdm.inference.belief_step(model, belief, x_prefix[:, t], rng)
+        states.append(info.branch_states_flat.value)
+    out = []
+    for s in states:
+        prior = model.transition_prior(ad.Tensor(s))
+        idx = rng.integers(0, s.shape[0], size=n_draws)
+        eps = rng.standard_normal((n_draws, model.config.d_z))
+        out.append(prior.mean.value[idx] + prior.std.value[idx] * eps)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # unfused tape primitives: the compositions that fused records replace, kept
 # as their references

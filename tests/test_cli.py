@@ -218,6 +218,8 @@ def test_config_file_value_checked_like_a_flag(tmp_path, capsys, command, body):
         ("evaluate", "--w-forecasts=0"),
         ("train", "--batch-size=0"),
         ("train", "--val-forecasts=0"),
+        ("simulate", "--n-train=0"),
+        ("simulate", "--group-size=0"),
     ],
 )
 def test_count_below_one_fails(tmp_path, capsys, command, flag):
@@ -240,16 +242,19 @@ def test_count_below_one_fails(tmp_path, capsys, command, flag):
          "setting 'prefix_len' must be <= seq_len = 4, got 5"),
         (["--seq-len", "5", "--prefix-len", "9"],
          "setting 'prefix_len' must be <= seq_len = 5, got 9"),
+        (["--n-val", "-2"], "setting 'n_val' must be >= 0, got -2"),
+        (["--n-test", "-1"], "setting 'n_test' must be >= 0, got -1"),
+        (["--n-groups", "-1"], "setting 'n_groups' must be >= 0, got -1"),
     ],
     ids=["seq_len_0", "prefix_len_0", "four_mode_seq_len_50", "four_mode_prefix_len_5",
-         "prefix_len_9_over_seq_len_5"],
+         "prefix_len_9_over_seq_len_5", "n_val_-2", "n_test_-1", "n_groups_-1"],
 )
 def test_simulate_length_checked(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     rc = main(
         [
-            "simulate", *flags, "--seed", "1", "--out", str(out), "--n-train", "2",
-            "--n-val", "1", "--n-test", "1", "--n-groups", "0",
+            "simulate", "--seed", "1", "--out", str(out), "--n-train", "2",
+            "--n-val", "1", "--n-test", "1", "--n-groups", "0", *flags,
         ]
     )
     assert rc == 1
@@ -325,6 +330,43 @@ def test_evaluate_with_groups_reports_w_distance(tmp_path):
     assert "w_distance" in rows
     assert float(rows["w_distance"]["value"]) > 0
     assert rows["w_distance"]["stderr"] != ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+def test_scoring_an_empty_split_fails_before_out(tmp_path, capsys, command):
+    """A header-only test.csv (``--n-test 0``) is named in the error, and no
+    --out directory is left behind."""
+    manifest = simulate_four_mode(tmp_path / "data", n=(40, 10, 0))
+    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    out = tmp_path / "out"
+    rc = main([command, "--data", manifest, "--checkpoint", ckpt, "--seed", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert (f"vdm {command}: error: {command}: the 'test' split holds no sequences"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def test_evaluate_an_empty_group_file_fails_before_out(tmp_path, capsys):
+    out_data = tmp_path / "lz"
+    main(
+        [
+            "simulate", "--gen", "lorenz", "--seed", "5", "--out", str(out_data),
+            "--n-train", "8", "--n-val", "2", "--n-test", "4", "--seq-len", "12",
+            "--prefix-len", "4", "--n-groups", "2", "--group-size", "4",
+        ]
+    )
+    group = out_data / "group_01.csv"
+    group.write_text(group.read_text().splitlines()[0] + "\n")
+    manifest = os.path.join(str(out_data), "manifest.json")
+    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+               "--out", str(out), "--n-forecasts", "5"])
+    assert rc == 1
+    assert ("vdm evaluate: error: evaluate: group file 'group_01.csv' holds no sequences"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 def test_evaluate_dimension_mismatch_fails(tmp_path):

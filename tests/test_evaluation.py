@@ -2,6 +2,7 @@
 grouped W-distance protocol."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from vdm import inference
 from vdm.data import Dataset
 from vdm.evaluation import (
     ForecastBundle,
+    forecast_dataset,
     multi_step_nll,
     one_step_nll,
     w_distance_protocol,
@@ -80,6 +82,26 @@ def test_permutation_invariance():
     a = multi_step_nll(ForecastBundle(truth, fc))
     b = multi_step_nll(ForecastBundle(truth, fc[rng.permutation(9)]))
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def test_forecast_dataset_peak_memory_holds_no_branch_states():
+    """generate reads each trajectory's expected state and collapsed posterior,
+    so tiling the filtered belief over n_forecasts copies only those: the
+    allocation peak stays below the forecasts plus one (N * n, k, d_h) array
+    of tiled branch states (33.5 MiB here)."""
+    cfg = ModelConfig(d_x=3, d_z=6, d_h=32, k=13)
+    model = VdmModel.initialize(cfg, np.random.default_rng(0))
+    data = np.random.default_rng(1).normal(size=(32, 100, 3))
+    n_forecasts = 200
+    tracemalloc.start()
+    try:
+        fc = forecast_dataset(model, data, 10, n_forecasts, 90, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fc.shape == (32, n_forecasts, 90, 3)
+    tiled_branch_states = 32 * n_forecasts * cfg.k * cfg.d_h * 8
+    assert peak < fc.nbytes + tiled_branch_states
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from vdm.inference import (
 )
 from vdm.nets import ModelConfig, VdmModel
 
+from helpers import reference_export_prior
+
 
 def make_model(d_x=3, d_z=2, d_h=4, k=5, seed=0, **kw):
     cfg = ModelConfig(d_x=d_x, d_z=d_z, d_h=d_h, k=k, **kw)
@@ -104,7 +106,6 @@ def test_belief_init_contract():
     model = make_model(seed=6)
     x = np.array([[0.5, -0.5, 0.2]])
     belief = belief_init(model, x)
-    np.testing.assert_array_equal(belief.weights, [[1.0]])
     np.testing.assert_array_equal(belief.expected_h.value, np.zeros((1, 4)))
     g = model.encode_initial(x)
     np.testing.assert_array_equal(belief.collapsed.mean.value, g.mean.value)
@@ -118,21 +119,21 @@ def test_belief_step_determinism():
 
     def run():
         belief = belief_init(model, x0)
-        belief, _ = belief_step(model, belief, x1, np.random.default_rng(21))
-        return belief
+        return belief_step(model, belief, x1, np.random.default_rng(21))
 
-    b1, b2 = run(), run()
+    (b1, info1), (b2, info2) = run(), run()
     np.testing.assert_array_equal(b1.collapsed.mean.value, b2.collapsed.mean.value)
-    np.testing.assert_array_equal(b1.weights, b2.weights)
+    np.testing.assert_array_equal(info1.weights, info2.weights)
     np.testing.assert_array_equal(b1.expected_h.value, b2.expected_h.value)
 
 
 def test_expected_h_is_convex_combination():
     model = make_model(seed=10)
     belief = belief_init(model, np.random.default_rng(0).normal(size=(3, 3)))
-    belief, _ = belief_step(model, belief, np.random.default_rng(1).normal(size=(3, 3)),
-                            np.random.default_rng(2))
-    recomputed = np.einsum("bk,bkh->bh", belief.weights, belief.branch_states.value)
+    belief, info = belief_step(model, belief, np.random.default_rng(1).normal(size=(3, 3)),
+                               np.random.default_rng(2))
+    states = info.branch_states_flat.value.reshape(3, model.config.k, model.config.d_h)
+    recomputed = np.einsum("bk,bkh->bh", info.weights, states)
     np.testing.assert_allclose(belief.expected_h.value, recomputed, atol=1e-12)
 
 
@@ -141,7 +142,7 @@ def test_collapsed_matches_selected_component():
     belief = belief_init(model, np.random.default_rng(3).normal(size=(2, 3)))
     belief, info = belief_step(model, belief, np.random.default_rng(4).normal(size=(2, 3)),
                                np.random.default_rng(5))
-    idx = np.argmax(belief.weights, axis=1)
+    idx = np.argmax(info.weights, axis=1)
     k, d_z = model.config.k, model.config.d_z
     means = info.q_flat.mean.value.reshape(2, k, d_z)
     stds = info.q_flat.std.value.reshape(2, k, d_z)
@@ -157,8 +158,15 @@ def test_k1_matches_independent_single_sample_filter():
         rng = np.random.default_rng(100 + seed)
         xs = rng.normal(size=(1, 4, 3))
 
+        _, beliefs = filter_sequence(model, xs, np.random.default_rng(7))
+        # the same recursion step by step, for the weights each step picked
         rng_a = np.random.default_rng(7)
-        belief, beliefs = filter_sequence(model, xs, rng_a)
+        belief = belief_init(model, xs[:, 0])
+        for t in range(1, 4):
+            belief, info = belief_step(model, belief, xs[:, t], rng_a)
+            np.testing.assert_array_equal(info.weights, [[1.0]])
+            np.testing.assert_array_equal(belief.collapsed.mean.value,
+                                          beliefs[t].collapsed.mean.value)
 
         # independent reference: one latent draw, h <- s, q <- infer(s, x)
         rng_b = np.random.default_rng(7)
@@ -177,14 +185,14 @@ def test_k1_matches_independent_single_sample_filter():
         for t, b in enumerate(beliefs):
             np.testing.assert_allclose(b.collapsed.mean.value, ref_means[t], rtol=1e-12)
             np.testing.assert_allclose(b.collapsed.std.value, ref_stds[t], rtol=1e-12)
-            np.testing.assert_array_equal(b.weights, [[1.0]])
 
 
 def test_filter_sequence_prefix_one_returns_init_only():
     model = make_model(seed=14)
     belief, beliefs = filter_sequence(model, np.zeros((2, 1, 3)), np.random.default_rng(0))
     assert len(beliefs) == 1
-    np.testing.assert_array_equal(belief.weights, np.ones((2, 1)))
+    assert belief.batch == 2
+    np.testing.assert_array_equal(belief.expected_h.value, np.zeros((2, 4)))
 
 
 def test_filter_sequence_empty_prefix_rejected():
@@ -320,11 +328,13 @@ def test_predictive_mixture_density_matches_scipy():
 
 def test_export_prior_k1_draws_from_single_gaussian():
     model = make_model(k=1, sampler_mode="monte_carlo", seed=22)
-    _, beliefs = filter_sequence(model, np.zeros((1, 2, 3)), np.random.default_rng(0))
-    draws = export_predictive_prior(model, beliefs[-1:], n_draws=50000,
-                                    rng=np.random.default_rng(1))
-    prior = model.transition_prior(beliefs[-1].branch_states.value[0])
-    got_mean = draws[0].mean(axis=0)
+    x = np.zeros((1, 2, 3))
+    draws = export_predictive_prior(model, x, n_draws=50000, rng=np.random.default_rng(1))
+    # the export's filtering step takes the first draws of the same rng
+    belief = belief_init(model, x[:, 0])
+    _, info = belief_step(model, belief, x[:, 1], np.random.default_rng(1))
+    prior = model.transition_prior(info.branch_states_flat)
+    got_mean = draws[-1].mean(axis=0)
     want_mean = prior.mean.value[0]
     stderr = prior.std.value[0] / np.sqrt(50000)
     assert np.all(np.abs(got_mean - want_mean) < 4 * stderr)
@@ -332,24 +342,37 @@ def test_export_prior_k1_draws_from_single_gaussian():
 
 def test_export_prior_draw_count_and_steps():
     model = make_model(seed=23)
-    _, beliefs = filter_sequence(model, np.zeros((1, 3, 3)), np.random.default_rng(0))
-    draws = export_predictive_prior(model, beliefs, n_draws=17, rng=np.random.default_rng(2))
+    draws = export_predictive_prior(model, np.zeros((1, 3, 3)), n_draws=17,
+                                    rng=np.random.default_rng(2))
     assert len(draws) == 3
     assert all(d.shape == (17, 2) for d in draws)
+
+
+@pytest.mark.parametrize("sampler,weighting", [("sca", "delta"), ("monte_carlo", "categorical")])
+def test_export_prior_matches_recomputed_branch_priors(sampler, weighting):
+    """The export reuses the branch priors of each belief step; running the
+    transition network again on the branch states gives the same bytes."""
+    model = make_model(sampler_mode=sampler, weighting_mode=weighting, seed=25)
+    x = np.random.default_rng(3).normal(size=(1, 4, 3))
+    got = export_predictive_prior(model, x, n_draws=40, rng=np.random.default_rng(4))
+    want = reference_export_prior(model, x, 40, np.random.default_rng(4))
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_export_prior_needs_a_draw_count_and_an_rng():
     """No unseeded fallback: the same seed must give the same draws."""
     model = make_model(seed=23)
-    _, beliefs = filter_sequence(model, np.zeros((1, 2, 3)), np.random.default_rng(0))
+    x = np.zeros((1, 2, 3))
     with pytest.raises(TypeError):
-        export_predictive_prior(model, beliefs)
+        export_predictive_prior(model, x)
     with pytest.raises(TypeError):
-        export_predictive_prior(model, beliefs, 5)
+        export_predictive_prior(model, x, 5)
 
 
 def test_export_prior_rejects_batches():
     model = make_model(seed=24)
-    _, beliefs = filter_sequence(model, np.zeros((2, 2, 3)), np.random.default_rng(0))
     with pytest.raises(ValueError, match="single-trajectory"):
-        export_predictive_prior(model, beliefs, n_draws=3, rng=np.random.default_rng(1))
+        export_predictive_prior(model, np.zeros((2, 2, 3)), n_draws=3,
+                                rng=np.random.default_rng(1))

@@ -111,13 +111,13 @@ def test_gru_shared_between_generation_and_inference():
 
     model = make_model(seed=9)
     belief = belief_init(model, np.array([[0.1, 0.2, -0.1]]))
-    new_belief, info = belief_step(model, belief, np.array([[0.4, -0.2, 0.0]]),
-                                   np.random.default_rng(11))
+    _, info = belief_step(model, belief, np.array([[0.4, -0.2, 0.0]]),
+                          np.random.default_rng(11))
     # belief_step's first draw: the same seed gives the same latents
     z = latent_sample_batch(belief.collapsed, model.config, np.random.default_rng(11))
     z = z.value[0]  # (k, d_z)
     manual = model.gru_advance(Tensor(z), Tensor(np.zeros((z.shape[0], 4))))
-    np.testing.assert_allclose(new_belief.branch_states.value[0], manual.value, rtol=1e-12)
+    np.testing.assert_allclose(info.branch_states_flat.value, manual.value, rtol=1e-12)
 
 
 def test_emit_zero_final_layer():

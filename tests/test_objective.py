@@ -91,17 +91,18 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
     _, info = belief_step(model, belief, x, np.random.default_rng(2))
     k = model.config.k
     recon_eps = np.random.default_rng(3).standard_normal((k, model.config.d_z))
-    base = _elbo_from_info(model, info, x, recon_eps)
+    base = _elbo_from_info(model, info, recon_eps)
 
     perm = np.random.default_rng(4).permutation(k)
     permuted = type(info)(
         branch_states_flat=Tensor(info.branch_states_flat.value[perm]),
+        x_rep=Tensor(info.x_rep.value[perm]),
         q_flat=DiagGaussian(Tensor(info.q_flat.mean.value[perm]), Tensor(info.q_flat.std.value[perm])),
         prior_flat=DiagGaussian(Tensor(info.prior_flat.mean.value[perm]), Tensor(info.prior_flat.std.value[perm])),
         branch_loglik=Tensor(info.branch_loglik.value[:, perm]),
         weights=weights_from_loglik(info.branch_loglik.value[:, perm], "delta"),
     )
-    again = _elbo_from_info(model, permuted, x, recon_eps[perm])
+    again = _elbo_from_info(model, permuted, recon_eps[perm])
     np.testing.assert_allclose(again.value, base.value, rtol=1e-12)
 
 

@@ -1,7 +1,9 @@
 """Worker cap, parallel map determinism, atomic writes."""
 import os
+import re
 
 import numpy as np
+import pytest
 
 from vdm.util import atomic_write_text, parallel_map, sha256_file, worker_count
 
@@ -11,10 +13,14 @@ def test_worker_count_default_and_parsing(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("VDM_THREADS", "4")
     assert worker_count() == 4
-    monkeypatch.setenv("VDM_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("VDM_THREADS", "not_a_number")
-    assert worker_count() == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "four", "1.5", ""])
+def test_worker_count_rejects_a_value_below_one_or_not_an_integer(monkeypatch, value):
+    monkeypatch.setenv("VDM_THREADS", value)
+    message = f"VDM_THREADS must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        worker_count()
 
 
 def test_parallel_map_identical_at_any_worker_count(monkeypatch):
