@@ -19,6 +19,7 @@ import numpy as np
 from . import data as vdata
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import (
+    _chunk_plan,
     dataset_multi_step_nll,
     forecast_dataset,
     one_step_nll,
@@ -27,7 +28,7 @@ from .evaluation import (
 from .inference import export_predictive_prior
 from .nets import ModelConfig
 from .objective import train
-from .util import atomic_write_text, sha256_file
+from .util import atomic_write_text, sha256_file, worker_count
 
 __all__ = ["main"]
 
@@ -244,6 +245,7 @@ TRAIN_SETTINGS = {
 
 
 def cmd_train(args):
+    worker_count()  # a bad VDM_THREADS fails before any file is read
     resolved = _resolve(args, TRAIN_SETTINGS)
     if resolved["data"] is None:
         raise ValueError("train: --data <manifest> is required")
@@ -310,6 +312,7 @@ EVALUATE_SETTINGS = {
 
 
 def cmd_evaluate(args):
+    worker_count()  # a bad VDM_THREADS fails before any file is read
     resolved = _resolve(args, EVALUATE_SETTINGS)
     manifest, base, ckpt, model, test_ds = _load_scoring_inputs("evaluate", resolved, "test")
     ckpt_id = sha256_file(resolved["checkpoint"])[:12]
@@ -386,15 +389,21 @@ def cmd_forecast(args):
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     scaled = ckpt.normalize(ds.data)
-    fc = forecast_dataset(model, scaled, ds.prefix_len, resolved["n"], horizon, rng)
-    fc = ckpt.denormalize(fc)
+    n = resolved["n"]
 
-    # one block per trajectory bounds the text held at once
+    # forecast one chunk at a time and write one block per trajectory, so
+    # neither the forecasts nor their text are ever held whole
     steps = range(ds.prefix_len, ds.prefix_len + horizon)
-    keys = [f"{j},{t}" for j in range(fc.shape[1]) for t in steps]
+    keys = [f"{j},{t}" for j in range(n) for t in steps]
+
+    def blocks():
+        for rows, chunk_rng in _chunk_plan(len(ds), n, rng):
+            fc = forecast_dataset(model, scaled[rows], ds.prefix_len, n, horizon, chunk_rng)
+            for i, traj in zip(range(rows.start, rows.stop), ckpt.denormalize(fc)):
+                yield [f"{i},{key}" for key in keys], traj.reshape(-1, ds.d_x)
+
     header = ["seq_id", "forecast_id", "t"] + [f"x{d}" for d in range(ds.d_x)]
-    blocks = (([f"{i},{key}" for key in keys], fc[i].reshape(-1, ds.d_x)) for i in range(len(fc)))
-    vdata.write_csv(os.path.join(out_dir, "forecasts.csv"), header, blocks)
+    vdata.write_csv(os.path.join(out_dir, "forecasts.csv"), header, blocks())
     outputs = ["forecasts.csv"]
 
     if resolved["export_prior"]:

@@ -61,8 +61,26 @@ def multi_step_nll(bundle, reduction="mean"):
     return 0.5 * LOG_2PI + np.log(n) - lse
 
 
+# Rows (trajectories x forecasts) forecast in one batch.  The chunk layout,
+# not VDM_THREADS, fixes the output bytes: BLAS results depend on the row count.
+FORECAST_ROWS = 1024
+
+
+def _chunk_plan(n_traj, n_forecasts, rng):
+    """(trajectory slice, generator) per chunk: consecutive runs of whole
+    trajectories, max(1, FORECAST_ROWS // n_forecasts) at a time, each with its
+    own child stream of ``rng``, all spawned before any chunk runs."""
+    size = max(1, FORECAST_ROWS // n_forecasts)
+    starts = range(0, n_traj, size)
+    streams = rng.spawn(len(starts))
+    return [(slice(start, min(start + size, n_traj)), stream)
+            for start, stream in zip(starts, streams)]
+
+
 def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
-    """(N, n_forecasts, horizon, d_x) continuations after filtering each prefix."""
+    """(N, n_forecasts, horizon, d_x) continuations after filtering each prefix,
+    in one batch: ``dataset_multi_step_nll`` and ``vdm forecast`` pass one
+    chunk of trajectories at a time."""
     data = np.asarray(data, dtype=np.float64)
     n_traj = data.shape[0]
     belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
@@ -76,17 +94,29 @@ def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
 
 
 def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction="mean"):
-    """Mean multi-step NLL over a (N, T, d_x) array of trajectories."""
+    """Mean multi-step NLL over a (N, T, d_x) array of trajectories.
+
+    The trajectories are forecast chunk by chunk (in parallel up to
+    VDM_THREADS) and each chunk is reduced to its NLLs at once, so memory does
+    not grow with N.
+    """
     data = np.asarray(data, dtype=np.float64)
     horizon = data.shape[1] - prefix_len
     if horizon < 1:
         raise ValueError("dataset_multi_step_nll: no continuation to score")
-    fc = forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng)
-    vals = [
-        multi_step_nll(ForecastBundle(data[i, prefix_len:], fc[i]), reduction=reduction)
-        for i in range(data.shape[0])
-    ]
-    return float(np.mean(vals))
+    if data.shape[0] == 0:
+        raise ValueError("dataset_multi_step_nll: no trajectories to score")
+
+    def score(chunk):
+        rows, chunk_rng = chunk
+        fc = forecast_dataset(model, data[rows], prefix_len, n_forecasts, horizon, chunk_rng)
+        truths = data[rows, prefix_len:]
+        return [
+            multi_step_nll(ForecastBundle(t, f), reduction=reduction) for t, f in zip(truths, fc)
+        ]
+
+    per_chunk = parallel_map(score, _chunk_plan(data.shape[0], n_forecasts, rng))
+    return float(np.mean([v for vals in per_chunk for v in vals]))
 
 
 def one_step_nll(model, data, prefix_len, rng):
@@ -120,36 +150,30 @@ def wasserstein(p, q):
     return float(cost[rows, cols].mean())
 
 
-def w_distance_protocol(model, groups, rng, forecasts_per_truth=10, forecast_fn=None):
+def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
     """Grouped empirical W-distance: mean and standard error over groups.
 
     Per group of n truths with similar prefixes, each truth contributes
     ``forecasts_per_truth`` forecasts; the j-th forecasts of all truths form
     set j, scored against the n true continuations, and the j-scores are
-    averaged before averaging over groups.  ``forecast_fn`` substitutes the
-    model's forecaster (test doubles); it must match forecast_dataset's
-    signature minus the model argument.
+    averaged before averaging over groups.  Each group has its own child
+    stream of ``rng``.
     """
-    seeds = rng.integers(0, 2**63 - 1, size=len(groups))
-    if forecast_fn is None:
-        def forecast_fn(data, prefix_len, n_forecasts, horizon, grp_rng):
-            return forecast_dataset(model, data, prefix_len, n_forecasts, horizon, grp_rng)
 
     def score(args):
-        gi, group = args
+        group, grp_rng = args
         data = group.data
         n = data.shape[0]
         prefix_len = group.prefix_len
         horizon = data.shape[1] - prefix_len
-        grp_rng = np.random.default_rng(int(seeds[gi]))
-        fc = forecast_fn(data, prefix_len, forecasts_per_truth, horizon, grp_rng)
+        fc = forecast_dataset(model, data, prefix_len, forecasts_per_truth, horizon, grp_rng)
         truths = data[:, prefix_len:].reshape(n, -1)
         dists = [
             wasserstein(fc[:, j].reshape(n, -1), truths) for j in range(forecasts_per_truth)
         ]
         return float(np.mean(dists))
 
-    per_group = parallel_map(score, list(enumerate(groups)))
+    per_group = parallel_map(score, list(zip(groups, rng.spawn(len(groups)))))
     per_group = np.asarray(per_group)
     stderr = per_group.std(ddof=1) / np.sqrt(len(per_group)) if len(per_group) > 1 else 0.0
     return float(per_group.mean()), float(stderr)

@@ -369,6 +369,54 @@ def test_evaluate_an_empty_group_file_fails_before_out(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_bad_vdm_threads_fails_before_out(tmp_path, capsys, monkeypatch, command):
+    """VDM_THREADS is checked before any file is read, even by an evaluate
+    that has no groups to fan out or a train whose validation comes last."""
+    manifest = simulate_four_mode(tmp_path / "data")
+    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    monkeypatch.setenv("VDM_THREADS", "four")
+    out = tmp_path / "out"
+    if command == "evaluate":
+        rc = main(["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "1",
+                   "--out", str(out), "--n-forecasts", "5"])
+    else:
+        rc, _ = train_tiny(manifest, out)
+    assert rc == 1
+    assert f"vdm {command}: error: VDM_THREADS must be an integer >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_scoring_bytes_identical_at_any_thread_count(tmp_path, monkeypatch):
+    """Each chunk of forecasts and each group has its own stream, so
+    metrics_report.csv and forecasts.csv keep their bytes when the chunks
+    run on two threads.  600 forecasts a trajectory put one trajectory in
+    each chunk: 4 chunks to score, 3 to write."""
+    out_data = tmp_path / "lz"
+    main(
+        [
+            "simulate", "--gen", "lorenz", "--seed", "5", "--out", str(out_data),
+            "--n-train", "8", "--n-val", "2", "--n-test", "4", "--seq-len", "12",
+            "--prefix-len", "4", "--n-groups", "2", "--group-size", "4",
+        ]
+    )
+    manifest = os.path.join(str(out_data), "manifest.json")
+    rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    assert rc == 0
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VDM_THREADS", threads)
+        ev, fc = tmp_path / f"eval{threads}", tmp_path / f"fc{threads}"
+        assert main(["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+                     "--out", str(ev), "--n-forecasts", "600", "--w-forecasts", "2"]) == 0
+        assert main(["forecast", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+                     "--out", str(fc), "--n", "600", "--limit", "3"]) == 0
+        outputs[threads] = (read(ev / "metrics_report.csv"), read(fc / "forecasts.csv"))
+    assert outputs["1"] == outputs["2"]
+    assert b"w_distance" in outputs["1"][0]
+    assert outputs["1"][1].count(b"\n") == 1 + 3 * 600 * 8
+
+
 def test_evaluate_dimension_mismatch_fails(tmp_path):
     four = simulate_four_mode(tmp_path / "data4")
     _, ckpt = train_tiny(four, tmp_path / "run", extra=("--epochs", "0"))

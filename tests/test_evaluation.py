@@ -7,11 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vdm import inference
+from vdm import evaluation, inference
 from vdm.data import Dataset
 from vdm.evaluation import (
+    FORECAST_ROWS,
     ForecastBundle,
-    forecast_dataset,
+    _chunk_plan,
+    dataset_multi_step_nll,
     multi_step_nll,
     one_step_nll,
     w_distance_protocol,
@@ -84,24 +86,46 @@ def test_permutation_invariance():
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
-def test_forecast_dataset_peak_memory_holds_no_branch_states():
-    """generate reads each trajectory's expected state and collapsed posterior,
-    so tiling the filtered belief over n_forecasts copies only those: the
-    allocation peak stays below the forecasts plus one (N * n, k, d_h) array
-    of tiled branch states (33.5 MiB here)."""
+@pytest.mark.parametrize("n_traj,n_forecasts", [(0, 5), (1, 1), (7, 200), (32, 200),
+                                                (5, 1024), (3, 1500), (10, 100), (2049, 1)])
+def test_chunk_plan_covers_each_trajectory_once_in_order(n_traj, n_forecasts):
+    plan = _chunk_plan(n_traj, n_forecasts, np.random.default_rng(3))
+    rows = [list(range(n_traj))[part] for part, _ in plan]
+    assert [i for part in rows for i in part] == list(range(n_traj))
+    size = max(1, FORECAST_ROWS // n_forecasts)
+    assert [len(part) for part in rows[:-1]] == [size] * (len(rows) - 1)
+    assert all(0 < len(part) * n_forecasts <= max(FORECAST_ROWS, n_forecasts) for part in rows)
+    # one child stream per chunk, the same as spawning them from the seed
+    children = np.random.default_rng(3).spawn(len(plan))
+    assert len(plan) == len(children)
+    for (_, got), want in zip(plan, children):
+        assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
+
+
+def test_multi_step_nll_rejects_an_empty_dataset():
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dataset_multi_step_nll: no trajectories to score"):
+        dataset_multi_step_nll(model, np.zeros((0, 6, 2)), 2, 5, np.random.default_rng(1))
+
+
+def test_multi_step_nll_peak_memory_flat_in_trajectory_count():
+    """Each chunk of about FORECAST_ROWS rows is scored and dropped before the
+    next, so the allocation peak at N = 128 stays within 10% of N = 32 (with
+    the whole batch tiled at once it grew fourfold)."""
     cfg = ModelConfig(d_x=3, d_z=6, d_h=32, k=13)
     model = VdmModel.initialize(cfg, np.random.default_rng(0))
-    data = np.random.default_rng(1).normal(size=(32, 100, 3))
-    n_forecasts = 200
-    tracemalloc.start()
-    try:
-        fc = forecast_dataset(model, data, 10, n_forecasts, 90, np.random.default_rng(2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fc.shape == (32, n_forecasts, 90, 3)
-    tiled_branch_states = 32 * n_forecasts * cfg.k * cfg.d_h * 8
-    assert peak < fc.nbytes + tiled_branch_states
+    peaks = []
+    for n_traj in (32, 128):
+        data = np.random.default_rng(1).normal(size=(n_traj, 100, 3))
+        tracemalloc.start()
+        try:
+            nll = dataset_multi_step_nll(model, data, 10, 200, np.random.default_rng(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(nll)
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +250,32 @@ def _toy_groups(rng, n_groups=3, n=6, t_len=5, d_x=2, prefix_len=2):
     ]
 
 
-def test_replay_oracle_scores_zero():
+def test_replay_oracle_scores_zero(monkeypatch):
     rng = np.random.default_rng(8)
     groups = _toy_groups(rng)
 
-    def replay(data, prefix_len, n_forecasts, horizon, grp_rng):
+    def replay(model, data, prefix_len, n_forecasts, horizon, grp_rng):
         truth = data[:, prefix_len:]
         return np.repeat(truth[:, None], n_forecasts, axis=1)
 
-    mean, stderr = w_distance_protocol(None, groups, np.random.default_rng(9),
-                                       forecast_fn=replay)
+    monkeypatch.setattr(evaluation, "forecast_dataset", replay)
+    mean, stderr = w_distance_protocol(None, groups, np.random.default_rng(9))
     assert mean == 0.0
     assert stderr == 0.0
 
 
-def test_constant_model_matches_direct_evaluation():
+def test_constant_model_matches_direct_evaluation(monkeypatch):
     """Constant forecasts score exactly the mean distance to the truths."""
     rng = np.random.default_rng(10)
     groups = _toy_groups(rng, n_groups=2)
     const = np.full(groups[0].data[:, 2:].shape[1:], 0.7)
 
-    def constant(data, prefix_len, n_forecasts, horizon, grp_rng):
+    def constant(model, data, prefix_len, n_forecasts, horizon, grp_rng):
         n = data.shape[0]
         return np.broadcast_to(const, (n, n_forecasts) + const.shape).copy()
 
-    mean, _ = w_distance_protocol(None, groups, np.random.default_rng(11),
-                                  forecast_fn=constant)
+    monkeypatch.setattr(evaluation, "forecast_dataset", constant)
+    mean, _ = w_distance_protocol(None, groups, np.random.default_rng(11))
     flat_const = const.reshape(-1)
     want = np.mean(
         [
