@@ -4,6 +4,8 @@
 # few optimizer steps on a toy curve fit.  Each call below is one fused tape
 # record with an analytic backward; gaussian_mlp returns two outputs, a mean
 # and a std, from one record, and an output nothing reads gets no gradient.
+# Tensors have no arithmetic operators: a weighted sum of scalar losses is
+# one linear_combination record.
 
 import numpy as np
 
@@ -37,7 +39,7 @@ def mean_nll():
     mean, _ = ad.gaussian_mlp((x,), weights, 2, 10.0)
     ll = ad.gaussian_log_pdf(target, mean, unit_std)
     (mean_ll,) = ad.sum_of_means([ll])
-    return -1.0 * mean_ll
+    return ad.linear_combination((-1.0,), (mean_ll,))
 
 
 with Tape() as tape:
@@ -70,7 +72,7 @@ for step in range(400):
     with Tape() as tape:
         mean, std = ad.gaussian_mlp((inputs,), net_weights, 1, 10.0)
         (mean_ll,) = ad.sum_of_means([ad.gaussian_log_pdf(targets, mean, std)])
-        loss = -1.0 * mean_ll
+        loss = ad.linear_combination((-1.0,), (mean_ll,))
         backward(tape, loss)
     adam_step(net, lr=3e-3)
     if step % 100 == 0:

@@ -7,12 +7,13 @@ evaluations, which keeps rollout / evaluation paths cheap.
 
 A record may return a tuple of outputs; its backward then receives a tuple
 of gradients, with ``None`` for an output that nothing read.  Besides
-``add``, ``sub``, ``mul`` and ``reshape`` every primitive is a fused record
-(``sigmoid_mlp3``, ``gaussian_mlp``, ``gru_cell``, ``gaussian_log_pdf``,
-``gaussian_kl`` and the filtering and loss glue after them): each forward
-gives, bit for bit, the values of the composition of elementwise primitives
-it replaces, and each backward is written out analytically in the same
-floating-point operations as that composition's.
+``reshape`` every primitive is a fused record (``sigmoid_mlp3``,
+``gaussian_mlp``, ``gru_cell``, ``gaussian_log_pdf``, ``gaussian_kl`` and the
+filtering and loss glue after them, down to ``linear_combination``): each
+forward gives, bit for bit, the values of the composition of elementwise
+primitives it replaces, and each backward is written out analytically in the
+same floating-point operations as that composition's.  ``Tensor`` has no
+arithmetic operators, so no unfused record reaches the tape unnoticed.
 """
 from __future__ import annotations
 
@@ -26,9 +27,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
-    "add",
-    "sub",
-    "mul",
     "reshape",
     "LOG_2PI",
     "sigmoid_mlp3",
@@ -43,6 +41,7 @@ __all__ = [
     "log_mean_exp",
     "gan_losses",
     "sum_of_means",
+    "linear_combination",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -96,13 +95,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def item(self):
-        return float(self.value)
-
     def detach(self):
         return Tensor(self.value)
 
@@ -112,25 +104,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars and ndarrays are lifted to constant tensors
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
 
 
 def as_tensor(x):
@@ -163,15 +136,6 @@ def _unbroadcast(grad, shape):
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def _check_broadcast(name, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(
-            f"{name}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
 
 
 def backward(tape, loss):
@@ -213,36 +177,6 @@ def backward(tape, loss):
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
-
-def add(a, b):
-    _check_broadcast("add", a.value, b.value)
-    return _emit(
-        a.value + b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
-    )
-
-
-def sub(a, b):
-    _check_broadcast("sub", a.value, b.value)
-    return _emit(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.value.shape), -_unbroadcast(g, b.value.shape)),
-    )
-
-
-def mul(a, b):
-    _check_broadcast("mul", a.value, b.value)
-    return _emit(
-        a.value * b.value,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
-        ),
-    )
-
 
 def reshape(a, shape):
     old = a.value.shape
@@ -590,3 +524,19 @@ def sum_of_means(*series):
         )
 
     return _emit(tuple(outs), parents, back)
+
+
+def linear_combination(coeffs, scalars):
+    """sum_i c_i * s_i, left to right, for constant float coefficients and
+    scalar tensors; the gradient of s_i is c_i * g."""
+    coeffs, scalars = tuple(float(c) for c in coeffs), tuple(scalars)
+    if len(coeffs) != len(scalars) or any(s.value.ndim for s in scalars):
+        raise ValueError("linear_combination: expected one coefficient per scalar tensor")
+    out = coeffs[0] * scalars[0].value
+    for c, s in zip(coeffs[1:], scalars[1:]):
+        out = out + c * s.value
+    return _emit(
+        out,
+        scalars,
+        lambda g: tuple(c * g if _wants(s) else None for c, s in zip(coeffs, scalars)),
+    )

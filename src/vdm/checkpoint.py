@@ -7,8 +7,8 @@ concatenated little-endian float64 values in row-major order.
 
 Format 2 holds what loading a model reads: the model and discriminator
 weights, the observation normalization statistics, the config and the
-provenance.  Format 1 files also carried Adam moments, step counts and an
-rng state; they still load, and those entries are skipped.
+provenance.  Only format 2 loads; format 1, which also carried Adam moments,
+step counts and an rng state, raises as an unsupported version.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ __all__ = ["Checkpoint", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"VDMCKPT\x00"
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 _PREAMBLE = len(MAGIC) + 12  # magic, uint32 version, uint64 header length
 
 
@@ -102,41 +101,29 @@ def save_checkpoint(ckpt, path):
     return path
 
 
-def _config_from_header(config, version):
-    config = dict(config)
-    if version == 1:
-        # format 1 recorded the branch likelihood; only prior_mean remains
-        mode = config.pop("branch_likelihood", "prior_mean")
-        if mode != "prior_mean":
-            raise ValueError(f"branch_likelihood {mode!r} is a removed mode")
-    return ModelConfig(**config)
-
-
 def load_checkpoint(path):
-    """Read a format 1 or 2 checkpoint; a malformed file raises ValueError naming ``path``."""
+    """Read a format 2 checkpoint; a malformed file raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _PREAMBLE or blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
-    if version not in READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"{path}: unsupported checkpoint version {version} (expected one of {READABLE_VERSIONS})"
+            f"{path}: unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
         )
     try:
         header = json.loads(blob[_PREAMBLE : _PREAMBLE + header_len])
         payload = blob[_PREAMBLE + header_len :]
         arrays = {"model": {}, "disc": {}, "stats": {}}
         for entry in header["arrays"]:
-            if entry.get("kind", "param") != "param":
-                continue  # format 1 Adam moments
             shape = tuple(entry["shape"])
             arr = np.frombuffer(
                 payload, dtype="<f8", count=int(np.prod(shape)), offset=entry["offset"]
             )
             arrays[entry["store"]][entry["name"]] = arr.reshape(shape).astype(np.float64)
         return Checkpoint(
-            config=_config_from_header(header["config"], version),
+            config=ModelConfig(**header["config"]),
             model_arrays=arrays["model"],
             disc_arrays=arrays["disc"],
             obs_mean=arrays["stats"]["obs_mean"],

@@ -237,9 +237,9 @@ TRAIN_SETTINGS = {
     "omega1": (float, 1.0, None),
     "omega2": (float, 1.0, None),
     "lr": (float, 1e-3, None),
-    "epochs": (int, 20, None),
+    "epochs": (int, 20, AT_LEAST_1),
     "batch_size": (int, 64, AT_LEAST_1),
-    "patience": (int, 10, None),
+    "patience": (int, 10, AT_LEAST_1),
     "val_forecasts": (int, 100, AT_LEAST_1),
 }
 

@@ -183,10 +183,10 @@ def _four_mode_split(n, rng, prefix_len, noise_std):
     data[:, 0] = starts
     for t in range(1, FOUR_MODE_LEN):
         data[:, t] = data[:, t - 1] + steps + rng.standard_normal((n, 2)) * noise_std
-    return Dataset(data, prefix_len), modes
+    return Dataset(data, prefix_len)
 
 
-def generate_four_mode(counts, rng, prefix_len=1, noise_std=FOUR_MODE_NOISE, return_modes=False):
+def generate_four_mode(counts, rng, prefix_len=1, noise_std=FOUR_MODE_NOISE):
     """Length-4 planar trajectories marching along one of four diagonal headings.
 
     Start points are N(0, noise_std^2 I); each step adds heading * 0.5 plus
@@ -194,14 +194,7 @@ def generate_four_mode(counts, rng, prefix_len=1, noise_std=FOUR_MODE_NOISE, ret
     """
     if min(counts) < 0 or counts[0] < 1:
         raise ValueError("generate_four_mode: counts must be positive")
-    splits, modes = [], []
-    for n in counts:
-        ds, m = _four_mode_split(n, rng, prefix_len, noise_std)
-        splits.append(ds)
-        modes.append(m)
-    if return_modes:
-        return tuple(splits), tuple(modes)
-    return tuple(splits)
+    return tuple(_four_mode_split(n, rng, prefix_len, noise_std) for n in counts)
 
 
 # ---------------------------------------------------------------------------

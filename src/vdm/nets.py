@@ -18,7 +18,7 @@ from .gaussians import DiagGaussian
 from .optim import ParameterStore
 from .util import NonFiniteError
 
-__all__ = ["ModelConfig", "VdmModel", "parameter_counts"]
+__all__ = ["ModelConfig", "VdmModel"]
 
 RAW_STD_CLAMP = 10.0
 
@@ -194,22 +194,3 @@ class VdmModel:
         inputs = (as_tensor(prefix_summary), as_tensor(x))
         return ad.sigmoid_mlp3(inputs, _mlp3_weights(self.disc, "mlp"))
 
-
-def parameter_counts(config):
-    """Analytic parameter counts for (model, discriminator); init-independent."""
-
-    def lin(i, o):
-        return i * o + o
-
-    model = (
-        lin(config.d_x, 32) + lin(32, 32) + lin(32, 2 * config.d_z)
-        + lin(config.d_h, 64) + lin(64, 64) + lin(64, 2 * config.d_z)
-        + lin(config.d_z + config.d_h, 32) + lin(32, 32) + lin(32, 2 * config.d_x)
-        + lin(config.d_h + config.d_x, 64) + lin(64, 64) + lin(64, 2 * config.d_z)
-        + 3 * lin(config.d_z + config.d_h, config.d_h)
-    )
-    disc = (
-        3 * lin(config.d_x + config.d_h, config.d_h)
-        + lin(config.d_h + config.d_x, 32) + lin(32, 32) + lin(32, 1)
-    )
-    return model, disc

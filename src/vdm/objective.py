@@ -23,8 +23,6 @@ from .optim import adam_step
 
 __all__ = [
     "LossBreakdown",
-    "elbo_step",
-    "pred_regularizer",
     "adv_regularizer",
     "total_loss",
     "train",
@@ -36,7 +34,7 @@ DISC_PROB_FLOOR = 1e-6
 
 @dataclass
 class LossBreakdown:
-    """Scalar loss terms plus per-step values for diagnostics.
+    """Scalar loss terms plus the per-step branch weights.
 
     Sign convention: ``total`` is the minimized quantity,
     total = -elbo - omega1 * pred + omega2 * adv.
@@ -46,7 +44,6 @@ class LossBreakdown:
     pred: float
     adv: float
     total: float
-    per_step_elbo: list = field(default_factory=list)
     step_weights: list = field(default_factory=list)
     total_node: Tensor | None = None
     disc_loss: float = 0.0
@@ -67,28 +64,6 @@ def _elbo_from_info(model, info, recon_eps):
     recon = gaussian_log_pdf(info.x_rep, em)
     kl = gaussian_kl(info.q_flat, info.prior_flat)
     return ad.select_bound(info.weights, recon, kl, math.log(k))
-
-
-def elbo_step(model, belief_prev, x, rng):
-    """One-step evidence bound; returns a (B,) tensor.
-
-    Runs the belief update internally so branch samples and weights are the
-    ones the bound is defined over.
-    """
-    new_belief, info = belief_step(model, belief_prev, x, rng)
-    recon_eps = rng.standard_normal((info.x_rep.shape[0], model.config.d_z))
-    value = _elbo_from_info(model, info, recon_eps)
-    if not np.all(np.isfinite(value.value)):
-        raise FloatingPointError("elbo_step: non-finite bound")
-    return value, new_belief, info
-
-
-def pred_regularizer(info):
-    """log of the mean branch predictive likelihood, shape (B,).
-
-    Stabilized as logsumexp over branches minus log k.
-    """
-    return ad.log_mean_exp(info.branch_loglik)
 
 
 def adv_regularizer(model, prefix_summary, x_real, x_gen):
@@ -125,10 +100,13 @@ def total_loss(model, batch, rng):
     for t in range(1, t_len):
         x_t = arr[:, t]
         try:
-            elbo_t, belief, info = elbo_step(model, belief, x_t, rng)
+            belief, info = belief_step(model, belief, x_t, rng)
+            recon_eps = rng.standard_normal((info.x_rep.shape[0], cfg.d_z))
+            elbo_t = _elbo_from_info(model, info, recon_eps)
+            if not np.all(np.isfinite(elbo_t.value)):
+                raise FloatingPointError("non-finite bound")
         except FloatingPointError as err:
             raise FloatingPointError(f"total_loss: {err} at step {t}") from None
-        pred_t = pred_regularizer(info)
         breakdown.step_weights.append(info.weights)
 
         if use_adv:
@@ -148,22 +126,23 @@ def total_loss(model, batch, rng):
             disc_terms.append(disc_t)
 
         elbo_terms.append(elbo_t)
-        pred_terms.append(pred_t)
-        breakdown.per_step_elbo.append(float(elbo_t.value.mean()))
+        # log of the mean branch predictive likelihood
+        pred_terms.append(ad.log_mean_exp(info.branch_loglik))
 
     # per-step batch means summed left to right over the steps
     if use_adv:
         elbo_sum, pred_sum, gen_sum, disc_sum = ad.sum_of_means(
             elbo_terms, pred_terms, gen_terms, disc_terms
         )
-    else:
-        elbo_sum, pred_sum = ad.sum_of_means(elbo_terms, pred_terms)
-    total = -1.0 * elbo_sum - cfg.omega1 * pred_sum
-    if use_adv:
-        total = total + cfg.omega2 * gen_sum
+        total = ad.linear_combination(
+            (-1.0, -cfg.omega1, cfg.omega2), (elbo_sum, pred_sum, gen_sum)
+        )
         breakdown.adv = float(gen_sum.value)
         breakdown.disc_loss = float(disc_sum.value)
         breakdown.disc_node = disc_sum
+    else:
+        elbo_sum, pred_sum = ad.sum_of_means(elbo_terms, pred_terms)
+        total = ad.linear_combination((-1.0, -cfg.omega1), (elbo_sum, pred_sum))
     breakdown.elbo = float(elbo_sum.value)
     breakdown.pred = float(pred_sum.value)
     breakdown.total = float(total.value)
@@ -255,7 +234,7 @@ def train(
                     bd = total_loss(model, scaled[idx], rng)
                     root = bd.total_node
                     if bd.disc_node is not None:
-                        root = root + bd.disc_node
+                        root = ad.linear_combination((1.0, 1.0), (root, bd.disc_node))
                     backward(tape, root)
                 adam_step(model.params, lr=config.lr)
                 if bd.disc_node is not None:

@@ -34,18 +34,9 @@ class ParameterStore:
     def __getitem__(self, name):
         return self.params[name]
 
-    def __contains__(self, name):
-        return name in self.params
-
-    def names(self):
-        return list(self.params)
-
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
-
-    def size(self):
-        return sum(t.value.size for t in self.params.values())
 
     def detached(self):
         """Name -> constant tensor over the same value array: reading the

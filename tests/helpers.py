@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference oracles, error measures, frozen
-branch selection, the unfused tape primitives that fused records are checked
-against and test losses are built from, and the row-at-a-time CSV rendering
-and reading that the block writer and the vectorized loader must reproduce."""
+branch selection, analytic parameter counts, the unfused tape primitives that
+fused records are checked against and test losses are built from, and the
+row-at-a-time CSV rendering and reading that the block writer and the
+vectorized loader must reproduce."""
 import contextlib
 import csv
 import io
@@ -22,7 +23,7 @@ def finite_diff_store(store, loss_fn, eps=1e-5, names=None):
     (re-seed any rng inside it).
     """
     grads = {}
-    for name in names or store.names():
+    for name in names or store.params:
         flat = store[name].value.ravel()
         g = np.zeros(flat.size)
         for i in range(flat.size):
@@ -40,7 +41,7 @@ def finite_diff_store(store, loss_fn, eps=1e-5, names=None):
 def sample_entries(store, per_param, rng):
     """A few random flat indices per parameter array, for spot FD checks."""
     entries = []
-    for name in store.names():
+    for name in store.params:
         size = store[name].value.size
         take = min(per_param, size)
         for idx in rng.choice(size, size=take, replace=False):
@@ -180,6 +181,26 @@ def frozen_branch_selection(step_weights):
         yield
 
 
+def parameter_counts(config):
+    """Analytic parameter counts for (model, discriminator); init-independent."""
+
+    def lin(i, o):
+        return i * o + o
+
+    model = (
+        lin(config.d_x, 32) + lin(32, 32) + lin(32, 2 * config.d_z)
+        + lin(config.d_h, 64) + lin(64, 64) + lin(64, 2 * config.d_z)
+        + lin(config.d_z + config.d_h, 32) + lin(32, 32) + lin(32, 2 * config.d_x)
+        + lin(config.d_h + config.d_x, 64) + lin(64, 64) + lin(64, 2 * config.d_z)
+        + 3 * lin(config.d_z + config.d_h, config.d_h)
+    )
+    disc = (
+        3 * lin(config.d_x + config.d_h, config.d_h)
+        + lin(config.d_h + config.d_x, 32) + lin(32, 32) + lin(32, 1)
+    )
+    return model, disc
+
+
 def reference_export_prior(model, x_prefix, n_draws, rng):
     """Predictive-prior draws with the transition network run again on each
     step's branch states: filter the (1, P, d_x) prefix, take the priors at
@@ -245,8 +266,8 @@ def expand_dim(a, axis, reps):
 def logsumexp(a, axis):
     """Numerically stable log-sum-exp along ``axis`` (max shift is constant)."""
     m = np.max(a.value, axis=axis, keepdims=True)
-    shifted = exp(ad.sub(a, ad.Tensor(m)))
-    return ad.add(log(reduce_sum(shifted, axis=axis)), ad.Tensor(np.squeeze(m, axis=axis)))
+    shifted = exp(sub(a, ad.Tensor(m)))
+    return add(log(reduce_sum(shifted, axis=axis)), ad.Tensor(np.squeeze(m, axis=axis)))
 
 
 def exp_clamp(a, lo, hi):
@@ -265,8 +286,47 @@ def exp_clamp(a, lo, hi):
 # algebra the tests build losses and unfused references from
 # ---------------------------------------------------------------------------
 
+def _check_broadcast(name, a, b):
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ValueError(
+            f"{name}: shapes {a.shape} and {b.shape} do not broadcast"
+        ) from None
+
+
+def add(a, b):
+    _check_broadcast("add", a.value, b.value)
+    return ad._emit(
+        a.value + b.value,
+        (a, b),
+        lambda g: (ad._unbroadcast(g, a.value.shape), ad._unbroadcast(g, b.value.shape)),
+    )
+
+
+def sub(a, b):
+    _check_broadcast("sub", a.value, b.value)
+    return ad._emit(
+        a.value - b.value,
+        (a, b),
+        lambda g: (ad._unbroadcast(g, a.value.shape), -ad._unbroadcast(g, b.value.shape)),
+    )
+
+
+def mul(a, b):
+    _check_broadcast("mul", a.value, b.value)
+    return ad._emit(
+        a.value * b.value,
+        (a, b),
+        lambda g: (
+            ad._unbroadcast(g * b.value, a.value.shape),
+            ad._unbroadcast(g * a.value, b.value.shape),
+        ),
+    )
+
+
 def div(a, b):
-    ad._check_broadcast("div", a.value, b.value)
+    _check_broadcast("div", a.value, b.value)
     inv = 1.0 / b.value
     return ad._emit(
         a.value * inv,

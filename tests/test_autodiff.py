@@ -13,6 +13,7 @@ import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
 
 from helpers import (
+    add,
     clamp,
     concat,
     div,
@@ -23,6 +24,7 @@ from helpers import (
     log,
     logsumexp,
     matmul,
+    mul,
     narrow,
     neg,
     reduce_mean,
@@ -31,6 +33,7 @@ from helpers import (
     relu,
     sigmoid,
     square,
+    sub,
     tanh,
 )
 
@@ -55,7 +58,20 @@ def test_matmul_shape_error_names_primitive():
 
 def test_add_shape_error():
     with pytest.raises(ValueError, match="add"):
-        ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+        add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+
+
+def test_tensor_has_no_arithmetic_operators():
+    """Unfused arithmetic cannot reach the tape through operator sugar."""
+    with pytest.raises(TypeError):
+        Tensor(1.0) + 1.0
+    with pytest.raises(TypeError):
+        2.0 * Tensor(1.0)
+
+
+def test_linear_combination_rejects_non_scalars():
+    with pytest.raises(ValueError, match="linear_combination"):
+        ad.linear_combination((1.0, 1.0), (Tensor(1.0), Tensor(np.ones(2))))
 
 
 def test_backward_requires_scalar():
@@ -85,7 +101,7 @@ def test_backward_square_power_rule():
 def test_fanout_accumulates_additively():
     p = Tensor(np.array([2.0]), requires_grad=True)
     with Tape() as tape:
-        y = p * p + p  # p used three times
+        y = add(mul(p, p), p)  # p used three times
         backward(tape, reduce_sum(y))
     np.testing.assert_allclose(p.grad, [5.0], rtol=1e-15)
 
@@ -131,7 +147,7 @@ def test_div_sub_gradients_match_finite_differences():
     b = store.add("b", rng.uniform(0.5, 2.0, size=(3, 4)))
 
     def forward():
-        return reduce_sum(square(ad.sub(div(a, b), neg(b))))
+        return reduce_sum(square(sub(div(a, b), neg(b))))
 
     def run():
         with Tape():
@@ -178,9 +194,9 @@ def test_three_layer_mlp_gradient_oracle():
     x = Tensor(rng.uniform(-2.0, 2.0, size=(6, 4)))
 
     def forward():
-        h = relu(matmul(x, w1) + b1)
-        h = tanh(matmul(h, w2) + b2)
-        return reduce_sum(square(matmul(h, w3) + b3))
+        h = relu(add(matmul(x, w1), b1))
+        h = tanh(add(matmul(h, w2), b2))
+        return reduce_sum(square(add(matmul(h, w3), b3)))
 
     def run():
         with Tape():
@@ -189,7 +205,7 @@ def test_three_layer_mlp_gradient_oracle():
     with Tape() as tape:
         backward(tape, forward())
     fd = finite_diff_store(store, run)
-    for name in store.names():
+    for name in store.params:
         assert rel_error(store[name].grad, fd[name]) < 1e-4, name
 
 
@@ -257,10 +273,10 @@ def test_broadcast_mul_gradient():
 
     def run():
         with Tape():
-            return float(reduce_sum(square(w * x)).value)
+            return float(reduce_sum(square(mul(w, x))).value)
 
     with Tape() as tape:
-        backward(tape, reduce_sum(square(w * x)))
+        backward(tape, reduce_sum(square(mul(w, x))))
     fd = finite_diff_store(store, run)
     assert rel_error(w.grad, fd["w"]) < 1e-4
 
@@ -374,7 +390,7 @@ def test_output_read_twice_accumulates_its_gradient():
 
     with Tape() as tape:
         first, _ = ad._emit((2.0 * p.value, 3.0 * p.value), (p,), back)
-        loss = reduce_sum(first) + reduce_sum(first * 3.0)
+        loss = add(reduce_sum(first), reduce_sum(mul(first, Tensor(3.0))))
         backward(tape, loss)
     (g_first, g_second), = seen
     np.testing.assert_array_equal(g_first, [4.0, 4.0])
@@ -408,9 +424,9 @@ PROB_FLOOR = 0.05
 
 
 def _mlp3_composed(x, w0, b0, w1, b1, w2, b2):
-    h = relu(matmul(x, w0) + b0)
-    h = relu(matmul(h, w1) + b1)
-    return matmul(h, w2) + b2
+    h = relu(add(matmul(x, w0), b0))
+    h = relu(add(matmul(h, w1), b1))
+    return add(matmul(h, w2), b2)
 
 
 def _sigmoid_mlp3_composed(x, *weights):
@@ -425,10 +441,10 @@ def _gaussian_mlp_composed(x, h, *weights):
 
 def _gru_composed(x, h, wr, br, wu, bu, wc, bc):
     xh = concat([x, h], axis=-1)
-    r = sigmoid(matmul(xh, wr) + br)
-    u = sigmoid(matmul(xh, wu) + bu)
-    c = tanh(matmul(concat([x, r * h], axis=-1), wc) + bc)
-    return u * h + (1.0 - u) * c
+    r = sigmoid(add(matmul(xh, wr), br))
+    u = sigmoid(add(matmul(xh, wu), bu))
+    c = tanh(add(matmul(concat([x, mul(r, h)], axis=-1), wc), bc))
+    return add(mul(u, h), mul(sub(Tensor(1.0), u), c))
 
 
 def _exp_clamp_composed(a, lo, hi):
@@ -436,14 +452,16 @@ def _exp_clamp_composed(a, lo, hi):
 
 
 def _log_pdf_composed(x, mean, std):
-    z = div(x - mean, std)
-    return reduce_sum(-0.5 * ad.LOG_2PI - log(std) - 0.5 * square(z), axis=-1)
+    z = div(sub(x, mean), std)
+    per_dim = sub(sub(Tensor(-0.5 * ad.LOG_2PI), log(std)), mul(Tensor(0.5), square(z)))
+    return reduce_sum(per_dim, axis=-1)
 
 
 def _kl_composed(qm, qs, pm, ps):
     var_ratio = square(div(qs, ps))
-    mean_term = square(div(qm - pm, ps))
-    per_dim = 0.5 * (var_ratio + mean_term - 1.0) + log(ps) - log(qs)
+    mean_term = square(div(sub(qm, pm), ps))
+    half = mul(Tensor(0.5), sub(add(var_ratio, mean_term), Tensor(1.0)))
+    per_dim = sub(add(half, log(ps)), log(qs))
     return reduce_sum(per_dim, axis=-1)
 
 
@@ -452,28 +470,30 @@ def _repeat_rows_composed(a):
 
 
 def _latent_sample_composed(mean, std):
-    return expand_dim(mean, 1, K) + expand_dim(std, 1, K) * Tensor(EPS_BKD)
+    return add(expand_dim(mean, 1, K), mul(expand_dim(std, 1, K), Tensor(EPS_BKD)))
 
 
 def _reparameterize_composed(mean, std):
-    return mean + std * Tensor(EPS_BD)
+    return add(mean, mul(std, Tensor(EPS_BD)))
 
 
 def _weighted_sum_composed(s, q_mean, q_std):
     w3 = Tensor(ONE_HOT[:, :, None])
     return tuple(
-        reduce_sum(w3 * ad.reshape(t, (B, K, t.shape[-1])), axis=1) for t in (s, q_mean, q_std)
+        reduce_sum(mul(w3, ad.reshape(t, (B, K, t.shape[-1]))), axis=1)
+        for t in (s, q_mean, q_std)
     )
 
 
 def _select_bound_composed(recon, kl):
     w = Tensor(ONE_HOT)
-    picked = reduce_sum(w * ad.reshape(recon, (B, K)), axis=1)
-    return picked - reduce_sum(w * ad.reshape(kl, (B, K)), axis=1) - math.log(K)
+    picked = reduce_sum(mul(w, ad.reshape(recon, (B, K))), axis=1)
+    bound = sub(picked, reduce_sum(mul(w, ad.reshape(kl, (B, K))), axis=1))
+    return sub(bound, Tensor(math.log(K)))
 
 
 def _log_mean_exp_composed(a):
-    return logsumexp(a, axis=1) - math.log(K)
+    return sub(logsumexp(a, axis=1), Tensor(math.log(K)))
 
 
 def _gan_losses_composed(d_gen, d_real, d_fake):
@@ -481,12 +501,16 @@ def _gan_losses_composed(d_gen, d_real, d_fake):
         return log(clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
     gen = neg(clamped_log(d_gen))
-    disc = neg(clamped_log(d_real)) - clamped_log(1.0 - d_fake)
+    disc = sub(neg(clamped_log(d_real)), clamped_log(sub(Tensor(1.0), d_fake)))
     return ad.reshape(gen, (B,)), ad.reshape(disc, (B,))
 
 
 def _sum_of_means_composed(a, b, c, d):
-    return (reduce_mean(a) + reduce_mean(b)) + reduce_mean(c), reduce_mean(d)
+    return add(add(reduce_mean(a), reduce_mean(b)), reduce_mean(c)), reduce_mean(d)
+
+
+def _linear_combination_composed(a, b, c):
+    return add(add(mul(Tensor(-1.0), a), mul(Tensor(-0.7), b)), mul(Tensor(2.5), c))
 
 
 def _fused_cases():
@@ -531,6 +555,9 @@ def _fused_cases():
             "d_fake": u(B, 1, lo=0.01, hi=0.99)}),
         ("sum_of_means", lambda a, b, c, d: ad.sum_of_means((a, b, c), (d,)),
          _sum_of_means_composed, {"a": u(B), "b": u(B), "c": u(B, 2), "d": u(4)}),
+        ("linear_combination",
+         lambda a, b, c: ad.linear_combination((-1.0, -0.7, 2.5), (a, b, c)),
+         _linear_combination_composed, {"a": u(lo=-3.0, hi=3.0), "b": u(), "c": u()}),
     ]
 
 
@@ -545,7 +572,7 @@ def _outputs(result):
 def _square_sum(outputs):
     loss = reduce_sum(square(outputs[0]))
     for out in outputs[1:]:
-        loss = loss + reduce_sum(square(out))
+        loss = add(loss, reduce_sum(square(out)))
     return loss
 
 

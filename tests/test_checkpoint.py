@@ -1,7 +1,6 @@
-"""Checkpoint container: bit-exact round trips, version gating, format 1
-compatibility, typed errors for corrupt files."""
+"""Checkpoint container: bit-exact round trips, version gating, typed errors
+for corrupt files."""
 import json
-import os
 import re
 import struct
 
@@ -11,10 +10,6 @@ import pytest
 from vdm.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from vdm.inference import belief_init, generate
 from vdm.nets import ModelConfig, VdmModel
-
-# Written by the format 1 writer from make_checkpoint(seed=5), whose model
-# store then carried nonzero Adam moments, step_count=7 and an rng state.
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1.vdm")
 
 
 def make_checkpoint(seed=0):
@@ -104,6 +99,16 @@ def test_version_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_format_1_header_rejected(tmp_path):
+    """Format 1 no longer loads: its version alone rejects the file."""
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    _, header, payload = split_blob(path.read_bytes())
+    path.write_bytes(join_blob(1, header, payload))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1 "):
+        load_checkpoint(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.vdm"
     path.write_bytes(b"not a checkpoint at all")
@@ -115,39 +120,6 @@ def test_normalization_helpers_invert():
     ckpt = make_checkpoint()
     data = np.random.default_rng(9).normal(size=(3, 4, 2))
     np.testing.assert_allclose(ckpt.denormalize(ckpt.normalize(data)), data, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# format 1 compatibility
-# ---------------------------------------------------------------------------
-
-def test_v1_fixture_loads_same_weights():
-    with open(V1_FIXTURE, "rb") as fh:
-        version, header, _ = split_blob(fh.read())
-    assert version == 1
-    assert {"steps", "rng_state"} <= set(header)
-    assert {e["kind"] for e in header["arrays"]} == {"param", "m", "v"}
-    assert_same_checkpoint(load_checkpoint(V1_FIXTURE), make_checkpoint(seed=5))
-
-
-def test_v1_fixture_forecasts_identically_after_v2_resave(tmp_path):
-    v1 = load_checkpoint(V1_FIXTURE)
-    path = tmp_path / "resaved.vdm"
-    save_checkpoint(v1, path)
-    v2 = load_checkpoint(path)
-    assert split_blob(path.read_bytes())[0] == 2
-    np.testing.assert_array_equal(forecast(v1), forecast(v2))
-    np.testing.assert_array_equal(forecast(v2), forecast(make_checkpoint(seed=5)))
-
-
-def test_v1_prior_sample_config_rejected(tmp_path):
-    with open(V1_FIXTURE, "rb") as fh:
-        version, header, payload = split_blob(fh.read())
-    header["config"]["branch_likelihood"] = "prior_sample"
-    path = tmp_path / "prior_sample.vdm"
-    path.write_bytes(join_blob(version, header, payload))
-    with pytest.raises(ValueError, match="prior_sample.*removed"):
-        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

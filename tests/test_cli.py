@@ -90,16 +90,6 @@ def test_missing_seed_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_train_zero_epochs_writes_initialized_checkpoint(tmp_path):
-    manifest = simulate_four_mode(tmp_path / "data")
-    rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
-    assert rc == 0
-    assert os.path.exists(ckpt)
-    assert os.path.exists(tmp_path / "run" / "metrics.csv")
-    record = json.loads(read(tmp_path / "run" / "run_record.json"))
-    assert record["config"]["epochs"] == 0
-
-
 def test_train_deterministic_checkpoint_bytes(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
     _, c1 = train_tiny(manifest, tmp_path / "r1")
@@ -113,7 +103,7 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
 def test_train_config_file_with_flag_override(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"epochs": 0, "d_z": 2, "d_h": 4, "k": 5,
+    cfg_path.write_text(json.dumps({"epochs": 1, "d_z": 2, "d_h": 4, "k": 5,
                                     "batch_size": 16, "data": manifest}))
     out = tmp_path / "run"
     rc = main(["train", "--config", str(cfg_path), "--seed", "3", "--out", str(out),
@@ -121,7 +111,7 @@ def test_train_config_file_with_flag_override(tmp_path):
     assert rc == 0
     record = json.loads(read(out / "run_record.json"))
     assert record["config"]["d_h"] == 8  # flag beats config file
-    assert record["config"]["epochs"] == 0
+    assert record["config"]["epochs"] == 1
 
 
 def test_train_four_mode_flag_wiring(tmp_path):
@@ -132,7 +122,7 @@ def test_train_four_mode_flag_wiring(tmp_path):
         [
             "train", "--data", manifest, "--seed", "1", "--out", str(out),
             "--k", "9", "--d-z", "4", "--d-h", "8", "--omega1", "0",
-            "--omega2", "0", "--epochs", "0",
+            "--omega2", "0", "--epochs", "1",
         ]
     )
     assert rc == 0
@@ -217,6 +207,8 @@ def test_config_file_value_checked_like_a_flag(tmp_path, capsys, command, body):
         ("evaluate", "--n-forecasts=0"),
         ("evaluate", "--w-forecasts=0"),
         ("train", "--batch-size=0"),
+        ("train", "--epochs=0"),
+        ("train", "--patience=-3"),
         ("train", "--val-forecasts=0"),
         ("simulate", "--n-train=0"),
         ("simulate", "--group-size=0"),
@@ -274,7 +266,7 @@ def test_written_files_follow_the_umask(tmp_path):
     old = os.umask(0o022)
     try:
         manifest = simulate_four_mode(tmp_path / "data")
-        rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+        rc, ckpt = train_tiny(manifest, tmp_path / "run")
     finally:
         os.umask(old)
     assert rc == 0
@@ -285,7 +277,7 @@ def test_written_files_follow_the_umask(tmp_path):
 
 def test_evaluate_without_groups_omits_w_distance(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     out = tmp_path / "eval"
     rc = main(
         [
@@ -315,7 +307,7 @@ def test_evaluate_with_groups_reports_w_distance(tmp_path):
         ]
     )
     manifest = os.path.join(str(out_data), "manifest.json")
-    rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    rc, ckpt = train_tiny(manifest, tmp_path / "run")
     assert rc == 0
     out = tmp_path / "eval"
     rc = main(
@@ -337,7 +329,7 @@ def test_scoring_an_empty_split_fails_before_out(tmp_path, capsys, command):
     """A header-only test.csv (``--n-test 0``) is named in the error, and no
     --out directory is left behind."""
     manifest = simulate_four_mode(tmp_path / "data", n=(40, 10, 0))
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     out = tmp_path / "out"
     rc = main([command, "--data", manifest, "--checkpoint", ckpt, "--seed", "1",
                "--out", str(out)])
@@ -359,7 +351,7 @@ def test_evaluate_an_empty_group_file_fails_before_out(tmp_path, capsys):
     group = out_data / "group_01.csv"
     group.write_text(group.read_text().splitlines()[0] + "\n")
     manifest = os.path.join(str(out_data), "manifest.json")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     out = tmp_path / "eval"
     rc = main(["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
                "--out", str(out), "--n-forecasts", "5"])
@@ -374,7 +366,7 @@ def test_bad_vdm_threads_fails_before_out(tmp_path, capsys, monkeypatch, command
     """VDM_THREADS is checked before any file is read, even by an evaluate
     that has no groups to fan out or a train whose validation comes last."""
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     monkeypatch.setenv("VDM_THREADS", "four")
     out = tmp_path / "out"
     if command == "evaluate":
@@ -401,7 +393,7 @@ def test_scoring_bytes_identical_at_any_thread_count(tmp_path, monkeypatch):
         ]
     )
     manifest = os.path.join(str(out_data), "manifest.json")
-    rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    rc, ckpt = train_tiny(manifest, tmp_path / "run")
     assert rc == 0
     outputs = {}
     for threads in ("1", "2"):
@@ -419,7 +411,7 @@ def test_scoring_bytes_identical_at_any_thread_count(tmp_path, monkeypatch):
 
 def test_evaluate_dimension_mismatch_fails(tmp_path):
     four = simulate_four_mode(tmp_path / "data4")
-    _, ckpt = train_tiny(four, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(four, tmp_path / "run")
     out_data = tmp_path / "lz"
     main(
         [
@@ -441,7 +433,7 @@ def test_evaluate_failure_leaves_no_output_directory(tmp_path, capsys):
     """A manifest whose prefix fills the whole sequence leaves nothing to
     score; evaluate fails before it creates --out."""
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     with open(manifest) as fh:
         body = json.load(fh)
     body["prefix_len"] = body["seq_len"]
@@ -461,7 +453,7 @@ def test_evaluate_failure_leaves_no_output_directory(tmp_path, capsys):
 
 def test_evaluate_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     with open(ckpt, "rb") as fh:
         blob = fh.read()
     with open(ckpt, "wb") as fh:
@@ -491,7 +483,7 @@ def test_evaluate_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
 )
 def test_evaluate_malformed_manifest_fails_cleanly(tmp_path, capsys, body, missing):
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps(body))
     capsys.readouterr()
@@ -508,7 +500,7 @@ def test_evaluate_malformed_manifest_fails_cleanly(tmp_path, capsys, body, missi
 
 def test_forecast_deterministic_and_shaped(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     outs = []
     for name in ("f1", "f2"):
         out = tmp_path / name
@@ -533,7 +525,7 @@ def test_forecast_deterministic_and_shaped(tmp_path):
 
 def test_forecast_prior_export(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     out = tmp_path / "fc"
     rc = main(
         [
@@ -553,7 +545,7 @@ def test_forecast_prior_export(tmp_path):
 @pytest.mark.parametrize("horizon", ["-2", "0"])
 def test_forecast_invalid_horizon_fails(tmp_path, horizon):
     manifest = simulate_four_mode(tmp_path / "data")
-    _, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
     rc = main(
         [
             "forecast", "--data", manifest, "--checkpoint", ckpt, "--seed", "9",
@@ -566,7 +558,7 @@ def test_forecast_invalid_horizon_fails(tmp_path, horizon):
 def test_run_records_written_for_all_commands(tmp_path):
     manifest = simulate_four_mode(tmp_path / "data")
     assert os.path.exists(tmp_path / "data" / "run_record.json")
-    rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=("--epochs", "0"))
+    rc, ckpt = train_tiny(manifest, tmp_path / "run")
     assert os.path.exists(tmp_path / "run" / "run_record.json")
     main(
         [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vdm.data import (
+    FOUR_MODE_HEADINGS,
     Dataset,
     LorenzConfig,
     generate_four_mode,
@@ -145,23 +146,29 @@ def test_observation_noise_recovery():
 # four-mode toy
 # ---------------------------------------------------------------------------
 
+def four_mode_labels(ds):
+    """Each trajectory's heading index, from the signs of its total
+    displacement: 3 steps of 0.5 along a diagonal against noise std 0.05
+    leave no sign in doubt."""
+    disp = ds.data[:, -1] - ds.data[:, 0]
+    return 2 * (disp[:, 0] < 0) + (disp[:, 1] < 0)
+
+
 def test_four_mode_zero_noise_gives_four_straight_lines():
-    (ds, _, _), (modes, _, _) = generate_four_mode(
-        (64, 1, 1), np.random.default_rng(2), noise_std=0.0, return_modes=True
-    )
+    ds, _, _ = generate_four_mode((64, 1, 1), np.random.default_rng(2), noise_std=0.0)
     flat = ds.data.reshape(64, -1)
     assert len(np.unique(flat, axis=0)) == 4
     steps = np.diff(ds.data, axis=1)
     lengths = np.linalg.norm(steps, axis=2)
     np.testing.assert_allclose(lengths, 0.5, rtol=1e-12)
+    headings = FOUR_MODE_HEADINGS[four_mode_labels(ds)]
+    np.testing.assert_allclose(steps, 0.5 * np.repeat(headings[:, None], 3, axis=1), rtol=1e-12)
 
 
 def test_four_mode_label_distribution_uniform():
     n = 10**4
-    (_, _, _), (modes, _, _) = generate_four_mode(
-        (n, 1, 1), np.random.default_rng(3), return_modes=True
-    )
-    counts = np.bincount(modes, minlength=4)
+    ds, _, _ = generate_four_mode((n, 1, 1), np.random.default_rng(3))
+    counts = np.bincount(four_mode_labels(ds), minlength=4)
     # binomial 4-sigma band around n/4
     band = 4 * np.sqrt(n * 0.25 * 0.75)
     assert np.all(np.abs(counts - n / 4) < band)

@@ -56,7 +56,7 @@ def test_moment_shapes_match_parameters():
     store = ParameterStore()
     store.add("a", np.zeros((2, 3)))
     store.add("b", np.zeros(5))
-    for name in store.names():
+    for name in store.params:
         assert store.m[name].shape == store[name].value.shape
         assert store.v[name].shape == store[name].value.shape
 
