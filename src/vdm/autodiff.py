@@ -445,22 +445,13 @@ def weighted_sum(weights, tensors):
     return _emit(outs, tensors, back)
 
 
-def select_bound(weights, recon, kl, const):
-    """Per row, sum_k w * recon - sum_k w * kl - const, for flat (B*k,)
-    reconstruction and KL terms: the evidence bound of one filtering step."""
-    b, k = weights.shape
-    rv, kv = recon.value, kl.value
-    out = (weights * rv.reshape(b, k)).sum(axis=1) - (weights * kv.reshape(b, k)).sum(axis=1)
-    out = out - const
-
-    def back(g):
-        g = np.expand_dims(g, 1)
-        return (
-            (g * weights).reshape(rv.shape) if _wants(recon) else None,
-            (-g * weights).reshape(kv.shape) if _wants(kl) else None,
-        )
-
-    return _emit(out, (recon, kl), back)
+def select_bound(recon, kl, const):
+    """recon - kl - const per row: the evidence bound of one filtering step
+    from the selected component's (B,) reconstruction and KL terms."""
+    out = recon.value - kl.value - const
+    return _emit(
+        out, (recon, kl), lambda g: (g if _wants(recon) else None, -g if _wants(kl) else None)
+    )
 
 
 def log_mean_exp(a):

@@ -170,9 +170,9 @@ def cmd_simulate(args):
     for name, default in zip(("seq_len", "prefix_len"), defaults):
         if resolved[name] is None:
             resolved[name] = default
-    if resolved["prefix_len"] > resolved["seq_len"]:
+    if resolved["prefix_len"] >= resolved["seq_len"]:
         raise ValueError(
-            f"setting 'prefix_len' must be <= seq_len = {resolved['seq_len']}, "
+            f"setting 'prefix_len' must be < seq_len = {resolved['seq_len']}, "
             f"got {resolved['prefix_len']}"
         )
     out_dir = args.out

@@ -3,9 +3,11 @@
 All public entry points accept batched observations with a leading batch
 axis; a single trajectory is the B = 1 case.  The recursion alternates:
 sample latents from the previous collapsed posterior, push each through the
-recurrent cell, build one mixture component per sample from the new
-observation, pick indicator weights from branch likelihoods, and carry the
-selected component plus the expected recurrent state forward.
+recurrent cell, pick indicator weights from the branch likelihoods, build the
+mixture component of the selected branch from the new observation, and carry
+that component plus the expected recurrent state forward.  The weights are
+one-hot, so the components of the other branches would be multiplied by zero;
+they are never built.
 """
 from __future__ import annotations
 
@@ -54,11 +56,13 @@ class StepInfo:
     """Intermediate tensors of one belief step, reused by the training losses."""
 
     branch_states_flat: Tensor  # (B*k, d_h)
-    x_rep: Tensor              # (B*k, d_x) the observation repeated per branch
-    q_flat: DiagGaussian       # (B*k, d_z) mixture components
     prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
     branch_loglik: Tensor      # (B, k) log p(x_t | h_{t-1} = s^{(j)})
     weights: np.ndarray        # (B, k)
+    x: Tensor                  # (B, d_x) the observation
+    state: Tensor              # (B, d_h) the selected branch state
+    prior: DiagGaussian        # (B, d_z) the selected branch's transition prior
+    q: DiagGaussian            # (B, d_z) the selected component: the collapsed posterior
 
 
 def _as_batch_array(x, dim, name):
@@ -70,17 +74,16 @@ def _as_batch_array(x, dim, name):
     return arr
 
 
-def _branch_likelihood(model, s_flat, x_rep, k):
+def _branch_likelihood(model, s_flat, x, k):
     """Differentiable log p(x_t | h_{t-1}=s) per branch, plus the branch priors.
 
     The latent is resolved at the transition prior's mean, so the branch
     likelihood is deterministic and draws nothing from the rng.
     """
     prior_flat = model.transition_prior(s_flat)
-    z_branch = prior_flat.mean
-    em = model.emit(z_branch, s_flat)
-    ll_flat = gaussian_log_pdf(x_rep, em)
-    return ad.reshape(ll_flat, (x_rep.shape[0] // k, k)), prior_flat
+    em = model.emit(prior_flat.mean, s_flat)
+    ll_flat = gaussian_log_pdf(Tensor(np.repeat(x, k, axis=0)), em)
+    return ad.reshape(ll_flat, (x.shape[0], k)), prior_flat
 
 
 def weights_from_loglik(loglik, mode, rng=None):
@@ -88,6 +91,9 @@ def weights_from_loglik(loglik, mode, rng=None):
 
     delta: one-hot at the argmax (lowest index wins ties).  categorical:
     one-hot at an index drawn with probability proportional to likelihood.
+    ``belief_step`` builds only the selected branch's component and relies
+    on the weights being one-hot; a soft weighting would need all k
+    components back.
     """
     ll = np.asarray(loglik, dtype=np.float64)
     if ll.ndim != 2:
@@ -132,26 +138,25 @@ def belief_step(model, belief, x, rng):
     z_flat = ad.reshape(z, (b * k, cfg.d_z))
     h_rep = ad.repeat_rows(belief.expected_h, k)
     s_flat = model.gru_advance(z_flat, h_rep)                      # (B*k, d_h)
-    # recorded here, not inside the collapse below, so that the gradient of
-    # s_flat sums its consumers' contributions in the order they were recorded
-    s = ad.reshape(s_flat, (b, k, cfg.d_h))
 
-    # one copy per step, read again by the branch likelihood and the ELBO
-    x_rep = Tensor(np.repeat(x_arr, k, axis=0))
-    q_flat = model.infer_component(s_flat, x_rep)                  # (B*k, d_z)
-
-    loglik, prior_flat = _branch_likelihood(model, s_flat, x_rep, k)
+    loglik, prior_flat = _branch_likelihood(model, s_flat, x_arr, k)
     weights = weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
-    expected_h, mean, std = ad.weighted_sum(weights, (s, q_flat.mean, q_flat.std))
+    # the weights are one-hot: gather the selected branch, then build its
+    # component alone, on B rows instead of B*k
+    state, pm, ps = ad.weighted_sum(weights, (s_flat, prior_flat.mean, prior_flat.std))
+    x_t = Tensor(x_arr)
+    q = model.infer_component(state, x_t)                          # (B, d_z)
 
-    new_belief = MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
+    new_belief = MixtureBelief(expected_h=state, collapsed=q)
     info = StepInfo(
         branch_states_flat=s_flat,
-        x_rep=x_rep,
-        q_flat=q_flat,
         prior_flat=prior_flat,
         branch_loglik=loglik,
         weights=weights,
+        x=x_t,
+        state=state,
+        prior=DiagGaussian(pm, ps),
+        q=q,
     )
     return new_belief, info
 

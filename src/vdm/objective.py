@@ -52,18 +52,20 @@ class LossBreakdown:
 
 def _elbo_from_info(model, info, recon_eps):
     """Per-trajectory evidence bound for one step, shape (B,); ``recon_eps``
-    is the (B*k, d_z) reparameterization noise of the reconstruction.
+    is the (B*k, d_z) reparameterization noise of the reconstruction, of
+    which the selected branches' rows are read.
 
     The active branch receives full weight (the weighting function evaluates
     to k at the selected index and 0 elsewhere, cancelling the 1/k front
     factor), and the weight normalization contributes the constant -log k.
     """
     k = info.weights.shape[1]
-    z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
-    em = model.emit(z_tilde, info.branch_states_flat)
-    recon = gaussian_log_pdf(info.x_rep, em)
-    kl = gaussian_kl(info.q_flat, info.prior_flat)
-    return ad.select_bound(info.weights, recon, kl, math.log(k))
+    eps = recon_eps[info.weights.reshape(-1) > 0.0]
+    z_tilde = ad.reparameterize(info.q.mean, info.q.std, eps)
+    em = model.emit(z_tilde, info.state)
+    recon = gaussian_log_pdf(info.x, em)
+    kl = gaussian_kl(info.q, info.prior)
+    return ad.select_bound(recon, kl, math.log(k))
 
 
 def adv_regularizer(model, prefix_summary, x_real, x_gen):
@@ -101,7 +103,7 @@ def total_loss(model, batch, rng):
         x_t = arr[:, t]
         try:
             belief, info = belief_step(model, belief, x_t, rng)
-            recon_eps = rng.standard_normal((info.x_rep.shape[0], cfg.d_z))
+            recon_eps = rng.standard_normal((b * cfg.k, cfg.d_z))
             elbo_t = _elbo_from_info(model, info, recon_eps)
             if not np.all(np.isfinite(elbo_t.value)):
                 raise FloatingPointError("non-finite bound")
@@ -200,6 +202,8 @@ def train(
         val_arr = val_dataset.data
         if val_arr.shape[0] == 0:
             raise ValueError("train: the validation set holds no sequences")
+        if val_arr.shape[1] <= prefix_len:
+            raise ValueError("train: the validation set has no continuation to score")
         if not np.all(np.isfinite(val_arr)):
             raise ValueError("train: validation set holds a non-finite value")
         val_scaled = (val_arr - obs_mean) / obs_std

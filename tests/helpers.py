@@ -1,19 +1,24 @@
 """Shared test utilities: finite-difference oracles, error measures, frozen
-branch selection, analytic parameter counts, the unfused tape primitives that
-fused records are checked against and test losses are built from, and the
-row-at-a-time CSV rendering and reading that the block writer and the
-vectorized loader must reproduce."""
+branch selection, analytic parameter counts, the all-branch belief step and
+bound that the selected-component step must reproduce, the unfused tape
+primitives that fused records are checked against and test losses are built
+from, and the row-at-a-time CSV rendering and reading that the block writer
+and the vectorized loader must reproduce."""
 import contextlib
 import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
 import vdm.autodiff as ad
 import vdm.inference
+import vdm.objective
+from vdm.gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
+from vdm.sampling import latent_sample_batch
 
 
 def finite_diff_store(store, loss_fn, eps=1e-5, names=None):
@@ -218,6 +223,86 @@ def reference_export_prior(model, x_prefix, n_draws, rng):
         eps = rng.standard_normal((n_draws, model.config.d_z))
         out.append(prior.mean.value[idx] + prior.std.value[idx] * eps)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the all-branch belief step: k mixture components built and collapsed with
+# the indicator weights, kept as the reference for the step that builds only
+# the selected component
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AllBranchInfo:
+    branch_states_flat: ad.Tensor  # (B*k, d_h)
+    x_rep: ad.Tensor              # (B*k, d_x) the observation repeated per branch
+    q_flat: DiagGaussian          # (B*k, d_z) mixture components
+    prior_flat: DiagGaussian      # (B*k, d_z) transition priors at each branch
+    branch_loglik: ad.Tensor      # (B, k)
+    weights: np.ndarray           # (B, k)
+
+
+def all_branch_belief_step(model, belief, x, rng):
+    """``vdm.inference.belief_step`` as it was before the branch was picked
+    first: the inference net runs on all B*k branch states and a
+    ``weighted_sum`` collapses the k components.  It draws the same rng
+    stream, so with one-hot weights it gives the same belief."""
+    cfg = model.config
+    x_arr = np.asarray(x, dtype=np.float64)
+    b, k = x_arr.shape[0], cfg.k
+    z = latent_sample_batch(belief.collapsed, cfg, rng)
+    z_flat = ad.reshape(z, (b * k, cfg.d_z))
+    h_rep = ad.repeat_rows(belief.expected_h, k)
+    s_flat = model.gru_advance(z_flat, h_rep)
+    s = ad.reshape(s_flat, (b, k, cfg.d_h))
+    x_rep = ad.Tensor(np.repeat(x_arr, k, axis=0))
+    q_flat = model.infer_component(s_flat, x_rep)
+    prior_flat = model.transition_prior(s_flat)
+    em = model.emit(prior_flat.mean, s_flat)
+    loglik = ad.reshape(gaussian_log_pdf(x_rep, em), (b, k))
+    weights = vdm.inference.weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
+    expected_h, mean, std = ad.weighted_sum(weights, (s, q_flat.mean, q_flat.std))
+    belief = vdm.inference.MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
+    info = AllBranchInfo(s_flat, x_rep, q_flat, prior_flat, loglik, weights)
+    return belief, info
+
+
+def weighted_bound(weights, recon, kl, const):
+    """Per row, sum_k w * recon - sum_k w * kl - const, for flat (B*k,)
+    reconstruction and KL terms, as one record."""
+    b, k = weights.shape
+    rv, kv = recon.value, kl.value
+    out = (weights * rv.reshape(b, k)).sum(axis=1) - (weights * kv.reshape(b, k)).sum(axis=1)
+    out = out - const
+
+    def back(g):
+        g = np.expand_dims(g, 1)
+        return (
+            (g * weights).reshape(rv.shape) if ad._wants(recon) else None,
+            (-g * weights).reshape(kv.shape) if ad._wants(kl) else None,
+        )
+
+    return ad._emit(out, (recon, kl), back)
+
+
+def all_branch_elbo(model, info, recon_eps):
+    """The evidence bound of one all-branch step: reconstruction and KL on
+    all B*k components, then the weighted selection; ``recon_eps`` is
+    (B*k, d_z)."""
+    k = info.weights.shape[1]
+    z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
+    em = model.emit(z_tilde, info.branch_states_flat)
+    recon = gaussian_log_pdf(info.x_rep, em)
+    kl = gaussian_kl(info.q_flat, info.prior_flat)
+    return weighted_bound(info.weights, recon, kl, math.log(k))
+
+
+@contextlib.contextmanager
+def all_branch_losses():
+    """Inside the block ``vdm.objective.total_loss`` filters with the
+    all-branch step and bound."""
+    with mock.patch.object(vdm.objective, "belief_step", all_branch_belief_step), \
+            mock.patch.object(vdm.objective, "_elbo_from_info", all_branch_elbo):
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -486,10 +486,7 @@ def _weighted_sum_composed(s, q_mean, q_std):
 
 
 def _select_bound_composed(recon, kl):
-    w = Tensor(ONE_HOT)
-    picked = reduce_sum(mul(w, ad.reshape(recon, (B, K))), axis=1)
-    bound = sub(picked, reduce_sum(mul(w, ad.reshape(kl, (B, K))), axis=1))
-    return sub(bound, Tensor(math.log(K)))
+    return sub(sub(recon, kl), Tensor(math.log(K)))
 
 
 def _log_mean_exp_composed(a):
@@ -546,8 +543,8 @@ def _fused_cases():
         ("weighted_sum", lambda s, qm, qs: ad.weighted_sum(ONE_HOT, (s, qm, qs)),
          _weighted_sum_composed, {
             "s": u(B, K, 3), "q_mean": u(B * K, 2), "q_std": u(B * K, 2, lo=0.3, hi=2.0)}),
-        ("select_bound", lambda r, kl: ad.select_bound(ONE_HOT, r, kl, math.log(K)),
-         _select_bound_composed, {"recon": u(B * K, lo=-3.0), "kl": u(B * K, lo=0.0, hi=2.0)}),
+        ("select_bound", lambda r, kl: ad.select_bound(r, kl, math.log(K)),
+         _select_bound_composed, {"recon": u(B, lo=-3.0), "kl": u(B, lo=0.0, hi=2.0)}),
         ("log_mean_exp", ad.log_mean_exp, _log_mean_exp_composed, {"a": u(B, K, lo=-5.0, hi=5.0)}),
         ("gan_losses", lambda dg, dr, df: ad.gan_losses(dg, dr, df, PROB_FLOOR),
          _gan_losses_composed, {

@@ -6,6 +6,7 @@ import stat
 
 import pytest
 
+import vdm.objective
 from vdm.cli import build_parser, main
 from vdm.data import load_csv
 
@@ -231,9 +232,9 @@ def test_count_below_one_fails(tmp_path, capsys, command, flag):
         (["--gen", "four_mode", "--seq-len", "50"],
          "setting 'seq_len' is fixed at 4 for four_mode data, got 50"),
         (["--gen", "four_mode", "--prefix-len", "5"],
-         "setting 'prefix_len' must be <= seq_len = 4, got 5"),
+         "setting 'prefix_len' must be < seq_len = 4, got 5"),
         (["--seq-len", "5", "--prefix-len", "9"],
-         "setting 'prefix_len' must be <= seq_len = 5, got 9"),
+         "setting 'prefix_len' must be < seq_len = 5, got 9"),
         (["--n-val", "-2"], "setting 'n_val' must be >= 0, got -2"),
         (["--n-test", "-1"], "setting 'n_test' must be >= 0, got -1"),
         (["--n-groups", "-1"], "setting 'n_groups' must be >= 0, got -1"),
@@ -252,6 +253,38 @@ def test_simulate_length_checked(tmp_path, capsys, flags, message):
     assert rc == 1
     assert f"vdm simulate: error: {message}" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seq-len", "6", "--prefix-len", "6"], ["--gen", "four_mode", "--prefix-len", "4"]],
+    ids=["lorenz", "four_mode"],
+)
+def test_simulate_prefix_filling_the_sequence_fails_before_out(tmp_path, flags):
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "simulate", "--seed", "1", "--out", str(out), "--n-train", "2",
+            "--n-val", "1", "--n-test", "1", "--n-groups", "0", *flags,
+        ]
+    )
+    assert rc == 1
+    assert not os.path.exists(out)
+
+
+def test_train_without_a_validation_continuation_fails_before_training(tmp_path, monkeypatch):
+    manifest = simulate_four_mode(tmp_path / "data")
+    with open(manifest) as fh:
+        body = json.load(fh)
+    body["prefix_len"] = body["seq_len"]
+    with open(manifest, "w") as fh:
+        json.dump(body, fh)
+    calls = []
+    monkeypatch.setattr(vdm.objective, "total_loss", lambda *a: calls.append(a))
+    rc, _ = train_tiny(manifest, tmp_path / "run")
+    assert rc == 1
+    assert not os.path.exists(tmp_path / "run")
+    assert calls == []
 
 
 def test_train_rejects_an_empty_validation_set(tmp_path, capsys):

@@ -15,7 +15,7 @@ from vdm.inference import (
 )
 from vdm.nets import ModelConfig, VdmModel
 
-from helpers import reference_export_prior
+from helpers import all_branch_belief_step, reference_export_prior
 
 
 def make_model(d_x=3, d_z=2, d_h=4, k=5, seed=0, **kw):
@@ -140,15 +140,66 @@ def test_expected_h_is_convex_combination():
 def test_collapsed_matches_selected_component():
     model = make_model(seed=12)
     belief = belief_init(model, np.random.default_rng(3).normal(size=(2, 3)))
-    belief, info = belief_step(model, belief, np.random.default_rng(4).normal(size=(2, 3)),
-                               np.random.default_rng(5))
+    x = np.random.default_rng(4).normal(size=(2, 3))
+    _, ref = all_branch_belief_step(model, belief, x, np.random.default_rng(5))
+    belief, info = belief_step(model, belief, x, np.random.default_rng(5))
+    np.testing.assert_array_equal(info.weights, ref.weights)
     idx = np.argmax(info.weights, axis=1)
     k, d_z = model.config.k, model.config.d_z
-    means = info.q_flat.mean.value.reshape(2, k, d_z)
-    stds = info.q_flat.std.value.reshape(2, k, d_z)
+    means = ref.q_flat.mean.value.reshape(2, k, d_z)
+    stds = ref.q_flat.std.value.reshape(2, k, d_z)
     for b in range(2):
         np.testing.assert_array_equal(belief.collapsed.mean.value[b], means[b, idx[b]])
         np.testing.assert_array_equal(belief.collapsed.std.value[b], stds[b, idx[b]])
+
+
+LORENZ_MODES = [("sca", "delta"), ("monte_carlo", "categorical")]
+
+
+def _lorenz_model(sampler, weighting):
+    return make_model(d_x=3, d_z=6, d_h=32, k=13, seed=4, sampler_mode=sampler,
+                      weighting_mode=weighting)
+
+
+def _filter_both(model, xs):
+    """The beliefs of the selected-component step and of the all-branch
+    reference, each filtering ``xs`` from its own copy of one rng stream."""
+    out = []
+    for step in (belief_step, all_branch_belief_step):
+        rng = np.random.default_rng(9)
+        belief = belief_init(model, xs[:, 0])
+        beliefs = []
+        for t in range(1, xs.shape[1]):
+            belief, _ = step(model, belief, xs[:, t], rng)
+            beliefs.append(belief)
+        out.append(beliefs)
+    return out
+
+
+@pytest.mark.parametrize("sampler, weighting", LORENZ_MODES)
+def test_selected_component_step_bit_identical_to_all_branch_step(sampler, weighting):
+    """At B=32 the step that builds only the selected component gives the
+    all-branch step's beliefs bit for bit, step after step."""
+    model = _lorenz_model(sampler, weighting)
+    xs = np.random.default_rng(8).normal(size=(32, 6, 3))
+    got, want = _filter_both(model, xs)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.collapsed.mean.value, w.collapsed.mean.value)
+        np.testing.assert_array_equal(g.collapsed.std.value, w.collapsed.std.value)
+        np.testing.assert_array_equal(g.expected_h.value, w.expected_h.value)
+
+
+@pytest.mark.parametrize("sampler, weighting", LORENZ_MODES)
+def test_selected_component_step_matches_all_branch_step_single_row(sampler, weighting):
+    """At B=1 numpy's single-row product may differ in the last bits from a
+    row of the B*k-row product."""
+    model = _lorenz_model(sampler, weighting)
+    xs = np.random.default_rng(8).normal(size=(1, 6, 3))
+    got, want = _filter_both(model, xs)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g.collapsed.mean.value, w.collapsed.mean.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.collapsed.std.value, w.collapsed.std.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.expected_h.value, w.expected_h.value, rtol=0, atol=1e-12)
 
 
 def test_k1_matches_independent_single_sample_filter():

@@ -1,5 +1,6 @@
 """Training losses: frozen hand values, breakdown identity, FD gradient of the
 full objective, training-loop contracts."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
-from vdm.data import generate_four_mode
+from vdm.data import Dataset, generate_four_mode
 from vdm.evaluation import dataset_multi_step_nll
 from vdm.inference import belief_init, belief_step, weights_from_loglik
 from vdm.gaussians import DiagGaussian
@@ -16,6 +17,9 @@ from vdm.nets import ModelConfig, VdmModel
 from vdm.objective import adv_regularizer, total_loss, train
 
 from helpers import (
+    all_branch_belief_step,
+    all_branch_elbo,
+    all_branch_losses,
     entry_grads,
     finite_diff_entries,
     frozen_branch_selection,
@@ -81,27 +85,45 @@ def test_elbo_nonfinite_input_reported():
 
 
 def test_elbo_permutation_invariant_when_weights_recomputed():
+    """The bound of the selected component, with the branches permuted and
+    the weights recomputed, equals the all-branch bound of the unpermuted
+    step."""
     from vdm.objective import _elbo_from_info
 
     model = make_model(seed=3)
     belief = belief_init(model, np.random.default_rng(0).normal(size=(1, 3)))
     x = np.random.default_rng(1).normal(size=(1, 3))
+    _, ref = all_branch_belief_step(model, belief, x, np.random.default_rng(2))
     _, info = belief_step(model, belief, x, np.random.default_rng(2))
     k = model.config.k
     recon_eps = np.random.default_rng(3).standard_normal((k, model.config.d_z))
-    base = _elbo_from_info(model, info, recon_eps)
+    base = all_branch_elbo(model, ref, recon_eps)
 
     perm = np.random.default_rng(4).permutation(k)
-    permuted = type(info)(
+    permuted = dataclasses.replace(
+        info,
         branch_states_flat=Tensor(info.branch_states_flat.value[perm]),
-        x_rep=Tensor(info.x_rep.value[perm]),
-        q_flat=DiagGaussian(Tensor(info.q_flat.mean.value[perm]), Tensor(info.q_flat.std.value[perm])),
         prior_flat=DiagGaussian(Tensor(info.prior_flat.mean.value[perm]), Tensor(info.prior_flat.std.value[perm])),
         branch_loglik=Tensor(info.branch_loglik.value[:, perm]),
         weights=weights_from_loglik(info.branch_loglik.value[:, perm], "delta"),
     )
     again = _elbo_from_info(model, permuted, recon_eps[perm])
     np.testing.assert_allclose(again.value, base.value, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sampler, weighting", [("sca", "delta"), ("monte_carlo", "categorical")])
+def test_loss_terms_bit_identical_to_all_branch_losses(sampler, weighting):
+    """At B=32 the loss terms of the selected-component step equal those of
+    the all-branch step and bound bit for bit; at B=1 within 1e-12."""
+    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=6, sampler_mode=sampler,
+                       weighting_mode=weighting)
+    for b, atol in ((32, 0.0), (1, 1e-12)):
+        batch = np.random.default_rng(7).normal(size=(b, 6, 3))
+        got = total_loss(model, batch, np.random.default_rng(8))
+        with all_branch_losses():
+            want = total_loss(model, batch, np.random.default_rng(8))
+        for term in ("elbo", "pred", "adv"):
+            np.testing.assert_allclose(getattr(got, term), getattr(want, term), rtol=0, atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +274,7 @@ def test_discriminator_gradient_matches_finite_differences():
 
 def test_training_step_tape_record_count():
     """One B=32 step at Lorenz desk scale (d_x 3, d_z 6, d_h 32, k 13, T=30,
-    omega2=1) records 27 entries per filtering step plus 3 others (the
+    omega2=1) records 26 entries per filtering step plus 3 others (the
     initial encoding, the sums of the per-step means and the loss's linear
     combination): within the 800-entry budget, and any added record shows
     here."""
@@ -260,7 +282,7 @@ def test_training_step_tape_record_count():
     batch = np.random.default_rng(1).normal(size=(32, 30, 3))
     with Tape() as tape:
         total_loss(model, batch, np.random.default_rng(2))
-    assert len(tape.records) == 786
+    assert len(tape.records) == 757
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +385,19 @@ def test_nonfinite_validation_data_is_an_error():
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
     with pytest.raises(ValueError, match="validation"):
         train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=3, batch_size=16)
+
+
+def test_validation_without_a_continuation_fails_before_training(monkeypatch):
+    """A validation set whose prefix fills the whole sequence has nothing to
+    score; train rejects it before the first batch, not after an epoch."""
+    train_ds, val_ds = _tiny_four_mode()
+    calls = []
+    monkeypatch.setattr(objective, "total_loss", lambda *a: calls.append(a))
+    full = Dataset(train_ds.data, train_ds.seq_len)
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    with pytest.raises(ValueError):
+        train(full, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=1, batch_size=16)
+    assert calls == []
 
 
 @pytest.mark.parametrize("position", ["dataset", "val_dataset"])
