@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .autodiff import Tensor
 from .gaussians import LOG_2PI, DiagGaussian
@@ -102,6 +100,8 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
     """
     data = np.asarray(data, dtype=np.float64)
     horizon = data.shape[1] - prefix_len
+    if prefix_len < 1:
+        raise ValueError(f"dataset_multi_step_nll: prefix_len must be >= 1, got {prefix_len}")
     if horizon < 1:
         raise ValueError("dataset_multi_step_nll: no continuation to score")
     if data.shape[0] == 0:
@@ -124,6 +124,8 @@ def one_step_nll(model, data, prefix_len, rng):
     array, filtering with the true past."""
     data = np.asarray(data, dtype=np.float64)
     t_len = data.shape[1]
+    if prefix_len < 1:
+        raise ValueError(f"one_step_nll: prefix_len must be >= 1, got {prefix_len}")
     if t_len - prefix_len < 1:
         raise ValueError("one_step_nll: no continuation to score")
     # the belief after the last observation predicts nothing that is scored
@@ -141,10 +143,16 @@ def wasserstein(p, q):
     Solves the optimal assignment on the Euclidean cost matrix and averages
     the matched costs.
     """
+    # imported here, not at module level: only scoring needs scipy (~45 MB, ~0.6 s)
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.ndim != 2 or q.ndim != 2 or p.shape != q.shape:
-        raise ValueError(f"wasserstein: expected matching (n, d) sets, got {p.shape} and {q.shape}")
+    if p.ndim != 2 or q.ndim != 2 or p.shape != q.shape or p.shape[0] == 0:
+        raise ValueError(
+            f"wasserstein: expected matching non-empty (n, d) sets, got {p.shape} and {q.shape}"
+        )
     cost = cdist(p, q)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
@@ -159,6 +167,12 @@ def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
     averaged before averaging over groups.  Each group has its own child
     stream of ``rng``.
     """
+    if not groups:
+        raise ValueError("w_distance_protocol: no groups to score")
+    if forecasts_per_truth < 1:
+        raise ValueError(
+            f"w_distance_protocol: forecasts_per_truth must be >= 1, got {forecasts_per_truth}"
+        )
 
     def score(args):
         group, grp_rng = args

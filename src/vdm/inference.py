@@ -186,14 +186,14 @@ def generate(model, belief, horizon, rng):
         b = belief.batch
         z = Tensor(belief.collapsed.detach().sample(rng))
         h = Tensor(belief.expected_h.value.copy())
-        h = model.gru_advance(z, h)
         out = np.empty((b, horizon, cfg.d_x))
         for t in range(horizon):
+            # the cell absorbs the previous latent; the last step's latent is never absorbed
+            h = model.gru_advance(z, h)
             prior = model.transition_prior(h)
             z = Tensor(prior.sample(rng))
             em = model.emit(z, h)
             out[:, t] = em.sample(rng)
-            h = model.gru_advance(z, h)
     return out
 
 

@@ -9,6 +9,9 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from unittest import mock
 
@@ -19,6 +22,20 @@ import vdm.inference
 import vdm.objective
 from vdm.gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
 from vdm.sampling import latent_sample_batch
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(code, *args, **env):
+    """Run ``code`` with ``args`` as ``sys.argv[1:]`` in a new interpreter that
+    imports ``vdm`` from this checkout, with ``env`` added to the environment;
+    returns the completed process with text output."""
+    full = dict(os.environ, **env)
+    full["PYTHONPATH"] = SRC + os.pathsep + full.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=full, capture_output=True, text=True, timeout=300,
+    )
 
 
 def finite_diff_store(store, loss_fn, eps=1e-5, names=None):

@@ -1,5 +1,6 @@
 """Metrics: frozen NLL values, assignment solver vs factorial enumeration,
 grouped W-distance protocol."""
+import ast
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,8 @@ from vdm.evaluation import (
     wasserstein,
 )
 from vdm.nets import ModelConfig, VdmModel
+
+from helpers import fresh_python
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -108,6 +111,14 @@ def test_multi_step_nll_rejects_an_empty_dataset():
         dataset_multi_step_nll(model, np.zeros((0, 6, 2)), 2, 5, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("prefix_len", [0, -3])
+def test_multi_step_nll_rejects_a_prefix_below_one(prefix_len):
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    data = np.random.default_rng(1).normal(size=(3, 6, 2))
+    with pytest.raises(ValueError, match="dataset_multi_step_nll: prefix_len"):
+        dataset_multi_step_nll(model, data, prefix_len, 5, np.random.default_rng(2))
+
+
 def test_multi_step_nll_peak_memory_flat_in_trajectory_count():
     """Each chunk of about FORECAST_ROWS rows is scored and dropped before the
     next, so the allocation peak at N = 128 stays within 10% of N = 32 (with
@@ -191,6 +202,16 @@ def test_one_step_nll_skips_the_unread_last_filtering_step(monkeypatch):
     assert got == float(want)
 
 
+@pytest.mark.parametrize("prefix_len", [0, -3])
+def test_one_step_nll_rejects_a_prefix_below_one(prefix_len):
+    """Step 0 has no belief before it; without the check, step 0 was scored
+    from the belief after the last observation."""
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(5))
+    data = np.random.default_rng(6).normal(size=(3, 6, 2))
+    with pytest.raises(ValueError, match="one_step_nll: prefix_len"):
+        one_step_nll(model, data, prefix_len, np.random.default_rng(7))
+
+
 # ---------------------------------------------------------------------------
 # Wasserstein distance
 # ---------------------------------------------------------------------------
@@ -237,6 +258,11 @@ def test_triangle_inequality():
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError, match="matching"):
         wasserstein(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def test_empty_sets_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        wasserstein(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +321,49 @@ def test_protocol_with_real_model_deterministic():
     b = w_distance_protocol(model, groups, np.random.default_rng(14), forecasts_per_truth=3)
     assert a == b
     assert a[0] > 0.0
+
+
+def test_protocol_rejects_no_groups():
+    with pytest.raises(ValueError, match="no groups"):
+        w_distance_protocol(None, [], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("forecasts_per_truth", [0, -1])
+def test_protocol_rejects_fewer_than_one_forecast(forecasts_per_truth):
+    groups = _toy_groups(np.random.default_rng(13), n_groups=2, n=4)
+    with pytest.raises(ValueError, match="forecasts_per_truth"):
+        w_distance_protocol(None, groups, np.random.default_rng(0), forecasts_per_truth)
+
+
+FIRST_SCORE_ON_TWO_THREADS = r"""
+import os
+import sys
+
+import numpy as np
+
+from vdm.data import Dataset
+from vdm.evaluation import w_distance_protocol
+from vdm.nets import ModelConfig, VdmModel
+
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+sys.setswitchinterval(1e-6)  # switch threads often while both import scipy
+model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(12))
+rng = np.random.default_rng(13)
+groups = [Dataset(rng.normal(size=(6, 5, 2)), prefix_len=2) for _ in range(4)]
+scores = []
+for threads in ("2", "1"):
+    os.environ["VDM_THREADS"] = threads
+    scores.append(w_distance_protocol(model, groups, np.random.default_rng(14), 3))
+print(repr(scores))
+"""
+
+
+def test_first_scoring_on_two_threads_matches_one_thread():
+    """scipy is imported on the first W-distance, so at VDM_THREADS=2 two
+    workers can start that import at once; the scores still equal the
+    one-thread run's."""
+    proc = fresh_python(FIRST_SCORE_ON_TWO_THREADS)
+    assert proc.returncode == 0, proc.stderr
+    two, one = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert two == one
+    assert two[0] > 0.0 and two[1] > 0.0

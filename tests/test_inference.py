@@ -298,6 +298,23 @@ def test_generate_emits_with_pre_update_recurrent_state():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_generate_advances_the_cell_once_per_step(monkeypatch):
+    """The latent drawn at the last step is emitted but never absorbed: a
+    horizon-H forecast makes H GRU calls, not H + 1."""
+    model = make_model(seed=16)
+    belief = belief_init(model, np.random.default_rng(4).normal(size=(2, 3)))
+    calls = []
+    real = model.gru_advance
+
+    def counted(z, h):
+        calls.append(1)
+        return real(z, h)
+
+    monkeypatch.setattr(model, "gru_advance", counted)
+    generate(model, belief, 6, np.random.default_rng(11))
+    assert len(calls) == 6
+
+
 def test_generate_small_emission_noise_leaves_only_latent_variability():
     """With the emission spread clamped to its floor, forecasts reproduce the
     emission means; remaining seed-to-seed variability is the latent path."""

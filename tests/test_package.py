@@ -1,9 +1,10 @@
 """Package surface: the top-level exports match the README quick start,
-every submodule export and every name a demo imports resolves, and the fast
-demos run."""
+every submodule export and every name a demo imports resolves, the fast
+demos run, and only scoring a W-distance loads scipy."""
 import ast
 import glob
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -13,6 +14,8 @@ import sys
 import pytest
 
 import vdm
+
+from helpers import fresh_python
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -79,3 +82,52 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+SCIPY_GUARD = r"""
+import json
+import os
+import sys
+
+import vdm
+import vdm.cli
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+work = sys.argv[1]
+data, run = os.path.join(work, "lz"), os.path.join(work, "run")
+manifest, ckpt = os.path.join(data, "manifest.json"), os.path.join(run, "checkpoint.vdm")
+commands = {
+    "simulate": ["simulate", "--gen", "lorenz", "--seed", "5", "--out", data,
+                 "--n-train", "8", "--n-val", "2", "--n-test", "4", "--seq-len", "12",
+                 "--prefix-len", "4", "--n-groups", "2", "--group-size", "4"],
+    "train": ["train", "--data", manifest, "--seed", "3", "--out", run, "--d-z", "2",
+              "--d-h", "4", "--k", "5", "--epochs", "1", "--batch-size", "16",
+              "--val-forecasts", "5"],
+    "forecast": ["forecast", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+                 "--out", os.path.join(work, "fc"), "--n", "3", "--limit", "2"],
+    "evaluate": ["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+                 "--out", os.path.join(work, "ev"), "--n-forecasts", "5",
+                 "--w-forecasts", "2"],
+}
+loaded = {"import": scipy_loaded()}
+for name, argv in commands.items():
+    assert vdm.cli.main(argv) == 0, name
+    loaded[name] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_w_distance_loads_scipy(tmp_path):
+    """scipy (about 45 MB resident) serves only the W-distance's assignment
+    solver: importing the package and running simulate, train and forecast
+    leave it unloaded, and evaluate with groups loads it."""
+    proc = fresh_python(SCIPY_GUARD, tmp_path, VDM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for step in ("import", "simulate", "train", "forecast"):
+        assert loaded[step] == [], step
+    assert "scipy.optimize" in loaded["evaluate"]
