@@ -5,21 +5,23 @@
 
 import numpy as np
 
-from vdm.evaluation import ForecastBundle, multi_step_nll, wasserstein
+from vdm.evaluation import multi_step_nll, wasserstein
 
 rng = np.random.default_rng(0)
 
 # --- sample NLL ------------------------------------------------------------
+# one truth of 20 steps, scored against three sets of 10 forecasts each
 truth = rng.normal(size=(20, 2))
 
-perfect = ForecastBundle(truth, np.repeat(truth[None], 10, axis=0))
-noisy = ForecastBundle(truth, truth[None] + 0.5 * rng.normal(size=(10, 20, 2)))
-off = ForecastBundle(truth, truth[None] + 2.0 + 0.5 * rng.normal(size=(10, 20, 2)))
+perfect = np.repeat(truth[None], 10, axis=0)
+noisy = truth[None] + 0.5 * rng.normal(size=(10, 20, 2))
+off = truth[None] + 2.0 + 0.5 * rng.normal(size=(10, 20, 2))
+nll = multi_step_nll(np.stack([truth] * 3), np.stack([perfect, noisy, off]))
 
 print("sample NLL (lower is better):")
-print(f"  perfect forecasts: {multi_step_nll(perfect):.4f}   (= 0.5 log 2 pi)")
-print(f"  noisy forecasts  : {multi_step_nll(noisy):.4f}")
-print(f"  biased forecasts : {multi_step_nll(off):.4f}")
+print(f"  perfect forecasts: {nll[0]:.4f}   (= 0.5 log 2 pi)")
+print(f"  noisy forecasts  : {nll[1]:.4f}")
+print(f"  biased forecasts : {nll[2]:.4f}")
 
 # --- why the W-distance complements NLL -------------------------------------
 # truths spread over two clusters; compare a diverse forecast set against a

@@ -36,7 +36,7 @@ __all__ = [
     "gaussian_kl",
     "repeat_rows",
     "reparameterize",
-    "weighted_sum",
+    "take_rows",
     "select_bound",
     "log_mean_exp",
     "gan_losses",
@@ -389,7 +389,7 @@ def gaussian_kl(qm, qs, pm, ps):
 
 # ---------------------------------------------------------------------------
 # filtering and loss glue: mixture branches are k consecutive rows of a
-# (B*k, ...) array, and branch weights are a constant (B, k) array
+# (B*k, ...) array, and a branch choice is a constant (B,) index array
 # ---------------------------------------------------------------------------
 
 def repeat_rows(a, k):
@@ -427,18 +427,20 @@ def reparameterize(mean, std, eps, axis=None):
     )
 
 
-def weighted_sum(weights, tensors):
-    """For each tensor of B*k rows of width d, flat or as (B, k, d), the
-    (B, d) sum over its k branches weighted by ``weights``."""
-    b, k = weights.shape
-    w3 = weights[:, :, None]
+def take_rows(rows, tensors):
+    """For each tensor, its rows at the distinct indices ``rows``; the
+    backward scatters each gradient into zeros at those rows."""
     tensors = tuple(tensors)
-    outs = tuple((w3 * t.value.reshape(b, k, -1)).sum(axis=1) for t in tensors)
+    outs = tuple(t.value[rows] for t in tensors)
+
+    def scatter(t, g):
+        full = np.zeros(t.value.shape)
+        full[rows] = g
+        return full
 
     def back(g):
         return tuple(
-            (np.expand_dims(gi, 1) * w3).reshape(t.value.shape)
-            if gi is not None and _wants(t) else None
+            scatter(t, gi) if gi is not None and _wants(t) else None
             for t, gi in zip(tensors, g)
         )
 

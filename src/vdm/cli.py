@@ -228,9 +228,9 @@ def cmd_simulate(args):
 
 TRAIN_SETTINGS = {
     "data": (str, None, None),
-    "d_z": (int, 6, None),
-    "d_h": (int, 32, None),
-    "k": (int, None, None),
+    "d_z": (int, 6, AT_LEAST_1),
+    "d_h": (int, 32, AT_LEAST_1),
+    "k": (int, None, AT_LEAST_1),  # sca: 2 d_z + 1; monte_carlo: 1
     "kappa": (float, 0.5, None),
     "sampler": (str, "sca", ("sca", "monte_carlo")),
     "weighting": (str, "delta", ("delta", "categorical")),
@@ -368,7 +368,7 @@ def cmd_evaluate(args):
 FORECAST_SETTINGS = {
     "data": (str, None, None),
     "checkpoint": (str, None, None),
-    "horizon": (int, None, None),
+    "horizon": (int, None, AT_LEAST_1),  # the split's seq_len - prefix_len
     "n": (int, 1000, AT_LEAST_1),
     "limit": (int, None, AT_LEAST_1),
     "split": (str, "test", ("train", "val", "test")),
@@ -383,8 +383,6 @@ def cmd_forecast(args):
     horizon = resolved["horizon"]
     if horizon is None:
         horizon = ds.seq_len - ds.prefix_len
-    if horizon <= 0:
-        raise ValueError("forecast: horizon must be positive")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)

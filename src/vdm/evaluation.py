@@ -1,8 +1,6 @@
 """Forecast evaluation: sample NLL, one-step NLL, empirical Wasserstein distance."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
@@ -11,7 +9,6 @@ from .inference import MixtureBelief, filter_sequence, generate, one_step_predic
 from .util import parallel_map
 
 __all__ = [
-    "ForecastBundle",
     "multi_step_nll",
     "dataset_multi_step_nll",
     "one_step_nll",
@@ -21,42 +18,32 @@ __all__ = [
 ]
 
 
-@dataclass
-class ForecastBundle:
-    """n sampled continuations paired with their ground truth."""
+def multi_step_nll(truths, forecasts, reduction="mean"):
+    """Sample-based NLL of each ground truth under a Gaussian forecast kernel.
 
-    ground_truth: np.ndarray  # (horizon, d_x)
-    forecasts: np.ndarray     # (n, horizon, d_x)
-
-    def __post_init__(self):
-        self.ground_truth = np.asarray(self.ground_truth, dtype=np.float64)
-        self.forecasts = np.asarray(self.forecasts, dtype=np.float64)
-        if self.forecasts.ndim != 3 or self.forecasts.shape[1:] != self.ground_truth.shape:
-            raise ValueError(
-                f"ForecastBundle: forecasts {self.forecasts.shape} do not match "
-                f"ground truth {self.ground_truth.shape}"
-            )
-
-
-def multi_step_nll(bundle, reduction="mean"):
-    """Sample-based NLL of the ground truth under a Gaussian forecast kernel.
-
-    -log( (1/n) sum_i (2pi)^{-1/2} exp(-e_i / 2) ) where e_i reduces the
-    squared forecast error over horizon and dimensions; ``reduction`` picks
-    the mean (default) or sum reduction.  Computed via log-sum-exp.
+    ``truths`` is (N, horizon, d_x) and ``forecasts`` (N, n, horizon, d_x);
+    returns the (N,) values -log( (1/n) sum_i (2pi)^{-1/2} exp(-e_i / 2) ),
+    where e_i reduces the squared error of forecast i over horizon and
+    dimensions; ``reduction`` picks the mean (default) or sum reduction.
+    Computed via log-sum-exp.
     """
-    diff = bundle.forecasts - bundle.ground_truth[None]
-    sq = diff * diff
+    truths = np.asarray(truths, dtype=np.float64)
+    forecasts = np.asarray(forecasts, dtype=np.float64)
+    if forecasts.ndim != 4 or forecasts.shape[:1] + forecasts.shape[2:] != truths.shape:
+        raise ValueError(
+            f"multi_step_nll: forecasts {forecasts.shape} do not match truths {truths.shape}"
+        )
+    sq = forecasts - truths[:, None]
+    sq *= sq
     if reduction == "mean":
-        err = sq.mean(axis=(1, 2))
+        err = sq.mean(axis=(2, 3))
     elif reduction == "sum":
-        err = sq.sum(axis=(1, 2))
+        err = sq.sum(axis=(2, 3))
     else:
         raise ValueError(f"multi_step_nll: unknown reduction {reduction!r}")
-    n = err.shape[0]
-    m = (-err / 2.0).max()
-    lse = m + np.log(np.exp(-err / 2.0 - m).sum())
-    return 0.5 * LOG_2PI + np.log(n) - lse
+    m = (-err / 2.0).max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(-err / 2.0 - m).sum(axis=1))
+    return 0.5 * LOG_2PI + np.log(err.shape[1]) - lse
 
 
 # Rows (trajectories x forecasts) forecast in one batch.  The chunk layout,
@@ -78,9 +65,13 @@ def _chunk_plan(n_traj, n_forecasts, rng):
 def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
     """(N, n_forecasts, horizon, d_x) continuations after filtering each prefix,
     in one batch: ``dataset_multi_step_nll`` and ``vdm forecast`` pass one
-    chunk of trajectories at a time."""
+    chunk of trajectories at a time.  ``prefix_len`` must lie in [1, T]."""
     data = np.asarray(data, dtype=np.float64)
     n_traj = data.shape[0]
+    if not 1 <= prefix_len <= data.shape[1]:
+        raise ValueError(
+            f"forecast_dataset: prefix_len must be in [1, {data.shape[1]}], got {prefix_len}"
+        )
     belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
 
     def rep(t):
@@ -110,13 +101,10 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
     def score(chunk):
         rows, chunk_rng = chunk
         fc = forecast_dataset(model, data[rows], prefix_len, n_forecasts, horizon, chunk_rng)
-        truths = data[rows, prefix_len:]
-        return [
-            multi_step_nll(ForecastBundle(t, f), reduction=reduction) for t, f in zip(truths, fc)
-        ]
+        return multi_step_nll(data[rows, prefix_len:], fc, reduction)
 
     per_chunk = parallel_map(score, _chunk_plan(data.shape[0], n_forecasts, rng))
-    return float(np.mean([v for vals in per_chunk for v in vals]))
+    return float(np.mean(np.concatenate(per_chunk)))
 
 
 def one_step_nll(model, data, prefix_len, rng):

@@ -3,11 +3,11 @@
 All public entry points accept batched observations with a leading batch
 axis; a single trajectory is the B = 1 case.  The recursion alternates:
 sample latents from the previous collapsed posterior, push each through the
-recurrent cell, pick indicator weights from the branch likelihoods, build the
+recurrent cell, select one branch from the branch likelihoods, build the
 mixture component of the selected branch from the new observation, and carry
-that component plus the expected recurrent state forward.  The weights are
-one-hot, so the components of the other branches would be multiplied by zero;
-they are never built.
+that component plus the expected recurrent state forward.  The weighting is
+one-hot, so the components of the other branches would enter with weight
+zero; they are never built.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .sampling import latent_sample_batch, sigma_points
 __all__ = [
     "MixtureBelief",
     "StepInfo",
-    "weights_from_loglik",
+    "select_branch",
     "belief_init",
     "belief_step",
     "filter_sequence",
@@ -39,7 +39,7 @@ class MixtureBelief:
     """Filtering state after absorbing one observation: what the next step,
     ``generate`` and ``one_step_predictive`` read.
 
-    expected_h: (B, d_h) convex combination of the step's branch states
+    expected_h: (B, d_h) the selected branch state
     collapsed:  (B, d_z) single Gaussian carried to the next step
     """
 
@@ -58,7 +58,7 @@ class StepInfo:
     branch_states_flat: Tensor  # (B*k, d_h)
     prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
     branch_loglik: Tensor      # (B, k) log p(x_t | h_{t-1} = s^{(j)})
-    weights: np.ndarray        # (B, k)
+    branch: np.ndarray         # (B,) int index of the selected branch
     x: Tensor                  # (B, d_x) the observation
     state: Tensor              # (B, d_h) the selected branch state
     prior: DiagGaussian        # (B, d_z) the selected branch's transition prior
@@ -86,26 +86,25 @@ def _branch_likelihood(model, s_flat, x, k):
     return ad.reshape(ll_flat, (x.shape[0], k)), prior_flat
 
 
-def weights_from_loglik(loglik, mode, rng=None):
-    """Indicator weights (B, k) from branch log-likelihoods.
+def select_branch(loglik, mode, rng=None):
+    """(B,) int indices of the selected branches from (B, k) log-likelihoods.
 
-    delta: one-hot at the argmax (lowest index wins ties).  categorical:
-    one-hot at an index drawn with probability proportional to likelihood.
-    ``belief_step`` builds only the selected branch's component and relies
-    on the weights being one-hot; a soft weighting would need all k
-    components back.
+    delta: the argmax (lowest index wins ties).  categorical: an index drawn
+    with probability proportional to likelihood.  Both are one-hot
+    weightings, so ``belief_step`` builds only the selected branch's
+    component; a soft weighting would need all k components back.
     """
     ll = np.asarray(loglik, dtype=np.float64)
     if ll.ndim != 2:
-        raise ValueError(f"weights_from_loglik: expected (B, k) log-likelihoods, got {ll.shape}")
+        raise ValueError(f"select_branch: expected (B, k) log-likelihoods, got {ll.shape}")
     if np.any(np.isnan(ll)) or np.any(np.all(np.isneginf(ll), axis=1)):
-        raise FloatingPointError("weights_from_loglik: degenerate branch likelihoods")
+        raise FloatingPointError("select_branch: degenerate branch likelihoods")
     b, k = ll.shape
     if mode == "delta":
         idx = np.argmax(ll, axis=1)
     elif mode == "categorical":
         if rng is None:
-            raise ValueError("weights_from_loglik: categorical mode needs an rng")
+            raise ValueError("select_branch: categorical mode needs an rng")
         shifted = ll - ll.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
@@ -113,10 +112,8 @@ def weights_from_loglik(loglik, mode, rng=None):
         idx = (u > np.cumsum(probs, axis=1)).sum(axis=1)
         idx = np.minimum(idx, k - 1)
     else:
-        raise ValueError(f"weights_from_loglik: unknown mode {mode!r}")
-    weights = np.zeros((b, k))
-    weights[np.arange(b), idx] = 1.0
-    return weights
+        raise ValueError(f"select_branch: unknown mode {mode!r}")
+    return idx
 
 
 def belief_init(model, x_first):
@@ -140,10 +137,11 @@ def belief_step(model, belief, x, rng):
     s_flat = model.gru_advance(z_flat, h_rep)                      # (B*k, d_h)
 
     loglik, prior_flat = _branch_likelihood(model, s_flat, x_arr, k)
-    weights = weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
-    # the weights are one-hot: gather the selected branch, then build its
-    # component alone, on B rows instead of B*k
-    state, pm, ps = ad.weighted_sum(weights, (s_flat, prior_flat.mean, prior_flat.std))
+    branch = select_branch(loglik.value, cfg.weighting_mode, rng)
+    # gather the selected branch, then build its component alone, on B rows
+    # instead of B*k
+    rows = np.arange(b) * k + branch
+    state, pm, ps = ad.take_rows(rows, (s_flat, prior_flat.mean, prior_flat.std))
     x_t = Tensor(x_arr)
     q = model.infer_component(state, x_t)                          # (B, d_z)
 
@@ -152,7 +150,7 @@ def belief_step(model, belief, x, rng):
         branch_states_flat=s_flat,
         prior_flat=prior_flat,
         branch_loglik=loglik,
-        weights=weights,
+        branch=branch,
         x=x_t,
         state=state,
         prior=DiagGaussian(pm, ps),

@@ -34,7 +34,7 @@ DISC_PROB_FLOOR = 1e-6
 
 @dataclass
 class LossBreakdown:
-    """Scalar loss terms plus the per-step branch weights.
+    """Scalar loss terms plus the per-step selected branches.
 
     Sign convention: ``total`` is the minimized quantity,
     total = -elbo - omega1 * pred + omega2 * adv.
@@ -44,7 +44,7 @@ class LossBreakdown:
     pred: float
     adv: float
     total: float
-    step_weights: list = field(default_factory=list)
+    step_branches: list = field(default_factory=list)  # one (B,) index array per step
     total_node: Tensor | None = None
     disc_loss: float = 0.0
     disc_node: Tensor | None = None
@@ -59,8 +59,8 @@ def _elbo_from_info(model, info, recon_eps):
     to k at the selected index and 0 elsewhere, cancelling the 1/k front
     factor), and the weight normalization contributes the constant -log k.
     """
-    k = info.weights.shape[1]
-    eps = recon_eps[info.weights.reshape(-1) > 0.0]
+    b, k = info.branch_loglik.shape
+    eps = recon_eps[np.arange(b) * k + info.branch]
     z_tilde = ad.reparameterize(info.q.mean, info.q.std, eps)
     em = model.emit(z_tilde, info.state)
     recon = gaussian_log_pdf(info.x, em)
@@ -109,16 +109,14 @@ def total_loss(model, batch, rng):
                 raise FloatingPointError("non-finite bound")
         except FloatingPointError as err:
             raise FloatingPointError(f"total_loss: {err} at step {t}") from None
-        breakdown.step_weights.append(info.weights)
+        breakdown.step_branches.append(info.branch)
 
         if use_adv:
             # one-step generative sample conditioned on x_{<t}: a uniformly
             # chosen branch state (no reweighting by x_t leaks in)
             h_disc = model.disc_step(Tensor(arr[:, t - 1]), h_disc)
-            k = cfg.k
-            pick = np.zeros((b, k))
-            pick[np.arange(b), rng.integers(0, k, size=b)] = 1.0
-            (s_sel,) = ad.weighted_sum(pick, (info.branch_states_flat,))
+            pick = np.arange(b) * cfg.k + rng.integers(0, cfg.k, size=b)
+            (s_sel,) = ad.take_rows(pick, (info.branch_states_flat,))
             prior = model.transition_prior(s_sel)
             z_gen = ad.reparameterize(prior.mean, prior.std, rng.standard_normal((b, cfg.d_z)))
             em = model.emit(z_gen, s_sel)

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, error measures, frozen
 branch selection, analytic parameter counts, the all-branch belief step and
-bound that the selected-component step must reproduce, the unfused tape
+bound that the selected-component step must reproduce, the one-hot weighted
+sum that the row gather must reproduce, the unfused tape
 primitives that fused records are checked against and test losses are built
 from, and the row-at-a-time CSV rendering and reading that the block writer
 and the vectorized loader must reproduce."""
@@ -183,23 +184,23 @@ def row_reader_csv(path, d_x, seq_len):
 
 
 @contextlib.contextmanager
-def frozen_branch_selection(step_weights):
-    """Inside the block every belief step takes its indicator weights from
-    ``step_weights`` instead of its branch likelihoods.
+def frozen_branch_selection(step_branches):
+    """Inside the block every belief step takes its selected branches from
+    ``step_branches`` instead of its branch likelihoods.
 
-    ``step_weights`` holds one (B, k) array per filtering step, as
-    ``LossBreakdown.step_weights`` records them; each ``total_loss`` call
+    ``step_branches`` holds one (B,) index array per filtering step, as
+    ``LossBreakdown.step_branches`` records them; each ``total_loss`` call
     over the same batch takes them again from the first, so finite
     differences see the same branch selection as the analytic pass.
     """
-    weights = itertools.cycle(step_weights)
+    branches = itertools.cycle(step_branches)
 
     def recorded(loglik, mode, rng=None):
-        w = next(weights)
-        assert w.shape == np.shape(loglik), (w.shape, np.shape(loglik))
-        return w
+        branch = next(branches)
+        assert branch.shape == np.shape(loglik)[:1], (branch.shape, np.shape(loglik))
+        return branch
 
-    with mock.patch.object(vdm.inference, "weights_from_loglik", recorded):
+    with mock.patch.object(vdm.inference, "select_branch", recorded):
         yield
 
 
@@ -244,9 +245,28 @@ def reference_export_prior(model, x_prefix, n_draws, rng):
 
 # ---------------------------------------------------------------------------
 # the all-branch belief step: k mixture components built and collapsed with
-# the indicator weights, kept as the reference for the step that builds only
-# the selected component
+# one-hot indicator weights, kept as the reference for the step that builds
+# only the selected component
 # ---------------------------------------------------------------------------
+
+def weighted_sum(weights, tensors):
+    """For each tensor of B*k rows of width d, flat or as (B, k, d), the
+    (B, d) sum over its k branches weighted by the (B, k) ``weights``, as one
+    record: the gather ``ad.take_rows`` replaces, for one-hot weights."""
+    b, k = weights.shape
+    w3 = weights[:, :, None]
+    tensors = tuple(tensors)
+    outs = tuple((w3 * t.value.reshape(b, k, -1)).sum(axis=1) for t in tensors)
+
+    def back(g):
+        return tuple(
+            (np.expand_dims(gi, 1) * w3).reshape(t.value.shape)
+            if gi is not None and ad._wants(t) else None
+            for t, gi in zip(tensors, g)
+        )
+
+    return ad._emit(outs, tensors, back)
+
 
 @dataclass
 class AllBranchInfo:
@@ -255,14 +275,15 @@ class AllBranchInfo:
     q_flat: DiagGaussian          # (B*k, d_z) mixture components
     prior_flat: DiagGaussian      # (B*k, d_z) transition priors at each branch
     branch_loglik: ad.Tensor      # (B, k)
-    weights: np.ndarray           # (B, k)
+    branch: np.ndarray            # (B,) selected branch indices
 
 
 def all_branch_belief_step(model, belief, x, rng):
     """``vdm.inference.belief_step`` as it was before the branch was picked
     first: the inference net runs on all B*k branch states and a
-    ``weighted_sum`` collapses the k components.  It draws the same rng
-    stream, so with one-hot weights it gives the same belief."""
+    ``weighted_sum`` with the one-hot weights ``np.eye(k)[branch]`` collapses
+    the k components.  It draws the same rng stream, so it gives the same
+    belief."""
     cfg = model.config
     x_arr = np.asarray(x, dtype=np.float64)
     b, k = x_arr.shape[0], cfg.k
@@ -276,10 +297,10 @@ def all_branch_belief_step(model, belief, x, rng):
     prior_flat = model.transition_prior(s_flat)
     em = model.emit(prior_flat.mean, s_flat)
     loglik = ad.reshape(gaussian_log_pdf(x_rep, em), (b, k))
-    weights = vdm.inference.weights_from_loglik(loglik.value, cfg.weighting_mode, rng)
-    expected_h, mean, std = ad.weighted_sum(weights, (s, q_flat.mean, q_flat.std))
+    branch = vdm.inference.select_branch(loglik.value, cfg.weighting_mode, rng)
+    expected_h, mean, std = weighted_sum(np.eye(k)[branch], (s, q_flat.mean, q_flat.std))
     belief = vdm.inference.MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
-    info = AllBranchInfo(s_flat, x_rep, q_flat, prior_flat, loglik, weights)
+    info = AllBranchInfo(s_flat, x_rep, q_flat, prior_flat, loglik, branch)
     return belief, info
 
 
@@ -305,12 +326,12 @@ def all_branch_elbo(model, info, recon_eps):
     """The evidence bound of one all-branch step: reconstruction and KL on
     all B*k components, then the weighted selection; ``recon_eps`` is
     (B*k, d_z)."""
-    k = info.weights.shape[1]
+    k = info.branch_loglik.shape[1]
     z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
     em = model.emit(z_tilde, info.branch_states_flat)
     recon = gaussian_log_pdf(info.x_rep, em)
     kl = gaussian_kl(info.q_flat, info.prior_flat)
-    return weighted_bound(info.weights, recon, kl, math.log(k))
+    return weighted_bound(np.eye(k)[info.branch], recon, kl, math.log(k))
 
 
 @contextlib.contextmanager

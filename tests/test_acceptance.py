@@ -14,7 +14,6 @@ from vdm.autodiff import Tape, Tensor, backward
 from vdm.cli import main as cli_main
 from vdm.data import Dataset, LorenzConfig, generate_four_mode, rk4_step, simulate_lorenz
 from vdm.evaluation import (
-    ForecastBundle,
     dataset_multi_step_nll,
     forecast_dataset,
     multi_step_nll,
@@ -119,10 +118,10 @@ def test_criterion_2_gradient_suite():
             fd = finite_diff_entries(store, nets_value, entries, eps=1e-6)
             assert rel_error(entry_grads(store, entries), fd) < 1e-4
 
-        # full objective on a T=3 batch, weights and noise frozen
+        # full objective on a T=3 batch, branches and noise frozen
         batch = rng.uniform(-1.5, 1.5, size=(2, 3, 2))
         probe = total_loss(model, batch, np.random.default_rng(seed))
-        frozen = probe.step_weights
+        frozen = probe.step_branches
 
         def objective_value():
             with Tape.pause():
@@ -294,9 +293,9 @@ def test_criterion_6_lorenz_desk_scale():
 @criterion(7, "sample NLL matches direct formula evaluation to 1e-9")
 def test_criterion_7_nll_oracle():
     truth = np.array([[0.3, -0.7], [1.0, 0.2], [0.0, 0.0]])
-    perfect = ForecastBundle(truth, truth[None])
-    assert abs(multi_step_nll(perfect) - HALF_LOG_2PI) < 1e-9
-    assert abs(multi_step_nll(perfect) - 0.918939) < 5e-7
+    (perfect,) = multi_step_nll(truth[None], truth[None, None])
+    assert abs(perfect - HALF_LOG_2PI) < 1e-9
+    assert abs(perfect - 0.918939) < 5e-7
 
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -305,7 +304,8 @@ def test_criterion_7_nll_oracle():
         fc = rng.normal(size=(n, horizon, d))
         errs = np.mean((fc - gt) ** 2, axis=(1, 2))
         direct = -np.log(np.mean(np.exp(-errs / 2.0) / np.sqrt(2 * np.pi)))
-        assert abs(multi_step_nll(ForecastBundle(gt, fc)) - direct) < 1e-9
+        (got,) = multi_step_nll(gt[None], fc[None])
+        assert abs(got - direct) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from helpers import (
     square,
     sub,
     tanh,
+    weighted_sum,
 )
 
 
@@ -415,7 +416,9 @@ def test_record_without_tape_keeps_no_closure():
 # ---------------------------------------------------------------------------
 
 B, K = 3, 4
-ONE_HOT = np.eye(K)[[2, 0, 3]]             # (B, K) indicator weights
+BRANCH = np.array([2, 0, 3])               # (B,) selected branches
+ONE_HOT = np.eye(K)[BRANCH]                # (B, K) indicator weights
+ROWS = np.arange(B) * K + BRANCH            # their rows in (B*K, ...) arrays
 _CONST_RNG = np.random.default_rng(41)
 EPS_BKD = _CONST_RNG.standard_normal((B, K, 2))
 EPS_BD = _CONST_RNG.standard_normal((B, 2))
@@ -540,7 +543,10 @@ def _fused_cases():
          _latent_sample_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
         ("reparameterize", lambda m, s: ad.reparameterize(m, s, EPS_BD),
          _reparameterize_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
-        ("weighted_sum", lambda s, qm, qs: ad.weighted_sum(ONE_HOT, (s, qm, qs)),
+        ("take_rows", lambda s, qm, qs: ad.take_rows(ROWS, (s, qm, qs)),
+         lambda s, qm, qs: weighted_sum(ONE_HOT, (s, qm, qs)), {
+            "s": u(B * K, 3), "q_mean": u(B * K, 2), "q_std": u(B * K, 2, lo=0.3, hi=2.0)}),
+        ("weighted_sum", lambda s, qm, qs: weighted_sum(ONE_HOT, (s, qm, qs)),
          _weighted_sum_composed, {
             "s": u(B, K, 3), "q_mean": u(B * K, 2), "q_std": u(B * K, 2, lo=0.3, hi=2.0)}),
         ("select_bound", lambda r, kl: ad.select_bound(r, kl, math.log(K)),
@@ -559,7 +565,7 @@ def _fused_cases():
 
 
 _FUSED = {case[0]: case for case in _fused_cases()}
-_TUPLE_OUTPUT = ("gaussian_mlp", "weighted_sum", "gan_losses", "sum_of_means")
+_TUPLE_OUTPUT = ("gaussian_mlp", "take_rows", "weighted_sum", "gan_losses", "sum_of_means")
 
 
 def _outputs(result):
@@ -644,6 +650,23 @@ def test_fused_backward_skips_constant_inputs(name):
                 assert g is None, key
             else:
                 assert g is not None and g.shape == t.shape, key
+
+
+def test_take_rows_backward_equals_one_hot_weighted_sum():
+    """The gather's backward scatters into zeros where the one-hot product
+    leaves zeros of either sign: equal under assert_array_equal."""
+    _, _, _, inputs = _FUSED["take_rows"]
+    args = [Tensor(v, requires_grad=True) for v in inputs.values()]
+    grads = [np.random.default_rng(i).normal(size=(B, v.shape[1]))
+             for i, v in enumerate(inputs.values())]
+    backs = []
+    for fused in (lambda: ad.take_rows(ROWS, args), lambda: weighted_sum(ONE_HOT, args)):
+        with Tape() as tape:
+            fused()
+        (_, _, back), = tape.records
+        backs.append(back(tuple(grads)))
+    for got, want in zip(*backs):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_fused_gru_input_gradient_through_recorded_state():

@@ -576,7 +576,7 @@ def test_forecast_prior_export(tmp_path):
 
 
 @pytest.mark.parametrize("horizon", ["-2", "0"])
-def test_forecast_invalid_horizon_fails(tmp_path, horizon):
+def test_forecast_invalid_horizon_fails(tmp_path, capsys, horizon):
     manifest = simulate_four_mode(tmp_path / "data")
     _, ckpt = train_tiny(manifest, tmp_path / "run")
     rc = main(
@@ -586,6 +586,35 @@ def test_forecast_invalid_horizon_fails(tmp_path, horizon):
         ]
     )
     assert rc == 1
+    # the bound is checked before any file is opened: a missing manifest and
+    # checkpoint go unread
+    missing = tmp_path / "missing"
+    capsys.readouterr()
+    rc = main(
+        [
+            "forecast", "--data", str(missing / "manifest.json"),
+            "--checkpoint", str(missing / "checkpoint.vdm"), "--seed", "9",
+            "--out", str(tmp_path / "x"), "--horizon", horizon,
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"vdm forecast: error: setting 'horizon' must be >= 1, got {horizon}" in err
+    assert "missing" not in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("setting", ["d_z", "d_h", "k"])
+def test_train_model_size_checked_before_any_file(tmp_path, capsys, setting):
+    missing = tmp_path / "missing" / "manifest.json"
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(missing), "--seed", "1", "--out", str(out),
+               "--" + setting.replace("_", "-"), "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"vdm train: error: setting {setting!r} must be >= 1, got 0" in err
+    assert "missing" not in err
+    assert not os.path.exists(out)
 
 
 def test_run_records_written_for_all_commands(tmp_path):

@@ -12,7 +12,6 @@ from vdm import evaluation, inference
 from vdm.data import Dataset
 from vdm.evaluation import (
     FORECAST_ROWS,
-    ForecastBundle,
     _chunk_plan,
     dataset_multi_step_nll,
     multi_step_nll,
@@ -41,18 +40,34 @@ def brute_force_wasserstein(p, q):
 # sample NLL
 # ---------------------------------------------------------------------------
 
+def one_nll(truth, forecasts, reduction="mean"):
+    """The NLL of one (horizon, d_x) truth against its (n, horizon, d_x) forecasts."""
+    (value,) = multi_step_nll(truth[None], forecasts[None], reduction)
+    return value
+
+
+def per_trajectory_nll(truth, forecasts, reduction):
+    """multi_step_nll for one trajectory, as it was computed one trajectory at
+    a time; the reference for the batched form."""
+    diff = forecasts - truth[None]
+    sq = diff * diff
+    err = sq.mean(axis=(1, 2)) if reduction == "mean" else sq.sum(axis=(1, 2))
+    m = (-err / 2.0).max()
+    lse = m + np.log(np.exp(-err / 2.0 - m).sum())
+    return 0.5 * np.log(2.0 * np.pi) + np.log(err.shape[0]) - lse
+
+
 def test_perfect_single_forecast_value():
     truth = np.array([[0.4, -0.2], [1.0, 0.0]])
-    bundle = ForecastBundle(truth, truth[None])
-    np.testing.assert_allclose(multi_step_nll(bundle), HALF_LOG_2PI, rtol=1e-12)
+    np.testing.assert_allclose(one_nll(truth, truth[None]), HALF_LOG_2PI, rtol=1e-12)
 
 
 def test_duplicating_forecasts_leaves_value_unchanged():
     rng = np.random.default_rng(0)
     truth = rng.normal(size=(5, 2))
     fc = rng.normal(size=(7, 5, 2))
-    a = multi_step_nll(ForecastBundle(truth, fc))
-    b = multi_step_nll(ForecastBundle(truth, np.concatenate([fc, fc])))
+    a = one_nll(truth, fc)
+    b = one_nll(truth, np.concatenate([fc, fc]))
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -61,7 +76,7 @@ def test_two_forecast_hand_value():
     -log(0.5 * (2 pi)^{-1/2} * (1 + e^{-4})) = 1.5939357858..."""
     truth = np.zeros((1, 1))
     fc = np.array([[[0.0]], [[np.sqrt(8.0)]]])
-    got = multi_step_nll(ForecastBundle(truth, fc))
+    got = one_nll(truth, fc)
     want = -np.log(0.5 / np.sqrt(2 * np.pi) * (1.0 + np.exp(-4.0)))
     np.testing.assert_allclose(got, want, rtol=1e-12)
     np.testing.assert_allclose(got, 1.5939358, atol=5e-8)
@@ -70,23 +85,38 @@ def test_two_forecast_hand_value():
 def test_reductions_agree_on_single_cell():
     truth = np.zeros((1, 1))
     fc = np.array([[[1.3]]])
-    a = multi_step_nll(ForecastBundle(truth, fc), reduction="mean")
-    b = multi_step_nll(ForecastBundle(truth, fc), reduction="sum")
+    a = one_nll(truth, fc, reduction="mean")
+    b = one_nll(truth, fc, reduction="sum")
     np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
 def test_forecast_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="match"):
-        ForecastBundle(np.zeros((4, 2)), np.zeros((3, 5, 2)))
+        multi_step_nll(np.zeros((1, 4, 2)), np.zeros((1, 3, 5, 2)))
+    with pytest.raises(ValueError, match="match"):
+        multi_step_nll(np.zeros((2, 4, 2)), np.zeros((3, 5, 4, 2)))
+    with pytest.raises(ValueError, match="match"):
+        multi_step_nll(np.zeros((4, 2)), np.zeros((5, 4, 2)))
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(1)
     truth = rng.normal(size=(4, 3))
     fc = rng.normal(size=(9, 4, 3))
-    a = multi_step_nll(ForecastBundle(truth, fc))
-    b = multi_step_nll(ForecastBundle(truth, fc[rng.permutation(9)]))
+    a = one_nll(truth, fc)
+    b = one_nll(truth, fc[rng.permutation(9)])
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("n_traj,n,horizon,d_x", [(1, 1, 1, 1), (3, 7, 5, 2),
+                                                  (10, 100, 90, 3), (4, 1000, 3, 2)])
+def test_batched_nll_bit_identical_to_per_trajectory(n_traj, n, horizon, d_x, reduction):
+    rng = np.random.default_rng(n_traj + n)
+    truths = rng.normal(size=(n_traj, horizon, d_x))
+    fc = truths[:, None] + rng.normal(scale=2.0, size=(n_traj, n, horizon, d_x))
+    want = [per_trajectory_nll(t, f, reduction) for t, f in zip(truths, fc)]
+    np.testing.assert_array_equal(multi_step_nll(truths, fc, reduction), want)
 
 
 @pytest.mark.parametrize("n_traj,n_forecasts", [(0, 5), (1, 1), (7, 200), (32, 200),
@@ -117,6 +147,14 @@ def test_multi_step_nll_rejects_a_prefix_below_one(prefix_len):
     data = np.random.default_rng(1).normal(size=(3, 6, 2))
     with pytest.raises(ValueError, match="dataset_multi_step_nll: prefix_len"):
         dataset_multi_step_nll(model, data, prefix_len, 5, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("prefix_len", [-3, 0, 9])
+def test_forecast_dataset_rejects_a_prefix_outside_the_sequence(prefix_len):
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    data = np.random.default_rng(1).normal(size=(3, 6, 2))
+    with pytest.raises(ValueError, match=r"^forecast_dataset: prefix_len"):
+        evaluation.forecast_dataset(model, data, prefix_len, 2, 4, np.random.default_rng(2))
 
 
 def test_multi_step_nll_peak_memory_flat_in_trajectory_count():

@@ -11,7 +11,7 @@ from vdm.inference import (
     filter_sequence,
     generate,
     one_step_predictive,
-    weights_from_loglik,
+    select_branch,
 )
 from vdm.nets import ModelConfig, VdmModel
 
@@ -28,18 +28,18 @@ def make_model(d_x=3, d_z=2, d_h=4, k=5, seed=0, **kw):
 # ---------------------------------------------------------------------------
 
 def test_delta_weights_pick_argmax():
-    w = weights_from_loglik(np.log([[0.2, 0.5, 0.3]]), "delta")
-    np.testing.assert_array_equal(w, [[0.0, 1.0, 0.0]])
+    branch = select_branch(np.log([[0.2, 0.5, 0.3]]), "delta")
+    np.testing.assert_array_equal(branch, [1])
 
 
 def test_single_branch_weight():
-    w = weights_from_loglik(np.array([[-3.7]]), "delta")
-    np.testing.assert_array_equal(w, [[1.0]])
+    branch = select_branch(np.array([[-3.7]]), "delta")
+    np.testing.assert_array_equal(branch, [0])
 
 
 def test_tie_breaks_to_lowest_index():
-    w = weights_from_loglik(np.zeros((1, 4)), "delta")
-    np.testing.assert_array_equal(w, [[1.0, 0.0, 0.0, 0.0]])
+    branch = select_branch(np.zeros((1, 4)), "delta")
+    np.testing.assert_array_equal(branch, [0])
 
 
 def test_delta_scale_invariance():
@@ -48,24 +48,15 @@ def test_delta_scale_invariance():
     ll = rng.normal(size=(6, 5))
     for shift in (-7.0, 0.0, 11.5):
         np.testing.assert_array_equal(
-            weights_from_loglik(ll, "delta"), weights_from_loglik(ll + shift, "delta")
+            select_branch(ll, "delta"), select_branch(ll + shift, "delta")
         )
-
-
-def test_weights_sum_to_one_both_modes():
-    rng = np.random.default_rng(3)
-    ll = rng.normal(size=(8, 4))
-    for mode in ("delta", "categorical"):
-        w = weights_from_loglik(ll, mode, np.random.default_rng(0))
-        np.testing.assert_array_equal(w.sum(axis=1), np.ones(8))
-        assert np.all((w == 0.0) | (w == 1.0))
 
 
 def test_categorical_frequencies_proportional_to_likelihood():
     probs = np.array([0.1, 0.6, 0.3])
     ll = np.log(np.tile(probs, (20000, 1)))
-    w = weights_from_loglik(ll, "categorical", np.random.default_rng(9))
-    freq = w.mean(axis=0)
+    branch = select_branch(ll, "categorical", np.random.default_rng(9))
+    freq = np.bincount(branch, minlength=3) / 20000
     # binomial 3-sigma band per component
     band = 3 * np.sqrt(probs * (1 - probs) / 20000)
     assert np.all(np.abs(freq - probs) < band)
@@ -73,16 +64,16 @@ def test_categorical_frequencies_proportional_to_likelihood():
 
 def test_degenerate_likelihoods_error():
     with pytest.raises(FloatingPointError):
-        weights_from_loglik(np.array([[np.nan, 0.0]]), "delta")
+        select_branch(np.array([[np.nan, 0.0]]), "delta")
     with pytest.raises(FloatingPointError):
-        weights_from_loglik(np.array([[-np.inf, -np.inf]]), "delta")
+        select_branch(np.array([[-np.inf, -np.inf]]), "delta")
     with pytest.raises(ValueError, match="rng"):
-        weights_from_loglik(np.zeros((1, 2)), "categorical")
+        select_branch(np.zeros((1, 2)), "categorical")
 
 
 def test_weights_reject_a_single_row():
-    with pytest.raises(ValueError, match=r"^weights_from_loglik: expected \(B, k\)"):
-        weights_from_loglik(np.zeros(3), "delta")
+    with pytest.raises(ValueError, match=r"^select_branch: expected \(B, k\)"):
+        select_branch(np.zeros(3), "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +114,7 @@ def test_belief_step_determinism():
 
     (b1, info1), (b2, info2) = run(), run()
     np.testing.assert_array_equal(b1.collapsed.mean.value, b2.collapsed.mean.value)
-    np.testing.assert_array_equal(info1.weights, info2.weights)
+    np.testing.assert_array_equal(info1.branch, info2.branch)
     np.testing.assert_array_equal(b1.expected_h.value, b2.expected_h.value)
 
 
@@ -133,7 +124,7 @@ def test_expected_h_is_convex_combination():
     belief, info = belief_step(model, belief, np.random.default_rng(1).normal(size=(3, 3)),
                                np.random.default_rng(2))
     states = info.branch_states_flat.value.reshape(3, model.config.k, model.config.d_h)
-    recomputed = np.einsum("bk,bkh->bh", info.weights, states)
+    recomputed = np.einsum("bk,bkh->bh", np.eye(model.config.k)[info.branch], states)
     np.testing.assert_allclose(belief.expected_h.value, recomputed, atol=1e-12)
 
 
@@ -143,8 +134,8 @@ def test_collapsed_matches_selected_component():
     x = np.random.default_rng(4).normal(size=(2, 3))
     _, ref = all_branch_belief_step(model, belief, x, np.random.default_rng(5))
     belief, info = belief_step(model, belief, x, np.random.default_rng(5))
-    np.testing.assert_array_equal(info.weights, ref.weights)
-    idx = np.argmax(info.weights, axis=1)
+    np.testing.assert_array_equal(info.branch, ref.branch)
+    idx = info.branch
     k, d_z = model.config.k, model.config.d_z
     means = ref.q_flat.mean.value.reshape(2, k, d_z)
     stds = ref.q_flat.std.value.reshape(2, k, d_z)
@@ -210,12 +201,12 @@ def test_k1_matches_independent_single_sample_filter():
         xs = rng.normal(size=(1, 4, 3))
 
         _, beliefs = filter_sequence(model, xs, np.random.default_rng(7))
-        # the same recursion step by step, for the weights each step picked
+        # the same recursion step by step, for the branch each step picked
         rng_a = np.random.default_rng(7)
         belief = belief_init(model, xs[:, 0])
         for t in range(1, 4):
             belief, info = belief_step(model, belief, xs[:, t], rng_a)
-            np.testing.assert_array_equal(info.weights, [[1.0]])
+            np.testing.assert_array_equal(info.branch, [0])
             np.testing.assert_array_equal(belief.collapsed.mean.value,
                                           beliefs[t].collapsed.mean.value)
 

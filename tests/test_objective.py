@@ -10,7 +10,7 @@ import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
 from vdm.data import Dataset, generate_four_mode
 from vdm.evaluation import dataset_multi_step_nll
-from vdm.inference import belief_init, belief_step, weights_from_loglik
+from vdm.inference import belief_init, belief_step, select_branch
 from vdm.gaussians import DiagGaussian
 from vdm import objective
 from vdm.nets import ModelConfig, VdmModel
@@ -67,13 +67,35 @@ def test_elbo_zero_model_k5_includes_normalization_constant():
     np.testing.assert_allclose(value, -3 * HALF_LOG_2PI - math.log(5), rtol=1e-12)
 
 
-def test_indicator_weight_entropy_identically_zero():
-    """The normalized indicator weights carry zero entropy (0 log 0 = 0)."""
-    rng = np.random.default_rng(1)
-    w = weights_from_loglik(rng.normal(size=(16, 7)), "delta")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(w > 0.0, w * np.log(w), 0.0).sum(axis=1)
-    np.testing.assert_array_equal(ent, np.zeros(16))
+@pytest.mark.parametrize("sampler, weighting", [("sca", "delta"), ("monte_carlo", "categorical")])
+def test_step_branches_index_the_selected_branches(monkeypatch, sampler, weighting):
+    """One (B,) index array per filtering step: all 0 at k=1; at k=13 each
+    step's branch counts sum to B; under delta each index is the arg-max of
+    the step's branch likelihoods."""
+    batch = np.random.default_rng(5).normal(size=(8, 4, 3))
+    single = make_model(k=1, sampler_mode="monte_carlo", weighting_mode=weighting)
+    bd = total_loss(single, batch, np.random.default_rng(6))
+    assert len(bd.step_branches) == 3
+    for branch in bd.step_branches:
+        np.testing.assert_array_equal(branch, np.zeros(8))
+
+    infos = []
+
+    def recording(*args):
+        belief, info = belief_step(*args)
+        infos.append(info)
+        return belief, info
+
+    monkeypatch.setattr(objective, "belief_step", recording)
+    model = make_model(d_z=6, k=13, sampler_mode=sampler, weighting_mode=weighting)
+    bd = total_loss(model, batch, np.random.default_rng(6))
+    assert len(bd.step_branches) == len(infos) == 3
+    for branch, info in zip(bd.step_branches, infos):
+        assert branch.dtype.kind == "i"
+        counts = np.bincount(branch, minlength=13)  # raises on a negative index
+        assert counts.shape == (13,) and counts.sum() == 8
+        if weighting == "delta":
+            np.testing.assert_array_equal(branch, np.argmax(info.branch_loglik.value, axis=1))
 
 
 def test_elbo_nonfinite_input_reported():
@@ -105,7 +127,7 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
         branch_states_flat=Tensor(info.branch_states_flat.value[perm]),
         prior_flat=DiagGaussian(Tensor(info.prior_flat.mean.value[perm]), Tensor(info.prior_flat.std.value[perm])),
         branch_loglik=Tensor(info.branch_loglik.value[:, perm]),
-        weights=weights_from_loglik(info.branch_loglik.value[:, perm], "delta"),
+        branch=select_branch(info.branch_loglik.value[:, perm], "delta"),
     )
     again = _elbo_from_info(model, permuted, recon_eps[perm])
     np.testing.assert_allclose(again.value, base.value, rtol=1e-12)
@@ -229,12 +251,12 @@ def test_total_loss_rejects_a_single_trajectory_without_batch_axis():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_total_loss_gradient_matches_finite_differences(seed):
-    """d_z=2, d_h=4, T=3; weights and sample noise frozen across FD evaluations."""
+    """d_z=2, d_h=4, T=3; branches and sample noise frozen across FD evaluations."""
     model = make_model(d_x=2, d_z=2, d_h=4, k=5, seed=seed)
     batch = np.random.default_rng(seed + 50).uniform(-1.5, 1.5, size=(2, 3, 2))
 
     probe = total_loss(model, batch, np.random.default_rng(777))
-    frozen = probe.step_weights
+    frozen = probe.step_branches
 
     def loss_value():
         with Tape.pause():
@@ -255,7 +277,7 @@ def test_discriminator_gradient_matches_finite_differences():
     model = make_model(d_x=2, d_z=2, d_h=4, k=5, seed=3)
     batch = np.random.default_rng(60).uniform(-1.5, 1.5, size=(2, 3, 2))
     probe = total_loss(model, batch, np.random.default_rng(88))
-    frozen = probe.step_weights
+    frozen = probe.step_branches
 
     def disc_value():
         with Tape.pause():
