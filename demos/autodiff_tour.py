@@ -38,7 +38,7 @@ def mean_nll():
     head's std output is left unread."""
     mean, _ = ad.gaussian_mlp((x,), weights, 2, 10.0)
     ll = ad.gaussian_log_pdf(target, mean, unit_std)
-    (mean_ll,) = ad.sum_of_means([ll])
+    (mean_ll,) = ad.sum_of_means(1, ll)
     return ad.linear_combination((-1.0,), (mean_ll,))
 
 
@@ -71,7 +71,7 @@ inputs, targets = Tensor(xs), Tensor(ys)
 for step in range(400):
     with Tape() as tape:
         mean, std = ad.gaussian_mlp((inputs,), net_weights, 1, 10.0)
-        (mean_ll,) = ad.sum_of_means([ad.gaussian_log_pdf(targets, mean, std)])
+        (mean_ll,) = ad.sum_of_means(1, ad.gaussian_log_pdf(targets, mean, std))
         loss = ad.linear_combination((-1.0,), (mean_ll,))
         backward(tape, loss)
     adam_step(net, lr=3e-3)

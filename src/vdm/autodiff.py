@@ -40,6 +40,7 @@ __all__ = [
     "select_bound",
     "log_mean_exp",
     "gan_losses",
+    "concat_rows",
     "sum_of_means",
     "linear_combination",
 ]
@@ -101,9 +102,6 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x):
@@ -496,27 +494,41 @@ def gan_losses(d_gen, d_real, d_fake, floor):
     return _emit((gen.reshape(b), disc.reshape(b)), (d_gen, d_real, d_fake), back)
 
 
-def sum_of_means(*series):
-    """For each sequence of tensors, the left-to-right sum of their means,
-    as a scalar tensor; returns one per sequence."""
-    series = tuple(tuple(terms) for terms in series)
-    outs = []
-    for terms in series:
-        total = terms[0].value.mean()
-        for t in terms[1:]:
-            total = total + t.value.mean()
-        outs.append(total)
-    parents = tuple(t for terms in series for t in terms)
+def concat_rows(*series):
+    """For each sequence of tensors, their rows stacked in order along the
+    first axis; the backward slices each gradient back into the pieces."""
+    outs = tuple(np.concatenate([t.value for t in pieces]) for pieces in series)
+    bounds = [np.cumsum([0] + [t.value.shape[0] for t in pieces]) for pieces in series]
 
     def back(g):
         return tuple(
-            np.broadcast_to(gi / t.value.size, t.value.shape).copy()
-            if gi is not None and _wants(t) else None
-            for gi, terms in zip(g, series)
-            for t in terms
+            gi[start:stop] if gi is not None and _wants(t) else None
+            for gi, pieces, ends in zip(g, series, bounds)
+            for t, start, stop in zip(pieces, ends[:-1], ends[1:])
         )
 
-    return _emit(tuple(outs), parents, back)
+    return _emit(outs, tuple(t for pieces in series for t in pieces), back)
+
+
+def sum_of_means(n_steps, *tensors):
+    """For each tensor of ``n_steps`` equal blocks of rows, the left-to-right
+    sum of the blocks' means, as a scalar tensor; returns one per tensor."""
+    outs = []
+    for t in tensors:
+        blocks = t.value.reshape(n_steps, -1)
+        total = blocks[0].mean()
+        for block in blocks[1:]:
+            total = total + block.mean()
+        outs.append(total)
+
+    def back(g):
+        return tuple(
+            np.full(t.value.shape, gi / (t.value.size // n_steps))
+            if gi is not None and _wants(t) else None
+            for gi, t in zip(g, tensors)
+        )
+
+    return _emit(tuple(outs), tensors, back)
 
 
 def linear_combination(coeffs, scalars):

@@ -250,11 +250,9 @@ def cmd_train(args):
     if resolved["data"] is None:
         raise ValueError("train: --data <manifest> is required")
     manifest, base = _load_manifest(resolved["data"], "train")
-    files = manifest["files"]
-    train_ds = _load_csv(manifest, base, files["train"])
-    val_ds = _load_csv(manifest, base, files["val"]) if "val" in files else None
     if resolved["k"] is None:
         resolved["k"] = 2 * resolved["d_z"] + 1 if resolved["sampler"] == "sca" else 1
+    # the model settings are checked before either CSV is parsed
     config = ModelConfig(
         d_x=manifest["d_x"],
         d_z=resolved["d_z"],
@@ -267,6 +265,9 @@ def cmd_train(args):
         omega2=resolved["omega2"],
         lr=resolved["lr"],
     )
+    files = manifest["files"]
+    train_ds = _load_csv(manifest, base, files["train"])
+    val_ds = _load_csv(manifest, base, files["val"]) if "val" in files else None
     rng = np.random.default_rng(args.seed)
     result = train(
         train_ds,

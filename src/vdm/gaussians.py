@@ -27,10 +27,6 @@ class DiagGaussian:
         if (self.std.value <= 0.0).any():
             raise ValueError("DiagGaussian: std must be strictly positive")
 
-    @property
-    def dim(self):
-        return self.mean.shape[-1]
-
     def detach(self):
         return DiagGaussian(self.mean.detach(), self.std.detach())
 
@@ -38,9 +34,6 @@ class DiagGaussian:
         """One reparameterization-free draw as a plain array."""
         eps = rng.standard_normal(self.mean.shape)
         return self.mean.value + self.std.value * eps
-
-    def __repr__(self):
-        return f"DiagGaussian(dim={self.dim}, batch={self.mean.shape[:-1]})"
 
 
 def gaussian_log_pdf(x, g):

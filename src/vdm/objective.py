@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, as_tensor, backward
 from .data import Dataset
-from .gaussians import gaussian_kl, gaussian_log_pdf
-from .inference import belief_init, belief_step
+from .gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
+from .inference import StepInfo, belief_init, belief_step
 from .nets import VdmModel
 from .optim import adam_step
 
@@ -51,9 +51,9 @@ class LossBreakdown:
 
 
 def _elbo_from_info(model, info, recon_eps):
-    """Per-trajectory evidence bound for one step, shape (B,); ``recon_eps``
-    is the (B*k, d_z) reparameterization noise of the reconstruction, of
-    which the selected branches' rows are read.
+    """Evidence bound of the R selected rows of one step or of a batch's steps
+    stacked, shape (R,); ``recon_eps`` is the (R*k, d_z) reparameterization
+    noise of the reconstruction, of which the selected branches' rows are read.
 
     The active branch receives full weight (the weighting function evaluates
     to k at the selected index and 0 elsewhere, cancelling the 1/k front
@@ -69,7 +69,7 @@ def _elbo_from_info(model, info, recon_eps):
 
 
 def adv_regularizer(model, prefix_summary, x_real, x_gen):
-    """Non-saturating conditional GAN losses, each shape (B,).
+    """Non-saturating conditional GAN losses, one per row, each shape (R,).
 
     generator: -log D(prefix, x_gen); discriminator: -log D(prefix, x_real)
     - log(1 - D(prefix, x_gen)) with the generated sample detached.  The
@@ -84,8 +84,30 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
     return ad.gan_losses(d_gen, d_real, d_fake, DISC_PROB_FLOOR)
 
 
+def _loss_heads(model, info, recon_eps, adv):
+    """The (R,) bound and predictive terms of the rows of ``info`` and, given
+    ``adv`` = (prefix summary, picked branch state, latent and emission
+    noise), the generator and discriminator losses."""
+    elbo = _elbo_from_info(model, info, recon_eps)
+    if not np.all(np.isfinite(elbo.value)):
+        raise FloatingPointError("non-finite bound")
+    # log of the mean branch predictive likelihood
+    terms = [elbo, ad.log_mean_exp(info.branch_loglik)]
+    if adv is not None:
+        # one-step generative sample conditioned on x_{<t}
+        h_disc, s_sel, eps_z, eps_x = adv
+        prior = model.transition_prior(s_sel)
+        z_gen = ad.reparameterize(prior.mean, prior.std, eps_z)
+        em = model.emit(z_gen, s_sel)
+        x_gen = ad.reparameterize(em.mean, em.std, eps_x)
+        terms += adv_regularizer(model, h_disc, info.x.value, x_gen)
+    return terms
+
+
 def total_loss(model, batch, rng):
-    """Loss breakdown for a (B, T, d_x) batch; one filtering pass computes all terms."""
+    """Loss breakdown for a (B, T, d_x) batch: the recursion and its random
+    draws run step by step, then the loss heads run once on the selected rows
+    of all steps, stacked step-major."""
     cfg = model.config
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] < 2:
@@ -97,56 +119,56 @@ def total_loss(model, batch, rng):
     if use_adv:
         h_disc = model.disc_initial_state(b)
 
-    elbo_terms, pred_terms, gen_terms, disc_terms = [], [], [], []
-    breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    for t in range(1, t_len):
-        x_t = arr[:, t]
-        try:
-            belief, info = belief_step(model, belief, x_t, rng)
+    steps = []  # (info, recon_eps, adv) per step, the arguments of _loss_heads
+    try:
+        for t in range(1, t_len):
+            belief, info = belief_step(model, belief, arr[:, t], rng)
             recon_eps = rng.standard_normal((b * cfg.k, cfg.d_z))
-            elbo_t = _elbo_from_info(model, info, recon_eps)
-            if not np.all(np.isfinite(elbo_t.value)):
-                raise FloatingPointError("non-finite bound")
-        except FloatingPointError as err:
-            raise FloatingPointError(f"total_loss: {err} at step {t}") from None
-        breakdown.step_branches.append(info.branch)
+            adv = None
+            if use_adv:
+                # a uniformly chosen branch state (no reweighting by x_t leaks in)
+                h_disc = model.disc_step(Tensor(arr[:, t - 1]), h_disc)
+                pick = np.arange(b) * cfg.k + rng.integers(0, cfg.k, size=b)
+                (s_sel,) = ad.take_rows(pick, (info.branch_states_flat,))
+                eps_z = rng.standard_normal((b, cfg.d_z))
+                adv = (h_disc, s_sel, eps_z, rng.standard_normal((b, cfg.d_x)))
+            steps.append((info, recon_eps, adv))
 
+        infos, recon_eps, advs = zip(*steps)
+        rows = [(i.q.mean, i.q.std, i.prior.mean, i.prior.std, i.state, i.branch_loglik)
+                + (a[:2] if use_adv else ()) for i, a in zip(infos, advs)]
+        qm, qs, pm, ps, state, loglik, *adv_rows = ad.concat_rows(*zip(*rows))
         if use_adv:
-            # one-step generative sample conditioned on x_{<t}: a uniformly
-            # chosen branch state (no reweighting by x_t leaks in)
-            h_disc = model.disc_step(Tensor(arr[:, t - 1]), h_disc)
-            pick = np.arange(b) * cfg.k + rng.integers(0, cfg.k, size=b)
-            (s_sel,) = ad.take_rows(pick, (info.branch_states_flat,))
-            prior = model.transition_prior(s_sel)
-            z_gen = ad.reparameterize(prior.mean, prior.std, rng.standard_normal((b, cfg.d_z)))
-            em = model.emit(z_gen, s_sel)
-            x_gen = ad.reparameterize(em.mean, em.std, rng.standard_normal((b, cfg.d_x)))
-            gen_t, disc_t = adv_regularizer(model, h_disc, x_t, x_gen)
-            gen_terms.append(gen_t)
-            disc_terms.append(disc_t)
-
-        elbo_terms.append(elbo_t)
-        # log of the mean branch predictive likelihood
-        pred_terms.append(ad.log_mean_exp(info.branch_loglik))
+            adv_rows += [np.concatenate([a[j] for a in advs]) for j in (2, 3)]
+        stacked = StepInfo(
+            branch_states_flat=None, prior_flat=None, branch_loglik=loglik,
+            branch=np.concatenate([i.branch for i in infos]),
+            x=Tensor(np.concatenate([i.x.value for i in infos])), state=state,
+            prior=DiagGaussian(pm, ps), q=DiagGaussian(qm, qs))
+        terms = _loss_heads(model, stacked, np.concatenate(recon_eps), adv_rows or None)
+    except FloatingPointError as err:
+        # a head row reads only its own step: the first step whose heads fail
+        # on its own rows, else step t's belief step, is where the run diverged
+        with Tape.pause():
+            for s, step in enumerate(steps, start=1):
+                try:
+                    _loss_heads(model, *step)
+                except FloatingPointError as head_err:
+                    err, t = head_err, s
+                    break
+        raise FloatingPointError(f"total_loss: {err} at step {t}") from None
 
     # per-step batch means summed left to right over the steps
+    sums = ad.sum_of_means(t_len - 1, *terms)
+    coeffs = (-1.0, -cfg.omega1, cfg.omega2) if use_adv else (-1.0, -cfg.omega1)
+    total = ad.linear_combination(coeffs, sums[: len(coeffs)])
+    values = [float(s.value) for s in sums]
+    breakdown = LossBreakdown(
+        values[0], values[1], 0.0, float(total.value), [i.branch for i in infos], total
+    )
     if use_adv:
-        elbo_sum, pred_sum, gen_sum, disc_sum = ad.sum_of_means(
-            elbo_terms, pred_terms, gen_terms, disc_terms
-        )
-        total = ad.linear_combination(
-            (-1.0, -cfg.omega1, cfg.omega2), (elbo_sum, pred_sum, gen_sum)
-        )
-        breakdown.adv = float(gen_sum.value)
-        breakdown.disc_loss = float(disc_sum.value)
-        breakdown.disc_node = disc_sum
-    else:
-        elbo_sum, pred_sum = ad.sum_of_means(elbo_terms, pred_terms)
-        total = ad.linear_combination((-1.0, -cfg.omega1), (elbo_sum, pred_sum))
-    breakdown.elbo = float(elbo_sum.value)
-    breakdown.pred = float(pred_sum.value)
-    breakdown.total = float(total.value)
-    breakdown.total_node = total
+        breakdown.adv, breakdown.disc_loss = values[2:]
+        breakdown.disc_node = sums[3]
     if not math.isfinite(breakdown.total):
         raise FloatingPointError("total_loss: non-finite total")
     return breakdown
@@ -229,6 +251,7 @@ def train(
         order = rng.permutation(n)
         epoch_terms = np.zeros(4)  # total, elbo, pred, adv
         batches = 0
+        val_nll = math.nan
         try:
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
@@ -243,15 +266,16 @@ def train(
                     adam_step(model.disc, lr=config.lr)
                 epoch_terms += (bd.total, bd.elbo, bd.pred, bd.adv)
                 batches += 1
+            val_nll = _validate()
         except FloatingPointError as err:
-            # non-finite values anywhere in the pass mean the run diverged;
-            # non-finite training data is a ValueError and propagates
+            # non-finite values anywhere in the pass, or in the validation
+            # forecasts from the epoch's last parameters, mean the run diverged;
+            # non-finite training or validation data is a ValueError and propagates
             if verbose:
                 print(f"epoch {epoch}: aborted on divergence: {err}")
             aborted = True
 
         epoch_terms /= max(batches, 1)
-        val_nll = _validate()
         history.append(
             {
                 "epoch": epoch,

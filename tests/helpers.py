@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference oracles, error measures, frozen
 branch selection, analytic parameter counts, the all-branch belief step and
 bound that the selected-component step must reproduce, the one-hot weighted
-sum that the row gather must reproduce, the unfused tape
+sum that the row gather must reproduce, the per-step loss that the loss
+heads run once per batch must reproduce, the unfused tape
 primitives that fused records are checked against and test losses are built
 from, and the row-at-a-time CSV rendering and reading that the block writer
 and the vectorized loader must reproduce."""
@@ -336,11 +337,107 @@ def all_branch_elbo(model, info, recon_eps):
 
 @contextlib.contextmanager
 def all_branch_losses():
-    """Inside the block ``vdm.objective.total_loss`` filters with the
-    all-branch step and bound."""
+    """Inside the block ``per_step_total_loss`` filters with the all-branch
+    step and bound."""
     with mock.patch.object(vdm.objective, "belief_step", all_branch_belief_step), \
             mock.patch.object(vdm.objective, "_elbo_from_info", all_branch_elbo):
         yield
+
+
+# ---------------------------------------------------------------------------
+# the per-step loss: every loss head run inside the filtering loop on each
+# step's B rows, kept as the reference for the loss heads run once per batch
+# ---------------------------------------------------------------------------
+
+def series_sum_of_means(*series):
+    """For each sequence of tensors, the left-to-right sum of their means,
+    as a scalar tensor, one record for all: the per-step form of
+    ``ad.sum_of_means``."""
+    series = tuple(tuple(terms) for terms in series)
+    outs = []
+    for terms in series:
+        total = terms[0].value.mean()
+        for t in terms[1:]:
+            total = total + t.value.mean()
+        outs.append(total)
+    parents = tuple(t for terms in series for t in terms)
+
+    def back(g):
+        return tuple(
+            np.broadcast_to(gi / t.value.size, t.value.shape).copy()
+            if gi is not None and ad._wants(t) else None
+            for gi, terms in zip(g, series)
+            for t in terms
+        )
+
+    return ad._emit(tuple(outs), parents, back)
+
+
+def per_step_total_loss(model, batch, rng):
+    """``vdm.objective.total_loss`` with every loss head inside the filtering
+    loop, as it was before the heads moved after it: the same rng stream and
+    the same terms.  It calls ``vdm.objective.belief_step`` and
+    ``_elbo_from_info`` as the module holds them, so ``all_branch_losses``
+    swaps in the all-branch step and bound."""
+    obj = vdm.objective
+    cfg = model.config
+    arr = np.asarray(batch, dtype=np.float64)
+    b, t_len, _ = arr.shape
+
+    belief = vdm.inference.belief_init(model, arr[:, 0])
+    use_adv = cfg.omega2 > 0.0
+    if use_adv:
+        h_disc = model.disc_initial_state(b)
+
+    elbo_terms, pred_terms, gen_terms, disc_terms = [], [], [], []
+    breakdown = obj.LossBreakdown(0.0, 0.0, 0.0, 0.0)
+    for t in range(1, t_len):
+        x_t = arr[:, t]
+        try:
+            belief, info = obj.belief_step(model, belief, x_t, rng)
+            recon_eps = rng.standard_normal((b * cfg.k, cfg.d_z))
+            elbo_t = obj._elbo_from_info(model, info, recon_eps)
+            if not np.all(np.isfinite(elbo_t.value)):
+                raise FloatingPointError("non-finite bound")
+        except FloatingPointError as err:
+            raise FloatingPointError(f"total_loss: {err} at step {t}") from None
+        breakdown.step_branches.append(info.branch)
+
+        if use_adv:
+            h_disc = model.disc_step(ad.Tensor(arr[:, t - 1]), h_disc)
+            pick = np.arange(b) * cfg.k + rng.integers(0, cfg.k, size=b)
+            (s_sel,) = ad.take_rows(pick, (info.branch_states_flat,))
+            prior = model.transition_prior(s_sel)
+            z_gen = ad.reparameterize(prior.mean, prior.std, rng.standard_normal((b, cfg.d_z)))
+            em = model.emit(z_gen, s_sel)
+            x_gen = ad.reparameterize(em.mean, em.std, rng.standard_normal((b, cfg.d_x)))
+            gen_t, disc_t = obj.adv_regularizer(model, h_disc, x_t, x_gen)
+            gen_terms.append(gen_t)
+            disc_terms.append(disc_t)
+
+        elbo_terms.append(elbo_t)
+        pred_terms.append(ad.log_mean_exp(info.branch_loglik))
+
+    if use_adv:
+        elbo_sum, pred_sum, gen_sum, disc_sum = series_sum_of_means(
+            elbo_terms, pred_terms, gen_terms, disc_terms
+        )
+        total = ad.linear_combination(
+            (-1.0, -cfg.omega1, cfg.omega2), (elbo_sum, pred_sum, gen_sum)
+        )
+        breakdown.adv = float(gen_sum.value)
+        breakdown.disc_loss = float(disc_sum.value)
+        breakdown.disc_node = disc_sum
+    else:
+        elbo_sum, pred_sum = series_sum_of_means(elbo_terms, pred_terms)
+        total = ad.linear_combination((-1.0, -cfg.omega1), (elbo_sum, pred_sum))
+    breakdown.elbo = float(elbo_sum.value)
+    breakdown.pred = float(pred_sum.value)
+    breakdown.total = float(total.value)
+    breakdown.total_node = total
+    if not math.isfinite(breakdown.total):
+        raise FloatingPointError("total_loss: non-finite total")
+    return breakdown
 
 
 # ---------------------------------------------------------------------------

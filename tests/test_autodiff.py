@@ -505,8 +505,17 @@ def _gan_losses_composed(d_gen, d_real, d_fake):
     return ad.reshape(gen, (B,)), ad.reshape(disc, (B,))
 
 
-def _sum_of_means_composed(a, b, c, d):
-    return add(add(reduce_mean(a), reduce_mean(b)), reduce_mean(c)), reduce_mean(d)
+def _concat_rows_composed(a0, a1, b0, b1):
+    return concat([a0, a1], axis=0), concat([b0, b1], axis=0)
+
+
+def _sum_of_means_composed(a, b):
+    """Three steps: a holds B rows per step, b two rows of width 2."""
+    def blocks(t, rows):
+        means = [reduce_mean(narrow(t, 0, i * rows, rows)) for i in range(3)]
+        return add(add(means[0], means[1]), means[2])
+
+    return blocks(a, B), blocks(b, 2)
 
 
 def _linear_combination_composed(a, b, c):
@@ -556,8 +565,10 @@ def _fused_cases():
          _gan_losses_composed, {
             "d_gen": u(B, 1, lo=0.01, hi=0.99), "d_real": u(B, 1, lo=0.01, hi=0.99),
             "d_fake": u(B, 1, lo=0.01, hi=0.99)}),
-        ("sum_of_means", lambda a, b, c, d: ad.sum_of_means((a, b, c), (d,)),
-         _sum_of_means_composed, {"a": u(B), "b": u(B), "c": u(B, 2), "d": u(4)}),
+        ("concat_rows", lambda a0, a1, b0, b1: ad.concat_rows((a0, a1), (b0, b1)),
+         _concat_rows_composed, {"a0": u(B, 3), "a1": u(2, 3), "b0": u(B), "b1": u(2)}),
+        ("sum_of_means", lambda a, b: ad.sum_of_means(3, a, b),
+         _sum_of_means_composed, {"a": u(3 * B), "b": u(3 * 2, 2)}),
         ("linear_combination",
          lambda a, b, c: ad.linear_combination((-1.0, -0.7, 2.5), (a, b, c)),
          _linear_combination_composed, {"a": u(lo=-3.0, hi=3.0), "b": u(), "c": u()}),
@@ -565,7 +576,9 @@ def _fused_cases():
 
 
 _FUSED = {case[0]: case for case in _fused_cases()}
-_TUPLE_OUTPUT = ("gaussian_mlp", "take_rows", "weighted_sum", "gan_losses", "sum_of_means")
+_TUPLE_OUTPUT = (
+    "gaussian_mlp", "take_rows", "weighted_sum", "gan_losses", "concat_rows", "sum_of_means"
+)
 
 
 def _outputs(result):

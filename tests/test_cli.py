@@ -4,6 +4,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 import vdm.objective
@@ -615,6 +616,45 @@ def test_train_model_size_checked_before_any_file(tmp_path, capsys, setting):
     assert f"vdm train: error: setting {setting!r} must be >= 1, got 0" in err
     assert "missing" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--lr", "0"], "lr"),
+    (["--kappa", "-1"], "kappa"),
+    (["--omega1", "-1"], "omega1"),
+    (["--sampler", "sca", "--k", "5"], "k = 2*d_z+1"),
+], ids=["lr", "kappa", "omega1", "sca_k"])
+def test_train_model_settings_checked_before_the_csvs(tmp_path, capsys, flags, setting):
+    """The manifest alone gives d_x, so the model settings fail before a
+    listed CSV is opened: here neither exists."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "d_x": 2, "seq_len": 20, "prefix_len": 5,
+        "files": {"train": "train.csv", "val": "val.csv"},
+    }))
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(manifest), "--seed", "1", "--out", str(out), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vdm train: error: ModelConfig: ") and setting in err
+    assert "train.csv" not in err
+    assert not os.path.exists(out)
+
+
+def test_train_divergence_in_validation_writes_the_last_good_checkpoint(tmp_path, capsys):
+    """An absurd learning rate leaves the parameters non-finite after the
+    epoch's one batch, so the validation forecasts fail: train reports
+    divergence, exits 1 and writes the last good checkpoint."""
+    manifest = simulate_four_mode(tmp_path / "data")
+    extra = ("--lr", "1e308", "--omega2", "0", "--batch-size", "64")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, ckpt = train_tiny(manifest, tmp_path / "run", extra=extra)
+    assert rc == 1
+    assert "train: aborted on divergence; last good checkpoint written" in capsys.readouterr().err
+    from vdm.checkpoint import load_checkpoint
+
+    for arr in load_checkpoint(ckpt).model_arrays.values():
+        assert np.all(np.isfinite(arr))
 
 
 def test_run_records_written_for_all_commands(tmp_path):

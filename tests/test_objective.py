@@ -23,6 +23,7 @@ from helpers import (
     entry_grads,
     finite_diff_entries,
     frozen_branch_selection,
+    per_step_total_loss,
     rel_error,
     sample_entries,
 )
@@ -136,16 +137,52 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
 @pytest.mark.parametrize("sampler, weighting", [("sca", "delta"), ("monte_carlo", "categorical")])
 def test_loss_terms_bit_identical_to_all_branch_losses(sampler, weighting):
     """At B=32 the loss terms of the selected-component step equal those of
-    the all-branch step and bound bit for bit; at B=1 within 1e-12."""
+    the all-branch step and bound, run through the per-step loss, bit for
+    bit; at B=1 within 1e-12."""
     model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=6, sampler_mode=sampler,
                        weighting_mode=weighting)
     for b, atol in ((32, 0.0), (1, 1e-12)):
         batch = np.random.default_rng(7).normal(size=(b, 6, 3))
         got = total_loss(model, batch, np.random.default_rng(8))
         with all_branch_losses():
-            want = total_loss(model, batch, np.random.default_rng(8))
+            want = per_step_total_loss(model, batch, np.random.default_rng(8))
         for term in ("elbo", "pred", "adv"):
             np.testing.assert_allclose(getattr(got, term), getattr(want, term), rtol=0, atol=atol)
+
+
+def _loss_and_gradients(model, loss_fn, batch, seed):
+    """The breakdown of ``loss_fn`` and the gradients of every model and
+    discriminator parameter after one backward sweep over total + disc."""
+    for store in (model.params, model.disc):
+        store.zero_grad()
+    with Tape() as tape:
+        bd = loss_fn(model, batch, np.random.default_rng(seed))
+        backward(tape, ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node)))
+    return bd, {
+        (which, name): t.grad.copy()
+        for which, store in (("model", model.params), ("disc", model.disc))
+        for name, t in store.params.items()
+    }
+
+
+@pytest.mark.parametrize("sampler, weighting", [("sca", "delta"), ("monte_carlo", "categorical")])
+@pytest.mark.parametrize("b", [1, 7, 32])
+def test_loss_heads_once_per_batch_equal_per_step_loss(sampler, weighting, b):
+    """The loss heads run once on the stacked rows of all steps give the
+    per-step loss's terms bit for bit, from the same rng stream and the same
+    branches; the gradients differ only in the order the weight gradients
+    sum over rows."""
+    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=6, sampler_mode=sampler,
+                       weighting_mode=weighting)
+    batch = np.random.default_rng(7).normal(size=(b, 6, 3))
+    got, got_grads = _loss_and_gradients(model, total_loss, batch, 8)
+    want, want_grads = _loss_and_gradients(model, per_step_total_loss, batch, 8)
+    for term in ("elbo", "pred", "adv", "disc_loss", "total"):
+        assert getattr(got, term) == getattr(want, term), term
+    for got_b, want_b in zip(got.step_branches, want.step_branches, strict=True):
+        np.testing.assert_array_equal(got_b, want_b)
+    for key, want_g in want_grads.items():
+        assert rel_error(got_grads[key], want_g) < 1e-12, key
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +250,14 @@ def test_omega2_zero_skips_adversarial_path():
 # ---------------------------------------------------------------------------
 
 def test_breakdown_identity(monkeypatch):
-    per_step_elbo = []
+    """total = -elbo - omega1 pred + omega2 adv, and the bound runs once on
+    the steps' rows stacked step-major: elbo is the left-to-right sum of each
+    step's batch mean."""
+    bounds = []
 
     def recording_elbo(*args):
         value = real_elbo(*args)
-        per_step_elbo.append(float(value.value.mean()))
+        bounds.append(value.value.copy())
         return value
 
     real_elbo = objective._elbo_from_info
@@ -226,8 +266,9 @@ def test_breakdown_identity(monkeypatch):
     batch = np.random.default_rng(2).normal(size=(3, 4, 3))
     bd = total_loss(model, batch, np.random.default_rng(3))
     np.testing.assert_allclose(bd.total, -bd.elbo - 0.7 * bd.pred + 0.3 * bd.adv, rtol=1e-12)
-    assert len(per_step_elbo) == 3
-    np.testing.assert_allclose(bd.elbo, np.sum(per_step_elbo), rtol=1e-12)
+    (bound,) = bounds
+    assert bound.shape == (3 * 3,)
+    np.testing.assert_allclose(bd.elbo, bound.reshape(3, 3).mean(axis=1).sum(), rtol=1e-12)
 
 
 def test_pure_elbo_ablation():
@@ -294,17 +335,66 @@ def test_discriminator_gradient_matches_finite_differences():
     assert rel_error(entry_grads(model.disc, entries), fd) < 1e-4
 
 
+class _InfiniteNoise:
+    """A Generator that passes draws through, except that ``bad_steps`` maps
+    a standard normal draw's shape to the step, counted from 1, whose draw of
+    that shape gets an infinite trajectory 1."""
+
+    def __init__(self, seed, b, bad_steps):
+        self._rng = np.random.default_rng(seed)
+        self._b = b
+        self._bad_steps = bad_steps
+        self._calls = dict.fromkeys(bad_steps, 0)
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        if size in self._bad_steps:
+            self._calls[size] += 1
+            if self._calls[size] == self._bad_steps[size]:
+                out.reshape(self._b, -1)[1] = np.inf
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("omega2", [0.0, 1.0])
+@pytest.mark.parametrize("recon_step, latent_step, message", [
+    (3, None, "emit: non-finite input at step 3"),
+    (1, None, "emit: non-finite input at step 1"),
+    (None, 4, "gru_advance: non-finite input at step 4"),
+    (3, 4, "emit: non-finite input at step 3"),
+])
+def test_nonfinite_value_names_its_first_step(omega2, recon_step, latent_step, message):
+    """A non-finite value is reported at the first step it reaches, whether
+    it first appears in a loss head or in the recursion: infinite
+    reconstruction noise reaches the bound's emission, infinite latent noise
+    the GRU of the belief step."""
+    model = make_model(d_x=3, d_z=2, d_h=4, k=5, omega2=omega2, seed=2)
+    batch = np.random.default_rng(1).normal(size=(4, 6, 3))
+    rng = _InfiniteNoise(0, 4, {(4 * 5, 2): recon_step, (4, 5, 2): latent_step})
+    with pytest.raises(FloatingPointError, match=f"^total_loss: {message}$"):
+        with Tape():
+            total_loss(model, batch, rng)
+
+
 def test_training_step_tape_record_count():
     """One B=32 step at Lorenz desk scale (d_x 3, d_z 6, d_h 32, k 13, T=30,
-    omega2=1) records 26 entries per filtering step plus 3 others (the
-    initial encoding, the sums of the per-step means and the loss's linear
-    combination): within the 800-entry budget, and any added record shows
-    here."""
+    omega2=1) records 12 entries per filtering step, 29 * 12 = 348: the
+    belief step's 10 (latent sample, reshape, repeated state, GRU, transition
+    prior, branch emission, log-pdf, reshape, branch gather, inference net)
+    plus the discriminator's GRU and the adversarial branch pick.  18 more
+    run once per batch: the initial encoding, the row stacking, the bound's
+    5 (reparameterization, emission, log-pdf, KL, selection), the predictive
+    term, the adversarial term's 8 (transition prior, two
+    reparameterizations, emission, three discriminator calls, GAN losses),
+    the sums of the per-step means and the loss's linear combination.  Any
+    added record shows here."""
     model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
     batch = np.random.default_rng(1).normal(size=(32, 30, 3))
     with Tape() as tape:
         total_loss(model, batch, np.random.default_rng(2))
-    assert len(tape.records) == 757
+    assert len(tape.records) == 29 * 12 + 18 == 366
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +472,23 @@ def test_divergence_aborts_with_last_good_checkpoint():
     with np.errstate(over="ignore", invalid="ignore"):
         result = train(train_ds, cfg, np.random.default_rng(5), epochs=5, batch_size=16)
     assert result.aborted
+    for arr in result.checkpoint.model_arrays.values():
+        assert np.all(np.isfinite(arr))
+
+
+def test_divergence_in_validation_aborts_with_last_good_checkpoint():
+    """When the epoch's last update leaves the parameters non-finite, the
+    validation forecasts fail: that too is divergence, not a crash.  One
+    batch per epoch, so the epoch's one loss is finite and validation is
+    where the run fails."""
+    train_ds, val_ds = _tiny_four_mode()
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0, lr=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds,
+                       epochs=5, batch_size=len(train_ds))
+    assert result.aborted
+    (last,) = result.history
+    assert math.isfinite(last["total"]) and math.isnan(last["val_nll"])
     for arr in result.checkpoint.model_arrays.values():
         assert np.all(np.isfinite(arr))
 
