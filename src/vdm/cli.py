@@ -8,8 +8,6 @@ success, 2 usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -348,11 +346,10 @@ def cmd_evaluate(args):
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "value", "stderr", "n", "seed", "checkpoint_id"])
-    writer.writerows(rows)
-    atomic_write_text(os.path.join(out_dir, "metrics_report.csv"), buf.getvalue())
+    # reprs, ints, "" and a hex id: no field needs quoting
+    header = ["metric", "value", "stderr", "n", "seed", "checkpoint_id"]
+    text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    atomic_write_text(os.path.join(out_dir, "metrics_report.csv"), text)
     resolved["note"] = note
     _write_run_record(out_dir, "evaluate", resolved, ["metrics_report.csv"])
     for row in rows:

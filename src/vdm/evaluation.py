@@ -68,6 +68,8 @@ def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
     chunk of trajectories at a time.  ``prefix_len`` must lie in [1, T]."""
     data = np.asarray(data, dtype=np.float64)
     n_traj = data.shape[0]
+    if n_forecasts < 1:
+        raise ValueError(f"forecast_dataset: n_forecasts must be >= 1, got {n_forecasts}")
     if not 1 <= prefix_len <= data.shape[1]:
         raise ValueError(
             f"forecast_dataset: prefix_len must be in [1, {data.shape[1]}], got {prefix_len}"
@@ -97,6 +99,10 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
         raise ValueError("dataset_multi_step_nll: no continuation to score")
     if data.shape[0] == 0:
         raise ValueError("dataset_multi_step_nll: no trajectories to score")
+    if n_forecasts < 1:
+        raise ValueError(f"dataset_multi_step_nll: n_forecasts must be >= 1, got {n_forecasts}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("dataset_multi_step_nll: non-finite observation")
 
     def score(chunk):
         rows, chunk_rng = chunk
@@ -116,12 +122,12 @@ def one_step_nll(model, data, prefix_len, rng):
         raise ValueError(f"one_step_nll: prefix_len must be >= 1, got {prefix_len}")
     if t_len - prefix_len < 1:
         raise ValueError("one_step_nll: no continuation to score")
+    if data.shape[0] == 0:
+        raise ValueError("one_step_nll: no trajectories to score")
     # the belief after the last observation predicts nothing that is scored
     _, beliefs = filter_sequence(model, data[:, :-1], rng)
-    totals = []
-    for t in range(prefix_len, t_len):
-        mixture = one_step_predictive(model, beliefs[t - 1])
-        totals.append(-mixture.log_density(data[:, t]))
+    totals = [-one_step_predictive(model, beliefs[t - 1], data[:, t])
+              for t in range(prefix_len, t_len)]
     return float(np.mean(totals))
 
 

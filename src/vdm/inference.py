@@ -29,7 +29,6 @@ __all__ = [
     "filter_sequence",
     "generate",
     "one_step_predictive",
-    "PredictiveMixture",
     "export_predictive_prior",
 ]
 
@@ -195,55 +194,30 @@ def generate(model, belief, horizon, rng):
     return out
 
 
-@dataclass
-class PredictiveMixture:
-    """Equal-weight Gaussian mixture over the next observation."""
-
-    means: np.ndarray  # (B, m, d_x)
-    stds: np.ndarray   # (B, m, d_x)
-
-    @property
-    def n_components(self):
-        return self.means.shape[1]
-
-    def log_density(self, x):
-        """(B,) log densities of the (B, d_x) observations ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        z = (x[:, None, :] - self.means) / self.stds
-        comp = -0.5 * np.log(2.0 * np.pi) - np.log(self.stds) - 0.5 * z * z
-        comp_ll = comp.sum(axis=2)  # (B, m)
-        m = comp_ll.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(comp_ll - m).sum(axis=1))
-        return lse - np.log(self.n_components)
-
-
-def one_step_predictive(model, belief):
-    """Closed-form next-observation mixture, one component per branch.
+def one_step_predictive(model, belief, x):
+    """(B,) log densities of the next observations ``x``: the log of the mean
+    branch likelihood, which the training loss takes as its predictive term.
 
     Draw-free: latents are the noise-free sigma points of the collapsed
     posterior (the posterior mean alone under monte_carlo sampling), and
     each branch resolves z at the transition prior's mean.
     """
     cfg = model.config
+    x_arr = _as_batch_array(x, cfg.d_x, "one_step_predictive")
     with Tape.pause():
         mean = belief.collapsed.mean.value
         std = belief.collapsed.std.value
-        b = mean.shape[0]
         if cfg.sampler_mode == "sca":
             xi, _ = sigma_points(cfg.d_z, cfg.kappa)
-            m = xi.shape[0]
             z_pts = mean[:, None, :] + std[:, None, :] * xi[None, :, :]
         else:
-            m = 1
             z_pts = mean[:, None, :]
+        b, m = z_pts.shape[:2]
         z_flat = Tensor(z_pts.reshape(b * m, cfg.d_z))
         h_rep = Tensor(np.repeat(belief.expected_h.value, m, axis=0))
         s_flat = model.gru_advance(z_flat, h_rep)
-        prior = model.transition_prior(s_flat)
-        em = model.emit(prior.mean, s_flat)
-        means = em.mean.value.reshape(b, m, cfg.d_x)
-        stds = em.std.value.reshape(b, m, cfg.d_x)
-    return PredictiveMixture(means=means.copy(), stds=stds.copy())
+        loglik, _ = _branch_likelihood(model, s_flat, x_arr, m)
+        return ad.log_mean_exp(loglik).value
 
 
 def export_predictive_prior(model, x_prefix, n_draws, rng):

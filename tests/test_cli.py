@@ -1,5 +1,6 @@
 """Command-line surface: determinism, exit codes, file contracts."""
 import csv
+import io
 import json
 import os
 import stat
@@ -331,7 +332,8 @@ def test_evaluate_without_groups_omits_w_distance(tmp_path):
         assert r["seed"] == "11"
 
 
-def test_evaluate_with_groups_reports_w_distance(tmp_path):
+def evaluate_lorenz_with_groups(tmp_path):
+    """Run ``vdm evaluate`` on a small Lorenz set with groups; returns its --out."""
     out_data = tmp_path / "lz"
     main(
         [
@@ -351,11 +353,28 @@ def test_evaluate_with_groups_reports_w_distance(tmp_path):
         ]
     )
     assert rc == 0
+    return out
+
+
+def test_evaluate_with_groups_reports_w_distance(tmp_path):
+    out = evaluate_lorenz_with_groups(tmp_path)
     with open(out / "metrics_report.csv") as fh:
         rows = {r["metric"]: r for r in csv.DictReader(fh)}
     assert "w_distance" in rows
     assert float(rows["w_distance"]["value"]) > 0
     assert rows["w_distance"]["stderr"] != ""
+
+
+def test_metrics_report_is_what_csv_writer_renders(tmp_path):
+    """The joined-fields writer gives the bytes ``csv.writer`` gives for the
+    same fields: none of them needs quoting, the empty stderr included."""
+    path = evaluate_lorenz_with_groups(tmp_path) / "metrics_report.csv"
+    with open(path, newline="") as fh:
+        fields = list(csv.reader(fh))
+    assert fields[1][2] == fields[2][2] == ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(fields)
+    assert read(path).decode() == buf.getvalue()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast"])

@@ -157,6 +157,33 @@ def test_forecast_dataset_rejects_a_prefix_outside_the_sequence(prefix_len):
         evaluation.forecast_dataset(model, data, prefix_len, 2, 4, np.random.default_rng(2))
 
 
+@pytest.mark.parametrize("n_forecasts", [0, -1])
+def test_forecasting_rejects_fewer_than_one_forecast(n_forecasts):
+    """Without the checks, 0 divided by zero in the chunk plan and
+    ``forecast_dataset`` returned an empty (N, 0, H, d_x) array."""
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    data = np.random.default_rng(1).normal(size=(3, 6, 2))
+    with pytest.raises(ValueError, match=r"^dataset_multi_step_nll: n_forecasts must be >= 1"):
+        dataset_multi_step_nll(model, data, 2, n_forecasts, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=r"^forecast_dataset: n_forecasts must be >= 1"):
+        evaluation.forecast_dataset(model, data, 2, n_forecasts, 4, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("cell", [(0, 3, 0), (2, 5, 1)])
+def test_scoring_rejects_a_non_finite_continuation(cell):
+    """A NaN in the scored continuation, which the multi-step NLL never
+    filters and the one-step NLL filters up to its last step, raises instead
+    of returning nan."""
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    data = np.random.default_rng(1).normal(size=(3, 6, 2))
+    data[cell] = np.nan
+    with pytest.raises(ValueError, match="^dataset_multi_step_nll: non-finite observation"):
+        dataset_multi_step_nll(model, data, 2, 5, np.random.default_rng(2))
+    scorer = "one_step_predictive" if cell[1] == 5 else "belief_step"
+    with pytest.raises(ValueError, match=f"^{scorer}: non-finite observation"):
+        one_step_nll(model, data, 2, np.random.default_rng(2))
+
+
 def test_multi_step_nll_peak_memory_flat_in_trajectory_count():
     """Each chunk of about FORECAST_ROWS rows is scored and dropped before the
     next, so the allocation peak at N = 128 stays within 10% of N = 32 (with
@@ -233,7 +260,7 @@ def test_one_step_nll_skips_the_unread_last_filtering_step(monkeypatch):
     _, beliefs = inference.filter_sequence(model, data, np.random.default_rng(7))
     want = np.mean(
         [
-            -inference.one_step_predictive(model, beliefs[t - 1]).log_density(data[:, t])
+            -inference.one_step_predictive(model, beliefs[t - 1], data[:, t])
             for t in (10, 11)
         ]
     )
@@ -248,6 +275,13 @@ def test_one_step_nll_rejects_a_prefix_below_one(prefix_len):
     data = np.random.default_rng(6).normal(size=(3, 6, 2))
     with pytest.raises(ValueError, match="one_step_nll: prefix_len"):
         one_step_nll(model, data, prefix_len, np.random.default_rng(7))
+
+
+def test_one_step_nll_rejects_an_empty_dataset():
+    """It returned nan with a numpy RuntimeWarning."""
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(5))
+    with pytest.raises(ValueError, match="one_step_nll: no trajectories to score"):
+        one_step_nll(model, np.zeros((0, 6, 2)), 2, np.random.default_rng(7))
 
 
 # ---------------------------------------------------------------------------

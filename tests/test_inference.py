@@ -1,10 +1,12 @@
 """Filtering recursion: weighting rules, belief invariants, k=1 reference
-filter equivalence, predictive mixture quadrature."""
+filter equivalence, one-step predictive quadrature."""
 import numpy as np
 import pytest
 
 from vdm.autodiff import Tensor
+from vdm.gaussians import DiagGaussian
 from vdm.inference import (
+    MixtureBelief,
     belief_init,
     belief_step,
     export_predictive_prior,
@@ -14,6 +16,7 @@ from vdm.inference import (
     select_branch,
 )
 from vdm.nets import ModelConfig, VdmModel
+from vdm.sampling import sigma_points
 
 from helpers import all_branch_belief_step, reference_export_prior
 
@@ -323,11 +326,53 @@ def test_generate_small_emission_noise_leaves_only_latent_variability():
 # one-step predictive
 # ---------------------------------------------------------------------------
 
+def predictive_components(model, belief):
+    """(B, m, d_x) means and stds of the one-step predictive's components,
+    built by hand: noise-free sigma points (the posterior mean alone under
+    monte_carlo), then the GRU, the transition prior and the emission at the
+    prior mean."""
+    cfg = model.config
+    mean, std = belief.collapsed.mean.value, belief.collapsed.std.value
+    if cfg.sampler_mode == "sca":
+        xi, _ = sigma_points(cfg.d_z, cfg.kappa)
+    else:
+        xi = np.zeros((1, cfg.d_z))
+    b, m = mean.shape[0], xi.shape[0]
+    z = (mean[:, None, :] + std[:, None, :] * xi[None]).reshape(b * m, cfg.d_z)
+    s = model.gru_advance(Tensor(z), Tensor(np.repeat(belief.expected_h.value, m, axis=0)))
+    em = model.emit(model.transition_prior(s).mean, s)
+    return em.mean.value.reshape(b, m, -1), em.std.value.reshape(b, m, -1)
+
+
+def scipy_predictive(model, belief, x):
+    """(B,) log of the equal-weight mean of the component densities, by scipy."""
+    from scipy import stats
+    from scipy.special import logsumexp
+
+    means, stds = predictive_components(model, belief)
+    comp = stats.norm.logpdf(x[:, None, :], loc=means, scale=stds).sum(axis=2)
+    return logsumexp(comp, axis=1) - np.log(means.shape[1])
+
+
+def repeat_belief(belief, n):
+    """``belief`` (B = 1) repeated over n rows."""
+    def rep(t):
+        return Tensor(np.repeat(t.value, n, axis=0))
+
+    c = belief.collapsed
+    return MixtureBelief(rep(belief.expected_h), DiagGaussian(rep(c.mean), rep(c.std)))
+
+
 def test_one_step_predictive_k1_single_gaussian():
+    from scipy import stats
+
     model = make_model(k=1, sampler_mode="monte_carlo", seed=17)
     belief = belief_init(model, np.zeros((1, 3)))
-    pm = one_step_predictive(model, belief)
-    assert pm.n_components == 1
+    means, stds = predictive_components(model, belief)
+    assert means.shape[1] == 1
+    x = np.random.default_rng(17).normal(size=(1, 3))
+    want = stats.norm.logpdf(x[0], loc=means[0, 0], scale=stds[0, 0]).sum()
+    np.testing.assert_allclose(one_step_predictive(model, belief, x), [want], rtol=1e-10)
 
 
 def test_one_step_predictive_density_integrates_to_one():
@@ -336,11 +381,11 @@ def test_one_step_predictive_density_integrates_to_one():
     model = VdmModel.initialize(cfg, np.random.default_rng(18))
     belief = belief_init(model, np.array([[0.3]]))
     belief, _ = belief_step(model, belief, np.array([[0.1]]), np.random.default_rng(3))
-    pm = one_step_predictive(model, belief)
-    lo = float((pm.means - 12 * pm.stds).min())
-    hi = float((pm.means + 12 * pm.stds).max())
+    means, stds = predictive_components(model, belief)
+    lo = float((means - 12 * stds).min())
+    hi = float((means + 12 * stds).max())
     grid = np.linspace(lo, hi, 20001)
-    dens = np.exp(pm.log_density(np.repeat(grid[:, None], 1, axis=1)))
+    dens = np.exp(one_step_predictive(model, repeat_belief(belief, grid.size), grid[:, None]))
     integral = np.trapezoid(dens, grid)
     assert abs(integral - 1.0) < 1e-3
 
@@ -348,37 +393,42 @@ def test_one_step_predictive_density_integrates_to_one():
 def test_one_step_predictive_mode_beats_tail():
     model = make_model(seed=19)
     belief = belief_init(model, np.zeros((1, 3)))
-    pm = one_step_predictive(model, belief)
-    center = pm.log_density(pm.means[0, 0][None, :])
-    tail = pm.log_density((pm.means[0, 0] + 100 * pm.stds[0, 0])[None, :])
+    means, stds = predictive_components(model, belief)
+    center = one_step_predictive(model, belief, means[0, 0][None, :])
+    tail = one_step_predictive(model, belief, (means[0, 0] + 100 * stds[0, 0])[None, :])
     assert center > tail
 
 
-def test_one_step_predictive_component_count_matches_k():
+def test_one_step_predictive_component_count_matches_k(monkeypatch):
+    """Under sca the mixture has k = 2 d_z + 1 components, one per branch: the
+    GRU runs on B k rows, and the density is the mean over exactly k of them."""
     model = make_model(k=5, seed=20)
-    belief = belief_init(model, np.zeros((1, 3)))
-    assert one_step_predictive(model, belief).n_components == model.config.k
+    belief = belief_init(model, np.zeros((2, 3)))
+    x = np.random.default_rng(20).normal(size=(2, 3))
+    means, _ = predictive_components(model, belief)
+    assert means.shape[1] == model.config.k
+    rows = []
+    real = model.gru_advance
+
+    def counted(z, h):
+        rows.append(z.shape[0])
+        return real(z, h)
+
+    monkeypatch.setattr(model, "gru_advance", counted)
+    got = one_step_predictive(model, belief, x)
+    assert rows == [2 * model.config.k]
+    np.testing.assert_allclose(got, scipy_predictive(model, belief, x), rtol=1e-10)
 
 
 def test_predictive_mixture_density_matches_scipy():
-    from scipy import stats
-
     rng = np.random.default_rng(21)
     model = make_model(seed=21)
     belief = belief_init(model, rng.normal(size=(2, 3)))
     belief, _ = belief_step(model, belief, rng.normal(size=(2, 3)), np.random.default_rng(0))
-    pm = one_step_predictive(model, belief)
     x = rng.normal(size=(2, 3))
-    got = pm.log_density(x)
-    for b in range(2):
-        comp = np.array(
-            [
-                stats.norm.logpdf(x[b], loc=pm.means[b, j], scale=pm.stds[b, j]).sum()
-                for j in range(pm.n_components)
-            ]
-        )
-        want = np.log(np.exp(comp).sum() / pm.n_components)
-        np.testing.assert_allclose(got[b], want, rtol=1e-10)
+    got = one_step_predictive(model, belief, x)
+    assert got.shape == (2,)
+    np.testing.assert_allclose(got, scipy_predictive(model, belief, x), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
