@@ -216,26 +216,29 @@ def _affine_relu(x, w, b):
     return out
 
 
+def _mlp3_input(inputs):
+    """The (B, d_i) inputs concatenated along the last axis."""
+    return np.concatenate([t.value for t in inputs], -1) if len(inputs) > 1 else inputs[0].value
+
+
 def _mlp3_forward(name, inputs, weights):
-    """Concatenate the (B, d_i) inputs and run the three layers; returns the
-    concatenated input, both hidden activations and the raw output."""
+    """Concatenate the (B, d_i) inputs and run the three layers; returns both
+    hidden activations and the raw output."""
     if any(t.value.ndim != 2 for t in inputs):
         raise ValueError(
             f"{name}: expected (B, d) inputs, got shapes {[t.value.shape for t in inputs]}"
         )
-    xv = inputs[0].value if len(inputs) == 1 else np.concatenate(
-        [t.value for t in inputs], axis=-1
-    )
     w0, b0, w1, b1, w2, b2 = weights
-    h0 = _affine_relu(xv, w0.value, b0.value)
+    h0 = _affine_relu(_mlp3_input(inputs), w0.value, b0.value)
     h1 = _affine_relu(h0, w1.value, b1.value)
-    return xv, h0, h1, _affine(h1, w2.value, b2.value)
+    return h0, h1, _affine(h1, w2.value, b2.value)
 
 
-def _mlp3_backward(g, inputs, weights, xv, h0, h1):
+def _mlp3_backward(g, inputs, weights, h0, h1):
     """Gradients of the inputs, then of the six weights, from the gradient
-    ``g`` of the raw output."""
+    ``g`` of the raw output; the concatenated input is rebuilt, not kept."""
     w0, b0, w1, b1, w2, b2 = weights
+    xv = _mlp3_input(inputs) if _wants(w0) else None
     grads = [None] * 6
     for i, (inp, w, b) in ((2, (h1, w2, b2)), (1, (h0, w1, b1)), (0, (xv, w0, b0))):
         if _wants(w):
@@ -265,11 +268,11 @@ def sigmoid_mlp3(inputs, weights):
     axis; ``weights`` is (w0, b0, w1, b1, w2, b2).
     """
     inputs, weights = tuple(inputs), tuple(weights)
-    xv, h0, h1, raw = _mlp3_forward("sigmoid_mlp3", inputs, weights)
+    h0, h1, raw = _mlp3_forward("sigmoid_mlp3", inputs, weights)
     out = _sigmoid(raw)
 
     def back(g):
-        return _mlp3_backward(g * out * (1.0 - out), inputs, weights, xv, h0, h1)
+        return _mlp3_backward(g * out * (1.0 - out), inputs, weights, h0, h1)
 
     return _emit(out, inputs + weights, back)
 
@@ -280,24 +283,25 @@ def gaussian_mlp(inputs, weights, d, clamp):
 
     The 2d raw outputs split into a mean and a raw log std; the std is
     exp(clip(raw, -clamp, clamp)), whose gradient passes only through the
-    interior of the clip.
+    interior of the clip, kept as a bool mask of the clipped values.
     """
     inputs, weights = tuple(inputs), tuple(weights)
-    xv, h0, h1, raw = _mlp3_forward("gaussian_mlp", inputs, weights)
+    h0, h1, raw = _mlp3_forward("gaussian_mlp", inputs, weights)
     if raw.shape[-1] != 2 * d:
         raise ValueError(f"gaussian_mlp: expected {2 * d} raw outputs, got {raw.shape[-1]}")
     mean = raw[:, :d].copy()
-    raw_std = raw[:, d:].copy()
-    std = np.exp(np.clip(raw_std, -clamp, clamp))
+    std = np.clip(raw[:, d:], -clamp, clamp)
+    inside = (std > -clamp) & (std < clamp)
+    np.exp(std, out=std)
 
     def back(g):
         g_mean, g_std = g
-        g_raw = np.zeros(raw.shape)
+        g_raw = np.zeros((h1.shape[0], 2 * d))
         if g_std is not None:
-            g_raw[:, d:] = g_std * std * ((raw_std > -clamp) & (raw_std < clamp))
+            g_raw[:, d:] = g_std * std * inside
         if g_mean is not None:
             g_raw[:, :d] = g_mean
-        return _mlp3_backward(g_raw, inputs, weights, xv, h0, h1)
+        return _mlp3_backward(g_raw, inputs, weights, h0, h1)
 
     return _emit((mean, std), inputs + weights, back)
 
@@ -307,7 +311,8 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
 
     r = sigmoid([x, h] wr + br), u = sigmoid([x, h] wu + bu),
     c = tanh([x, r * h] wc + bc) and h' = u * h + (1 - u) * c: the update
-    gate u carries the previous state through.
+    gate u carries the previous state through.  Backward keeps x, h and the
+    gates, and rebuilds the concatenated inputs from them.
     """
     xv, hv = x.value, h.value
     if xv.ndim != 2 or hv.ndim != 2:
@@ -315,8 +320,7 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
     xh = np.concatenate([xv, hv], axis=-1)
     r = _sigmoid(_affine(xh, wr.value, br.value))
     u = _sigmoid(_affine(xh, wu.value, bu.value))
-    xrh = np.concatenate([xv, r * hv], axis=-1)
-    c = np.tanh(_affine(xrh, wc.value, bc.value))
+    c = np.tanh(_affine(np.concatenate([xv, r * hv], axis=-1), wc.value, bc.value))
     out = u * hv
     out += (1.0 - u) * c
     d_x = xv.shape[-1]
@@ -328,6 +332,8 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
         ga_r = g_rh * hv * r * (1.0 - r)
         ga_u = g * (hv - c) * u * (1.0 - u)
         grads = [None] * 8
+        xh = np.concatenate([xv, hv], axis=-1) if _wants(wr) or _wants(wu) else None
+        xrh = np.concatenate([xv, r * hv], axis=-1) if _wants(wc) else None
         for i, (ga, w, b, inp) in enumerate(
             ((ga_r, wr, br, xh), (ga_u, wu, bu, xh), (ga_c, wc, bc, xrh))
         ):
@@ -348,11 +354,11 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
 
 def gaussian_log_pdf(x, mean, std):
     """log N(x; mean, diag(std**2)) summed over the last axis; std > 0."""
-    inv = 1.0 / std.value
-    z = (x.value - mean.value) * inv
+    z = (x.value - mean.value) * (1.0 / std.value)
     out = ((-0.5 * LOG_2PI - np.log(std.value)) - 0.5 * (z * z)).sum(axis=-1)
 
     def back(g):
+        inv = 1.0 / std.value
         ge = np.expand_dims(g, -1)
         gx = -(ge * z) * inv
         return (

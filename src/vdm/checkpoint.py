@@ -102,7 +102,8 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path):
-    """Read a format 2 checkpoint; a malformed file raises ValueError naming ``path``."""
+    """Read a format 2 checkpoint; a malformed file, or one whose arrays are not
+    those a model of its config holds, raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _PREAMBLE or blob[: len(MAGIC)] != MAGIC:
@@ -115,6 +116,18 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob[_PREAMBLE : _PREAMBLE + header_len])
         payload = blob[_PREAMBLE + header_len :]
+        config = ModelConfig(**header["config"])
+        shapes = VdmModel.parameter_shapes(config)
+        want = {(store, name): shape for store in shapes for name, shape in shapes[store]}
+        want.update({("stats", name): (config.d_x,) for name in ("obs_mean", "obs_std")})
+        got = {(e["store"], e["name"]): tuple(e["shape"]) for e in header["arrays"]}
+        for key in sorted(want.keys() | got.keys()):
+            if got.get(key) != want.get(key):
+                have, need = (d.get(key, "no array") for d in (got, want))
+                raise ValueError(f"array {'/'.join(key)}: the file has {have}, its config {need}")
+        size = 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
+        if len(payload) != size:
+            raise ValueError(f"payload holds {len(payload)} bytes, the arrays {size}")
         arrays = {"model": {}, "disc": {}, "stats": {}}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
@@ -123,7 +136,7 @@ def load_checkpoint(path):
             )
             arrays[entry["store"]][entry["name"]] = arr.reshape(shape).astype(np.float64)
         return Checkpoint(
-            config=ModelConfig(**header["config"]),
+            config=config,
             model_arrays=arrays["model"],
             disc_arrays=arrays["disc"],
             obs_mean=arrays["stats"]["obs_mean"],

@@ -64,10 +64,12 @@ class StepInfo:
     q: DiagGaussian            # (B, d_z) the selected component: the collapsed posterior
 
 
-def _as_batch_array(x, dim, name):
+def _as_batch_array(x, dim, name, batch=None):
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{name}: expected (B, {dim}) observations, got {arr.shape}")
+    if batch is not None and arr.shape[0] != batch:
+        raise ValueError(f"{name}: the belief has batch size {batch}, x has {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite observation")
     return arr
@@ -126,7 +128,7 @@ def belief_step(model, belief, x, rng):
     """Advance the belief by one observation; returns the new belief and
     the intermediate quantities the training losses reuse."""
     cfg = model.config
-    x_arr = _as_batch_array(x, cfg.d_x, "belief_step")
+    x_arr = _as_batch_array(x, cfg.d_x, "belief_step", belief.batch)
     b = x_arr.shape[0]
     k = cfg.k
 
@@ -203,7 +205,7 @@ def one_step_predictive(model, belief, x):
     each branch resolves z at the transition prior's mean.
     """
     cfg = model.config
-    x_arr = _as_batch_array(x, cfg.d_x, "one_step_predictive")
+    x_arr = _as_batch_array(x, cfg.d_x, "one_step_predictive", belief.batch)
     with Tape.pause():
         mean = belief.collapsed.mean.value
         std = belief.collapsed.std.value

@@ -63,21 +63,6 @@ class ModelConfig:
             raise ValueError("ModelConfig: lr must be positive")
 
 
-def _init_linear(store, name, fan_in, fan_out, rng):
-    # biases share the uniform fan-in bound so no hidden unit starts exactly
-    # on a relu kink when an input (e.g. h_0) is identically zero
-    bound = 1.0 / np.sqrt(fan_in)
-    store.add(f"{name}.w", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    store.add(f"{name}.b", rng.uniform(-bound, bound, size=fan_out))
-
-
-def _init_gru(store, prefix, d_in, d_h, rng):
-    bound = 1.0 / np.sqrt(d_in + d_h)
-    for gate in ("r", "u", "c"):
-        store.add(f"{prefix}.w{gate}", rng.uniform(-bound, bound, size=(d_in + d_h, d_h)))
-        store.add(f"{prefix}.b{gate}", rng.uniform(-bound, bound, size=d_h))
-
-
 def _mlp3_weights(store, prefix):
     return tuple(store[f"{prefix}{i}.{p}"] for i in range(3) for p in ("w", "b"))
 
@@ -116,29 +101,42 @@ class VdmModel:
         self.params = params
         self.disc = disc
 
+    @staticmethod
+    def parameter_shapes(config):
+        """{"model": [...], "disc": [...]}: the (name, shape) of each weight
+        and then its bias, in the order ``initialize`` draws them."""
+        d_x, d_z, d_h = config.d_x, config.d_z, config.d_h
+
+        def linear(name, fan_in, fan_out):
+            return [(f"{name}.w", (fan_in, fan_out)), (f"{name}.b", (fan_out,))]
+
+        def mlp3(prefix, d_in, width, d_out):
+            return (linear(f"{prefix}0", d_in, width) + linear(f"{prefix}1", width, width)
+                    + linear(f"{prefix}2", width, d_out))
+
+        def gru(d_in):
+            return [(f"gru.{p}{g}", shape) for g in "ruc"
+                    for p, shape in (("w", (d_in + d_h, d_h)), ("b", (d_h,)))]
+
+        return {
+            "model": mlp3("enc", d_x, 32, 2 * d_z) + mlp3("tra", d_h, 64, 2 * d_z)
+            + mlp3("dec", d_z + d_h, 32, 2 * d_x) + mlp3("inf", d_h + d_x, 64, 2 * d_z) + gru(d_z),
+            "disc": gru(d_x) + mlp3("mlp", d_h + d_x, 32, 1),
+        }
+
     @classmethod
     def initialize(cls, config, rng):
-        params = ParameterStore()
-        _init_linear(params, "enc0", config.d_x, 32, rng)
-        _init_linear(params, "enc1", 32, 32, rng)
-        _init_linear(params, "enc2", 32, 2 * config.d_z, rng)
-        _init_linear(params, "tra0", config.d_h, 64, rng)
-        _init_linear(params, "tra1", 64, 64, rng)
-        _init_linear(params, "tra2", 64, 2 * config.d_z, rng)
-        _init_linear(params, "dec0", config.d_z + config.d_h, 32, rng)
-        _init_linear(params, "dec1", 32, 32, rng)
-        _init_linear(params, "dec2", 32, 2 * config.d_x, rng)
-        _init_linear(params, "inf0", config.d_h + config.d_x, 64, rng)
-        _init_linear(params, "inf1", 64, 64, rng)
-        _init_linear(params, "inf2", 64, 2 * config.d_z, rng)
-        _init_gru(params, "gru", config.d_z, config.d_h, rng)
-
-        disc = ParameterStore()
-        _init_gru(disc, "gru", config.d_x, config.d_h, rng)
-        _init_linear(disc, "mlp0", config.d_h + config.d_x, 32, rng)
-        _init_linear(disc, "mlp1", 32, 32, rng)
-        _init_linear(disc, "mlp2", 32, 1, rng)
-        return cls(config, params, disc)
+        stores = {}
+        for store, shapes in cls.parameter_shapes(config).items():
+            params = stores[store] = ParameterStore()
+            for (w_name, w_shape), (b_name, b_shape) in zip(shapes[::2], shapes[1::2]):
+                # a bias shares its weight's uniform fan-in bound, so no hidden
+                # unit starts exactly on a relu kink when an input (e.g. h_0)
+                # is identically zero
+                bound = 1.0 / np.sqrt(w_shape[0])
+                params.add(w_name, rng.uniform(-bound, bound, size=w_shape))
+                params.add(b_name, rng.uniform(-bound, bound, size=b_shape))
+        return cls(config, stores["model"], stores["disc"])
 
     # ------------------------------------------------------------------
     # generative / inference networks (shared parameters)

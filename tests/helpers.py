@@ -2,7 +2,8 @@
 branch selection, analytic parameter counts, the all-branch belief step and
 bound that the selected-component step must reproduce, the one-hot weighted
 sum that the row gather must reproduce, the per-step loss that the loss
-heads run once per batch must reproduce, the unfused tape
+heads run once per batch must reproduce, the arrays a tape keeps for
+backward, the unfused tape
 primitives that fused records are checked against and test losses are built
 from, and the row-at-a-time CSV rendering and reading that the block writer
 and the vectorized loader must reproduce."""
@@ -14,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from dataclasses import dataclass
 from unittest import mock
 
@@ -182,6 +184,41 @@ def row_reader_csv(path, d_x, seq_len):
     ]
     data = np.asarray(kept, dtype=np.float64).reshape(len(kept), seq_len, d_x)
     return data, len(sequences) - len(kept)
+
+
+def captured_arrays(fn):
+    """The distinct ndarrays a backward closure keeps alive: those in its
+    cells, in tuples and lists there, and in the closures it captures in
+    turn.  A captured Tensor is a parent, not an array the closure adds."""
+    found, seen = {}, set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                visit(cell.cell_contents)
+
+    visit(fn)
+    return list(found.values())
+
+
+def tape_saved_bytes(tape):
+    """Bytes a tape keeps for backward: the distinct ndarrays its backward
+    closures capture plus its record outputs, deduplicated by id."""
+    arrays = {}
+    for out, _, back in tape.records:
+        for t in out if type(out) is tuple else (out,):
+            arrays[id(t.value)] = t.value
+        for arr in captured_arrays(back):
+            arrays[id(arr)] = arr
+    return sum(arr.nbytes for arr in arrays.values())
 
 
 @contextlib.contextmanager

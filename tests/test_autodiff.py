@@ -14,6 +14,7 @@ from vdm.autodiff import Tape, Tensor, backward
 
 from helpers import (
     add,
+    captured_arrays,
     clamp,
     concat,
     div,
@@ -705,6 +706,42 @@ def test_fused_gru_input_gradient_through_recorded_state():
     fd = finite_diff_store(store, run)
     assert rel_error(x0.grad, fd["x0"]) < 1e-6
     assert rel_error(h0.grad, fd["h0"]) < 1e-6
+
+
+# widths: x 2, h 3, so the concatenated input is 5 wide; hidden layers 7
+# and 4; the Gaussian head's d = 3 gives 6 raw outputs
+_WIDE = {"x": (6, 2), "h": (6, 3), "w0": (5, 7), "b0": (7,), "w1": (7, 4), "b1": (4,)}
+
+
+def _recorded_closure(fn, shapes):
+    rng = np.random.default_rng(8)
+    args = [Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
+            for shape in shapes.values()]
+    with Tape() as tape:
+        fn(*args)
+    (_, _, back), = tape.records
+    return back
+
+
+@pytest.mark.parametrize("name", ["gru_cell", "gaussian_mlp", "sigmoid_mlp3"])
+def test_fused_closure_keeps_no_concatenated_input(name):
+    """Backward rebuilds the concatenated inputs [x, h] and [x, r * h] from
+    the arrays it keeps, so no captured array is 5 = 2 + 3 wide; and the
+    Gaussian head keeps no (B, 2d) raw output."""
+    fn, shapes = {
+        "gru_cell": (ad.gru_cell, {
+            "x": (6, 2), "h": (6, 3), "wr": (5, 3), "br": (3,), "wu": (5, 3), "bu": (3,),
+            "wc": (5, 3), "bc": (3,)}),
+        "gaussian_mlp": (lambda x, h, *w: ad.gaussian_mlp((x, h), w, 3, STD_CLAMP),
+                         dict(_WIDE, w2=(4, 6), b2=(6,))),
+        "sigmoid_mlp3": (lambda x, h, *w: ad.sigmoid_mlp3((x, h), w),
+                         dict(_WIDE, w2=(4, 1), b2=(1,))),
+    }[name]
+    kept = captured_arrays(_recorded_closure(fn, shapes))
+    assert kept
+    assert all(a.shape[-1] != 5 for a in kept), [a.shape for a in kept]
+    if name == "gaussian_mlp":
+        assert all(a.shape != (6, 6) for a in kept), [a.shape for a in kept]
 
 
 def test_sigmoid_matches_two_branch_formula():

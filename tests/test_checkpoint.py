@@ -157,8 +157,10 @@ def test_truncated_file_raises_value_error(tmp_path, cut):
         lambda h: h["arrays"][0].update(shape="wide"),
         lambda h: h["arrays"][0].update(store="elsewhere"),
         lambda h: h["arrays"].__setitem__(0, "enc0.w"),
+        lambda h: h["arrays"].append(dict(h["arrays"][0])),
     ],
-    ids=["no_arrays", "unknown_config_key", "bad_shape", "unknown_store", "entry_not_object"],
+    ids=["no_arrays", "unknown_config_key", "bad_shape", "unknown_store", "entry_not_object",
+         "duplicate_entry"],
 )
 def test_malformed_header_raises_value_error(tmp_path, damage):
     path = tmp_path / "model.vdm"
@@ -167,4 +169,50 @@ def test_malformed_header_raises_value_error(tmp_path, damage):
     damage(header)
     path.write_bytes(join_blob(version, header, payload))
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def drop_model_array(ckpt):
+    del ckpt.model_arrays["tra1.w"]
+
+
+def add_model_array(ckpt):
+    ckpt.model_arrays["extra.w"] = np.zeros((2, 2))
+
+
+def widen_disc_bias(ckpt):
+    ckpt.disc_arrays["mlp2.b"] = np.zeros(3)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (drop_model_array, "array model/tra1.w: the file has no array, its config (64, 64)"),
+        (add_model_array, "array model/extra.w: the file has (2, 2), its config no array"),
+        (widen_disc_bias, "array disc/mlp2.b: the file has (3,), its config (1,)"),
+    ],
+    ids=["missing_array", "extra_array", "wrong_shape"],
+)
+def test_array_set_must_match_the_config(tmp_path, damage, message):
+    """The arrays are checked against the stores VdmModel.initialize builds
+    for the file's config, so a file the package did not write fails on
+    load, naming the array, rather than in the first scoring call."""
+    ckpt = make_checkpoint()
+    damage(ckpt)
+    path = tmp_path / "model.vdm"
+    save_checkpoint(ckpt, path)
+    want = f"{path}: invalid checkpoint (ValueError: {message})"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + bytes(16))
+    size = len(split_blob(blob)[2])
+    want = f"payload holds {size + 16} bytes, the arrays {size}"
+    want = f"{path}: invalid checkpoint (ValueError: {want})"
+    with pytest.raises(ValueError, match=re.escape(want)):
         load_checkpoint(path)

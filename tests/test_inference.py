@@ -96,6 +96,21 @@ def test_recursion_rejects_lower_rank_observations():
         filter_sequence(model, np.zeros((2, 3)), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("fn", ["belief_step", "one_step_predictive"])
+@pytest.mark.parametrize("sampler, k", [("sca", 5), ("monte_carlo", 1)])
+def test_observations_must_match_the_belief_batch(fn, sampler, k):
+    """One observation row per belief row: a (1, d_x) x against a B = 2
+    belief raises a ValueError naming the function and both batch sizes."""
+    model = make_model(k=k, sampler_mode=sampler)
+    belief = belief_init(model, np.zeros((2, 3)))
+    call = {
+        "belief_step": lambda x: belief_step(model, belief, x, np.random.default_rng(0)),
+        "one_step_predictive": lambda x: one_step_predictive(model, belief, x),
+    }[fn]
+    with pytest.raises(ValueError, match=rf"^{fn}: the belief has batch size 2, x has 1$"):
+        call(np.zeros((1, 3)))
+
+
 def test_belief_init_contract():
     model = make_model(seed=6)
     x = np.array([[0.5, -0.5, 0.2]])

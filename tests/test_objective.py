@@ -26,6 +26,7 @@ from helpers import (
     per_step_total_loss,
     rel_error,
     sample_entries,
+    tape_saved_bytes,
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -395,6 +396,45 @@ def test_training_step_tape_record_count():
     with Tape() as tape:
         total_loss(model, batch, np.random.default_rng(2))
     assert len(tape.records) == 29 * 12 + 18 == 366
+
+
+def desk_training_step():
+    """The model and tape of one training step at Lorenz desk scale, with the
+    backward root ``train`` adds, and that root."""
+    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
+    batch = np.random.default_rng(1).normal(size=(32, 30, 3))
+    with Tape() as tape:
+        bd = total_loss(model, batch, np.random.default_rng(2))
+        root = ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node))
+    return model, tape, root
+
+
+def test_training_step_tape_keeps_at_most_46_mib():
+    """The records keep what backward reads and no more: the concatenated
+    network inputs are rebuilt in backward, the Gaussian heads keep no raw
+    output, so one desk-scale step's tape holds at most 46 MiB of arrays
+    (59.2 MiB when the records kept them).  Every record stays on the tape
+    through backward."""
+    model, tape, root = desk_training_step()
+    assert len(tape.records) == 367
+    assert tape_saved_bytes(tape) <= 46 * 2**20
+    backward(tape, root)
+    assert len(tape.records) == 367
+
+
+def test_replaying_a_tape_twice_doubles_the_gradients():
+    model, tape, root = desk_training_step()
+    stores = (model.params, model.disc)
+    backward(tape, root)
+    once = [{k: t.grad.copy() for k, t in s.params.items()} for s in stores]
+    backward(tape, root)
+    for store, grads in zip(stores, once):
+        for name, g in grads.items():
+            assert np.any(g != 0.0), name
+            np.testing.assert_allclose(
+                store[name].grad, 2.0 * g, rtol=1e-12, atol=1e-12 * np.abs(g).max(),
+                err_msg=name,
+            )
 
 
 # ---------------------------------------------------------------------------
