@@ -501,19 +501,22 @@ def gan_losses(d_gen, d_real, d_fake, floor):
 
 
 def concat_rows(*series):
-    """For each sequence of tensors, their rows stacked in order along the
-    first axis; the backward slices each gradient back into the pieces."""
-    outs = tuple(np.concatenate([t.value for t in pieces]) for pieces in series)
-    bounds = [np.cumsum([0] + [t.value.shape[0] for t in pieces]) for pieces in series]
+    """For each sequence of tensors or of constant arrays, their rows stacked
+    in order along the first axis: the tensors' as one record, whose backward
+    slices each gradient back into the pieces, the arrays' as plain arrays."""
+    tensors = tuple(pieces for pieces in series if isinstance(pieces[0], Tensor))
+    outs = tuple(np.concatenate([t.value for t in pieces]) for pieces in tensors)
+    bounds = [np.cumsum([0] + [t.value.shape[0] for t in pieces]) for pieces in tensors]
 
     def back(g):
         return tuple(
             gi[start:stop] if gi is not None and _wants(t) else None
-            for gi, pieces, ends in zip(g, series, bounds)
+            for gi, pieces, ends in zip(g, tensors, bounds)
             for t, start, stop in zip(pieces, ends[:-1], ends[1:])
         )
 
-    return _emit(outs, tuple(t for pieces in series for t in pieces), back)
+    stacked = iter(_emit(outs, tuple(t for pieces in tensors for t in pieces), back))
+    return tuple(next(stacked) if isinstance(p[0], Tensor) else np.concatenate(p) for p in series)
 
 
 def sum_of_means(n_steps, *tensors):

@@ -52,16 +52,13 @@ class MixtureBelief:
 
 @dataclass
 class StepInfo:
-    """Intermediate tensors of one belief step, reused by the training losses."""
+    """A belief step's branch quantities; its selected state and component are the belief's."""
 
     branch_states_flat: Tensor  # (B*k, d_h)
     prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
     branch_loglik: Tensor      # (B, k) log p(x_t | h_{t-1} = s^{(j)})
     branch: np.ndarray         # (B,) int index of the selected branch
-    x: Tensor                  # (B, d_x) the observation
-    state: Tensor              # (B, d_h) the selected branch state
     prior: DiagGaussian        # (B, d_z) the selected branch's transition prior
-    q: DiagGaussian            # (B, d_z) the selected component: the collapsed posterior
 
 
 def _as_batch_array(x, dim, name, batch=None):
@@ -143,21 +140,9 @@ def belief_step(model, belief, x, rng):
     # instead of B*k
     rows = np.arange(b) * k + branch
     state, pm, ps = ad.take_rows(rows, (s_flat, prior_flat.mean, prior_flat.std))
-    x_t = Tensor(x_arr)
-    q = model.infer_component(state, x_t)                          # (B, d_z)
-
-    new_belief = MixtureBelief(expected_h=state, collapsed=q)
-    info = StepInfo(
-        branch_states_flat=s_flat,
-        prior_flat=prior_flat,
-        branch_loglik=loglik,
-        branch=branch,
-        x=x_t,
-        state=state,
-        prior=DiagGaussian(pm, ps),
-        q=q,
-    )
-    return new_belief, info
+    q = model.infer_component(state, Tensor(x_arr))                # (B, d_z)
+    info = StepInfo(s_flat, prior_flat, loglik, branch, DiagGaussian(pm, ps))
+    return MixtureBelief(expected_h=state, collapsed=q), info
 
 
 def filter_sequence(model, x_prefix, rng):

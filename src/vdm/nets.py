@@ -43,7 +43,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("d_x", "d_z", "d_h", "k"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a float, a bool or a numpy int
                 raise ValueError(f"ModelConfig: {name} must be a positive integer")
         if self.kappa <= 0:
             raise ValueError("ModelConfig: kappa must be positive")

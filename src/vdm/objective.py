@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, as_tensor, backward
 from .data import Dataset
 from .gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
-from .inference import StepInfo, belief_init, belief_step
+from .inference import belief_init, belief_step
 from .nets import VdmModel
 from .optim import adam_step
 
@@ -50,21 +50,19 @@ class LossBreakdown:
     disc_node: Tensor | None = None
 
 
-def _elbo_from_info(model, info, recon_eps):
-    """Evidence bound of the R selected rows of one step or of a batch's steps
-    stacked, shape (R,); ``recon_eps`` is the (R*k, d_z) reparameterization
-    noise of the reconstruction, of which the selected branches' rows are read.
+def _selected_elbo(model, x, state, qm, qs, pm, ps, eps, k):
+    """Evidence bound of R selected rows, shape (R,), from their observations,
+    branch states, component and transition-prior means and stds, and (R, d_z)
+    reconstruction noise ``eps``.
 
     The active branch receives full weight (the weighting function evaluates
     to k at the selected index and 0 elsewhere, cancelling the 1/k front
     factor), and the weight normalization contributes the constant -log k.
     """
-    b, k = info.branch_loglik.shape
-    eps = recon_eps[np.arange(b) * k + info.branch]
-    z_tilde = ad.reparameterize(info.q.mean, info.q.std, eps)
-    em = model.emit(z_tilde, info.state)
-    recon = gaussian_log_pdf(info.x, em)
-    kl = gaussian_kl(info.q, info.prior)
+    z_tilde = ad.reparameterize(qm, qs, eps)
+    em = model.emit(z_tilde, state)
+    recon = gaussian_log_pdf(Tensor(x), em)
+    kl = gaussian_kl(DiagGaussian(qm, qs), DiagGaussian(pm, ps))
     return ad.select_bound(recon, kl, math.log(k))
 
 
@@ -84,23 +82,24 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
     return ad.gan_losses(d_gen, d_real, d_fake, DISC_PROB_FLOOR)
 
 
-def _loss_heads(model, info, recon_eps, adv):
-    """The (R,) bound and predictive terms of the rows of ``info`` and, given
-    ``adv`` = (prefix summary, picked branch state, latent and emission
-    noise), the generator and discriminator losses."""
-    elbo = _elbo_from_info(model, info, recon_eps)
+def _loss_heads(model, x, loglik, state, qm, qs, pm, ps, eps, *adv):
+    """The (R,) bound and predictive terms of R selected rows, given their
+    (R, k) branch log-likelihoods and the bound's inputs; given ``adv`` =
+    (prefix summary, picked branch state, latent and emission noise), also the
+    generator and discriminator losses."""
+    elbo = _selected_elbo(model, x, state, qm, qs, pm, ps, eps, loglik.shape[1])
     if not np.all(np.isfinite(elbo.value)):
         raise FloatingPointError("non-finite bound")
     # log of the mean branch predictive likelihood
-    terms = [elbo, ad.log_mean_exp(info.branch_loglik)]
-    if adv is not None:
+    terms = [elbo, ad.log_mean_exp(loglik)]
+    if adv:
         # one-step generative sample conditioned on x_{<t}
         h_disc, s_sel, eps_z, eps_x = adv
         prior = model.transition_prior(s_sel)
         z_gen = ad.reparameterize(prior.mean, prior.std, eps_z)
         em = model.emit(z_gen, s_sel)
         x_gen = ad.reparameterize(em.mean, em.std, eps_x)
-        terms += adv_regularizer(model, h_disc, info.x.value, x_gen)
+        terms += adv_regularizer(model, h_disc, x, x_gen)
     return terms
 
 
@@ -119,40 +118,31 @@ def total_loss(model, batch, rng):
     if use_adv:
         h_disc = model.disc_initial_state(b)
 
-    steps = []  # (info, recon_eps, adv) per step, the arguments of _loss_heads
+    steps, branches = [], []  # per step: the rows _loss_heads reads, the branch
     try:
         for t in range(1, t_len):
             belief, info = belief_step(model, belief, arr[:, t], rng)
             recon_eps = rng.standard_normal((b * cfg.k, cfg.d_z))
-            adv = None
+            q = belief.collapsed
+            row = [arr[:, t], info.branch_loglik, belief.expected_h, q.mean, q.std,
+                   info.prior.mean, info.prior.std, recon_eps[np.arange(b) * cfg.k + info.branch]]
             if use_adv:
                 # a uniformly chosen branch state (no reweighting by x_t leaks in)
                 h_disc = model.disc_step(Tensor(arr[:, t - 1]), h_disc)
                 pick = np.arange(b) * cfg.k + rng.integers(0, cfg.k, size=b)
                 (s_sel,) = ad.take_rows(pick, (info.branch_states_flat,))
-                eps_z = rng.standard_normal((b, cfg.d_z))
-                adv = (h_disc, s_sel, eps_z, rng.standard_normal((b, cfg.d_x)))
-            steps.append((info, recon_eps, adv))
-
-        infos, recon_eps, advs = zip(*steps)
-        rows = [(i.q.mean, i.q.std, i.prior.mean, i.prior.std, i.state, i.branch_loglik)
-                + (a[:2] if use_adv else ()) for i, a in zip(infos, advs)]
-        qm, qs, pm, ps, state, loglik, *adv_rows = ad.concat_rows(*zip(*rows))
-        if use_adv:
-            adv_rows += [np.concatenate([a[j] for a in advs]) for j in (2, 3)]
-        stacked = StepInfo(
-            branch_states_flat=None, prior_flat=None, branch_loglik=loglik,
-            branch=np.concatenate([i.branch for i in infos]),
-            x=Tensor(np.concatenate([i.x.value for i in infos])), state=state,
-            prior=DiagGaussian(pm, ps), q=DiagGaussian(qm, qs))
-        terms = _loss_heads(model, stacked, np.concatenate(recon_eps), adv_rows or None)
+                row += [h_disc, s_sel, rng.standard_normal((b, cfg.d_z)),
+                        rng.standard_normal((b, cfg.d_x))]
+            steps.append(row)
+            branches.append(info.branch)
+        terms = _loss_heads(model, *ad.concat_rows(*zip(*steps)))
     except FloatingPointError as err:
         # a head row reads only its own step: the first step whose heads fail
         # on its own rows, else step t's belief step, is where the run diverged
         with Tape.pause():
-            for s, step in enumerate(steps, start=1):
+            for s, row in enumerate(steps, start=1):
                 try:
-                    _loss_heads(model, *step)
+                    _loss_heads(model, *row)
                 except FloatingPointError as head_err:
                     err, t = head_err, s
                     break
@@ -163,9 +153,7 @@ def total_loss(model, batch, rng):
     coeffs = (-1.0, -cfg.omega1, cfg.omega2) if use_adv else (-1.0, -cfg.omega1)
     total = ad.linear_combination(coeffs, sums[: len(coeffs)])
     values = [float(s.value) for s in sums]
-    breakdown = LossBreakdown(
-        values[0], values[1], 0.0, float(total.value), [i.branch for i in infos], total
-    )
+    breakdown = LossBreakdown(values[0], values[1], 0.0, float(total.value), branches, total)
     if use_adv:
         breakdown.adv, breakdown.disc_loss = values[2:]
         breakdown.disc_node = sums[3]
@@ -213,6 +201,9 @@ def train(
     data, prefix_len = dataset.data, dataset.prefix_len
     if len(dataset) == 0:
         raise ValueError("train: the training set holds no sequences")
+    for name, ds in (("dataset", dataset), ("val_dataset", val_dataset)):
+        if ds is not None and ds.d_x != config.d_x:
+            raise ValueError(f"train: {name} has d_x={ds.d_x}, the config d_x={config.d_x}")
     obs_mean = data.reshape(-1, data.shape[2]).mean(axis=0)
     obs_std = data.reshape(-1, data.shape[2]).std(axis=0)
     obs_std = np.where(obs_std < 1e-12, 1.0, obs_std)

@@ -2,11 +2,12 @@
 branch selection, analytic parameter counts, the all-branch belief step and
 bound that the selected-component step must reproduce, the one-hot weighted
 sum that the row gather must reproduce, the per-step loss that the loss
-heads run once per batch must reproduce, the arrays a tape keeps for
-backward, the unfused tape
-primitives that fused records are checked against and test losses are built
-from, and the row-at-a-time CSV rendering and reading that the block writer
-and the vectorized loader must reproduce."""
+heads run once per batch must reproduce (its bound is this module's
+``step_elbo``, which ``all_branch_losses`` swaps for the all-branch bound),
+the arrays a tape keeps for backward, the unfused tape primitives that
+fused records are checked against and test losses are built from, and the
+row-at-a-time CSV rendering and reading that the block writer and the
+vectorized loader must reproduce."""
 import contextlib
 import csv
 import io
@@ -372,12 +373,29 @@ def all_branch_elbo(model, info, recon_eps):
     return weighted_bound(np.eye(k)[info.branch], recon, kl, math.log(k))
 
 
+def step_elbo(model, x, belief, info, recon_eps):
+    """The bound ``per_step_total_loss`` runs on each step, which
+    ``all_branch_losses`` swaps for the all-branch bound: that of the
+    selected component on its B rows, read from the new belief and the
+    step's info; ``recon_eps`` is the step's (B*k, d_z) reconstruction
+    noise, of which the selected branches' rows are used."""
+    b, k = info.branch_loglik.shape
+    q, prior = belief.collapsed, info.prior
+    eps = recon_eps[np.arange(b) * k + info.branch]
+    return vdm.objective._selected_elbo(
+        model, x, belief.expected_h, q.mean, q.std, prior.mean, prior.std, eps, k
+    )
+
+
 @contextlib.contextmanager
 def all_branch_losses():
     """Inside the block ``per_step_total_loss`` filters with the all-branch
     step and bound."""
+    def all_branch_step_elbo(model, x, belief, info, recon_eps):
+        return all_branch_elbo(model, info, recon_eps)
+
     with mock.patch.object(vdm.objective, "belief_step", all_branch_belief_step), \
-            mock.patch.object(vdm.objective, "_elbo_from_info", all_branch_elbo):
+            mock.patch.object(sys.modules[__name__], "step_elbo", all_branch_step_elbo):
         yield
 
 
@@ -413,9 +431,9 @@ def series_sum_of_means(*series):
 def per_step_total_loss(model, batch, rng):
     """``vdm.objective.total_loss`` with every loss head inside the filtering
     loop, as it was before the heads moved after it: the same rng stream and
-    the same terms.  It calls ``vdm.objective.belief_step`` and
-    ``_elbo_from_info`` as the module holds them, so ``all_branch_losses``
-    swaps in the all-branch step and bound."""
+    the same terms.  It calls ``vdm.objective.belief_step`` as the module
+    holds it and the bound ``step_elbo`` as this module holds it, so
+    ``all_branch_losses`` swaps in the all-branch step and bound."""
     obj = vdm.objective
     cfg = model.config
     arr = np.asarray(batch, dtype=np.float64)
@@ -433,7 +451,7 @@ def per_step_total_loss(model, batch, rng):
         try:
             belief, info = obj.belief_step(model, belief, x_t, rng)
             recon_eps = rng.standard_normal((b * cfg.k, cfg.d_z))
-            elbo_t = obj._elbo_from_info(model, info, recon_eps)
+            elbo_t = step_elbo(model, x_t, belief, info, recon_eps)
             if not np.all(np.isfinite(elbo_t.value)):
                 raise FloatingPointError("non-finite bound")
         except FloatingPointError as err:

@@ -683,6 +683,21 @@ def test_take_rows_backward_equals_one_hot_weighted_sum():
         np.testing.assert_array_equal(got, want)
 
 
+def test_concat_rows_stacks_array_sequences_outside_the_record():
+    """Constant array sequences come back as plain stacked arrays, in their
+    place among the outputs; the tensor sequences stay one record whose
+    parents are the tensors alone."""
+    _, _, _, inputs = _FUSED["concat_rows"]
+    a0, a1, b0, b1 = (Tensor(v, requires_grad=True) for v in inputs.values())
+    c0, c1 = np.ones((B, 2)), np.zeros((2, 2))
+    with Tape() as tape:
+        a, c, b = ad.concat_rows((a0, a1), (c0, c1), (b0, b1))
+    (outs, parents, _), = tape.records
+    assert type(c) is np.ndarray
+    np.testing.assert_array_equal(c, np.concatenate([c0, c1]))
+    assert outs == (a, b) and parents == (a0, a1, b0, b1)
+
+
 def test_fused_gru_input_gradient_through_recorded_state():
     """The state and input gradients flow when those parents come off the tape."""
     from vdm.optim import ParameterStore

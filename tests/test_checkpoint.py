@@ -172,6 +172,20 @@ def test_malformed_header_raises_value_error(tmp_path, damage):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [4.0, True])
+def test_non_int_dimension_rejected_on_load(tmp_path, value):
+    """A config dimension of 4.0 once passed the array check, since
+    (4.0,) == (4,), and failed later in the first network call."""
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    version, header, payload = split_blob(path.read_bytes())
+    header["config"]["d_h"] = value
+    path.write_bytes(join_blob(version, header, payload))
+    want = f"{path}: invalid checkpoint (ValueError: ModelConfig: d_h must be a positive integer)"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_checkpoint(path)
+
+
 def drop_model_array(ckpt):
     del ckpt.model_arrays["tra1.w"]
 

@@ -40,6 +40,17 @@ def test_config_validation():
     assert cfg.k == 1
 
 
+@pytest.mark.parametrize("name", ["d_x", "d_z", "d_h", "k"])
+@pytest.mark.parametrize("value", [4.0, True, np.int64(4), "4", 0])
+def test_config_dimensions_must_be_positive_ints(name, value):
+    """A float, a bool, a numpy integer or a string dimension is rejected like
+    a non-positive one; a float used to pass and fail later in a network."""
+    dims = dict(d_x=2, d_z=2, d_h=4, k=5, sampler_mode="monte_carlo")
+    dims[name] = value
+    with pytest.raises(ValueError, match=f"^ModelConfig: {name} must be a positive integer$"):
+        ModelConfig(**dims)
+
+
 def test_encoder_zero_final_layer_standard_normal():
     model = make_model()
     model.params["enc2.w"].value[...] = 0.0

@@ -1,6 +1,5 @@
 """Training losses: frozen hand values, breakdown identity, FD gradient of the
 full objective, training-loop contracts."""
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from vdm.autodiff import Tape, Tensor, backward
 from vdm.data import Dataset, generate_four_mode
 from vdm.evaluation import dataset_multi_step_nll
 from vdm.inference import belief_init, belief_step, select_branch
-from vdm.gaussians import DiagGaussian
 from vdm import objective
 from vdm.nets import ModelConfig, VdmModel
 from vdm.objective import adv_regularizer, total_loss, train
@@ -112,7 +110,7 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
     """The bound of the selected component, with the branches permuted and
     the weights recomputed, equals the all-branch bound of the unpermuted
     step."""
-    from vdm.objective import _elbo_from_info
+    from vdm.objective import _selected_elbo
 
     model = make_model(seed=3)
     belief = belief_init(model, np.random.default_rng(0).normal(size=(1, 3)))
@@ -124,14 +122,12 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
     base = all_branch_elbo(model, ref, recon_eps)
 
     perm = np.random.default_rng(4).permutation(k)
-    permuted = dataclasses.replace(
-        info,
-        branch_states_flat=Tensor(info.branch_states_flat.value[perm]),
-        prior_flat=DiagGaussian(Tensor(info.prior_flat.mean.value[perm]), Tensor(info.prior_flat.std.value[perm])),
-        branch_loglik=Tensor(info.branch_loglik.value[:, perm]),
-        branch=select_branch(info.branch_loglik.value[:, perm], "delta"),
-    )
-    again = _elbo_from_info(model, permuted, recon_eps[perm])
+    branch = select_branch(info.branch_loglik.value[:, perm], "delta")
+    # the selected rows of the permuted branch states and priors
+    state = Tensor(info.branch_states_flat.value[perm][branch])
+    pm, ps = (Tensor(t.value[perm][branch]) for t in (info.prior_flat.mean, info.prior_flat.std))
+    q = model.infer_component(state, Tensor(x))
+    again = _selected_elbo(model, x, state, q.mean, q.std, pm, ps, recon_eps[perm][branch], k)
     np.testing.assert_allclose(again.value, base.value, rtol=1e-12)
 
 
@@ -149,6 +145,36 @@ def test_loss_terms_bit_identical_to_all_branch_losses(sampler, weighting):
             want = per_step_total_loss(model, batch, np.random.default_rng(8))
         for term in ("elbo", "pred", "adv"):
             np.testing.assert_allclose(getattr(got, term), getattr(want, term), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("omega2", [0.0, 1.0])
+def test_each_steps_heads_equal_its_rows_of_the_stacked_heads(monkeypatch, omega2):
+    """On a B=32 desk batch, the loss heads run on one step's row list give
+    that step's rows of the heads run on all steps stacked, within 1e-12:
+    the property the divergence fallback relies on to name the first step."""
+    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0, omega2=omega2)
+    batch = np.random.default_rng(1).normal(size=(32, 30, 3))
+    steps, stacked = [], []
+
+    def recording_concat(*series):
+        steps.extend(zip(*series))
+        return real_concat(*series)
+
+    def recording_heads(*args):
+        stacked.append(real_heads(*args))
+        return stacked[-1]
+
+    real_concat, real_heads = ad.concat_rows, objective._loss_heads
+    monkeypatch.setattr(ad, "concat_rows", recording_concat)
+    monkeypatch.setattr(objective, "_loss_heads", recording_heads)
+    total_loss(model, batch, np.random.default_rng(2))
+    (terms,) = stacked
+    assert len(steps) == 29 and len(terms) == (4 if omega2 else 2)
+    for t, row in enumerate(steps):
+        for got, want in zip(real_heads(model, *row), terms, strict=True):
+            np.testing.assert_allclose(
+                got.value, want.value[t * 32 : (t + 1) * 32], rtol=0, atol=1e-12
+            )
 
 
 def _loss_and_gradients(model, loss_fn, batch, seed):
@@ -261,8 +287,8 @@ def test_breakdown_identity(monkeypatch):
         bounds.append(value.value.copy())
         return value
 
-    real_elbo = objective._elbo_from_info
-    monkeypatch.setattr(objective, "_elbo_from_info", recording_elbo)
+    real_elbo = objective._selected_elbo
+    monkeypatch.setattr(objective, "_selected_elbo", recording_elbo)
     model = make_model(omega1=0.7, omega2=0.3, seed=9)
     batch = np.random.default_rng(2).normal(size=(3, 4, 3))
     bd = total_loss(model, batch, np.random.default_rng(3))
@@ -579,6 +605,22 @@ def test_bare_array_input_is_an_error(position):
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
     with pytest.raises(ValueError, match=f"train: {position} must be a Dataset, got ndarray"):
         train(config=cfg, rng=np.random.default_rng(5), epochs=1, batch_size=16, **inputs)
+
+
+@pytest.mark.parametrize("position", ["dataset", "val_dataset"])
+def test_observation_width_must_match_the_config(monkeypatch, position):
+    """A dataset whose d_x is not the config's fails before the first batch;
+    a d_x=1 validation set against a d_x=2 model used to broadcast through
+    the normalization and score made-up observations."""
+    train_ds, val_ds = _tiny_four_mode()
+    inputs = {"dataset": train_ds, "val_dataset": val_ds}
+    inputs[position] = Dataset(inputs[position].data[:, :, :1], train_ds.prefix_len)
+    calls = []
+    monkeypatch.setattr(objective, "total_loss", lambda *a: calls.append(a))
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    with pytest.raises(ValueError, match=f"^train: {position} has d_x=1, the config d_x=2$"):
+        train(config=cfg, rng=np.random.default_rng(5), epochs=1, batch_size=16, **inputs)
+    assert calls == []
 
 
 def _live_discriminator_adv(model, prefix_summary, x_real, x_gen):
