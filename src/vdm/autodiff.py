@@ -6,13 +6,13 @@ at fan-out points.  With no tape active all operations are plain numpy
 evaluations, which keeps rollout / evaluation paths cheap.
 
 A record may return a tuple of outputs; its backward then receives a tuple
-of gradients, with ``None`` for an output that nothing read.  Besides
-``reshape`` every primitive is a fused record (``sigmoid_mlp3``,
-``gaussian_mlp``, ``gru_cell``, ``gaussian_log_pdf``, ``gaussian_kl`` and the
-filtering and loss glue after them, down to ``linear_combination``): each
-forward gives, bit for bit, the values of the composition of elementwise
-primitives it replaces, and each backward is written out analytically in the
-same floating-point operations as that composition's.  ``Tensor`` has no
+of gradients, with ``None`` for an output that nothing read.  Every
+primitive is a fused record (``sigmoid_mlp3``, ``gaussian_mlp``,
+``gru_cell``, ``gaussian_log_pdf``, ``gaussian_kl`` and the filtering and
+loss glue after them, down to ``linear_combination``): each forward gives,
+bit for bit, the values of the composition of elementwise primitives it
+replaces, and each backward is written out analytically in the same
+floating-point operations as that composition's.  ``Tensor`` has no
 arithmetic operators, so no unfused record reaches the tape unnoticed.
 """
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
-    "reshape",
     "LOG_2PI",
     "sigmoid_mlp3",
     "gaussian_mlp",
@@ -170,15 +169,6 @@ def backward(tape, loss):
         for parent, pg in zip(parents, backward_fn(g)):
             if pg is not None:
                 deposit(parent, pg)
-
-
-# ---------------------------------------------------------------------------
-# primitives
-# ---------------------------------------------------------------------------
-
-def reshape(a, shape):
-    old = a.value.shape
-    return _emit(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +397,22 @@ def repeat_rows(a, k):
     )
 
 
-def reparameterize(mean, std, eps, axis=None):
-    """mean + std * eps for a constant array ``eps``.
-
-    With ``axis``, eps has one more axis than mean and std, at ``axis``; the
-    Gaussian parameters repeat along it.
-    """
+def reparameterize(mean, std, eps):
+    """mean + std * eps for (R, d) Gaussian rows and a constant (R*k, d)
+    array ``eps``: each Gaussian row serves its k consecutive eps rows."""
     mv, sv = mean.value, std.value
-    if axis is not None:
-        mv, sv = np.expand_dims(mv, axis), np.expand_dims(sv, axis)
-    out = mv + sv * eps
+    r, d = mv.shape
+    eps3 = eps.reshape(r, len(eps) // r if r else 0, d)  # numpy infers no axis of an empty array
+    out = (mv[:, None] + sv[:, None] * eps3).reshape(eps.shape)
 
-    def reduce(grad, shape):
-        return _unbroadcast(grad, shape) if axis is None else grad.sum(axis=axis)
+    def back(g):
+        g3 = g.reshape(eps3.shape)
+        return (
+            g3.sum(axis=1) if _wants(mean) else None,
+            (g3 * eps3).sum(axis=1) if _wants(std) else None,
+        )
 
-    return _emit(
-        out,
-        (mean, std),
-        lambda g: (
-            reduce(g, mv.shape) if _wants(mean) else None,
-            reduce(g * eps, sv.shape) if _wants(std) else None,
-        ),
-    )
+    return _emit(out, (mean, std), back)
 
 
 def take_rows(rows, tensors):
@@ -460,15 +444,15 @@ def select_bound(recon, kl, const):
     )
 
 
-def log_mean_exp(a):
-    """log of the mean of exp(a) over the k columns of a (B, k) tensor,
-    shifted by the row maximum, which is held constant."""
-    av = a.value
+def log_mean_exp(a, k):
+    """log of the mean of exp(a) over each run of k consecutive entries of a
+    (R*k,) tensor, shifted by the run's maximum, which is held constant."""
+    av = a.value.reshape(-1, k)
     m = np.max(av, axis=1, keepdims=True)
     e = np.exp(av - m)
     s = e.sum(axis=1)
-    out = (np.log(s) + np.squeeze(m, axis=1)) - math.log(av.shape[1])
-    return _emit(out, (a,), lambda g: (np.expand_dims(g / s, 1) * e if _wants(a) else None,))
+    out = (np.log(s) + np.squeeze(m, axis=1)) - math.log(k)
+    return _emit(out, (a,), lambda g: (((g / s)[:, None] * e).ravel() if _wants(a) else None,))
 
 
 def gan_losses(d_gen, d_real, d_fake, floor):

@@ -129,12 +129,17 @@ def load_checkpoint(path):
         if len(payload) != size:
             raise ValueError(f"payload holds {len(payload)} bytes, the arrays {size}")
         arrays = {"model": {}, "disc": {}, "stats": {}}
+        offset = 0  # the arrays lie back to back in header order, as saved
         for entry in header["arrays"]:
+            if entry["offset"] != offset:
+                raise ValueError(
+                    f"array {entry['store']}/{entry['name']}: offset {entry['offset']}, "
+                    f"expected {offset}"
+                )
             shape = tuple(entry["shape"])
-            arr = np.frombuffer(
-                payload, dtype="<f8", count=int(np.prod(shape)), offset=entry["offset"]
-            )
+            arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)), offset=offset)
             arrays[entry["store"]][entry["name"]] = arr.reshape(shape).astype(np.float64)
+            offset += arr.nbytes
         return Checkpoint(
             config=config,
             model_arrays=arrays["model"],

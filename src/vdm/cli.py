@@ -92,6 +92,11 @@ def _load_manifest(path, split):
             raise ValueError(f"{path}: manifest entry {key!r} must be a {kind.__name__}")
     if not isinstance(manifest.get("groups", []), list):
         raise ValueError(f"{path}: manifest entry 'groups' must be a list")
+    named = [(f"'files'[{key!r}]", rel) for key, rel in manifest["files"].items()]
+    named += [(f"'groups'[{i}]", rel) for i, rel in enumerate(manifest.get("groups", []))]
+    for name, rel in named:
+        if type(rel) is not str:
+            raise ValueError(f"{path}: manifest entry {name} must be a str")
     if split not in manifest["files"]:
         raise ValueError(f"{path}: manifest lists no {split!r} file")
     base = os.path.dirname(os.path.abspath(path))

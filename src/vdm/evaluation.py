@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from . import autodiff as ad
 from .gaussians import LOG_2PI, DiagGaussian
 from .inference import MixtureBelief, filter_sequence, generate, one_step_predictive
 from .util import parallel_map
@@ -75,12 +75,9 @@ def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
             f"forecast_dataset: prefix_len must be in [1, {data.shape[1]}], got {prefix_len}"
         )
     belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
-
-    def rep(t):
-        return Tensor(np.repeat(t.value, n_forecasts, axis=0))
-
-    collapsed = DiagGaussian(rep(belief.collapsed.mean), rep(belief.collapsed.std))
-    out = generate(model, MixtureBelief(rep(belief.expected_h), collapsed), horizon, rng)
+    h, mean, std = (ad.repeat_rows(t, n_forecasts)
+                    for t in (belief.expected_h, belief.collapsed.mean, belief.collapsed.std))
+    out = generate(model, MixtureBelief(h, DiagGaussian(mean, std)), horizon, rng)
     return out.reshape(n_traj, n_forecasts, horizon, data.shape[2])
 
 

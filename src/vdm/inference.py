@@ -56,7 +56,7 @@ class StepInfo:
 
     branch_states_flat: Tensor  # (B*k, d_h)
     prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
-    branch_loglik: Tensor      # (B, k) log p(x_t | h_{t-1} = s^{(j)})
+    branch_loglik: Tensor      # (B*k,) log p(x_t | h_{t-1} = s^{(j)})
     branch: np.ndarray         # (B,) int index of the selected branch
     prior: DiagGaussian        # (B, d_z) the selected branch's transition prior
 
@@ -72,16 +72,19 @@ def _as_batch_array(x, dim, name, batch=None):
     return arr
 
 
-def _branch_likelihood(model, s_flat, x, k):
-    """Differentiable log p(x_t | h_{t-1}=s) per branch, plus the branch priors.
+def _branches(model, z_flat, h, x, k):
+    """The k branches of each of B rows, as k consecutive rows: the (B*k,
+    d_h) states the recurrent cell reaches from the (B, d_h) state ``h`` with
+    the (B*k, d_z) latents ``z_flat``, their differentiable log p(x_t |
+    h_{t-1} = s) and their transition priors.
 
     The latent is resolved at the transition prior's mean, so the branch
     likelihood is deterministic and draws nothing from the rng.
     """
+    s_flat = model.gru_advance(z_flat, ad.repeat_rows(h, k))
     prior_flat = model.transition_prior(s_flat)
     em = model.emit(prior_flat.mean, s_flat)
-    ll_flat = gaussian_log_pdf(Tensor(np.repeat(x, k, axis=0)), em)
-    return ad.reshape(ll_flat, (x.shape[0], k)), prior_flat
+    return s_flat, gaussian_log_pdf(Tensor(np.repeat(x, k, axis=0)), em), prior_flat
 
 
 def select_branch(loglik, mode, rng=None):
@@ -129,13 +132,9 @@ def belief_step(model, belief, x, rng):
     b = x_arr.shape[0]
     k = cfg.k
 
-    z = latent_sample_batch(belief.collapsed, cfg, rng)           # (B, k, d_z)
-    z_flat = ad.reshape(z, (b * k, cfg.d_z))
-    h_rep = ad.repeat_rows(belief.expected_h, k)
-    s_flat = model.gru_advance(z_flat, h_rep)                      # (B*k, d_h)
-
-    loglik, prior_flat = _branch_likelihood(model, s_flat, x_arr, k)
-    branch = select_branch(loglik.value, cfg.weighting_mode, rng)
+    z_flat = latent_sample_batch(belief.collapsed, cfg, rng)
+    s_flat, loglik, prior_flat = _branches(model, z_flat, belief.expected_h, x_arr, k)
+    branch = select_branch(loglik.value.reshape(b, k), cfg.weighting_mode, rng)
     # gather the selected branch, then build its component alone, on B rows
     # instead of B*k
     rows = np.arange(b) * k + branch
@@ -192,19 +191,14 @@ def one_step_predictive(model, belief, x):
     cfg = model.config
     x_arr = _as_batch_array(x, cfg.d_x, "one_step_predictive", belief.batch)
     with Tape.pause():
-        mean = belief.collapsed.mean.value
-        std = belief.collapsed.std.value
+        q, m = belief.collapsed, 1
+        z_flat = q.mean
         if cfg.sampler_mode == "sca":
             xi, _ = sigma_points(cfg.d_z, cfg.kappa)
-            z_pts = mean[:, None, :] + std[:, None, :] * xi[None, :, :]
-        else:
-            z_pts = mean[:, None, :]
-        b, m = z_pts.shape[:2]
-        z_flat = Tensor(z_pts.reshape(b * m, cfg.d_z))
-        h_rep = Tensor(np.repeat(belief.expected_h.value, m, axis=0))
-        s_flat = model.gru_advance(z_flat, h_rep)
-        loglik, _ = _branch_likelihood(model, s_flat, x_arr, m)
-        return ad.log_mean_exp(loglik).value
+            m = len(xi)
+            z_flat = ad.reparameterize(q.mean, q.std, np.tile(xi, (belief.batch, 1)))
+        _, loglik, _ = _branches(model, z_flat, belief.expected_h, x_arr, m)
+        return ad.log_mean_exp(loglik, m).value
 
 
 def export_predictive_prior(model, x_prefix, n_draws, rng):

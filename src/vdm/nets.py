@@ -8,6 +8,7 @@ the raw output clamped to [-10, 10] to guard overflow.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,11 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a float, a bool or a numpy int
                 raise ValueError(f"ModelConfig: {name} must be a positive integer")
+        for name in ("kappa", "omega1", "omega2", "lr"):
+            value = getattr(self, name)
+            # a bool, a NaN or an infinity would pass the range checks below
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"ModelConfig: {name} must be a finite number")
         if self.kappa <= 0:
             raise ValueError("ModelConfig: kappa must be positive")
         if self.weighting_mode not in WEIGHTING_MODES:

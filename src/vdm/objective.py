@@ -84,14 +84,15 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
 
 def _loss_heads(model, x, loglik, state, qm, qs, pm, ps, eps, *adv):
     """The (R,) bound and predictive terms of R selected rows, given their
-    (R, k) branch log-likelihoods and the bound's inputs; given ``adv`` =
+    (R*k,) branch log-likelihoods and the bound's inputs; given ``adv`` =
     (prefix summary, picked branch state, latent and emission noise), also the
     generator and discriminator losses."""
-    elbo = _selected_elbo(model, x, state, qm, qs, pm, ps, eps, loglik.shape[1])
+    k = model.config.k
+    elbo = _selected_elbo(model, x, state, qm, qs, pm, ps, eps, k)
     if not np.all(np.isfinite(elbo.value)):
         raise FloatingPointError("non-finite bound")
     # log of the mean branch predictive likelihood
-    terms = [elbo, ad.log_mean_exp(loglik)]
+    terms = [elbo, ad.log_mean_exp(loglik, k)]
     if adv:
         # one-step generative sample conditioned on x_{<t}
         h_disc, s_sel, eps_z, eps_x = adv

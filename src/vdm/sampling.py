@@ -37,11 +37,12 @@ def sigma_points(d, kappa):
 
 
 def latent_sample_batch(g, config, rng):
-    """Differentiable (B, k, d) draw from a batched Gaussian per the config's sampler.
+    """Differentiable (B*k, d) draw from a batched Gaussian per the config's
+    sampler: row i's k latents are rows i*k to i*k + k - 1.
 
     sca mode uses noise-infused sigma points (k = 2d+1); monte_carlo uses k
     i.i.d. reparameterized draws.  Gradients flow into mean and std; the
-    offsets xi + eps are constants.
+    offsets xi + eps are constants, drawn as one (B, k, d) array.
     """
     b, d = g.mean.shape
     k = config.k
@@ -50,4 +51,4 @@ def latent_sample_batch(g, config, rng):
         offset = xi[None, :, :] + rng.standard_normal((b, k, d))
     else:
         offset = rng.standard_normal((b, k, d))
-    return ad.reparameterize(g.mean, g.std, offset, axis=1)
+    return ad.reparameterize(g.mean, g.std, offset.reshape(b * k, d))

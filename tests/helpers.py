@@ -4,10 +4,11 @@ bound that the selected-component step must reproduce, the one-hot weighted
 sum that the row gather must reproduce, the per-step loss that the loss
 heads run once per batch must reproduce (its bound is this module's
 ``step_elbo``, which ``all_branch_losses`` swaps for the all-branch bound),
-the arrays a tape keeps for backward, the unfused tape primitives that
-fused records are checked against and test losses are built from, and the
-row-at-a-time CSV rendering and reading that the block writer and the
-vectorized loader must reproduce."""
+the arrays a tape keeps for backward and its records counted by kind, the
+unfused tape primitives that fused records are checked against and test
+losses are built from, and the row-at-a-time CSV rendering and reading
+that the block writer and the vectorized loader must reproduce."""
+import collections
 import contextlib
 import csv
 import io
@@ -222,6 +223,12 @@ def tape_saved_bytes(tape):
     return sum(arr.nbytes for arr in arrays.values())
 
 
+def record_census(tape):
+    """How many records of each kind a tape holds, a kind being the function
+    that defines the record's backward closure, such as ``gru_cell``."""
+    return collections.Counter(back.__qualname__.split(".")[0] for _, _, back in tape.records)
+
+
 @contextlib.contextmanager
 def frozen_branch_selection(step_branches):
     """Inside the block every belief step takes its selected branches from
@@ -313,7 +320,7 @@ class AllBranchInfo:
     x_rep: ad.Tensor              # (B*k, d_x) the observation repeated per branch
     q_flat: DiagGaussian          # (B*k, d_z) mixture components
     prior_flat: DiagGaussian      # (B*k, d_z) transition priors at each branch
-    branch_loglik: ad.Tensor      # (B, k)
+    branch_loglik: ad.Tensor      # (B*k,)
     branch: np.ndarray            # (B,) selected branch indices
 
 
@@ -326,18 +333,16 @@ def all_branch_belief_step(model, belief, x, rng):
     cfg = model.config
     x_arr = np.asarray(x, dtype=np.float64)
     b, k = x_arr.shape[0], cfg.k
-    z = latent_sample_batch(belief.collapsed, cfg, rng)
-    z_flat = ad.reshape(z, (b * k, cfg.d_z))
+    z_flat = latent_sample_batch(belief.collapsed, cfg, rng)
     h_rep = ad.repeat_rows(belief.expected_h, k)
     s_flat = model.gru_advance(z_flat, h_rep)
-    s = ad.reshape(s_flat, (b, k, cfg.d_h))
     x_rep = ad.Tensor(np.repeat(x_arr, k, axis=0))
     q_flat = model.infer_component(s_flat, x_rep)
     prior_flat = model.transition_prior(s_flat)
     em = model.emit(prior_flat.mean, s_flat)
-    loglik = ad.reshape(gaussian_log_pdf(x_rep, em), (b, k))
-    branch = vdm.inference.select_branch(loglik.value, cfg.weighting_mode, rng)
-    expected_h, mean, std = weighted_sum(np.eye(k)[branch], (s, q_flat.mean, q_flat.std))
+    loglik = gaussian_log_pdf(x_rep, em)
+    branch = vdm.inference.select_branch(loglik.value.reshape(b, k), cfg.weighting_mode, rng)
+    expected_h, mean, std = weighted_sum(np.eye(k)[branch], (s_flat, q_flat.mean, q_flat.std))
     belief = vdm.inference.MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
     info = AllBranchInfo(s_flat, x_rep, q_flat, prior_flat, loglik, branch)
     return belief, info
@@ -365,7 +370,7 @@ def all_branch_elbo(model, info, recon_eps):
     """The evidence bound of one all-branch step: reconstruction and KL on
     all B*k components, then the weighted selection; ``recon_eps`` is
     (B*k, d_z)."""
-    k = info.branch_loglik.shape[1]
+    k = model.config.k
     z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
     em = model.emit(z_tilde, info.branch_states_flat)
     recon = gaussian_log_pdf(info.x_rep, em)
@@ -379,7 +384,7 @@ def step_elbo(model, x, belief, info, recon_eps):
     selected component on its B rows, read from the new belief and the
     step's info; ``recon_eps`` is the step's (B*k, d_z) reconstruction
     noise, of which the selected branches' rows are used."""
-    b, k = info.branch_loglik.shape
+    b, k = len(x), model.config.k
     q, prior = belief.collapsed, info.prior
     eps = recon_eps[np.arange(b) * k + info.branch]
     return vdm.objective._selected_elbo(
@@ -471,7 +476,7 @@ def per_step_total_loss(model, batch, rng):
             disc_terms.append(disc_t)
 
         elbo_terms.append(elbo_t)
-        pred_terms.append(ad.log_mean_exp(info.branch_loglik))
+        pred_terms.append(ad.log_mean_exp(info.branch_loglik, cfg.k))
 
     if use_adv:
         elbo_sum, pred_sum, gen_sum, disc_sum = series_sum_of_means(
@@ -509,6 +514,11 @@ def concat(tensors, axis=-1):
         tensors,
         lambda g: tuple(np.split(g, splits, axis=axis)),
     )
+
+
+def reshape(a, shape):
+    old = a.value.shape
+    return ad._emit(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def narrow(a, axis, start, size):

@@ -32,6 +32,7 @@ from helpers import (
     reduce_sum,
     rel_error,
     relu,
+    reshape,
     sigmoid,
     square,
     sub,
@@ -243,7 +244,7 @@ def test_concat_narrow_reshape_expand_gradients():
         cat = concat([a, b], axis=1)              # (3, 7)
         left = narrow(cat, 1, 1, 4)               # (3, 4)
         grown = expand_dim(left, 1, 3)            # (3, 3, 4)
-        flat = ad.reshape(grown, (9, 4))
+        flat = reshape(grown, (9, 4))
         return reduce_sum(square(flat))
 
     def run():
@@ -470,11 +471,12 @@ def _kl_composed(qm, qs, pm, ps):
 
 
 def _repeat_rows_composed(a):
-    return ad.reshape(expand_dim(a, 1, K), (a.shape[0] * K, a.shape[1]))
+    return reshape(expand_dim(a, 1, K), (a.shape[0] * K, a.shape[1]))
 
 
 def _latent_sample_composed(mean, std):
-    return add(expand_dim(mean, 1, K), mul(expand_dim(std, 1, K), Tensor(EPS_BKD)))
+    drawn = add(expand_dim(mean, 1, K), mul(expand_dim(std, 1, K), Tensor(EPS_BKD)))
+    return reshape(drawn, (B * K, 2))
 
 
 def _reparameterize_composed(mean, std):
@@ -484,7 +486,7 @@ def _reparameterize_composed(mean, std):
 def _weighted_sum_composed(s, q_mean, q_std):
     w3 = Tensor(ONE_HOT[:, :, None])
     return tuple(
-        reduce_sum(mul(w3, ad.reshape(t, (B, K, t.shape[-1]))), axis=1)
+        reduce_sum(mul(w3, reshape(t, (B, K, t.shape[-1]))), axis=1)
         for t in (s, q_mean, q_std)
     )
 
@@ -494,7 +496,7 @@ def _select_bound_composed(recon, kl):
 
 
 def _log_mean_exp_composed(a):
-    return sub(logsumexp(a, axis=1), Tensor(math.log(K)))
+    return sub(logsumexp(reshape(a, (B, K)), axis=1), Tensor(math.log(K)))
 
 
 def _gan_losses_composed(d_gen, d_real, d_fake):
@@ -503,7 +505,7 @@ def _gan_losses_composed(d_gen, d_real, d_fake):
 
     gen = neg(clamped_log(d_gen))
     disc = sub(neg(clamped_log(d_real)), clamped_log(sub(Tensor(1.0), d_fake)))
-    return ad.reshape(gen, (B,)), ad.reshape(disc, (B,))
+    return reshape(gen, (B,)), reshape(disc, (B,))
 
 
 def _concat_rows_composed(a0, a1, b0, b1):
@@ -549,7 +551,7 @@ def _fused_cases():
             "qm": u(4, 3), "qs": u(4, 3, lo=0.3, hi=2.0), "pm": u(4, 3),
             "ps": u(4, 3, lo=0.3, hi=2.0)}),
         ("repeat_rows", lambda a: ad.repeat_rows(a, K), _repeat_rows_composed, {"a": u(B, 3)}),
-        ("latent_sample", lambda m, s: ad.reparameterize(m, s, EPS_BKD, axis=1),
+        ("latent_sample", lambda m, s: ad.reparameterize(m, s, EPS_BKD.reshape(B * K, 2)),
          _latent_sample_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
         ("reparameterize", lambda m, s: ad.reparameterize(m, s, EPS_BD),
          _reparameterize_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
@@ -561,7 +563,8 @@ def _fused_cases():
             "s": u(B, K, 3), "q_mean": u(B * K, 2), "q_std": u(B * K, 2, lo=0.3, hi=2.0)}),
         ("select_bound", lambda r, kl: ad.select_bound(r, kl, math.log(K)),
          _select_bound_composed, {"recon": u(B, lo=-3.0), "kl": u(B, lo=0.0, hi=2.0)}),
-        ("log_mean_exp", ad.log_mean_exp, _log_mean_exp_composed, {"a": u(B, K, lo=-5.0, hi=5.0)}),
+        ("log_mean_exp", lambda a: ad.log_mean_exp(a, K), _log_mean_exp_composed,
+         {"a": u(B * K, lo=-5.0, hi=5.0)}),
         ("gan_losses", lambda dg, dr, df: ad.gan_losses(dg, dr, df, PROB_FLOOR),
          _gan_losses_composed, {
             "d_gen": u(B, 1, lo=0.01, hi=0.99), "d_real": u(B, 1, lo=0.01, hi=0.99),

@@ -230,3 +230,21 @@ def test_trailing_bytes_rejected(tmp_path):
     want = f"{path}: invalid checkpoint (ValueError: {want})"
     with pytest.raises(ValueError, match=re.escape(want)):
         load_checkpoint(path)
+
+
+def test_offsets_must_follow_the_saved_layout(tmp_path):
+    """Every array starts where the one before it ends; a header whose
+    offsets all read 0 used to load with every array aliasing the first
+    array's bytes."""
+    path = tmp_path / "model.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    version, header, payload = split_blob(path.read_bytes())
+    for entry in header["arrays"]:
+        entry["offset"] = 0
+    path.write_bytes(join_blob(version, header, payload))
+    first, second = header["arrays"][:2]
+    end = 8 * int(np.prod(first["shape"]))
+    want = f"array {second['store']}/{second['name']}: offset 0, expected {end}"
+    want = f"{path}: invalid checkpoint (ValueError: {want})"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_checkpoint(path)

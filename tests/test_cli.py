@@ -532,6 +532,12 @@ def test_evaluate_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
             {"d_x": 2, "seq_len": 4, "prefix_len": 1, "files": {"test": "test.csv"}, "groups": 5},
             "'groups'",
         ),
+        # an entry that is not a path string once ended in a TypeError traceback
+        ({"d_x": 2, "seq_len": 4, "prefix_len": 1, "files": {"test": 7}}, "'files'['test']"),
+        (
+            {"d_x": 2, "seq_len": 4, "prefix_len": 1, "files": {"test": "test.csv"}, "groups": [3]},
+            "'groups'[0]",
+        ),
     ],
 )
 def test_evaluate_malformed_manifest_fails_cleanly(tmp_path, capsys, body, missing):
@@ -639,10 +645,11 @@ def test_train_model_size_checked_before_any_file(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize("flags, setting", [
     (["--lr", "0"], "lr"),
+    (["--lr", "nan"], "lr"),
     (["--kappa", "-1"], "kappa"),
     (["--omega1", "-1"], "omega1"),
     (["--sampler", "sca", "--k", "5"], "k = 2*d_z+1"),
-], ids=["lr", "kappa", "omega1", "sca_k"])
+], ids=["lr", "lr_nan", "kappa", "omega1", "sca_k"])
 def test_train_model_settings_checked_before_the_csvs(tmp_path, capsys, flags, setting):
     """The manifest alone gives d_x, so the model settings fail before a
     listed CSV is opened: here neither exists."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vdm.autodiff import Tensor
+from vdm.evaluation import forecast_dataset
 from vdm.gaussians import DiagGaussian
 from vdm.inference import (
     MixtureBelief,
@@ -259,6 +260,17 @@ def test_filter_sequence_empty_prefix_rejected():
     model = make_model()
     with pytest.raises(ValueError, match="T>=1"):
         filter_sequence(model, np.zeros((2, 0, 3)), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sampler, k", [("sca", 5), ("monte_carlo", 3)])
+def test_empty_batch_filters_scores_and_forecasts(sampler, k):
+    """Zero trajectories give zero rows at every stage of the branch layout."""
+    model = make_model(k=k, sampler_mode=sampler)
+    belief, _ = filter_sequence(model, np.zeros((0, 3, 3)), np.random.default_rng(0))
+    assert belief.batch == 0 and belief.collapsed.mean.shape == (0, 2)
+    assert one_step_predictive(model, belief, np.zeros((0, 3))).shape == (0,)
+    fc = forecast_dataset(model, np.zeros((0, 3, 3)), 2, 4, 1, np.random.default_rng(0))
+    assert fc.shape == (0, 4, 1, 3)
 
 
 def test_filter_sequence_protocol_shapes():

@@ -51,6 +51,17 @@ def test_config_dimensions_must_be_positive_ints(name, value):
         ModelConfig(**dims)
 
 
+@pytest.mark.parametrize("name", ["kappa", "omega1", "omega2", "lr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+def test_config_real_settings_must_be_finite_numbers(name, value):
+    """A NaN passes a range check and a bool counts as a number, so both were
+    accepted and surfaced later, as a divergence or as a weight of 1."""
+    settings = dict(d_x=2, d_z=2, d_h=4, k=5)
+    settings[name] = value
+    with pytest.raises(ValueError, match=f"^ModelConfig: {name} must be a finite number$"):
+        ModelConfig(**settings)
+
+
 def test_encoder_zero_final_layer_standard_normal():
     model = make_model()
     model.params["enc2.w"].value[...] = 0.0
@@ -136,7 +147,7 @@ def test_gru_shared_between_generation_and_inference():
                           np.random.default_rng(11))
     # belief_step's first draw: the same seed gives the same latents
     z = latent_sample_batch(belief.collapsed, model.config, np.random.default_rng(11))
-    z = z.value[0]  # (k, d_z)
+    z = z.value  # (k, d_z): the k latents of the one row
     manual = model.gru_advance(Tensor(z), Tensor(np.zeros((z.shape[0], 4))))
     np.testing.assert_allclose(info.branch_states_flat.value, manual.value, rtol=1e-12)
 

@@ -22,6 +22,7 @@ from helpers import (
     finite_diff_entries,
     frozen_branch_selection,
     per_step_total_loss,
+    record_census,
     rel_error,
     sample_entries,
     tape_saved_bytes,
@@ -95,7 +96,8 @@ def test_step_branches_index_the_selected_branches(monkeypatch, sampler, weighti
         counts = np.bincount(branch, minlength=13)  # raises on a negative index
         assert counts.shape == (13,) and counts.sum() == 8
         if weighting == "delta":
-            np.testing.assert_array_equal(branch, np.argmax(info.branch_loglik.value, axis=1))
+            ll = info.branch_loglik.value.reshape(8, 13)
+            np.testing.assert_array_equal(branch, np.argmax(ll, axis=1))
 
 
 def test_elbo_nonfinite_input_reported():
@@ -122,7 +124,7 @@ def test_elbo_permutation_invariant_when_weights_recomputed():
     base = all_branch_elbo(model, ref, recon_eps)
 
     perm = np.random.default_rng(4).permutation(k)
-    branch = select_branch(info.branch_loglik.value[:, perm], "delta")
+    branch = select_branch(info.branch_loglik.value[perm].reshape(1, k), "delta")
     # the selected rows of the permuted branch states and priors
     state = Tensor(info.branch_states_flat.value[perm][branch])
     pm, ps = (Tensor(t.value[perm][branch]) for t in (info.prior_flat.mean, info.prior_flat.std))
@@ -228,14 +230,14 @@ def one_step_pred(model, x2):
 def test_pred_equals_branch_loglik_when_k1():
     model = make_model(k=1, sampler_mode="monte_carlo", seed=5)
     pred, loglik = one_step_pred(model, np.full((1, 3), 0.2))
-    np.testing.assert_allclose(pred, loglik[0, 0], rtol=1e-12)
+    np.testing.assert_allclose(pred, loglik[0], rtol=1e-12)
 
 
 def test_pred_identical_branches_equals_single_value():
     model = make_model(k=5)
     zero_all(model)
     pred, loglik = one_step_pred(model, np.full((1, 3), 0.3))
-    np.testing.assert_allclose(pred, loglik[0, 0], rtol=1e-12)
+    np.testing.assert_allclose(pred, loglik[0], rtol=1e-12)
 
 
 def test_pred_invariant_to_branch_order():
@@ -243,8 +245,8 @@ def test_pred_invariant_to_branch_order():
     order of the branches cannot change."""
     ll = np.random.default_rng(6).normal(size=(2, 7))
     np.testing.assert_allclose(
-        ad.log_mean_exp(Tensor(ll)).value,
-        ad.log_mean_exp(Tensor(ll[:, ::-1].copy())).value,
+        ad.log_mean_exp(Tensor(ll.ravel()), 7).value,
+        ad.log_mean_exp(Tensor(ll[:, ::-1].ravel()), 7).value,
         rtol=1e-12,
     )
 
@@ -405,23 +407,44 @@ def test_nonfinite_value_names_its_first_step(omega2, recon_step, latent_step, m
             total_loss(model, batch, rng)
 
 
+# One step at Lorenz desk scale (B=32, d_x 3, d_z 6, d_h 32, k 13, T=30,
+# omega2=1) records per filtering step (29 of them) a belief step's 8 records
+# (latent sample, repeated state, GRU, transition prior, branch emission,
+# log-pdf, branch gather, inference net) plus the discriminator's GRU and the
+# adversarial branch pick.  Once per batch it records the initial encoding,
+# the row stacking, the bound's 5 (reparameterization, emission, log-pdf, KL,
+# selection), the predictive term, the adversarial term's 8 (transition
+# prior, two reparameterizations, emission, three discriminator calls, GAN
+# losses), the sums of the per-step means and the loss's linear combination.
+DESK_TOTAL_LOSS_CENSUS = {
+    "reparameterize": 29 + 1 + 2,
+    "repeat_rows": 29,
+    "gru_cell": 29 + 29,
+    "gaussian_mlp": 3 * 29 + 1 + 1 + 2,
+    "gaussian_log_pdf": 29 + 1,
+    "take_rows": 29 + 29,
+    "concat_rows": 1,
+    "gaussian_kl": 1,
+    "select_bound": 1,
+    "log_mean_exp": 1,
+    "sigmoid_mlp3": 3,
+    "gan_losses": 1,
+    "sum_of_means": 1,
+    "linear_combination": 1,
+}
+
+
 def test_training_step_tape_record_count():
-    """One B=32 step at Lorenz desk scale (d_x 3, d_z 6, d_h 32, k 13, T=30,
-    omega2=1) records 12 entries per filtering step, 29 * 12 = 348: the
-    belief step's 10 (latent sample, reshape, repeated state, GRU, transition
-    prior, branch emission, log-pdf, reshape, branch gather, inference net)
-    plus the discriminator's GRU and the adversarial branch pick.  18 more
-    run once per batch: the initial encoding, the row stacking, the bound's
-    5 (reparameterization, emission, log-pdf, KL, selection), the predictive
-    term, the adversarial term's 8 (transition prior, two
-    reparameterizations, emission, three discriminator calls, GAN losses),
-    the sums of the per-step means and the loss's linear combination.  Any
-    added record shows here."""
+    """The tape of one desk-scale ``total_loss`` holds exactly the census
+    above, 10 records per filtering step and 18 once per batch; an added
+    record shows here by its kind.  Every kind is a public primitive."""
     model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
     batch = np.random.default_rng(1).normal(size=(32, 30, 3))
     with Tape() as tape:
         total_loss(model, batch, np.random.default_rng(2))
-    assert len(tape.records) == 29 * 12 + 18 == 366
+    assert record_census(tape) == DESK_TOTAL_LOSS_CENSUS
+    assert set(DESK_TOTAL_LOSS_CENSUS) <= set(ad.__all__)
+    assert len(tape.records) == 29 * 10 + 18 == 308
 
 
 def desk_training_step():
@@ -442,10 +465,12 @@ def test_training_step_tape_keeps_at_most_46_mib():
     (59.2 MiB when the records kept them).  Every record stays on the tape
     through backward."""
     model, tape, root = desk_training_step()
-    assert len(tape.records) == 367
+    census = dict(DESK_TOTAL_LOSS_CENSUS, linear_combination=2)  # plus train's root
+    assert record_census(tape) == census
+    assert len(tape.records) == 309
     assert tape_saved_bytes(tape) <= 46 * 2**20
     backward(tape, root)
-    assert len(tape.records) == 367
+    assert record_census(tape) == census
 
 
 def test_replaying_a_tape_twice_doubles_the_gradients():

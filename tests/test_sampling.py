@@ -67,7 +67,7 @@ def test_invalid_arguments():
 def test_sca_degenerate_spread_repeats_mean():
     mean = np.array([1.5, -2.0])
     out = latent_sample_batch(Spread(mean, np.zeros(2)), config(2), np.random.default_rng(0))
-    np.testing.assert_array_equal(out.value, np.tile(mean, (1, 5, 1)))
+    np.testing.assert_array_equal(out.value, np.tile(mean, (5, 1)))
 
 
 def test_sca_zero_noise_recovers_classical_points():
@@ -75,7 +75,7 @@ def test_sca_zero_noise_recovers_classical_points():
     std = np.array([[2.0, 0.5, 1.0], [0.1, 4.0, 1.5]])
     out = latent_sample_batch(DiagGaussian(mean, std), config(3), ZeroNoise())
     xi, _ = sigma_points(3, 0.5)
-    want = mean[:, None, :] + std[:, None, :] * xi[None]
+    want = (mean[:, None, :] + std[:, None, :] * xi[None]).reshape(2 * 7, 3)
     np.testing.assert_allclose(out.value, want, rtol=1e-15)
 
 
@@ -97,8 +97,8 @@ def test_sca_empirical_mean_confidence_oracle():
     # one batch row per "seed": each contributes one noise-infused point set
     g = DiagGaussian(np.tile(mean, (n_seeds, 1)), np.tile(std, (n_seeds, 1)))
     samples = latent_sample_batch(g, config(3), np.random.default_rng(123)).value
-    assert samples.shape == (n_seeds, k, 3)
-    got = samples.reshape(-1, 3).mean(axis=0)
+    assert samples.shape == (n_seeds * k, 3)
+    got = samples.mean(axis=0)
     stderr = std * np.sqrt(2.0) / np.sqrt(n_seeds * k)
     assert np.all(np.abs(got - mean) < 3.0 * stderr)
 
@@ -122,7 +122,7 @@ def test_mc_degenerate_spread():
     out = latent_sample_batch(
         Spread(mean, np.zeros(1)), config(1, k=6, mode="monte_carlo"), np.random.default_rng(1)
     )
-    np.testing.assert_array_equal(out.value, np.full((1, 6, 1), 4.0))
+    np.testing.assert_array_equal(out.value, np.full((6, 1), 4.0))
 
 
 def test_mc_fixed_seed_reproducible():
