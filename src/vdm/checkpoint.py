@@ -83,21 +83,12 @@ def save_checkpoint(ckpt, path):
     for store, name, arr in _iter_arrays(ckpt):
         arr = np.ascontiguousarray(arr, dtype="<f8")
         entries.append({"store": store, "name": name, "shape": list(arr.shape), "offset": offset})
-        raw = arr.tobytes()
-        chunks.append(raw)
-        offset += len(raw)
+        chunks.append(arr.tobytes())
+        offset += arr.nbytes
     header = {"config": asdict(ckpt.config), "arrays": entries, "provenance": ckpt.provenance}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = b"".join(
-        [
-            MAGIC,
-            struct.pack("<I", FORMAT_VERSION),
-            struct.pack("<Q", len(header_bytes)),
-            header_bytes,
-            b"".join(chunks),
-        ]
-    )
-    atomic_write_bytes(path, blob)
+    preamble = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes))
+    atomic_write_bytes(path, [preamble, header_bytes, *chunks])
     return path
 
 

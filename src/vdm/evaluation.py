@@ -1,10 +1,12 @@
 """Forecast evaluation: sample NLL, one-step NLL, empirical Wasserstein distance."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import autodiff as ad
-from .gaussians import LOG_2PI, DiagGaussian
+from .gaussians import DiagGaussian
 from .inference import MixtureBelief, filter_sequence, generate, one_step_predictive
 from .util import parallel_map
 
@@ -43,7 +45,7 @@ def multi_step_nll(truths, forecasts, reduction="mean"):
         raise ValueError(f"multi_step_nll: unknown reduction {reduction!r}")
     m = (-err / 2.0).max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(-err / 2.0 - m).sum(axis=1))
-    return 0.5 * LOG_2PI + np.log(err.shape[1]) - lse
+    return 0.5 * ad.LOG_2PI + np.log(err.shape[1]) - lse
 
 
 # Rows (trajectories x forecasts) forecast in one batch.  The chunk layout,
@@ -134,19 +136,96 @@ def wasserstein(p, q):
     Solves the optimal assignment on the Euclidean cost matrix and averages
     the matched costs.
     """
-    # imported here, not at module level: only scoring needs scipy (~45 MB, ~0.6 s)
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.ndim != 2 or q.ndim != 2 or p.shape != q.shape or p.shape[0] == 0:
-        raise ValueError(
-            f"wasserstein: expected matching non-empty (n, d) sets, got {p.shape} and {q.shape}"
-        )
-    cost = cdist(p, q)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    if (p.ndim != 2 or q.ndim != 2 or p.shape != q.shape or p.shape[0] == 0
+            or not (np.isfinite(p).all() and np.isfinite(q).all())):
+        raise ValueError("wasserstein: expected matching non-empty finite (n, d) sets, "
+                         f"got {p.shape} and {q.shape}")
+    cost = _distances(p[None], q, np.empty((1, len(p), len(p))))
+    return float(_mean_matched_costs(cost, "wasserstein")[0])
+
+
+def _distances(sets, truths, out):
+    """Fill and return out[b, i, k] = ||sets[b, i] - truths[k]||, one row at a time."""
+    diff = np.empty(truths.shape)
+    for b in range(sets.shape[0]):
+        for i in range(sets.shape[1]):
+            np.subtract(truths, sets[b, i], out=diff)
+            np.einsum("kd,kd->k", diff, diff, out=out[b, i])
+    return np.sqrt(out, out=out)
+
+
+def _mean_matched_costs(cost, caller):
+    """(B,) mean matched cost of the optimal assignment of each (n, n) problem."""
+    if not np.isfinite(cost).all():
+        raise ValueError(f"{caller}: non-finite distance between sample sets")
+    cols = _assign(cost)
+    return np.take_along_axis(cost, cols[:, :, None], axis=2)[:, :, 0].mean(axis=1)
+
+
+def _assign(cost):
+    """(B, n) column of each row in the optimal assignment of each (n, n)
+    cost matrix of a batch; a problem's result does not depend on the others.
+
+    Shortest augmenting paths (Jonker-Volgenant, in Crouse's form) from a
+    column reduction, vectorized over the problems: each iteration scans one
+    row of every problem still searching, and a problem whose search reaches
+    a free column augments and starts its next free row at once.  Row duals
+    stay implicit: an assigned row has reduced cost 0 at its column.
+    """
+    n = cost.shape[1]
+    # column reduction: a row goes to the last column it is cheapest for
+    v = cost.min(axis=1)
+    cheap = cost.argmin(axis=1)
+    col4row = np.full(v.shape, -1)
+    np.maximum.at(col4row, (np.arange(len(cost))[:, None], cheap), np.arange(n))
+    row4col = np.where(np.take_along_axis(col4row, cheap, 1) == np.arange(n), cheap, -1)
+    # per searching problem: the row to scan and its path cost minus its
+    # dual; per column the path cost (inf once scanned), the path cost at its
+    # scan, v (-inf once scanned) and the row that last lowered the path cost
+    ids = np.flatnonzero((col4row < 0).any(axis=1))
+    row, offset = np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids))
+    spc, scanned, vw = np.empty((3, len(ids), n))
+    path = np.empty((len(ids), n), dtype=np.intp)
+    new, pb = np.arange(len(ids)), ids
+    while len(ids):
+        # start each problem in new on its first free row
+        row[new] = (col4row[pb] < 0).argmax(axis=1)
+        offset[new], spc[new], scanned[new], vw[new] = 0.0, np.inf, np.inf, v[pb]
+        slot = np.arange(len(ids))
+        reduced = cost[ids, row]
+        reduced -= vw
+        reduced += offset[:, None]
+        np.putmask(path, reduced < spc, np.broadcast_to(row[:, None], spc.shape))
+        np.minimum(spc, reduced, out=spc)
+        col = spc.argmin(axis=1)
+        scanned[slot, col] = mu = spc[slot, col]
+        spc[slot, col] = np.inf
+        vw[slot, col] = -np.inf
+        row = row4col[ids, col]
+        offset = mu - cost[ids, row, col] + v[ids, col]
+        (new,) = np.nonzero(row < 0)  # searches that reached a free column
+        pb = ids[new]
+        v[pb] -= np.maximum(mu[new, None] - scanned[new], 0.0)
+        for b, s, j in zip(pb.tolist(), new.tolist(), col[new].tolist()):
+            back, c4r, r4c = path[s], col4row[b], row4col[b]
+            while j >= 0:  # flip the path back to the free root row
+                i = r4c[j] = back[j]
+                c4r[i], j = j, c4r[i]
+        keep = row >= 0
+        keep[new] = (col4row[pb] < 0).any(axis=1)
+        if not keep.all():
+            new = (np.cumsum(keep) - 1)[new[keep[new]]]
+            ids, row, offset, spc, scanned, vw, path = (
+                a[keep] for a in (ids, row, offset, spc, scanned, vw, path))
+            pb = ids[new]
+    return col4row
+
+
+# Cost-matrix entries per batched solve: batching makes the numpy solver
+# fast, the bound keeps memory flat in the number of groups.
+SOLVE_ENTRIES = 1 << 20
 
 
 def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
@@ -156,7 +235,8 @@ def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
     ``forecasts_per_truth`` forecasts; the j-th forecasts of all truths form
     set j, scored against the n true continuations, and the j-scores are
     averaged before averaging over groups.  Each group has its own child
-    stream of ``rng``.
+    stream of ``rng``.  The groups are forecast a slab at a time, and one
+    batched assignment solve scores each slab.
     """
     if not groups:
         raise ValueError("w_distance_protocol: no groups to score")
@@ -164,21 +244,28 @@ def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
         raise ValueError(
             f"w_distance_protocol: forecasts_per_truth must be >= 1, got {forecasts_per_truth}"
         )
+    if any(len(group.data) == 0 for group in groups):
+        raise ValueError("w_distance_protocol: a group holds no trajectories")
 
-    def score(args):
-        group, grp_rng = args
-        data = group.data
-        n = data.shape[0]
-        prefix_len = group.prefix_len
-        horizon = data.shape[1] - prefix_len
-        fc = forecast_dataset(model, data, prefix_len, forecasts_per_truth, horizon, grp_rng)
-        truths = data[:, prefix_len:].reshape(n, -1)
-        dists = [
-            wasserstein(fc[:, j].reshape(n, -1), truths) for j in range(forecasts_per_truth)
-        ]
-        return float(np.mean(dists))
+    def costs(args):
+        (group, grp_rng), out = args
+        data, prefix_len = group.data, group.prefix_len
+        n, t_len = data.shape[:2]
+        fc = forecast_dataset(model, data, prefix_len, forecasts_per_truth, t_len - prefix_len,
+                              grp_rng)
+        sets = np.moveaxis(fc.reshape(n, forecasts_per_truth, -1), 1, 0)  # set j: j-th forecasts
+        _distances(sets, data[:, prefix_len:].reshape(n, -1), out)
 
-    per_group = parallel_map(score, list(zip(groups, rng.spawn(len(groups)))))
+    per_group = []
+    items = zip(groups, rng.spawn(len(groups)))
+    for n, run in itertools.groupby(items, key=lambda item: len(item[0].data)):
+        run = list(run)
+        size = max(1, SOLVE_ENTRIES // (forecasts_per_truth * n * n))
+        for slab in (run[i:i + size] for i in range(0, len(run), size)):
+            cost = np.empty((len(slab), forecasts_per_truth, n, n))
+            parallel_map(costs, list(zip(slab, cost)))
+            means = _mean_matched_costs(cost.reshape(-1, n, n), "w_distance_protocol")
+            per_group.extend(means.reshape(len(slab), forecasts_per_truth).mean(axis=1))
     per_group = np.asarray(per_group)
     stderr = per_group.std(ddof=1) / np.sqrt(len(per_group)) if len(per_group) > 1 else 0.0
     return float(per_group.mean()), float(stderr)

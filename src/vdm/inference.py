@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .gaussians import DiagGaussian, gaussian_log_pdf
+from .gaussians import DiagGaussian
 from .sampling import latent_sample_batch, sigma_points
 
 __all__ = [
@@ -84,7 +84,7 @@ def _branches(model, z_flat, h, x, k):
     s_flat = model.gru_advance(z_flat, ad.repeat_rows(h, k))
     prior_flat = model.transition_prior(s_flat)
     em = model.emit(prior_flat.mean, s_flat)
-    return s_flat, gaussian_log_pdf(Tensor(np.repeat(x, k, axis=0)), em), prior_flat
+    return s_flat, ad.gaussian_log_pdf(Tensor(np.repeat(x, k, axis=0)), em.mean, em.std), prior_flat
 
 
 def select_branch(loglik, mode, rng=None):
@@ -167,7 +167,7 @@ def generate(model, belief, horizon, rng):
     cfg = model.config
     with Tape.pause():
         b = belief.batch
-        z = Tensor(belief.collapsed.detach().sample(rng))
+        z = Tensor(belief.collapsed.sample(rng))
         h = Tensor(belief.expected_h.value.copy())
         out = np.empty((b, horizon, cfg.d_x))
         for t in range(horizon):

@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, as_tensor, backward
 from .data import Dataset
-from .gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
 from .inference import belief_init, belief_step
 from .nets import VdmModel
 from .optim import adam_step
@@ -61,8 +60,8 @@ def _selected_elbo(model, x, state, qm, qs, pm, ps, eps, k):
     """
     z_tilde = ad.reparameterize(qm, qs, eps)
     em = model.emit(z_tilde, state)
-    recon = gaussian_log_pdf(Tensor(x), em)
-    kl = gaussian_kl(DiagGaussian(qm, qs), DiagGaussian(pm, ps))
+    recon = ad.gaussian_log_pdf(Tensor(x), em.mean, em.std)
+    kl = ad.gaussian_kl(qm, qs, pm, ps)
     return ad.select_bound(recon, kl, math.log(k))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import vdm.autodiff as ad
 import vdm.inference
 import vdm.objective
-from vdm.gaussians import DiagGaussian, gaussian_kl, gaussian_log_pdf
+from vdm.gaussians import DiagGaussian
 from vdm.sampling import latent_sample_batch
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -340,7 +340,7 @@ def all_branch_belief_step(model, belief, x, rng):
     q_flat = model.infer_component(s_flat, x_rep)
     prior_flat = model.transition_prior(s_flat)
     em = model.emit(prior_flat.mean, s_flat)
-    loglik = gaussian_log_pdf(x_rep, em)
+    loglik = ad.gaussian_log_pdf(x_rep, em.mean, em.std)
     branch = vdm.inference.select_branch(loglik.value.reshape(b, k), cfg.weighting_mode, rng)
     expected_h, mean, std = weighted_sum(np.eye(k)[branch], (s_flat, q_flat.mean, q_flat.std))
     belief = vdm.inference.MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
@@ -373,8 +373,9 @@ def all_branch_elbo(model, info, recon_eps):
     k = model.config.k
     z_tilde = ad.reparameterize(info.q_flat.mean, info.q_flat.std, recon_eps)
     em = model.emit(z_tilde, info.branch_states_flat)
-    recon = gaussian_log_pdf(info.x_rep, em)
-    kl = gaussian_kl(info.q_flat, info.prior_flat)
+    recon = ad.gaussian_log_pdf(info.x_rep, em.mean, em.std)
+    q, p = info.q_flat, info.prior_flat
+    kl = ad.gaussian_kl(q.mean, q.std, p.mean, p.std)
     return weighted_bound(np.eye(k)[info.branch], recon, kl, math.log(k))
 
 

@@ -337,6 +337,59 @@ def test_empty_sets_rejected():
         wasserstein(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_non_finite_sets_rejected(side, value):
+    sets = {"p": np.zeros((3, 2)), "q": np.ones((3, 2))}
+    sets[side][1, 0] = value
+    with pytest.raises(ValueError, match="^wasserstein: .*finite"):
+        wasserstein(sets["p"], sets["q"])
+
+
+def test_assignment_matches_scipy_on_tie_heavy_integer_costs():
+    """Costs in {0, 1, 2, 3} tie often, so the optimum is rarely unique: each
+    solution is a permutation whose total is scipy's optimal total."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        cost = rng.integers(0, 4, size=(800, n, n)).astype(np.float64)
+        for c, col in zip(cost, evaluation._assign(cost)):
+            assert sorted(col) == list(range(n))
+            rows, cols = linear_sum_assignment(c)
+            assert c[np.arange(n), col].sum() == c[rows, cols].sum()
+
+
+def test_w_distance_shaped_sets_match_scipy():
+    """100 forecasts against 100 truths of 270 values each, the shape of a
+    Lorenz group's sets: scipy's assignment on scipy's cost matrix, and the
+    distance within 1e-12 of scipy's."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        truths = rng.normal(size=(100, 270)) * 8.0
+        forecasts = truths[rng.permutation(100)] + rng.normal(size=(100, 270)) * 6.0
+        cost = cdist(forecasts, truths)
+        rows, cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(evaluation._assign(cost[None])[0], cols)
+        want = cost[rows, cols].mean()
+        assert abs(wasserstein(forecasts, truths) - want) <= 1e-12 * want
+
+
+def test_a_problem_solved_alone_or_in_a_batch_gives_the_same_bytes():
+    rng = np.random.default_rng(23)
+    cost = rng.random((40, 30, 30))
+    cost[::3] = np.round(3.0 * cost[::3])  # tie-heavy problems among the others
+    batch_cols = evaluation._assign(cost)
+    batch_means = evaluation._mean_matched_costs(cost, "test")
+    for b in range(len(cost)):
+        assert evaluation._assign(cost[b:b + 1]).tobytes() == batch_cols[b].tobytes()
+        alone = evaluation._mean_matched_costs(cost[b:b + 1], "test")
+        assert alone.tobytes() == batch_means[b:b + 1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # grouped protocol
 # ---------------------------------------------------------------------------
@@ -395,6 +448,68 @@ def test_protocol_with_real_model_deterministic():
     assert a[0] > 0.0
 
 
+def test_protocol_groups_of_different_sizes_score_as_single_pairs(monkeypatch):
+    """Unequal groups are solved in separate batches; each set scores what
+    ``wasserstein`` gives it alone, bit for bit."""
+    rng = np.random.default_rng(15)
+    groups = [Dataset(rng.normal(size=(n, 5, 2)), prefix_len=2) for n in (4, 6, 6, 3)]
+
+    def shifted(model, data, prefix_len, n_forecasts, horizon, grp_rng):
+        truth = data[:, prefix_len:]
+        return np.stack([truth[::-1] + 0.1 * j for j in range(n_forecasts)], axis=1)
+
+    monkeypatch.setattr(evaluation, "forecast_dataset", shifted)
+    mean, _ = w_distance_protocol(None, groups, np.random.default_rng(16), 2)
+    per_group = []
+    for g in groups:
+        fc, truths = shifted(None, g.data, 2, 2, 3, None), g.data[:, 2:].reshape(len(g), -1)
+        per_group.append(np.mean([wasserstein(fc[:, j].reshape(len(g), -1), truths)
+                                  for j in range(2)]))
+    assert mean == float(np.mean(per_group))
+
+
+def test_protocol_slabs_leave_the_score_unchanged(monkeypatch):
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(12))
+    groups = _toy_groups(np.random.default_rng(13), n_groups=5, n=4)
+    whole = w_distance_protocol(model, groups, np.random.default_rng(14), 3)
+    monkeypatch.setattr(evaluation, "SOLVE_ENTRIES", 2 * 3 * 4 * 4)  # two groups a slab
+    assert w_distance_protocol(model, groups, np.random.default_rng(14), 3) == whole
+
+
+def test_protocol_peak_memory_flat_in_group_count(monkeypatch):
+    """Groups are forecast and solved a slab at a time, so the allocation
+    peak at 16 groups stays within 10% of 4 groups."""
+    monkeypatch.setattr(evaluation, "SOLVE_ENTRIES", 2 * 5 * 40 * 40)  # two groups a slab
+    model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    peaks = []
+    for n_groups in (4, 16):
+        groups = _toy_groups(np.random.default_rng(1), n_groups=n_groups, n=40, t_len=12)
+        tracemalloc.start()
+        try:
+            mean, _ = w_distance_protocol(model, groups, np.random.default_rng(2), 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(mean)
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_protocol_rejects_a_non_finite_distance(monkeypatch):
+    def diverged(model, data, prefix_len, n_forecasts, horizon, grp_rng):
+        return np.full((len(data), n_forecasts, horizon, data.shape[2]), np.inf)
+
+    monkeypatch.setattr(evaluation, "forecast_dataset", diverged)
+    with pytest.raises(ValueError, match="^w_distance_protocol: non-finite"):
+        w_distance_protocol(None, _toy_groups(np.random.default_rng(17)), np.random.default_rng(0))
+
+
+def test_protocol_rejects_an_empty_group():
+    groups = _toy_groups(np.random.default_rng(18)) + [Dataset(np.zeros((0, 5, 2)), 2)]
+    with pytest.raises(ValueError, match="no trajectories"):
+        w_distance_protocol(None, groups, np.random.default_rng(0))
+
+
 def test_protocol_rejects_no_groups():
     with pytest.raises(ValueError, match="no groups"):
         w_distance_protocol(None, [], np.random.default_rng(0))
@@ -417,8 +532,7 @@ from vdm.data import Dataset
 from vdm.evaluation import w_distance_protocol
 from vdm.nets import ModelConfig, VdmModel
 
-assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
-sys.setswitchinterval(1e-6)  # switch threads often while both import scipy
+sys.setswitchinterval(1e-6)  # switch threads often while both workers forecast
 model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(12))
 rng = np.random.default_rng(13)
 groups = [Dataset(rng.normal(size=(6, 5, 2)), prefix_len=2) for _ in range(4)]
@@ -426,13 +540,14 @@ scores = []
 for threads in ("2", "1"):
     os.environ["VDM_THREADS"] = threads
     scores.append(w_distance_protocol(model, groups, np.random.default_rng(14), 3))
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 print(repr(scores))
 """
 
 
 def test_first_scoring_on_two_threads_matches_one_thread():
-    """scipy is imported on the first W-distance, so at VDM_THREADS=2 two
-    workers can start that import at once; the scores still equal the
+    """At VDM_THREADS=2 two workers forecast groups and fill their cost
+    matrices at once in a fresh process; the scores still equal the
     one-thread run's."""
     proc = fresh_python(FIRST_SCORE_ON_TWO_THREADS)
     assert proc.returncode == 0, proc.stderr
