@@ -7,8 +7,8 @@
 
 import numpy as np
 
-from vdm.gaussians import DiagGaussian
-from vdm.nets import ModelConfig
+from vdm.autodiff import Tensor
+from vdm.nets import Gaussian, ModelConfig
 from vdm.sampling import latent_sample_batch, sigma_points
 
 d, kappa = 3, 0.5
@@ -23,7 +23,7 @@ print("sum gamma xixiT:\n", np.einsum("i,ij,ik->jk", gamma, xi, xi))
 # --- stochastic sigma variables ------------------------------------------
 # a batch of one belief; the sampler returns (batch * k, d): row i's k
 # latents are k consecutive rows, so one belief gives exactly its k samples
-g = DiagGaussian(np.array([[1.0, -2.0, 0.5]]), np.array([[0.5, 1.0, 2.0]]))
+g = Gaussian(Tensor([[1.0, -2.0, 0.5]]), Tensor([[0.5, 1.0, 2.0]]))
 sca_cfg = ModelConfig(d_x=1, d_z=d, d_h=1, k=2 * d + 1, kappa=kappa, sampler_mode="sca")
 sca = latent_sample_batch(g, sca_cfg, np.random.default_rng(7)).value
 print("\nnoise-infused samples (seed 7):\n", sca)

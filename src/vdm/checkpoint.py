@@ -93,8 +93,9 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path):
-    """Read a format 2 checkpoint; a malformed file, or one whose arrays are not
-    those a model of its config holds, raises ValueError naming ``path``."""
+    """Read a format 2 checkpoint; a malformed file, one whose arrays are not
+    those a model of its config holds, or one with a non-finite value or an
+    observation std <= 0, raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _PREAMBLE or blob[: len(MAGIC)] != MAGIC:
@@ -129,8 +130,12 @@ def load_checkpoint(path):
                 )
             shape = tuple(entry["shape"])
             arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)), offset=offset)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"array {entry['store']}/{entry['name']}: non-finite value")
             arrays[entry["store"]][entry["name"]] = arr.reshape(shape).astype(np.float64)
             offset += arr.nbytes
+        if (arrays["stats"]["obs_std"] <= 0.0).any():
+            raise ValueError("array stats/obs_std: a standard deviation <= 0")
         return Checkpoint(
             config=config,
             model_arrays=arrays["model"],

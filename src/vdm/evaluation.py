@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 
 from . import autodiff as ad
-from .gaussians import DiagGaussian
 from .inference import MixtureBelief, filter_sequence, generate, one_step_predictive
+from .nets import Gaussian
 from .util import parallel_map
 
 __all__ = [
@@ -79,7 +79,7 @@ def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
     belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
     h, mean, std = (ad.repeat_rows(t, n_forecasts)
                     for t in (belief.expected_h, belief.collapsed.mean, belief.collapsed.std))
-    out = generate(model, MixtureBelief(h, DiagGaussian(mean, std)), horizon, rng)
+    out = generate(model, MixtureBelief(h, Gaussian(mean, std)), horizon, rng)
     return out.reshape(n_traj, n_forecasts, horizon, data.shape[2])
 
 
@@ -100,6 +100,8 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
         raise ValueError("dataset_multi_step_nll: no trajectories to score")
     if n_forecasts < 1:
         raise ValueError(f"dataset_multi_step_nll: n_forecasts must be >= 1, got {n_forecasts}")
+    if reduction not in ("mean", "sum"):
+        raise ValueError(f"dataset_multi_step_nll: unknown reduction {reduction!r}")
     if not np.all(np.isfinite(data)):
         raise ValueError("dataset_multi_step_nll: non-finite observation")
 
@@ -248,7 +250,7 @@ def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
         raise ValueError("w_distance_protocol: a group holds no trajectories")
 
     def costs(args):
-        (group, grp_rng), out = args
+        group, grp_rng, out = args
         data, prefix_len = group.data, group.prefix_len
         n, t_len = data.shape[:2]
         fc = forecast_dataset(model, data, prefix_len, forecasts_per_truth, t_len - prefix_len,
@@ -257,13 +259,14 @@ def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
         _distances(sets, data[:, prefix_len:].reshape(n, -1), out)
 
     per_group = []
-    items = zip(groups, rng.spawn(len(groups)))
-    for n, run in itertools.groupby(items, key=lambda item: len(item[0].data)):
+    for n, run in itertools.groupby(groups, key=lambda group: len(group.data)):
         run = list(run)
         size = max(1, SOLVE_ENTRIES // (forecasts_per_truth * n * n))
         for slab in (run[i:i + size] for i in range(0, len(run), size)):
             cost = np.empty((len(slab), forecasts_per_truth, n, n))
-            parallel_map(costs, list(zip(slab, cost)))
+            # spawned a slab at a time: the same children, in the same order,
+            # as spawning one per group up front
+            parallel_map(costs, list(zip(slab, rng.spawn(len(slab)), cost)))
             means = _mean_matched_costs(cost.reshape(-1, n, n), "w_distance_protocol")
             per_group.extend(means.reshape(len(slab), forecasts_per_truth).mean(axis=1))
     per_group = np.asarray(per_group)

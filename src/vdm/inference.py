@@ -17,8 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .gaussians import DiagGaussian
+from .nets import Gaussian
 from .sampling import latent_sample_batch, sigma_points
+from .util import NonFiniteError
 
 __all__ = [
     "MixtureBelief",
@@ -43,7 +44,7 @@ class MixtureBelief:
     """
 
     expected_h: Tensor
-    collapsed: DiagGaussian
+    collapsed: Gaussian
 
     @property
     def batch(self):
@@ -55,10 +56,10 @@ class StepInfo:
     """A belief step's branch quantities; its selected state and component are the belief's."""
 
     branch_states_flat: Tensor  # (B*k, d_h)
-    prior_flat: DiagGaussian   # (B*k, d_z) transition priors at each branch
+    prior_flat: Gaussian       # (B*k, d_z) transition priors at each branch
     branch_loglik: Tensor      # (B*k,) log p(x_t | h_{t-1} = s^{(j)})
     branch: np.ndarray         # (B,) int index of the selected branch
-    prior: DiagGaussian        # (B, d_z) the selected branch's transition prior
+    prior: Gaussian            # (B, d_z) the selected branch's transition prior
 
 
 def _as_batch_array(x, dim, name, batch=None):
@@ -140,7 +141,7 @@ def belief_step(model, belief, x, rng):
     rows = np.arange(b) * k + branch
     state, pm, ps = ad.take_rows(rows, (s_flat, prior_flat.mean, prior_flat.std))
     q = model.infer_component(state, Tensor(x_arr))                # (B, d_z)
-    info = StepInfo(s_flat, prior_flat, loglik, branch, DiagGaussian(pm, ps))
+    info = StepInfo(s_flat, prior_flat, loglik, branch, Gaussian(pm, ps))
     return MixtureBelief(expected_h=state, collapsed=q), info
 
 
@@ -157,26 +158,34 @@ def filter_sequence(model, x_prefix, rng):
     return belief, beliefs
 
 
+def _draw(g, rng):
+    """One plain-array draw from the Gaussian ``g``."""
+    return g.mean.value + g.std.value * rng.standard_normal(g.mean.shape)
+
+
 def generate(model, belief, horizon, rng):
     """Sample a (B, horizon, d_x) continuation from the generative model.
 
-    Runs tape-free: forecasts are never differentiated through.
+    Runs tape-free: forecasts are never differentiated through.  A
+    non-finite forecast raises NonFiniteError.
     """
     if horizon < 1:
         raise ValueError("generate: horizon must be >= 1")
     cfg = model.config
     with Tape.pause():
         b = belief.batch
-        z = Tensor(belief.collapsed.sample(rng))
+        z = Tensor(_draw(belief.collapsed, rng))
         h = Tensor(belief.expected_h.value.copy())
         out = np.empty((b, horizon, cfg.d_x))
         for t in range(horizon):
             # the cell absorbs the previous latent; the last step's latent is never absorbed
             h = model.gru_advance(z, h)
             prior = model.transition_prior(h)
-            z = Tensor(prior.sample(rng))
+            z = Tensor(_draw(prior, rng))
             em = model.emit(z, h)
-            out[:, t] = em.sample(rng)
+            out[:, t] = _draw(em, rng)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("generate: non-finite forecast")
     return out
 
 
@@ -186,7 +195,8 @@ def one_step_predictive(model, belief, x):
 
     Draw-free: latents are the noise-free sigma points of the collapsed
     posterior (the posterior mean alone under monte_carlo sampling), and
-    each branch resolves z at the transition prior's mean.
+    each branch resolves z at the transition prior's mean.  A non-finite
+    log density raises NonFiniteError.
     """
     cfg = model.config
     x_arr = _as_batch_array(x, cfg.d_x, "one_step_predictive", belief.batch)
@@ -198,7 +208,10 @@ def one_step_predictive(model, belief, x):
             m = len(xi)
             z_flat = ad.reparameterize(q.mean, q.std, np.tile(xi, (belief.batch, 1)))
         _, loglik, _ = _branches(model, z_flat, belief.expected_h, x_arr, m)
-        return ad.log_mean_exp(loglik, m).value
+        out = ad.log_mean_exp(loglik, m).value
+    if not np.isfinite(out).all():
+        raise NonFiniteError("one_step_predictive: non-finite log density")
+    return out
 
 
 def export_predictive_prior(model, x_prefix, n_draws, rng):
@@ -208,6 +221,7 @@ def export_predictive_prior(model, x_prefix, n_draws, rng):
     per step, suitable for external density plotting.  Step 0's prior sits
     at h_0 = 0; each later step's are the branch priors its belief step
     computed.  All filtering draws come from ``rng`` before the export draws.
+    A non-finite draw raises NonFiniteError.
     """
     arr = np.asarray(x_prefix, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] != 1 or arr.shape[1] < 1:
@@ -227,4 +241,6 @@ def export_predictive_prior(model, x_prefix, n_draws, rng):
             idx = rng.integers(0, k, size=n_draws)
             eps = rng.standard_normal((n_draws, model.config.d_z))
             out.append(prior.mean.value[idx] + prior.std.value[idx] * eps)
+    if not all(np.isfinite(draws).all() for draws in out):
+        raise NonFiniteError("export_predictive_prior: non-finite prior draw")
     return out

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .gaussians import DiagGaussian
 from .optim import ParameterStore
 from .util import NonFiniteError
 
-__all__ = ["ModelConfig", "VdmModel"]
+__all__ = ["Gaussian", "ModelConfig", "VdmModel"]
 
 RAW_STD_CLAMP = 10.0
 
@@ -70,6 +70,13 @@ class ModelConfig:
             raise ValueError("ModelConfig: lr must be positive")
 
 
+class Gaussian(NamedTuple):
+    """A diagonal Gaussian over the last axis: what every head returns."""
+
+    mean: Tensor
+    std: Tensor
+
+
 def _mlp3_weights(store, prefix):
     return tuple(store[f"{prefix}{i}.{p}"] for i in range(3) for p in ("w", "b"))
 
@@ -77,8 +84,7 @@ def _mlp3_weights(store, prefix):
 def _gaussian_head(store, prefix, inputs, d):
     """Three-layer MLP on the concatenated inputs whose 2d outputs are a mean
     and a raw log std, clamped before the exp."""
-    mean, std = ad.gaussian_mlp(inputs, _mlp3_weights(store, prefix), d, RAW_STD_CLAMP)
-    return DiagGaussian(mean, std)
+    return Gaussian(*ad.gaussian_mlp(inputs, _mlp3_weights(store, prefix), d, RAW_STD_CLAMP))
 
 
 def _check_input(name, x, dim):

@@ -10,7 +10,7 @@ __all__ = ["NonFiniteError", "worker_count", "parallel_map", "atomic_write_bytes
 
 
 class NonFiniteError(FloatingPointError, ValueError):
-    """A network input or distribution parameter is NaN or infinite.
+    """A network input, a forecast, a log density or a prior draw is NaN or infinite.
 
     Inside training this means the run diverged; ``train`` catches
     FloatingPointError for that.  It is also a ValueError so callers that

@@ -26,7 +26,7 @@ import numpy as np
 import vdm.autodiff as ad
 import vdm.inference
 import vdm.objective
-from vdm.gaussians import DiagGaussian
+from vdm.nets import Gaussian
 from vdm.sampling import latent_sample_batch
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -318,8 +318,8 @@ def weighted_sum(weights, tensors):
 class AllBranchInfo:
     branch_states_flat: ad.Tensor  # (B*k, d_h)
     x_rep: ad.Tensor              # (B*k, d_x) the observation repeated per branch
-    q_flat: DiagGaussian          # (B*k, d_z) mixture components
-    prior_flat: DiagGaussian      # (B*k, d_z) transition priors at each branch
+    q_flat: Gaussian              # (B*k, d_z) mixture components
+    prior_flat: Gaussian          # (B*k, d_z) transition priors at each branch
     branch_loglik: ad.Tensor      # (B*k,)
     branch: np.ndarray            # (B,) selected branch indices
 
@@ -343,7 +343,7 @@ def all_branch_belief_step(model, belief, x, rng):
     loglik = ad.gaussian_log_pdf(x_rep, em.mean, em.std)
     branch = vdm.inference.select_branch(loglik.value.reshape(b, k), cfg.weighting_mode, rng)
     expected_h, mean, std = weighted_sum(np.eye(k)[branch], (s_flat, q_flat.mean, q_flat.std))
-    belief = vdm.inference.MixtureBelief(expected_h=expected_h, collapsed=DiagGaussian(mean, std))
+    belief = vdm.inference.MixtureBelief(expected_h=expected_h, collapsed=Gaussian(mean, std))
     info = AllBranchInfo(s_flat, x_rep, q_flat, prior_flat, loglik, branch)
     return belief, info
 

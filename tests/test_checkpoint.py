@@ -198,19 +198,42 @@ def widen_disc_bias(ckpt):
     ckpt.disc_arrays["mlp2.b"] = np.zeros(3)
 
 
+def infinite_model_bias(ckpt):
+    ckpt.model_arrays["dec2.b"][1] = np.inf
+
+
+def nan_disc_weight(ckpt):
+    ckpt.disc_arrays["gru.wr"][0, 0] = np.nan
+
+
+def zero_obs_std(ckpt):
+    ckpt.obs_std[0] = 0.0
+
+
+def negative_obs_std(ckpt):
+    ckpt.obs_std[1] = -0.25
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
         (drop_model_array, "array model/tra1.w: the file has no array, its config (64, 64)"),
         (add_model_array, "array model/extra.w: the file has (2, 2), its config no array"),
         (widen_disc_bias, "array disc/mlp2.b: the file has (3,), its config (1,)"),
+        (infinite_model_bias, "array model/dec2.b: non-finite value"),
+        (nan_disc_weight, "array disc/gru.wr: non-finite value"),
+        (zero_obs_std, "array stats/obs_std: a standard deviation <= 0"),
+        (negative_obs_std, "array stats/obs_std: a standard deviation <= 0"),
     ],
-    ids=["missing_array", "extra_array", "wrong_shape"],
+    ids=["missing_array", "extra_array", "wrong_shape", "infinite_weight", "nan_weight",
+         "zero_obs_std", "negative_obs_std"],
 )
 def test_array_set_must_match_the_config(tmp_path, damage, message):
     """The arrays are checked against the stores VdmModel.initialize builds
-    for the file's config, so a file the package did not write fails on
-    load, naming the array, rather than in the first scoring call."""
+    for the file's config, and their values for finiteness and the
+    observation stds for positivity, so a file the package did not write
+    fails on load, naming the array, rather than in the first scoring call
+    (or, for a negative std, never: the model would see sign-flipped data)."""
     ckpt = make_checkpoint()
     damage(ckpt)
     path = tmp_path / "model.vdm"

@@ -169,6 +169,20 @@ def test_forecasting_rejects_fewer_than_one_forecast(n_forecasts):
         evaluation.forecast_dataset(model, data, 2, n_forecasts, 4, np.random.default_rng(2))
 
 
+def test_unknown_reduction_rejected_before_forecasting(monkeypatch):
+    """``dataset_multi_step_nll`` checks ``reduction`` with its other
+    arguments, before it filters and forecasts a chunk."""
+    def forecast_dataset(*args):
+        raise AssertionError("forecast before the reduction was checked")
+
+    monkeypatch.setattr(evaluation, "forecast_dataset", forecast_dataset)
+    data = np.random.default_rng(1).normal(size=(3, 6, 2))
+    with pytest.raises(ValueError, match=r"^dataset_multi_step_nll: unknown reduction 'median'$"):
+        dataset_multi_step_nll(None, data, 2, 5, np.random.default_rng(2), reduction="median")
+    with pytest.raises(ValueError, match=r"^multi_step_nll: unknown reduction 'median'$"):
+        multi_step_nll(data[:, 2:], np.zeros((3, 5, 4, 2)), reduction="median")
+
+
 @pytest.mark.parametrize("cell", [(0, 3, 0), (2, 5, 1)])
 def test_scoring_rejects_a_non_finite_continuation(cell):
     """A NaN in the scored continuation, which the multi-step NLL never
@@ -476,11 +490,32 @@ def test_protocol_slabs_leave_the_score_unchanged(monkeypatch):
     assert w_distance_protocol(model, groups, np.random.default_rng(14), 3) == whole
 
 
+def test_protocol_group_streams_are_spawned_in_group_order(monkeypatch):
+    """Group i forecasts from the i-th child of ``rng``, however the groups
+    fall into slabs."""
+    groups = _toy_groups(np.random.default_rng(13), n_groups=5, n=4)
+    seen = []
+
+    def record(model, data, prefix_len, n_forecasts, horizon, grp_rng):
+        seen.append(grp_rng.integers(2**62))
+        return np.zeros((len(data), n_forecasts, horizon, data.shape[2]))
+
+    monkeypatch.setattr(evaluation, "forecast_dataset", record)
+    monkeypatch.setattr(evaluation, "SOLVE_ENTRIES", 2 * 3 * 4 * 4)  # two groups a slab
+    w_distance_protocol(None, groups, np.random.default_rng(14), 3)
+    assert seen == [child.integers(2**62) for child in np.random.default_rng(14).spawn(5)]
+
+
 def test_protocol_peak_memory_flat_in_group_count(monkeypatch):
     """Groups are forecast and solved a slab at a time, so the allocation
-    peak at 16 groups stays within 10% of 4 groups."""
+    peak at 16 groups stays within 10% of 4 groups.  An untraced warm-up
+    larger than either run first fills the interpreter's free lists, whose
+    parked objects tracemalloc would otherwise count in the larger run only,
+    so the result does not depend on what ran before."""
     monkeypatch.setattr(evaluation, "SOLVE_ENTRIES", 2 * 5 * 40 * 40)  # two groups a slab
     model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(0))
+    warm_up = _toy_groups(np.random.default_rng(3), n_groups=32, n=40, t_len=12)
+    w_distance_protocol(model, warm_up, np.random.default_rng(4), 5)
     peaks = []
     for n_groups in (4, 16):
         groups = _toy_groups(np.random.default_rng(1), n_groups=n_groups, n=40, t_len=12)

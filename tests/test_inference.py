@@ -5,7 +5,6 @@ import pytest
 
 from vdm.autodiff import Tensor
 from vdm.evaluation import forecast_dataset
-from vdm.gaussians import DiagGaussian
 from vdm.inference import (
     MixtureBelief,
     belief_init,
@@ -16,8 +15,9 @@ from vdm.inference import (
     one_step_predictive,
     select_branch,
 )
-from vdm.nets import ModelConfig, VdmModel
+from vdm.nets import Gaussian, ModelConfig, VdmModel
 from vdm.sampling import sigma_points
+from vdm.util import NonFiniteError
 
 from helpers import all_branch_belief_step, reference_export_prior
 
@@ -290,6 +290,16 @@ def test_generate_rejects_zero_horizon():
         generate(model, belief, 0, np.random.default_rng(0))
 
 
+def test_generate_rejects_a_non_finite_forecast():
+    """The emission's output feeds no network inside ``generate``, so the
+    forecast itself is checked before it leaves."""
+    model = make_model(seed=16)
+    belief = belief_init(model, np.zeros((2, 3)))
+    model.params["dec2.b"].value[:] = np.inf
+    with pytest.raises(NonFiniteError, match="^generate: non-finite forecast$"):
+        generate(model, belief, 3, np.random.default_rng(0))
+
+
 def test_generate_deterministic_given_seed():
     model = make_model(seed=16)
     belief = belief_init(model, np.random.default_rng(4).normal(size=(2, 3)))
@@ -387,7 +397,7 @@ def repeat_belief(belief, n):
         return Tensor(np.repeat(t.value, n, axis=0))
 
     c = belief.collapsed
-    return MixtureBelief(rep(belief.expected_h), DiagGaussian(rep(c.mean), rep(c.std)))
+    return MixtureBelief(rep(belief.expected_h), Gaussian(rep(c.mean), rep(c.std)))
 
 
 def test_one_step_predictive_k1_single_gaussian():
@@ -458,6 +468,17 @@ def test_predictive_mixture_density_matches_scipy():
     np.testing.assert_allclose(got, scipy_predictive(model, belief, x), rtol=1e-10)
 
 
+def test_one_step_predictive_rejects_a_non_finite_log_density():
+    """The branch emission feeds no network inside ``one_step_predictive``,
+    and ``one_step_nll`` on T = 2 sequences runs no belief step before it,
+    so the log density is checked before it leaves."""
+    model = make_model(seed=26)
+    belief = belief_init(model, np.zeros((2, 3)))
+    model.params["dec2.b"].value[:] = np.nan
+    with pytest.raises(NonFiniteError, match="^one_step_predictive: non-finite log density$"):
+        one_step_predictive(model, belief, np.zeros((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # predictive-prior export
 # ---------------------------------------------------------------------------
@@ -511,4 +532,14 @@ def test_export_prior_rejects_batches():
     model = make_model(seed=24)
     with pytest.raises(ValueError, match="single-trajectory"):
         export_predictive_prior(model, np.zeros((2, 2, 3)), n_draws=3,
+                                rng=np.random.default_rng(1))
+
+
+def test_export_prior_rejects_a_non_finite_draw():
+    """Step 0's prior sits at h_0 = 0 and feeds no network, so with a single
+    observation the draws themselves are all that is checked."""
+    model = make_model(seed=24)
+    model.params["tra2.b"].value[:] = np.inf
+    with pytest.raises(NonFiniteError, match="^export_predictive_prior: non-finite prior draw$"):
+        export_predictive_prior(model, np.zeros((1, 1, 3)), n_draws=3,
                                 rng=np.random.default_rng(1))

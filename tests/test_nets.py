@@ -258,6 +258,25 @@ def test_std_strictly_positive_everywhere():
         assert np.all(g.std.value > 0)
 
 
+def test_head_std_stays_within_the_clamp():
+    """Raw log stds driven far past the clamp give stds of exactly e^-10 and
+    e^10 at every head: positive and finite by construction."""
+    model = make_model(seed=32)
+    x, z, h = np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 4))
+    heads = {
+        "enc": lambda: model.encode_initial(x),
+        "tra": lambda: model.transition_prior(h),
+        "dec": lambda: model.emit(z, h),
+        "inf": lambda: model.infer_component(h, x),
+    }
+    for prefix, head in heads.items():
+        bias = model.params[f"{prefix}2.b"].value
+        d = len(bias) // 2
+        high = np.arange(d) % 2 == 1
+        bias[d:] = np.where(high, 1e6, -1e6)
+        np.testing.assert_array_equal(head().std.value[0], np.exp(np.where(high, 10.0, -10.0)))
+
+
 def test_parameter_counts_stable_and_match_init():
     for cfg in (
         ModelConfig(d_x=3, d_z=6, d_h=32, k=13),

@@ -407,6 +407,19 @@ def test_nonfinite_value_names_its_first_step(omega2, recon_step, latent_step, m
             total_loss(model, batch, rng)
 
 
+@pytest.mark.parametrize("bias", ["inf2.b", "tra2.b", "dec2.b", "enc2.b"])
+def test_non_finite_head_output_names_the_step_that_made_it(bias):
+    """Heads return their outputs unchecked; a NaN output bias still raises
+    at step 1, the first step whose values it poisons, whichever check
+    (a network input, the branch selection or the bound) first reads it."""
+    model = make_model(d_x=3, d_z=2, d_h=4, k=5, seed=2)
+    model.params[bias].value[:] = np.nan
+    batch = np.random.default_rng(1).normal(size=(4, 6, 3))
+    with pytest.raises(FloatingPointError, match=r" at step 1$"):
+        with Tape():
+            total_loss(model, batch, np.random.default_rng(0))
+
+
 # One step at Lorenz desk scale (B=32, d_x 3, d_z 6, d_h 32, k 13, T=30,
 # omega2=1) records per filtering step (29 of them) a belief step's 8 records
 # (latent sample, repeated state, GRU, transition prior, branch emission,

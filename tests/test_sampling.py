@@ -4,8 +4,7 @@ import pytest
 from scipy import stats
 
 from vdm.autodiff import Tensor
-from vdm.gaussians import DiagGaussian
-from vdm.nets import ModelConfig
+from vdm.nets import Gaussian, ModelConfig
 from vdm.sampling import latent_sample_batch, sigma_points
 
 
@@ -16,12 +15,8 @@ class ZeroNoise:
         return np.zeros(shape)
 
 
-class Spread:
-    """One-row Gaussian stand-in: DiagGaussian rejects the degenerate std = 0."""
-
-    def __init__(self, mean, std):
-        self.mean = Tensor(np.asarray(mean)[None, :])
-        self.std = Tensor(np.asarray(std)[None, :])
+def gauss(mean, std):
+    return Gaussian(Tensor(mean), Tensor(std))
 
 
 def config(d, k=None, mode="sca"):
@@ -66,21 +61,21 @@ def test_invalid_arguments():
 
 def test_sca_degenerate_spread_repeats_mean():
     mean = np.array([1.5, -2.0])
-    out = latent_sample_batch(Spread(mean, np.zeros(2)), config(2), np.random.default_rng(0))
+    out = latent_sample_batch(gauss(mean[None], [[0.0, 0.0]]), config(2), np.random.default_rng(0))
     np.testing.assert_array_equal(out.value, np.tile(mean, (5, 1)))
 
 
 def test_sca_zero_noise_recovers_classical_points():
     mean = np.array([[0.5, 1.0, -1.0], [2.0, 0.0, 3.0]])
     std = np.array([[2.0, 0.5, 1.0], [0.1, 4.0, 1.5]])
-    out = latent_sample_batch(DiagGaussian(mean, std), config(3), ZeroNoise())
+    out = latent_sample_batch(gauss(mean, std), config(3), ZeroNoise())
     xi, _ = sigma_points(3, 0.5)
     want = (mean[:, None, :] + std[:, None, :] * xi[None]).reshape(2 * 7, 3)
     np.testing.assert_allclose(out.value, want, rtol=1e-15)
 
 
 def test_sca_fixed_seed_persistence():
-    g = DiagGaussian(np.array([[0.1, 0.2], [0.3, -0.4]]), np.array([[1.0, 2.0], [0.5, 0.25]]))
+    g = gauss(np.array([[0.1, 0.2], [0.3, -0.4]]), np.array([[1.0, 2.0], [0.5, 0.25]]))
     a = latent_sample_batch(g, config(2), np.random.default_rng(77))
     b = latent_sample_batch(g, config(2), np.random.default_rng(77))
     np.testing.assert_array_equal(a.value, b.value)
@@ -95,7 +90,7 @@ def test_sca_empirical_mean_confidence_oracle():
     n_seeds = 10**5
     k = 7
     # one batch row per "seed": each contributes one noise-infused point set
-    g = DiagGaussian(np.tile(mean, (n_seeds, 1)), np.tile(std, (n_seeds, 1)))
+    g = gauss(np.tile(mean, (n_seeds, 1)), np.tile(std, (n_seeds, 1)))
     samples = latent_sample_batch(g, config(3), np.random.default_rng(123)).value
     assert samples.shape == (n_seeds * k, 3)
     got = samples.mean(axis=0)
@@ -110,23 +105,22 @@ def test_sca_affine_equivariance():
     sd = np.array([[0.8, 1.4], [0.3, 2.2]])
     a = np.array([2.0, 0.25])
     b = np.array([-1.0, 3.0])
-    s1 = latent_sample_batch(DiagGaussian(mu, sd), config(2), np.random.default_rng(rng_seed))
+    s1 = latent_sample_batch(gauss(mu, sd), config(2), np.random.default_rng(rng_seed))
     s2 = latent_sample_batch(
-        DiagGaussian(a * mu + b, a * sd), config(2), np.random.default_rng(rng_seed)
+        gauss(a * mu + b, a * sd), config(2), np.random.default_rng(rng_seed)
     )
     np.testing.assert_allclose(s2.value, a * s1.value + b, rtol=1e-12)
 
 
 def test_mc_degenerate_spread():
-    mean = np.array([4.0])
     out = latent_sample_batch(
-        Spread(mean, np.zeros(1)), config(1, k=6, mode="monte_carlo"), np.random.default_rng(1)
+        gauss([[4.0]], [[0.0]]), config(1, k=6, mode="monte_carlo"), np.random.default_rng(1)
     )
     np.testing.assert_array_equal(out.value, np.full((6, 1), 4.0))
 
 
 def test_mc_fixed_seed_reproducible():
-    g = DiagGaussian(np.zeros((3, 2)), np.ones((3, 2)))
+    g = gauss(np.zeros((3, 2)), np.ones((3, 2)))
     cfg = config(2, k=9, mode="monte_carlo")
     a = latent_sample_batch(g, cfg, np.random.default_rng(5))
     b = latent_sample_batch(g, cfg, np.random.default_rng(5))
@@ -137,7 +131,7 @@ def test_mc_variance_chi2_oracle():
     """Sample variance of 10^5 draws inside the 99.7% chi-square band."""
     n = 10**5
     sigma = 1.7
-    g = DiagGaussian(np.zeros((1, 1)), np.array([[sigma]]))
+    g = gauss(np.zeros((1, 1)), np.array([[sigma]]))
     draws = latent_sample_batch(g, config(1, k=n, mode="monte_carlo"), np.random.default_rng(42))
     s2 = draws.value.var(ddof=1)
     lo, hi = stats.chi2.ppf([0.0015, 0.9985], n - 1) / (n - 1)
