@@ -125,21 +125,13 @@ def _wants(t):
     return t._from_tape or t.requires_grad
 
 
-def _unbroadcast(grad, shape):
-    """Reduce a broadcasted gradient back to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def backward(tape, loss):
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar produced under ``tape``.  Gradients of leaf
     tensors accumulate (+=); call ``zero_grad`` between independent passes.
+    A record's backward gives each parent a gradient of that parent's shape:
+    nothing is broadcast.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
@@ -153,8 +145,6 @@ def backward(tape, loss):
             else:
                 grads[key] = g
         elif t.requires_grad:
-            if g.shape != t.grad.shape:
-                g = _unbroadcast(np.asarray(g, dtype=np.float64), t.grad.shape)
             t.grad += g
 
     for out, parents, backward_fn in reversed(tape.records):
@@ -352,9 +342,9 @@ def gaussian_log_pdf(x, mean, std):
         ge = np.expand_dims(g, -1)
         gx = -(ge * z) * inv
         return (
-            _unbroadcast(gx, x.value.shape) if _wants(x) else None,
-            _unbroadcast(-gx, mean.value.shape) if _wants(mean) else None,
-            _unbroadcast(ge * inv * (z * z - 1.0), std.value.shape) if _wants(std) else None,
+            gx if _wants(x) else None,
+            -gx if _wants(mean) else None,
+            ge * inv * (z * z - 1.0) if _wants(std) else None,
         )
 
     return _emit(out, (x, mean, std), back)
@@ -372,10 +362,10 @@ def gaussian_kl(qm, qs, pm, ps):
         ge = np.expand_dims(g, -1)
         gqm = ge * b * inv
         return (
-            _unbroadcast(gqm, qm.value.shape) if _wants(qm) else None,
-            _unbroadcast(ge * (a * inv - 1.0 / qs.value), qs.value.shape) if _wants(qs) else None,
-            _unbroadcast(-gqm, pm.value.shape) if _wants(pm) else None,
-            _unbroadcast(ge * inv * (1.0 - a * a - b * b), ps.value.shape) if _wants(ps) else None,
+            gqm if _wants(qm) else None,
+            ge * (a * inv - 1.0 / qs.value) if _wants(qs) else None,
+            -gqm if _wants(pm) else None,
+            ge * inv * (1.0 - a * a - b * b) if _wants(ps) else None,
         )
 
     return _emit(out, (qm, qs, pm, ps), back)

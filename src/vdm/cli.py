@@ -24,7 +24,7 @@ from .evaluation import (
     w_distance_protocol,
 )
 from .inference import export_predictive_prior
-from .nets import ModelConfig
+from .nets import SAMPLER_MODES, WEIGHTING_MODES, ModelConfig
 from .objective import train
 from .util import atomic_write_text, sha256_file, worker_count
 
@@ -156,21 +156,27 @@ SIMULATE_SETTINGS = {
     "n_test": (int, 800, AT_LEAST_0),
     "seq_len": (int, None, AT_LEAST_1),  # lorenz: 100; four_mode: fixed at 4
     "prefix_len": (int, None, AT_LEAST_1),  # lorenz: 10; four_mode: 1
-    "n_groups": (int, 10, AT_LEAST_0),
-    "group_size": (int, 100, AT_LEAST_1),
+    "n_groups": (int, None, AT_LEAST_0),  # lorenz: 10; four_mode: does not apply
+    "group_size": (int, None, AT_LEAST_1),  # lorenz: 100; four_mode: does not apply
 }
 
 
 def cmd_simulate(args):
     resolved = _resolve(args, SIMULATE_SETTINGS)
     lorenz = resolved["gen"] == "lorenz"
-    if not lorenz and resolved["seq_len"] not in (None, vdata.FOUR_MODE_LEN):
-        raise ValueError(
-            f"setting 'seq_len' is fixed at {vdata.FOUR_MODE_LEN} for four_mode data, "
-            f"got {resolved['seq_len']}"
-        )
-    defaults = (100, 10) if lorenz else (vdata.FOUR_MODE_LEN, 1)
-    for name, default in zip(("seq_len", "prefix_len"), defaults):
+    if lorenz:
+        defaults = {"seq_len": 100, "prefix_len": 10, "n_groups": 10, "group_size": 100}
+    else:
+        if resolved["seq_len"] not in (None, vdata.FOUR_MODE_LEN):
+            raise ValueError(
+                f"setting 'seq_len' is fixed at {vdata.FOUR_MODE_LEN} for four_mode data, "
+                f"got {resolved['seq_len']}"
+            )
+        for name in ("n_groups", "group_size"):
+            if resolved[name] is not None:
+                raise ValueError(f"setting {name!r} does not apply to four_mode data")
+        defaults = {"seq_len": vdata.FOUR_MODE_LEN, "prefix_len": 1}
+    for name, default in defaults.items():
         if resolved[name] is None:
             resolved[name] = default
     if resolved["prefix_len"] >= resolved["seq_len"]:
@@ -235,8 +241,8 @@ TRAIN_SETTINGS = {
     "d_h": (int, 32, AT_LEAST_1),
     "k": (int, None, AT_LEAST_1),  # sca: 2 d_z + 1; monte_carlo: 1
     "kappa": (float, 0.5, None),
-    "sampler": (str, "sca", ("sca", "monte_carlo")),
-    "weighting": (str, "delta", ("delta", "categorical")),
+    "sampler": (str, "sca", SAMPLER_MODES),
+    "weighting": (str, "delta", WEIGHTING_MODES),
     "omega1": (float, 1.0, None),
     "omega2": (float, 1.0, None),
     "lr": (float, 1e-3, None),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,41 +64,38 @@ class Dataset:
         return Dataset(self.data[np.asarray(indices)], self.prefix_len)
 
 
+LORENZ_SIGMA = 10.0
+LORENZ_RHO = 28.0
+LORENZ_BETA = 8.0 / 3.0
+# process noise: an equal mixture of N(±e_y, LORENZ_NOISE_CHOL LORENZ_NOISE_CHOL^T)
+LORENZ_NOISE_MEAN_A = np.array([0.0, 1.0, 0.0])
+LORENZ_NOISE_MEAN_B = np.array([0.0, -1.0, 0.0])
+LORENZ_NOISE_CHOL = np.linalg.cholesky(
+    np.array([[0.06, 0.03, 0.01], [0.03, 0.03, 0.03], [0.01, 0.03, 0.05]]) + 1e-12 * np.eye(3)
+)
+LORENZ_OBS_NOISE_STD = np.array([0.6, 0.4, 0.8])
+LORENZ_INIT_LOW = np.array([-10.0, -10.0, 10.0])
+LORENZ_INIT_HIGH = np.array([10.0, 10.0, 30.0])
+
+
 @dataclass
 class LorenzConfig:
-    """System, integration and noise parameters of the stochastic Lorenz source."""
+    """Integration step and sequence shape of the stochastic Lorenz source;
+    the system and its noise are the ``LORENZ_*`` constants."""
 
-    sigma: float = 10.0
-    rho: float = 28.0
-    beta: float = 8.0 / 3.0
     dt: float = 0.01
     seq_len: int = 100
     prefix_len: int = 10
-    noise_mean_a: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    noise_mean_b: np.ndarray = field(default_factory=lambda: np.array([0.0, -1.0, 0.0]))
-    noise_cov: np.ndarray = field(
-        default_factory=lambda: np.array(
-            [[0.06, 0.03, 0.01], [0.03, 0.03, 0.03], [0.01, 0.03, 0.05]]
-        )
-    )
-    obs_noise_std: np.ndarray = field(default_factory=lambda: np.array([0.6, 0.4, 0.8]))
-    init_low: np.ndarray = field(default_factory=lambda: np.array([-10.0, -10.0, 10.0]))
-    init_high: np.ndarray = field(default_factory=lambda: np.array([10.0, 10.0, 30.0]))
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("LorenzConfig: dt must be positive")
-        cov = np.asarray(self.noise_cov, dtype=np.float64)
-        if not np.allclose(cov, cov.T):
-            raise ValueError("LorenzConfig: noise covariance must be symmetric")
-        if np.any(np.linalg.eigvalsh(cov) < -1e-12):
-            raise ValueError("LorenzConfig: noise covariance must be positive semi-definite")
 
 
-def _lorenz_field(state, cfg):
+def _lorenz_field(state):
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
     return np.stack(
-        [cfg.sigma * (y - x), x * (cfg.rho - z) - y, x * y - cfg.beta * z], axis=-1
+        [LORENZ_SIGMA * (y - x), x * (LORENZ_RHO - z) - y, x * y - LORENZ_BETA * z], axis=-1
     )
 
 
@@ -106,10 +103,10 @@ def rk4_step(state, cfg):
     """One classical 4th-order Runge-Kutta step of the Lorenz field."""
     state = np.asarray(state, dtype=np.float64)
     h = cfg.dt
-    k1 = _lorenz_field(state, cfg)
-    k2 = _lorenz_field(state + 0.5 * h * k1, cfg)
-    k3 = _lorenz_field(state + 0.5 * h * k2, cfg)
-    k4 = _lorenz_field(state + h * k3, cfg)
+    k1 = _lorenz_field(state)
+    k2 = _lorenz_field(state + 0.5 * h * k1)
+    k3 = _lorenz_field(state + 0.5 * h * k2)
+    k4 = _lorenz_field(state + h * k3)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -121,22 +118,21 @@ def simulate_lorenz_paths(n, cfg, rng, init_states=None, process_noise=True, obs
     """
     t_len = cfg.seq_len
     if init_states is None:
-        init_states = rng.uniform(cfg.init_low, cfg.init_high, size=(n, 3))
+        init_states = rng.uniform(LORENZ_INIT_LOW, LORENZ_INIT_HIGH, size=(n, 3))
     else:
         init_states = np.broadcast_to(np.asarray(init_states, dtype=np.float64), (n, 3)).copy()
-    chol = np.linalg.cholesky(cfg.noise_cov + 1e-12 * np.eye(3))
     latents = np.empty((n, t_len, 3))
     latents[:, 0] = init_states
     for t in range(1, t_len):
         nxt = rk4_step(latents[:, t - 1], cfg)
         if process_noise:
             pick = rng.random((n, 1)) < 0.5
-            means = np.where(pick, cfg.noise_mean_a, cfg.noise_mean_b)
-            nxt = nxt + means + rng.standard_normal((n, 3)) @ chol.T
+            means = np.where(pick, LORENZ_NOISE_MEAN_A, LORENZ_NOISE_MEAN_B)
+            nxt = nxt + means + rng.standard_normal((n, 3)) @ LORENZ_NOISE_CHOL.T
         latents[:, t] = nxt
     obs = latents.copy()
     if obs_noise:
-        obs += rng.standard_normal((n, t_len, 3)) * cfg.obs_noise_std
+        obs += rng.standard_normal((n, t_len, 3)) * LORENZ_OBS_NOISE_STD
     return obs, latents
 
 
@@ -163,7 +159,7 @@ def simulate_lorenz(cfg, rng, counts=(5000, 200, 800), n_groups=10, group_size=1
         splits.append(Dataset(obs, cfg.prefix_len))
     groups = []
     for _ in range(n_groups):
-        init = rng.uniform(cfg.init_low, cfg.init_high, size=3)
+        init = rng.uniform(LORENZ_INIT_LOW, LORENZ_INIT_HIGH, size=3)
         obs, _ = simulate_lorenz_paths(group_size, cfg, rng, init_states=init)
         groups.append(Dataset(obs, cfg.prefix_len))
     return LorenzData(train=splits[0], val=splits[1], test=splits[2], groups=groups)

@@ -44,23 +44,23 @@ class ParameterStore:
         return {name: t.detach() for name, t in self.params.items()}
 
 
-def adam_step(store, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
-    """In-place bias-corrected Adam update; gradients are zeroed afterwards."""
-    b1, b2 = betas
+def adam_step(store, lr):
+    """In-place bias-corrected Adam update (betas 0.9, 0.999; eps 1e-8);
+    gradients are zeroed afterwards."""
     store.step_count += 1
     t = store.step_count
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - 0.9**t
+    c2 = 1.0 - 0.999**t
     for name, p in store.params.items():
         g = p.grad
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
         m = store.m[name]
         v = store.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p.value -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
     store.zero_grad()
     return store

@@ -572,6 +572,17 @@ def exp_clamp(a, lo, hi):
 # algebra the tests build losses and unfused references from
 # ---------------------------------------------------------------------------
 
+def _unbroadcast(grad, shape):
+    """Reduce a broadcasted gradient back to ``shape``: the package's records
+    never broadcast, so these binary primitives reduce their own gradients."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
 def _check_broadcast(name, a, b):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -586,7 +597,7 @@ def add(a, b):
     return ad._emit(
         a.value + b.value,
         (a, b),
-        lambda g: (ad._unbroadcast(g, a.value.shape), ad._unbroadcast(g, b.value.shape)),
+        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
     )
 
 
@@ -595,7 +606,7 @@ def sub(a, b):
     return ad._emit(
         a.value - b.value,
         (a, b),
-        lambda g: (ad._unbroadcast(g, a.value.shape), -ad._unbroadcast(g, b.value.shape)),
+        lambda g: (_unbroadcast(g, a.value.shape), -_unbroadcast(g, b.value.shape)),
     )
 
 
@@ -605,8 +616,8 @@ def mul(a, b):
         a.value * b.value,
         (a, b),
         lambda g: (
-            ad._unbroadcast(g * b.value, a.value.shape),
-            ad._unbroadcast(g * a.value, b.value.shape),
+            _unbroadcast(g * b.value, a.value.shape),
+            _unbroadcast(g * a.value, b.value.shape),
         ),
     )
 
@@ -618,8 +629,8 @@ def div(a, b):
         a.value * inv,
         (a, b),
         lambda g: (
-            ad._unbroadcast(g * inv, a.value.shape),
-            ad._unbroadcast(-g * a.value * inv * inv, b.value.shape),
+            _unbroadcast(g * inv, a.value.shape),
+            _unbroadcast(-g * a.value * inv * inv, b.value.shape),
         ),
     )
 

@@ -12,7 +12,16 @@ import numpy as np
 
 from vdm.autodiff import Tape, Tensor, backward
 from vdm.cli import main as cli_main
-from vdm.data import Dataset, LorenzConfig, generate_four_mode, rk4_step, simulate_lorenz
+from vdm.data import (
+    LORENZ_BETA,
+    LORENZ_RHO,
+    LORENZ_SIGMA,
+    Dataset,
+    LorenzConfig,
+    generate_four_mode,
+    rk4_step,
+    simulate_lorenz,
+)
 from vdm.evaluation import (
     dataset_multi_step_nll,
     forecast_dataset,
@@ -356,7 +365,7 @@ def test_criterion_8_determinism(tmp_path):
 @criterion(9, "RK4 equals independent evaluation to 1e-12; observed order >= 4")
 def test_criterion_9_rk4_oracle():
     cfg = LorenzConfig()
-    sigma, rho, beta = cfg.sigma, cfg.rho, cfg.beta
+    sigma, rho, beta = LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA
 
     def oracle(state, dt):
         def field(s):

@@ -59,6 +59,9 @@ def test_simulate_four_mode_counts_and_length(tmp_path):
     assert manifest["seq_len"] == 4
     ds = load_csv(tmp_path / "d" / "train.csv", 2, 4, 1)
     assert len(ds) == 1000
+    assert manifest["groups"] == []
+    config = json.loads(read(tmp_path / "d" / "run_record.json"))["config"]
+    assert (config["n_groups"], config["group_size"]) == (None, None)
 
 
 def test_simulate_lorenz_outputs_groups(tmp_path):
@@ -79,6 +82,7 @@ def test_simulate_lorenz_outputs_groups(tmp_path):
     record = json.loads(read(out / "run_record.json"))
     assert record["command"] == "simulate"
     assert record["config"]["seed"] == 5
+    assert (record["config"]["n_groups"], record["config"]["group_size"]) == (2, 4)
 
 
 def test_unknown_generator_usage_error(tmp_path):
@@ -240,16 +244,21 @@ def test_count_below_one_fails(tmp_path, capsys, command, flag):
         (["--n-val", "-2"], "setting 'n_val' must be >= 0, got -2"),
         (["--n-test", "-1"], "setting 'n_test' must be >= 0, got -1"),
         (["--n-groups", "-1"], "setting 'n_groups' must be >= 0, got -1"),
+        (["--gen", "four_mode", "--n-groups", "3"],
+         "setting 'n_groups' does not apply to four_mode data"),
+        (["--gen", "four_mode", "--group-size", "7"],
+         "setting 'group_size' does not apply to four_mode data"),
     ],
     ids=["seq_len_0", "prefix_len_0", "four_mode_seq_len_50", "four_mode_prefix_len_5",
-         "prefix_len_9_over_seq_len_5", "n_val_-2", "n_test_-1", "n_groups_-1"],
+         "prefix_len_9_over_seq_len_5", "n_val_-2", "n_test_-1", "n_groups_-1",
+         "four_mode_n_groups", "four_mode_group_size"],
 )
 def test_simulate_length_checked(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     rc = main(
         [
             "simulate", "--seed", "1", "--out", str(out), "--n-train", "2",
-            "--n-val", "1", "--n-test", "1", "--n-groups", "0", *flags,
+            "--n-val", "1", "--n-test", "1", *flags,
         ]
     )
     assert rc == 1
@@ -267,7 +276,7 @@ def test_simulate_prefix_filling_the_sequence_fails_before_out(tmp_path, flags):
     rc = main(
         [
             "simulate", "--seed", "1", "--out", str(out), "--n-train", "2",
-            "--n-val", "1", "--n-test", "1", "--n-groups", "0", *flags,
+            "--n-val", "1", "--n-test", "1", *flags,
         ]
     )
     assert rc == 1

@@ -10,6 +10,8 @@ import pytest
 
 from vdm.data import (
     FOUR_MODE_HEADINGS,
+    LORENZ_NOISE_CHOL,
+    LORENZ_OBS_NOISE_STD,
     Dataset,
     LorenzConfig,
     generate_four_mode,
@@ -127,7 +129,7 @@ def test_groups_share_initial_condition():
     for group in sim.groups:
         first = group.data[:, 0, :]
         # same initial latent, so first-observation spread is observation noise only
-        assert np.all(first.std(axis=0) < 2.0 * cfg.obs_noise_std)
+        assert np.all(first.std(axis=0) < 2.0 * LORENZ_OBS_NOISE_STD)
     anchors = np.array([g.data[:, 0, :].mean(axis=0) for g in sim.groups])
     assert np.linalg.norm(anchors[0] - anchors[1]) > 1.0
 
@@ -139,7 +141,20 @@ def test_observation_noise_recovery():
     noise = (obs - latents).reshape(-1, 3)
     assert noise.shape[0] == 10**5
     got = noise.std(axis=0)
-    np.testing.assert_allclose(got, cfg.obs_noise_std, rtol=0.05)
+    np.testing.assert_allclose(got, LORENZ_OBS_NOISE_STD, rtol=0.05)
+
+
+def test_process_noise_recovery():
+    """Without observation noise, latent - rk4(previous latent) is the process
+    noise, an equal mixture of N(+-e_y, L L^T): over 1e5 steps its mean is 0
+    and its covariance L L^T + diag(0, 1, 0), the e_y means adding variance 1."""
+    cfg = LorenzConfig(seq_len=101)
+    _, latents = simulate_lorenz_paths(1000, cfg, np.random.default_rng(11), obs_noise=False)
+    noise = (latents[:, 1:] - rk4_step(latents[:, :-1], cfg)).reshape(-1, 3)
+    assert noise.shape[0] == 10**5
+    want = LORENZ_NOISE_CHOL @ LORENZ_NOISE_CHOL.T + np.diag([0.0, 1.0, 0.0])
+    np.testing.assert_allclose(np.cov(noise.T), want, rtol=0, atol=5e-3)
+    np.testing.assert_allclose(noise.mean(axis=0), 0.0, rtol=0, atol=0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def test_zero_gradient_fixed_point():
 def test_first_step_is_learning_rate():
     # hand evaluation: m_hat = 1, v_hat = 1 -> delta = lr / (1 + eps)
     store, p = _store_with(np.array([0.0]), np.ones(1))
-    adam_step(store, lr=1e-3, eps=1e-8)
+    adam_step(store, lr=1e-3)
     np.testing.assert_allclose(p.value, [-1e-3 / (1 + 1e-8)], rtol=1e-12)
 
 
@@ -43,12 +43,12 @@ def test_two_identical_stores_bit_identical():
 def test_nan_gradient_names_parameter():
     store, p = _store_with(np.ones(2), np.array([np.nan, 0.0]))
     with pytest.raises(FloatingPointError, match="'p'"):
-        adam_step(store)
+        adam_step(store, lr=1e-3)
 
 
 def test_gradients_zeroed_after_step():
     store, p = _store_with(np.ones(2), np.ones(2))
-    adam_step(store)
+    adam_step(store, lr=1e-3)
     np.testing.assert_array_equal(p.grad, np.zeros(2))
 
 
@@ -64,7 +64,7 @@ def test_moment_shapes_match_parameters():
 def test_step_counter_increments_by_one():
     store, _ = _store_with(np.ones(1), np.zeros(1))
     for want in (1, 2, 3):
-        adam_step(store)
+        adam_step(store, lr=1e-3)
         assert store.step_count == want
 
 
