@@ -144,8 +144,8 @@ class LorenzData:
     groups: list
 
 
-def simulate_lorenz(cfg, rng, counts=(5000, 200, 800), n_groups=10, group_size=100):
-    """Train/val/test splits plus W-distance groups.
+def simulate_lorenz(cfg, rng, counts=(5000, 200, 800), *, n_groups, group_size):
+    """Train/val/test splits plus ``n_groups`` W-distance groups of ``group_size`` sequences.
 
     Each group shares a single initial condition; its sequences differ only
     through the noise realizations.

@@ -404,6 +404,94 @@ def test_a_problem_solved_alone_or_in_a_batch_gives_the_same_bytes():
         assert alone.tobytes() == batch_means[b:b + 1].tobytes()
 
 
+def row_wise_costs(sets, truths):
+    """out[b, i, k] = ||sets[b, i] - truths[k]|| from the differences, one row
+    at a time: the reference for the expansion and its guard."""
+    out = np.empty(sets.shape[:2] + (len(truths),))
+    for b, i in np.ndindex(*sets.shape[:2]):
+        diff = truths - sets[b, i]
+        out[b, i] = np.einsum("kd,kd->k", diff, diff)
+    return np.sqrt(out)
+
+
+def costs(sets, truths):
+    return evaluation._distances(sets, truths, np.empty(sets.shape[:2] + (len(truths),)))
+
+
+def test_identical_points_cost_exactly_zero():
+    """Far from the origin, |p|^2 + |q|^2 - 2 p.q alone leaves a rounding
+    residue; the guard recomputes those entries, so the diagonal is 0."""
+    p = 1e3 + np.random.default_rng(24).normal(size=(30, 270))
+    sets = np.stack([p, p[::-1]])
+    cost = costs(sets, p)
+    assert (np.diagonal(cost[0]) == 0.0).all()
+    assert (np.diagonal(cost[1][::-1]) == 0.0).all()
+    np.testing.assert_allclose(cost, row_wise_costs(sets, p), rtol=1e-12)
+
+
+def test_near_coincident_points_take_the_row_wise_path():
+    rng = np.random.default_rng(25)
+    p = 50.0 + rng.normal(size=(20, 270))
+    q = p + 1e-6 * rng.normal(size=p.shape)
+    plain = np.sqrt(np.maximum(
+        (p * p).sum(1)[:, None] + (q * q).sum(1) - 2.0 * p @ q.T, 0.0))
+    want = row_wise_costs(p[None], q)[0]
+    assert np.max(np.abs(np.diagonal(plain) - np.diagonal(want)) / np.diagonal(want)) > 1e-3
+    got = costs(p[None], q)[0]
+    assert np.diagonal(got).tobytes() == np.diagonal(want).tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_costs_either_side_of_the_guard_match_row_wise():
+    """Pairs whose d^2 / (|p|^2 + |q|^2) runs from tau / 10^4 to 10 tau, with
+    tau = 2e12 (D + 3) 2^-53 as the guard states, score within 1e-12 of the
+    row-wise costs on both sides."""
+    rng = np.random.default_rng(26)
+    d = 270
+    tau = 2e12 * (d + 3) * 2.0**-53
+    ratio = tau * np.logspace(-4.0, 1.0, 31)
+    p = 5.0 * rng.normal(size=(31, d))
+    step = rng.normal(size=p.shape)
+    step -= ((step * p).sum(1) / (p * p).sum(1))[:, None] * p  # orthogonal to p
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    # |q|^2 = |p|^2 + t^2, so d^2 / (|p|^2 + |q|^2) = t^2 / (2 |p|^2 + t^2)
+    q = p + np.sqrt(2.0 * ratio * (p * p).sum(1) / (1.0 - ratio))[:, None] * step
+    made = ((q - p) ** 2).sum(1) / ((p * p).sum(1) + (q * q).sum(1))
+    assert made.min() < tau < made.max()
+    np.testing.assert_allclose(costs(p[None], q), row_wise_costs(p[None], q), rtol=1e-12)
+
+
+def test_w_shaped_costs_match_row_wise():
+    """Ten sets of 100 forecasts against 100 truths of 270 values, the shape
+    of a Lorenz group's sets."""
+    rng = np.random.default_rng(27)
+    truths = rng.normal(size=(100, 270)) * 8.0
+    sets = truths[rng.permutation(100)] + rng.normal(size=(10, 100, 270)) * 6.0
+    np.testing.assert_allclose(costs(sets, truths), row_wise_costs(sets, truths), rtol=1e-12)
+
+
+def test_the_solve_holds_no_temporary_the_size_of_its_costs():
+    """The cost batch is the only array of its size: the column reduction and
+    the finiteness check make no (B, n, n) copy."""
+    cost = np.random.default_rng(28).random((100, 100, 100))
+    evaluation._mean_matched_costs(cost, "test")  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        evaluation._mean_matched_costs(cost, "test")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * cost.nbytes, peak / cost.nbytes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_cost_is_rejected(value):
+    cost = np.random.default_rng(29).random((3, 4, 4))
+    cost[1, 2, 3] = value
+    with pytest.raises(ValueError, match="^test: non-finite distance"):
+        evaluation._mean_matched_costs(cost, "test")
+
+
 # ---------------------------------------------------------------------------
 # grouped protocol
 # ---------------------------------------------------------------------------
