@@ -105,12 +105,8 @@ def _load_manifest(path, split):
 
 def _load_csv(manifest, base, rel):
     """The dataset CSV at ``rel`` (relative to the manifest) with the manifest's shape."""
-    return vdata.load_csv(
-        os.path.join(base, rel),
-        manifest["d_x"],
-        manifest["seq_len"],
-        manifest["prefix_len"],
-    )
+    return vdata.load_csv(os.path.join(base, rel), manifest["d_x"], manifest["seq_len"],
+                          manifest["prefix_len"])
 
 
 def _load_scoring_inputs(command, resolved, split):

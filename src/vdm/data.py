@@ -283,16 +283,18 @@ def load_csv(path, d_x, seq_len, prefix_len):
         body = fh.read()
         if not body:
             return empty
+        # loadtxt skips a blank line, a malformed row here unless inside a quoted
+        # seq_id; the text is dropped before parsing, and reread only on an error
+        if body.startswith("\n") or "\n\n" in body:
+            _raise_first_malformed_row(path, body, d_x)
+        del body
         fh.seek(start)
         try:
             rows = _parse_rows(fh, d_x)
         except ValueError:
-            _raise_first_malformed_row(path, body, d_x)
+            fh.seek(start)
+            _raise_first_malformed_row(path, fh.read(), d_x)
             raise
-    # loadtxt skips a blank line, which is a malformed row here unless it lies
-    # inside a quoted seq_id
-    if body.startswith("\n") or "\n\n" in body:
-        _raise_first_malformed_row(path, body, d_x)
 
     codes, order = _check_rows(path, rows)
     counts = np.bincount(codes)

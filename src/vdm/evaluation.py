@@ -201,14 +201,14 @@ def _assign(cost):
     path = np.empty((len(ids), n), dtype=np.intp)
     new, pb = np.arange(len(ids)), ids
     while len(ids):
-        # start each problem in new on its first free row
-        row[new] = (col4row[pb] < 0).argmax(axis=1)
-        offset[new], spc[new], scanned[new], vw[new] = 0.0, np.inf, np.inf, v[pb]
+        if len(new):  # start each problem in new on its first free row
+            row[new] = (col4row[pb] < 0).argmax(axis=1)
+            offset[new], spc[new], scanned[new], vw[new] = 0.0, np.inf, np.inf, v[pb]
         slot = np.arange(len(ids))
         reduced = cost[ids, row]
         reduced -= vw
         reduced += offset[:, None]
-        np.putmask(path, reduced < spc, np.broadcast_to(row[:, None], spc.shape))
+        np.copyto(path, row[:, None], where=reduced < spc)
         np.minimum(spc, reduced, out=spc)
         col = spc.argmin(axis=1)
         scanned[slot, col] = mu = spc[slot, col]
@@ -234,9 +234,9 @@ def _assign(cost):
     return col4row
 
 
-# Cost-matrix entries per batched solve: batching makes the numpy solver
-# fast, the bound keeps memory flat in the number of groups.
-SOLVE_ENTRIES = 1 << 20
+# Cost-matrix entries per batched solve: batching makes the numpy solver fast, the bound
+# keeps memory flat (2^19 solves 100 Lorenz problems as 2 x 50: 4 MB less for 0.1 s more).
+SOLVE_ENTRIES = 1 << 19
 
 
 def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):

@@ -3,6 +3,7 @@ recovery, four-mode geometry, CSV round trips and writer bytes, prefix
 grouping."""
 import csv
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from vdm.data import (
     LORENZ_OBS_NOISE_STD,
     Dataset,
     LorenzConfig,
+    _parse_rows,
     generate_four_mode,
     group_by_prefix,
     load_csv,
@@ -339,6 +341,30 @@ def test_csv_quoted_and_long_ids_stay_distinct(tmp_path):
     want = [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]]
     np.testing.assert_array_equal(ds.data[..., 0], want)
     np.testing.assert_array_equal(ds.data, row_reader_csv(path, 1, 2)[0])
+
+
+def test_csv_load_never_holds_the_text_and_the_rows_at_once(tmp_path):
+    """The file text is dropped before parsing, so the traced peak of a
+    multi-MB load stays below the text plus the parsed rows."""
+    path = tmp_path / "big.csv"
+    save_csv(Dataset(np.random.default_rng(0).normal(size=(400, 100, 3)) * 10.0, 1), path)
+    text_bytes = len(path.read_text())
+    load_csv(path, d_x=3, seq_len=100, prefix_len=1)  # untraced warm-up
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            fh.readline()
+            rows = _parse_rows(fh, 3)
+        rows_bytes, _ = tracemalloc.get_traced_memory()
+        del rows
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        load_csv(path, d_x=3, seq_len=100, prefix_len=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text_bytes > 2**21
+    assert peak - base < text_bytes + rows_bytes, (peak - base, text_bytes, rows_bytes)
 
 
 def test_csv_header_only_gives_empty_dataset_without_warning(tmp_path):
