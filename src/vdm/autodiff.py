@@ -131,7 +131,10 @@ def backward(tape, loss):
     ``loss`` must be a scalar produced under ``tape``.  Gradients of leaf
     tensors accumulate (+=); call ``zero_grad`` between independent passes.
     A record's backward gives each parent a gradient of that parent's shape:
-    nothing is broadcast.
+    nothing is broadcast.  The network records rebuild their hidden layers
+    from the parameter values, which a ``detach`` shares, so no parameter may
+    change between a record's forward and ``backward``: ``train`` calls
+    ``adam_step`` after it.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
@@ -163,8 +166,9 @@ def backward(tape, loss):
 
 # ---------------------------------------------------------------------------
 # fused records: one record each, forward bit-identical to the composed
-# primitives; with no tape active _emit drops the backward closure and with it
-# every saved activation
+# primitives; a closure keeps what its backward cannot rebuild from its parents
+# (the MLPs no hidden layer, the GRU its gates), and with no tape active _emit
+# drops the closure and those arrays with it
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a):
@@ -196,29 +200,30 @@ def _affine_relu(x, w, b):
     return out
 
 
-def _mlp3_input(inputs):
-    """The (B, d_i) inputs concatenated along the last axis."""
-    return np.concatenate([t.value for t in inputs], -1) if len(inputs) > 1 else inputs[0].value
+def _mlp3_hidden(inputs, weights):
+    """The (B, d_i) inputs concatenated along the last axis, and the two ReLU
+    hidden layers h0 and h1 over them."""
+    xv = np.concatenate([t.value for t in inputs], -1) if len(inputs) > 1 else inputs[0].value
+    h0 = _affine_relu(xv, weights[0].value, weights[1].value)
+    return xv, h0, _affine_relu(h0, weights[2].value, weights[3].value)
 
 
 def _mlp3_forward(name, inputs, weights):
-    """Concatenate the (B, d_i) inputs and run the three layers; returns both
-    hidden activations and the raw output."""
+    """Run the three layers on the concatenated (B, d_i) inputs; returns the
+    raw output."""
     if any(t.value.ndim != 2 for t in inputs):
         raise ValueError(
             f"{name}: expected (B, d) inputs, got shapes {[t.value.shape for t in inputs]}"
         )
-    w0, b0, w1, b1, w2, b2 = weights
-    h0 = _affine_relu(_mlp3_input(inputs), w0.value, b0.value)
-    h1 = _affine_relu(h0, w1.value, b1.value)
-    return h0, h1, _affine(h1, w2.value, b2.value)
+    return _affine(_mlp3_hidden(inputs, weights)[2], weights[4].value, weights[5].value)
 
 
-def _mlp3_backward(g, inputs, weights, h0, h1):
+def _mlp3_backward(g, inputs, weights):
     """Gradients of the inputs, then of the six weights, from the gradient
-    ``g`` of the raw output; the concatenated input is rebuilt, not kept."""
+    ``g`` of the raw output; the concatenated input and hidden layers are
+    rebuilt by the forward's own calls, bit for bit while the weights hold."""
     w0, b0, w1, b1, w2, b2 = weights
-    xv = _mlp3_input(inputs) if _wants(w0) else None
+    xv, h0, h1 = _mlp3_hidden(inputs, weights)
     grads = [None] * 6
     for i, (inp, w, b) in ((2, (h1, w2, b2)), (1, (h0, w1, b1)), (0, (xv, w0, b0))):
         if _wants(w):
@@ -228,16 +233,12 @@ def _mlp3_backward(g, inputs, weights, h0, h1):
         if i > 0:
             g = g @ w.value.T
             np.multiply(g, inp > 0.0, out=g)
-    input_grads = [None] * len(inputs)
+    input_grads = (None,) * len(inputs)
     if any(_wants(t) for t in inputs):
-        g_x = g @ w0.value.T
-        start = 0
-        for i, t in enumerate(inputs):
-            stop = start + t.value.shape[-1]
-            if _wants(t):
-                input_grads[i] = g_x[:, start:stop]
-            start = stop
-    return tuple(input_grads) + tuple(grads)
+        ends = np.cumsum([t.value.shape[-1] for t in inputs])[:-1]
+        pieces = np.split(g @ w0.value.T, ends, axis=1)
+        input_grads = tuple(p if _wants(t) else None for p, t in zip(pieces, inputs))
+    return input_grads + tuple(grads)
 
 
 def sigmoid_mlp3(inputs, weights):
@@ -248,11 +249,10 @@ def sigmoid_mlp3(inputs, weights):
     axis; ``weights`` is (w0, b0, w1, b1, w2, b2).
     """
     inputs, weights = tuple(inputs), tuple(weights)
-    h0, h1, raw = _mlp3_forward("sigmoid_mlp3", inputs, weights)
-    out = _sigmoid(raw)
+    out = _sigmoid(_mlp3_forward("sigmoid_mlp3", inputs, weights))
 
     def back(g):
-        return _mlp3_backward(g * out * (1.0 - out), inputs, weights, h0, h1)
+        return _mlp3_backward(g * out * (1.0 - out), inputs, weights)
 
     return _emit(out, inputs + weights, back)
 
@@ -266,7 +266,7 @@ def gaussian_mlp(inputs, weights, d, clamp):
     interior of the clip, kept as a bool mask of the clipped values.
     """
     inputs, weights = tuple(inputs), tuple(weights)
-    h0, h1, raw = _mlp3_forward("gaussian_mlp", inputs, weights)
+    raw = _mlp3_forward("gaussian_mlp", inputs, weights)
     if raw.shape[-1] != 2 * d:
         raise ValueError(f"gaussian_mlp: expected {2 * d} raw outputs, got {raw.shape[-1]}")
     mean = raw[:, :d].copy()
@@ -276,12 +276,12 @@ def gaussian_mlp(inputs, weights, d, clamp):
 
     def back(g):
         g_mean, g_std = g
-        g_raw = np.zeros((h1.shape[0], 2 * d))
+        g_raw = np.zeros((std.shape[0], 2 * d))
         if g_std is not None:
             g_raw[:, d:] = g_std * std * inside
         if g_mean is not None:
             g_raw[:, :d] = g_mean
-        return _mlp3_backward(g_raw, inputs, weights, h0, h1)
+        return _mlp3_backward(g_raw, inputs, weights)
 
     return _emit((mean, std), inputs + weights, back)
 

@@ -741,25 +741,37 @@ def _recorded_closure(fn, shapes):
     return back
 
 
+# each fused network record and its argument shapes, with the widths above
+_FUSED_NETS = {
+    "gru_cell": (ad.gru_cell, {
+        "x": (6, 2), "h": (6, 3), "wr": (5, 3), "br": (3,), "wu": (5, 3), "bu": (3,),
+        "wc": (5, 3), "bc": (3,)}),
+    "gaussian_mlp": (lambda x, h, *w: ad.gaussian_mlp((x, h), w, 3, STD_CLAMP),
+                     dict(_WIDE, w2=(4, 6), b2=(6,))),
+    "sigmoid_mlp3": (lambda x, h, *w: ad.sigmoid_mlp3((x, h), w),
+                     dict(_WIDE, w2=(4, 1), b2=(1,))),
+}
+
+
 @pytest.mark.parametrize("name", ["gru_cell", "gaussian_mlp", "sigmoid_mlp3"])
 def test_fused_closure_keeps_no_concatenated_input(name):
     """Backward rebuilds the concatenated inputs [x, h] and [x, r * h] from
     the arrays it keeps, so no captured array is 5 = 2 + 3 wide; and the
     Gaussian head keeps no (B, 2d) raw output."""
-    fn, shapes = {
-        "gru_cell": (ad.gru_cell, {
-            "x": (6, 2), "h": (6, 3), "wr": (5, 3), "br": (3,), "wu": (5, 3), "bu": (3,),
-            "wc": (5, 3), "bc": (3,)}),
-        "gaussian_mlp": (lambda x, h, *w: ad.gaussian_mlp((x, h), w, 3, STD_CLAMP),
-                         dict(_WIDE, w2=(4, 6), b2=(6,))),
-        "sigmoid_mlp3": (lambda x, h, *w: ad.sigmoid_mlp3((x, h), w),
-                         dict(_WIDE, w2=(4, 1), b2=(1,))),
-    }[name]
-    kept = captured_arrays(_recorded_closure(fn, shapes))
+    kept = captured_arrays(_recorded_closure(*_FUSED_NETS[name]))
     assert kept
     assert all(a.shape[-1] != 5 for a in kept), [a.shape for a in kept]
     if name == "gaussian_mlp":
         assert all(a.shape != (6, 6) for a in kept), [a.shape for a in kept]
+
+
+@pytest.mark.parametrize("name", ["gaussian_mlp", "sigmoid_mlp3"])
+def test_mlp_closure_keeps_no_hidden_layer(name):
+    """Backward rebuilds the hidden layers h0 and h1 from the inputs and the
+    weights, so no captured array is 7 or 4 wide, as the hidden layers are."""
+    kept = captured_arrays(_recorded_closure(*_FUSED_NETS[name]))
+    assert kept
+    assert all(a.shape[-1] not in (7, 4) for a in kept), [a.shape for a in kept]
 
 
 def test_sigmoid_matches_two_branch_formula():

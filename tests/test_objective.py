@@ -1,6 +1,7 @@
 """Training losses: frozen hand values, breakdown identity, FD gradient of the
 full objective, training-loop contracts."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,19 +472,39 @@ def desk_training_step():
     return model, tape, root
 
 
-def test_training_step_tape_keeps_at_most_46_mib():
-    """The records keep what backward reads and no more: the concatenated
-    network inputs are rebuilt in backward, the Gaussian heads keep no raw
-    output, so one desk-scale step's tape holds at most 46 MiB of arrays
-    (59.2 MiB when the records kept them).  Every record stays on the tape
-    through backward."""
+def test_training_step_tape_keeps_at_most_22_mib():
+    """The records keep what backward reads and cannot rebuild: the network
+    heads rebuild their concatenated inputs and hidden layers in backward,
+    the Gaussian heads keep no raw output, so one desk-scale step's tape
+    holds at most 22 MiB of arrays (21.2 MiB; 43.0 MiB when the heads kept
+    their hidden layers, 59.2 MiB when they also kept their inputs).  Every
+    record stays on the tape through backward."""
     model, tape, root = desk_training_step()
     census = dict(DESK_TOTAL_LOSS_CENSUS, linear_combination=2)  # plus train's root
     assert record_census(tape) == census
     assert len(tape.records) == 309
-    assert tape_saved_bytes(tape) <= 46 * 2**20
+    assert tape_saved_bytes(tape) <= 22 * 2**20
     backward(tape, root)
     assert record_census(tape) == census
+
+
+def test_cli_default_training_step_peaks_below_180_mib():
+    """One training step at the CLI's default shape (B=64, T=100, k=13,
+    d_h=32), forward and backward, allocates at most 180 MiB at its peak
+    under tracemalloc: 165 MiB with the hidden layers rebuilt in backward,
+    308 MiB when every record kept them."""
+    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
+    batch = np.random.default_rng(1).normal(size=(64, 100, 3))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            bd = total_loss(model, batch, np.random.default_rng(2))
+            root = ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node))
+        backward(tape, root)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 180 * 2**20, peak / 2**20
 
 
 def test_replaying_a_tape_twice_doubles_the_gradients():
