@@ -33,7 +33,6 @@ __all__ = [
     "gru_cell",
     "gaussian_log_pdf",
     "gaussian_kl",
-    "repeat_rows",
     "reparameterize",
     "take_rows",
     "select_bound",
@@ -132,9 +131,9 @@ def backward(tape, loss):
     tensors accumulate (+=); call ``zero_grad`` between independent passes.
     A record's backward gives each parent a gradient of that parent's shape:
     nothing is broadcast.  The network records rebuild their hidden layers
-    from the parameter values, which a ``detach`` shares, so no parameter may
-    change between a record's forward and ``backward``: ``train`` calls
-    ``adam_step`` after it.
+    and gates from the parameter values, which a ``detach`` shares, so no
+    parameter may change between a record's forward and ``backward``:
+    ``train`` calls ``adam_step`` after it.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
@@ -167,8 +166,8 @@ def backward(tape, loss):
 # ---------------------------------------------------------------------------
 # fused records: one record each, forward bit-identical to the composed
 # primitives; a closure keeps what its backward cannot rebuild from its parents
-# (the MLPs no hidden layer, the GRU its gates), and with no tape active _emit
-# drops the closure and those arrays with it
+# (the networks no hidden layer or gate), and with no tape active _emit drops
+# the closure and those arrays with it
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a):
@@ -286,34 +285,45 @@ def gaussian_mlp(inputs, weights, d, clamp):
     return _emit((mean, std), inputs + weights, back)
 
 
-def gru_cell(x, h, wr, br, wu, bu, wc, bc):
-    """One gated-recurrent-unit update on (B, d_x) inputs and (B, d_h) states.
+def _gru_gates(xv, hv, wr, br, wu, bu, wc, bc):
+    """[x, h], the gates r and u, [x, r * h] and the candidate c on (R, d) rows."""
+    xh = np.concatenate([xv, hv], axis=-1)
+    r = _sigmoid(_affine(xh, wr.value, br.value))
+    u = _sigmoid(_affine(xh, wu.value, bu.value))
+    xrh = np.concatenate([xv, r * hv], axis=-1)
+    return xh, r, u, xrh, np.tanh(_affine(xrh, wc.value, bc.value))
 
-    r = sigmoid([x, h] wr + br), u = sigmoid([x, h] wu + bu),
-    c = tanh([x, r * h] wc + bc) and h' = u * h + (1 - u) * c: the update
-    gate u carries the previous state through.  Backward keeps x, h and the
-    gates, and rebuilds the concatenated inputs from them.
+
+def gru_cell(x, h, wr, br, wu, bu, wc, bc):
+    """One gated-recurrent-unit update on (B*k, d_x) inputs from (B, d_h)
+    states, each state row serving its k consecutive input rows: r =
+    sigmoid([x, h] wr + br), u = sigmoid([x, h] wu + bu), c = tanh([x, r * h]
+    wc + bc) and h' = u * h + (1 - u) * c, so u carries the state through.
+    Backward keeps no gate: it reruns ``_gru_gates`` on the repeated state,
+    bit for bit while the weights hold, and sums the state gradient over
+    each row's k branches.
     """
     xv, hv = x.value, h.value
     if xv.ndim != 2 or hv.ndim != 2:
         raise ValueError(f"gru_cell: expected (B, d) inputs, got {xv.shape} and {hv.shape}")
-    xh = np.concatenate([xv, hv], axis=-1)
-    r = _sigmoid(_affine(xh, wr.value, br.value))
-    u = _sigmoid(_affine(xh, wu.value, bu.value))
-    c = np.tanh(_affine(np.concatenate([xv, r * hv], axis=-1), wc.value, bc.value))
-    out = u * hv
+    k = len(xv) // len(hv) if len(hv) else 1
+    if len(xv) != k * len(hv):
+        raise ValueError(f"gru_cell: {len(xv)} input rows, not a multiple of {len(hv)} states")
+    hk = np.repeat(hv, k, axis=0) if k > 1 else hv
+    _, _, u, _, c = _gru_gates(xv, hk, wr, br, wu, bu, wc, bc)
+    out = u * hk
     out += (1.0 - u) * c
     d_x = xv.shape[-1]
 
     def back(g):
+        hk = np.repeat(hv, k, axis=0) if k > 1 else hv
+        xh, r, u, xrh, c = _gru_gates(xv, hk, wr, br, wu, bu, wc, bc)
         ga_c = g * (1.0 - u) * (1.0 - c * c)
         g_xrh = ga_c @ wc.value.T
         g_rh = g_xrh[:, d_x:]
-        ga_r = g_rh * hv * r * (1.0 - r)
-        ga_u = g * (hv - c) * u * (1.0 - u)
+        ga_r = g_rh * hk * r * (1.0 - r)
+        ga_u = g * (hk - c) * u * (1.0 - u)
         grads = [None] * 8
-        xh = np.concatenate([xv, hv], axis=-1) if _wants(wr) or _wants(wu) else None
-        xrh = np.concatenate([xv, r * hv], axis=-1) if _wants(wc) else None
         for i, (ga, w, b, inp) in enumerate(
             ((ga_r, wr, br, xh), (ga_u, wu, bu, xh), (ga_c, wc, bc, xrh))
         ):
@@ -326,7 +336,8 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
             if _wants(x):
                 grads[0] = g_xh[:, :d_x] + g_xrh[:, :d_x]
             if _wants(h):
-                grads[1] = g_xh[:, d_x:] + g * u + g_rh * r
+                g_h = g_xh[:, d_x:] + g * u + g_rh * r
+                grads[1] = g_h.reshape(len(hv), k, -1).sum(axis=1) if k > 1 else g_h
         return tuple(grads)
 
     return _emit(out, (x, h, wr, br, wu, bu, wc, bc), back)
@@ -375,17 +386,6 @@ def gaussian_kl(qm, qs, pm, ps):
 # filtering and loss glue: mixture branches are k consecutive rows of a
 # (B*k, ...) array, and a branch choice is a constant (B,) index array
 # ---------------------------------------------------------------------------
-
-def repeat_rows(a, k):
-    """Each row of a (B, d) tensor repeated k times in place: (B*k, d)."""
-    av = a.value
-    b, d = av.shape
-    return _emit(
-        np.repeat(av, k, axis=0),
-        (a,),
-        lambda g: (g.reshape(b, k, d).sum(axis=1) if _wants(a) else None,),
-    )
-
 
 def reparameterize(mean, std, eps):
     """mean + std * eps for (R, d) Gaussian rows and a constant (R*k, d)

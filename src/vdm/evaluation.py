@@ -77,7 +77,7 @@ def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
             f"forecast_dataset: prefix_len must be in [1, {data.shape[1]}], got {prefix_len}"
         )
     belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
-    h, mean, std = (ad.repeat_rows(t, n_forecasts)
+    h, mean, std = (ad.Tensor(np.repeat(t.value, n_forecasts, axis=0))
                     for t in (belief.expected_h, belief.collapsed.mean, belief.collapsed.std))
     out = generate(model, MixtureBelief(h, Gaussian(mean, std)), horizon, rng)
     return out.reshape(n_traj, n_forecasts, horizon, data.shape[2])

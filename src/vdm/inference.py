@@ -82,7 +82,7 @@ def _branches(model, z_flat, h, x, k):
     The latent is resolved at the transition prior's mean, so the branch
     likelihood is deterministic and draws nothing from the rng.
     """
-    s_flat = model.gru_advance(z_flat, ad.repeat_rows(h, k))
+    s_flat = model.gru_advance(z_flat, h)
     prior_flat = model.transition_prior(s_flat)
     em = model.emit(prior_flat.mean, s_flat)
     return s_flat, ad.gaussian_log_pdf(Tensor(np.repeat(x, k, axis=0)), em.mean, em.std), prior_flat

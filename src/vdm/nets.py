@@ -96,11 +96,8 @@ def _check_input(name, x, dim):
 
 
 def _gru_cell(store, prefix, x, h_prev):
-    """One gated-recurrent-unit update.
-
-    Update gate u acts as the carry gate: u -> 1 passes h_prev through
-    unchanged, so h' = u * h_prev + (1 - u) * candidate.
-    """
+    """``ad.gru_cell`` with the store's r, u and c weights; u -> 1 carries
+    h_prev through unchanged."""
     return ad.gru_cell(
         x, h_prev, *(store[f"{prefix}.{p}{gate}"] for gate in "ruc" for p in ("w", "b"))
     )
@@ -166,7 +163,9 @@ class VdmModel:
         return _gaussian_head(self.params, "tra", (as_tensor(h),), self.config.d_z)
 
     def gru_advance(self, z, h_prev):
-        """One recurrent update; the same parameters serve generation and inference."""
+        """One recurrent update, each row of ``h_prev`` serving its k
+        consecutive rows of ``z``; the same parameters serve generation and
+        inference."""
         _check_input("gru_advance", z, self.config.d_z)
         _check_input("gru_advance", h_prev, self.config.d_h)
         return _gru_cell(self.params, "gru", as_tensor(z), as_tensor(h_prev))

@@ -334,8 +334,7 @@ def all_branch_belief_step(model, belief, x, rng):
     x_arr = np.asarray(x, dtype=np.float64)
     b, k = x_arr.shape[0], cfg.k
     z_flat = latent_sample_batch(belief.collapsed, cfg, rng)
-    h_rep = ad.repeat_rows(belief.expected_h, k)
-    s_flat = model.gru_advance(z_flat, h_rep)
+    s_flat = model.gru_advance(z_flat, belief.expected_h)
     x_rep = ad.Tensor(np.repeat(x_arr, k, axis=0))
     q_flat = model.infer_component(s_flat, x_rep)
     prior_flat = model.transition_prior(s_flat)

@@ -470,8 +470,9 @@ def _kl_composed(qm, qs, pm, ps):
     return reduce_sum(per_dim, axis=-1)
 
 
-def _repeat_rows_composed(a):
-    return reshape(expand_dim(a, 1, K), (a.shape[0] * K, a.shape[1]))
+def _gru_k_composed(x, h, *weights):
+    """The GRU with each state row repeated for its K consecutive input rows."""
+    return _gru_composed(x, reshape(expand_dim(h, 1, K), (h.shape[0] * K, h.shape[1])), *weights)
 
 
 def _latent_sample_composed(mean, std):
@@ -543,6 +544,9 @@ def _fused_cases():
         ("gru_cell", ad.gru_cell, _gru_composed, {
             "x": u(5, 2), "h": u(5, 3), "wr": u(5, 3), "br": u(3), "wu": u(5, 3),
             "bu": u(3), "wc": u(5, 3), "bc": u(3)}),
+        ("gru_cell_k4", ad.gru_cell, _gru_k_composed, {
+            "x": u(B * K, 2), "h": u(B, 3), "wr": u(5, 3), "br": u(3), "wu": u(5, 3),
+            "bu": u(3), "wc": u(5, 3), "bc": u(3)}),
         ("exp_clamp", lambda a: exp_clamp(a, -1.5, 1.5),
          lambda a: _exp_clamp_composed(a, -1.5, 1.5), {"a": u(4, 3, lo=-2.0, hi=2.0)}),
         ("gaussian_log_pdf", ad.gaussian_log_pdf, _log_pdf_composed, {
@@ -550,7 +554,6 @@ def _fused_cases():
         ("gaussian_kl", ad.gaussian_kl, _kl_composed, {
             "qm": u(4, 3), "qs": u(4, 3, lo=0.3, hi=2.0), "pm": u(4, 3),
             "ps": u(4, 3, lo=0.3, hi=2.0)}),
-        ("repeat_rows", lambda a: ad.repeat_rows(a, K), _repeat_rows_composed, {"a": u(B, 3)}),
         ("latent_sample", lambda m, s: ad.reparameterize(m, s, EPS_BKD.reshape(B * K, 2)),
          _latent_sample_composed, {"mean": u(B, 2), "std": u(B, 2, lo=0.3, hi=2.0)}),
         ("reparameterize", lambda m, s: ad.reparameterize(m, s, EPS_BD),
@@ -702,28 +705,30 @@ def test_concat_rows_stacks_array_sequences_outside_the_record():
 
 
 def test_fused_gru_input_gradient_through_recorded_state():
-    """The state and input gradients flow when those parents come off the tape."""
+    """The state and input gradients flow when those parents come off the
+    tape, with one input row per state and with K."""
     from vdm.optim import ParameterStore
 
-    _, _, _, inputs = _FUSED["gru_cell"]
-    store = ParameterStore()
-    x0 = store.add("x0", inputs["x"].copy())
-    h0 = store.add("h0", inputs["h"].copy())
-    weights = [Tensor(inputs[k]) for k in ("wr", "br", "wu", "bu", "wc", "bc")]
+    for name in ("gru_cell", "gru_cell_k4"):
+        _, _, _, inputs = _FUSED[name]
+        store = ParameterStore()
+        x0 = store.add("x0", inputs["x"].copy())
+        h0 = store.add("h0", inputs["h"].copy())
+        weights = [Tensor(inputs[k]) for k in ("wr", "br", "wu", "bu", "wc", "bc")]
 
-    def forward():
-        # both parents are tape products, not leaves
-        return reduce_sum(square(ad.gru_cell(tanh(x0), tanh(h0), *weights)))
+        def forward():
+            # both parents are tape products, not leaves
+            return reduce_sum(square(ad.gru_cell(tanh(x0), tanh(h0), *weights)))
 
-    def run():
-        with Tape():
-            return float(forward().value)
+        def run():
+            with Tape():
+                return float(forward().value)
 
-    with Tape() as tape:
-        backward(tape, forward())
-    fd = finite_diff_store(store, run)
-    assert rel_error(x0.grad, fd["x0"]) < 1e-6
-    assert rel_error(h0.grad, fd["h0"]) < 1e-6
+        with Tape() as tape:
+            backward(tape, forward())
+        fd = finite_diff_store(store, run)
+        assert rel_error(x0.grad, fd["x0"]) < 1e-6, name
+        assert rel_error(h0.grad, fd["h0"]) < 1e-6, name
 
 
 # widths: x 2, h 3, so the concatenated input is 5 wide; hidden layers 7
@@ -741,11 +746,12 @@ def _recorded_closure(fn, shapes):
     return back
 
 
-# each fused network record and its argument shapes, with the widths above
+# each fused network record and its argument shapes, with the widths above;
+# at k = 3 the GRU takes 18 input rows from 6 states
+_GRU_WEIGHTS = {"wr": (5, 3), "br": (3,), "wu": (5, 3), "bu": (3,), "wc": (5, 3), "bc": (3,)}
 _FUSED_NETS = {
-    "gru_cell": (ad.gru_cell, {
-        "x": (6, 2), "h": (6, 3), "wr": (5, 3), "br": (3,), "wu": (5, 3), "bu": (3,),
-        "wc": (5, 3), "bc": (3,)}),
+    "gru_cell": (ad.gru_cell, {"x": (6, 2), "h": (6, 3), **_GRU_WEIGHTS}),
+    "gru_cell_k3": (ad.gru_cell, {"x": (18, 2), "h": (6, 3), **_GRU_WEIGHTS}),
     "gaussian_mlp": (lambda x, h, *w: ad.gaussian_mlp((x, h), w, 3, STD_CLAMP),
                      dict(_WIDE, w2=(4, 6), b2=(6,))),
     "sigmoid_mlp3": (lambda x, h, *w: ad.sigmoid_mlp3((x, h), w),
@@ -753,7 +759,7 @@ _FUSED_NETS = {
 }
 
 
-@pytest.mark.parametrize("name", ["gru_cell", "gaussian_mlp", "sigmoid_mlp3"])
+@pytest.mark.parametrize("name", sorted(_FUSED_NETS))
 def test_fused_closure_keeps_no_concatenated_input(name):
     """Backward rebuilds the concatenated inputs [x, h] and [x, r * h] from
     the arrays it keeps, so no captured array is 5 = 2 + 3 wide; and the
@@ -772,6 +778,25 @@ def test_mlp_closure_keeps_no_hidden_layer(name):
     kept = captured_arrays(_recorded_closure(*_FUSED_NETS[name]))
     assert kept
     assert all(a.shape[-1] not in (7, 4) for a in kept), [a.shape for a in kept]
+
+
+def test_gru_closure_keeps_no_gate_and_no_repeated_state():
+    """Backward repeats the state and rebuilds the gates r, u and c from x,
+    h and the weights, so at k = 3 no captured array has the 18 rows and 3
+    columns that each of them has."""
+    kept = captured_arrays(_recorded_closure(*_FUSED_NETS["gru_cell_k3"]))
+    assert kept
+    assert all(a.shape != (18, 3) for a in kept), [a.shape for a in kept]
+
+
+@pytest.mark.parametrize("n_states", [4, 0])
+def test_gru_rejects_inputs_that_are_no_multiple_of_the_states(n_states):
+    """10 input rows are k rows to each state for no whole k, for 4 states
+    or for none: the cell says so by name, before any concatenation."""
+    x, h = Tensor(np.zeros((10, 2))), Tensor(np.zeros((n_states, 3)))
+    weights = [Tensor(np.zeros(shape)) for shape in _GRU_WEIGHTS.values()]
+    with pytest.raises(ValueError, match=rf"^gru_cell: 10 input rows, not a multiple of {n_states}"):
+        ad.gru_cell(x, h, *weights)
 
 
 def test_sigmoid_matches_two_branch_formula():

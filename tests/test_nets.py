@@ -136,6 +136,20 @@ def test_gru_update_gate_saturation_carries_state_through():
     np.testing.assert_allclose(out.value, h_prev, atol=1e-12)
 
 
+def test_gru_advance_serves_each_state_row_to_k_inputs():
+    """Each state row serves its k consecutive latents, bit for bit as the
+    repeated state would; latent rows that are no whole multiple of the
+    state rows raise ValueError naming the cell."""
+    model = make_model(seed=7)
+    rng = np.random.default_rng(3)
+    z, h = rng.normal(size=(6, 2)), rng.normal(size=(2, 4))
+    np.testing.assert_array_equal(
+        model.gru_advance(z, h).value, model.gru_advance(z, np.repeat(h, 3, axis=0)).value
+    )
+    with pytest.raises(ValueError, match="^gru_cell: 10 input rows"):
+        model.gru_advance(np.zeros((10, 2)), np.zeros((4, 4)))
+
+
 def test_gru_shared_between_generation_and_inference():
     """The inference-side recurrent sample uses the generative cell parameters."""
     from vdm.inference import belief_init, belief_step

@@ -422,9 +422,9 @@ def test_non_finite_head_output_names_the_step_that_made_it(bias):
 
 
 # One step at Lorenz desk scale (B=32, d_x 3, d_z 6, d_h 32, k 13, T=30,
-# omega2=1) records per filtering step (29 of them) a belief step's 8 records
-# (latent sample, repeated state, GRU, transition prior, branch emission,
-# log-pdf, branch gather, inference net) plus the discriminator's GRU and the
+# omega2=1) records per filtering step (29 of them) a belief step's 7 records
+# (latent sample, GRU, transition prior, branch emission, log-pdf, branch
+# gather, inference net) plus the discriminator's GRU and the
 # adversarial branch pick.  Once per batch it records the initial encoding,
 # the row stacking, the bound's 5 (reparameterization, emission, log-pdf, KL,
 # selection), the predictive term, the adversarial term's 8 (transition
@@ -432,7 +432,6 @@ def test_non_finite_head_output_names_the_step_that_made_it(bias):
 # losses), the sums of the per-step means and the loss's linear combination.
 DESK_TOTAL_LOSS_CENSUS = {
     "reparameterize": 29 + 1 + 2,
-    "repeat_rows": 29,
     "gru_cell": 29 + 29,
     "gaussian_mlp": 3 * 29 + 1 + 1 + 2,
     "gaussian_log_pdf": 29 + 1,
@@ -450,7 +449,7 @@ DESK_TOTAL_LOSS_CENSUS = {
 
 def test_training_step_tape_record_count():
     """The tape of one desk-scale ``total_loss`` holds exactly the census
-    above, 10 records per filtering step and 18 once per batch; an added
+    above, 9 records per filtering step and 18 once per batch; an added
     record shows here by its kind.  Every kind is a public primitive."""
     model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
     batch = np.random.default_rng(1).normal(size=(32, 30, 3))
@@ -458,7 +457,7 @@ def test_training_step_tape_record_count():
         total_loss(model, batch, np.random.default_rng(2))
     assert record_census(tape) == DESK_TOTAL_LOSS_CENSUS
     assert set(DESK_TOTAL_LOSS_CENSUS) <= set(ad.__all__)
-    assert len(tape.records) == 29 * 10 + 18 == 308
+    assert len(tape.records) == 29 * 9 + 18 == 279
 
 
 def desk_training_step():
@@ -472,27 +471,29 @@ def desk_training_step():
     return model, tape, root
 
 
-def test_training_step_tape_keeps_at_most_22_mib():
+def test_training_step_tape_keeps_at_most_10_mib():
     """The records keep what backward reads and cannot rebuild: the network
     heads rebuild their concatenated inputs and hidden layers in backward,
-    the Gaussian heads keep no raw output, so one desk-scale step's tape
-    holds at most 22 MiB of arrays (21.2 MiB; 43.0 MiB when the heads kept
-    their hidden layers, 59.2 MiB when they also kept their inputs).  Every
+    the GRU its repeated state and gates, and the Gaussian heads keep no raw
+    output, so one desk-scale step's tape holds at most 10 MiB of arrays
+    (8.8 MiB; 21.2 MiB when the GRU kept its gates and took a repeated
+    state, 43.0 MiB when the heads also kept their hidden layers).  Every
     record stays on the tape through backward."""
     model, tape, root = desk_training_step()
     census = dict(DESK_TOTAL_LOSS_CENSUS, linear_combination=2)  # plus train's root
     assert record_census(tape) == census
-    assert len(tape.records) == 309
-    assert tape_saved_bytes(tape) <= 22 * 2**20
+    assert len(tape.records) == 280
+    assert tape_saved_bytes(tape) <= 10 * 2**20
     backward(tape, root)
     assert record_census(tape) == census
 
 
-def test_cli_default_training_step_peaks_below_180_mib():
+def test_cli_default_training_step_peaks_below_90_mib():
     """One training step at the CLI's default shape (B=64, T=100, k=13,
-    d_h=32), forward and backward, allocates at most 180 MiB at its peak
-    under tracemalloc: 165 MiB with the hidden layers rebuilt in backward,
-    308 MiB when every record kept them."""
+    d_h=32), forward and backward, allocates at most 90 MiB at its peak
+    under tracemalloc: 80 MiB with the hidden layers and the GRU gates
+    rebuilt in backward, 165 MiB when the GRU kept its gates, 308 MiB when
+    every record kept them."""
     model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
     batch = np.random.default_rng(1).normal(size=(64, 100, 3))
     tracemalloc.start()
@@ -504,7 +505,7 @@ def test_cli_default_training_step_peaks_below_180_mib():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 180 * 2**20, peak / 2**20
+    assert peak <= 90 * 2**20, peak / 2**20
 
 
 def test_replaying_a_tape_twice_doubles_the_gradients():
