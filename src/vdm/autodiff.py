@@ -286,12 +286,16 @@ def gaussian_mlp(inputs, weights, d, clamp):
 
 
 def _gru_gates(xv, hv, wr, br, wu, bu, wc, bc):
-    """[x, h], the gates r and u, [x, r * h] and the candidate c on (R, d) rows."""
+    """[x, h], the gates r and u, [x, r * h] and the candidate c on (R, d) rows;
+    [x, r * h] is a copy of [x, h] whose h columns r scales in place, and
+    tanh runs in place."""
     xh = np.concatenate([xv, hv], axis=-1)
     r = _sigmoid(_affine(xh, wr.value, br.value))
     u = _sigmoid(_affine(xh, wu.value, bu.value))
-    xrh = np.concatenate([xv, r * hv], axis=-1)
-    return xh, r, u, xrh, np.tanh(_affine(xrh, wc.value, bc.value))
+    xrh = xh.copy()
+    xrh[:, xv.shape[-1]:] *= r
+    c = _affine(xrh, wc.value, bc.value)
+    return xh, r, u, xrh, np.tanh(c, out=c)
 
 
 def gru_cell(x, h, wr, br, wu, bu, wc, bc):
@@ -310,9 +314,11 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
     if len(xv) != k * len(hv):
         raise ValueError(f"gru_cell: {len(xv)} input rows, not a multiple of {len(hv)} states")
     hk = np.repeat(hv, k, axis=0) if k > 1 else hv
-    _, _, u, _, c = _gru_gates(xv, hk, wr, br, wu, bu, wc, bc)
+    u, c = _gru_gates(xv, hk, wr, br, wu, bu, wc, bc)[2::2]  # the rest die with the tuple
     out = u * hk
-    out += (1.0 - u) * c
+    np.subtract(1.0, u, out=u)  # (1 - u) * c in u's buffer
+    u *= c
+    out += u
     d_x = xv.shape[-1]
 
     def back(g):

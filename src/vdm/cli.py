@@ -322,10 +322,13 @@ def cmd_evaluate(args):
     resolved = _resolve(args, EVALUATE_SETTINGS)
     manifest, base, ckpt, model, test_ds = _load_scoring_inputs("evaluate", resolved, "test")
     ckpt_id = sha256_file(resolved["checkpoint"])[:12]
-    groups = [_load_csv(manifest, base, rel) for rel in manifest.get("groups", [])]
-    for rel, group in zip(manifest.get("groups", []), groups):
+    groups = []  # each normalized as it loads: its raw copy dies at the rebinding
+    for rel in manifest.get("groups", []):
+        group = _load_csv(manifest, base, rel)
         if len(group) == 0:
             raise ValueError(f"evaluate: group file {rel!r} holds no sequences")
+        group = vdata.Dataset(ckpt.normalize(group.data), group.prefix_len)
+        groups.append(group)
     rng = np.random.default_rng(args.seed)
     scaled = ckpt.normalize(test_ds.data)
 
@@ -343,9 +346,8 @@ def cmd_evaluate(args):
     rows.append(["one_step_nll", repr(os_nll), "", len(test_ds), args.seed, ckpt_id])
     note = None
     if groups:
-        scaled_groups = [vdata.Dataset(ckpt.normalize(g.data), g.prefix_len) for g in groups]
         wmean, wstderr = w_distance_protocol(
-            model, scaled_groups, rng, forecasts_per_truth=resolved["w_forecasts"]
+            model, groups, rng, forecasts_per_truth=resolved["w_forecasts"]
         )
         rows.append(["w_distance", repr(wmean), repr(wstderr), len(groups), args.seed, ckpt_id])
     else:

@@ -23,11 +23,11 @@ __all__ = [
 def multi_step_nll(truths, forecasts, reduction="mean"):
     """Sample-based NLL of each ground truth under a Gaussian forecast kernel.
 
-    ``truths`` is (N, horizon, d_x) and ``forecasts`` (N, n, horizon, d_x);
-    returns the (N,) values -log( (1/n) sum_i (2pi)^{-1/2} exp(-e_i / 2) ),
-    where e_i reduces the squared error of forecast i over horizon and
-    dimensions; ``reduction`` picks the mean (default) or sum reduction.
-    Computed via log-sum-exp.
+    ``truths`` is (N, horizon, d_x) and ``forecasts`` (N, n, horizon, d_x),
+    n >= 1 and all finite; returns the (N,) values -log( (1/n) sum_i
+    (2pi)^{-1/2} exp(-e_i / 2) ), where e_i reduces the squared error of
+    forecast i over horizon and dimensions; ``reduction`` picks the mean
+    (default) or sum reduction.  Computed via log-sum-exp.
     """
     truths = np.asarray(truths, dtype=np.float64)
     forecasts = np.asarray(forecasts, dtype=np.float64)
@@ -35,14 +35,21 @@ def multi_step_nll(truths, forecasts, reduction="mean"):
         raise ValueError(
             f"multi_step_nll: forecasts {forecasts.shape} do not match truths {truths.shape}"
         )
-    sq = forecasts - truths[:, None]
-    sq *= sq
-    if reduction == "mean":
-        err = sq.mean(axis=(2, 3))
-    elif reduction == "sum":
-        err = sq.sum(axis=(2, 3))
-    else:
+    if forecasts.shape[1] == 0:
+        raise ValueError("multi_step_nll: no forecasts to score")
+    if reduction not in ("mean", "sum"):
         raise ValueError(f"multi_step_nll: unknown reduction {reduction!r}")
+    if not (np.isfinite(truths).all() and np.isfinite(forecasts).all()):
+        raise ValueError("multi_step_nll: non-finite truths or forecasts")
+    return _multi_step_nll(truths, forecasts, reduction, in_place=False)
+
+
+def _multi_step_nll(truths, forecasts, reduction, in_place):
+    """``multi_step_nll`` on checked float64 arrays; with ``in_place`` the
+    squared errors overwrite ``forecasts`` instead of a new array."""
+    sq = np.subtract(forecasts, truths[:, None], out=forecasts if in_place else None)
+    sq *= sq
+    err = sq.mean(axis=(2, 3)) if reduction == "mean" else sq.sum(axis=(2, 3))
     m = (-err / 2.0).max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(-err / 2.0 - m).sum(axis=1))
     return 0.5 * ad.LOG_2PI + np.log(err.shape[1]) - lse
@@ -108,7 +115,7 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
     def score(chunk):
         rows, chunk_rng = chunk
         fc = forecast_dataset(model, data[rows], prefix_len, n_forecasts, horizon, chunk_rng)
-        return multi_step_nll(data[rows, prefix_len:], fc, reduction)
+        return _multi_step_nll(data[rows, prefix_len:], fc, reduction, in_place=True)
 
     per_chunk = parallel_map(score, _chunk_plan(data.shape[0], n_forecasts, rng))
     return float(np.mean(np.concatenate(per_chunk)))
@@ -257,6 +264,8 @@ def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):
         )
     if any(len(group.data) == 0 for group in groups):
         raise ValueError("w_distance_protocol: a group holds no trajectories")
+    if any(group.prefix_len >= group.data.shape[1] for group in groups):
+        raise ValueError("w_distance_protocol: a group has no continuation to score")
 
     def costs(args):
         group, grp_rng, out = args

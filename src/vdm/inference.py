@@ -175,7 +175,7 @@ def generate(model, belief, horizon, rng):
     with Tape.pause():
         b = belief.batch
         z = Tensor(_draw(belief.collapsed, rng))
-        h = Tensor(belief.expected_h.value.copy())
+        h = belief.expected_h
         out = np.empty((b, horizon, cfg.d_x))
         for t in range(horizon):
             # the cell absorbs the previous latent; the last step's latent is never absorbed

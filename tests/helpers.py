@@ -4,10 +4,11 @@ bound that the selected-component step must reproduce, the one-hot weighted
 sum that the row gather must reproduce, the per-step loss that the loss
 heads run once per batch must reproduce (its bound is this module's
 ``step_elbo``, which ``all_branch_losses`` swaps for the all-branch bound),
-the arrays a tape keeps for backward and its records counted by kind, the
-unfused tape primitives that fused records are checked against and test
-losses are built from, and the row-at-a-time CSV rendering and reading
-that the block writer and the vectorized loader must reproduce."""
+the arrays a tape keeps for backward and its records counted by kind, a
+traced allocation peak, the unfused tape primitives that fused records are
+checked against and test losses are built from, and the row-at-a-time CSV
+rendering and reading that the block writer and the vectorized loader must
+reproduce."""
 import collections
 import contextlib
 import csv
@@ -17,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from dataclasses import dataclass
 from unittest import mock
@@ -221,6 +223,19 @@ def tape_saved_bytes(tape):
         for arr in captured_arrays(back):
             arrays[id(arr)] = arr
     return sum(arr.nbytes for arr in arrays.values())
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations in the block; yields a namespace whose ``bytes``
+    holds tracemalloc's peak, read as the block ends, once it has ended."""
+    peak = types.SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def record_census(tape):

@@ -4,15 +4,17 @@ import io
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import vdm.cli
 import vdm.objective
 from vdm.cli import build_parser, main
 from vdm.data import load_csv
 
-from helpers import rerendered_csv
+from helpers import rerendered_csv, traced_peak
 
 
 def read(path):
@@ -421,6 +423,36 @@ def test_evaluate_an_empty_group_file_fails_before_out(tmp_path, capsys):
     assert ("vdm evaluate: error: evaluate: group file 'group_01.csv' holds no sequences"
             in capsys.readouterr().err)
     assert not os.path.exists(out)
+
+
+def test_evaluate_enters_the_protocol_with_one_copy_of_the_groups(tmp_path, monkeypatch):
+    """Each group is normalized as it loads, so no raw copy is alive beside
+    the normalized groups: the traced bytes on entering the protocol stay
+    below 1.5 times the groups' bytes (over twice them with the raw groups)."""
+    out_data = tmp_path / "lz"
+    main(
+        [
+            "simulate", "--gen", "lorenz", "--seed", "5", "--out", str(out_data),
+            "--n-train", "8", "--n-val", "2", "--n-test", "2", "--seq-len", "100",
+            "--prefix-len", "10", "--n-groups", "10", "--group-size", "100",
+        ]
+    )
+    manifest = os.path.join(str(out_data), "manifest.json")
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
+    seen = []
+
+    def entry(model, groups, rng, forecasts_per_truth):
+        seen.append((tracemalloc.get_traced_memory()[0], sum(g.data.nbytes for g in groups)))
+        return 1.0, 0.0
+
+    monkeypatch.setattr(vdm.cli, "w_distance_protocol", entry)
+    with traced_peak():
+        rc = main(["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+                   "--out", str(tmp_path / "eval"), "--n-forecasts", "5"])
+    assert rc == 0
+    ((held, group_bytes),) = seen
+    assert group_bytes == 10 * 100 * 100 * 3 * 8  # the paper protocol's shape
+    assert held < 1.5 * group_bytes, (held, group_bytes)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train"])

@@ -26,7 +26,7 @@ from vdm.data import (
     write_csv,
 )
 
-from helpers import row_reader_csv, row_writer_csv
+from helpers import row_reader_csv, row_writer_csv, traced_peak
 
 SIGMA, RHO, BETA = 10.0, 28.0, 8.0 / 3.0
 
@@ -350,8 +350,7 @@ def test_csv_load_never_holds_the_text_and_the_rows_at_once(tmp_path):
     save_csv(Dataset(np.random.default_rng(0).normal(size=(400, 100, 3)) * 10.0, 1), path)
     text_bytes = len(path.read_text())
     load_csv(path, d_x=3, seq_len=100, prefix_len=1)  # untraced warm-up
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         with open(path) as fh:
             fh.readline()
             rows = _parse_rows(fh, 3)
@@ -360,11 +359,9 @@ def test_csv_load_never_holds_the_text_and_the_rows_at_once(tmp_path):
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
         load_csv(path, d_x=3, seq_len=100, prefix_len=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert text_bytes > 2**21
-    assert peak - base < text_bytes + rows_bytes, (peak - base, text_bytes, rows_bytes)
+    grown = peak.bytes - base
+    assert grown < text_bytes + rows_bytes, (grown, text_bytes, rows_bytes)
 
 
 def test_csv_header_only_gives_empty_dataset_without_warning(tmp_path):

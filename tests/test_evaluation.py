@@ -3,7 +3,6 @@ grouped W-distance protocol."""
 import ast
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from vdm.evaluation import (
 )
 from vdm.nets import ModelConfig, VdmModel
 
-from helpers import fresh_python
+from helpers import fresh_python, traced_peak
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -97,6 +96,39 @@ def test_forecast_shape_mismatch_rejected():
         multi_step_nll(np.zeros((2, 4, 2)), np.zeros((3, 5, 4, 2)))
     with pytest.raises(ValueError, match="match"):
         multi_step_nll(np.zeros((4, 2)), np.zeros((5, 4, 2)))
+
+
+def test_nll_leaves_its_forecasts_unchanged():
+    """The chunk scorer squares its errors in place of its own forecasts; the
+    public function gives the same values and leaves the caller's array be."""
+    rng = np.random.default_rng(4)
+    truths = rng.normal(size=(3, 4, 2))
+    fc = rng.normal(size=(3, 5, 4, 2))
+    kept = fc.copy()
+    got = multi_step_nll(truths, fc)
+    np.testing.assert_array_equal(fc, kept)
+    np.testing.assert_array_equal(
+        evaluation._multi_step_nll(truths, fc, "mean", in_place=True), got)
+    assert not np.array_equal(fc, kept)
+
+
+def test_nll_rejects_an_empty_forecast_axis():
+    """numpy used to fail on the empty maximum, without naming the scorer."""
+    with pytest.raises(ValueError, match=r"^multi_step_nll: no forecasts to score$"):
+        multi_step_nll(np.zeros((2, 4, 2)), np.zeros((2, 0, 4, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["truths", "forecasts"])
+def test_nll_rejects_non_finite_inputs(where, value):
+    """An all-NaN forecast used to give nan for every truth."""
+    arrays = {"truths": np.zeros((3, 4, 2)), "forecasts": np.zeros((3, 5, 4, 2))}
+    if where == "forecasts":
+        arrays[where][...] = value
+    else:
+        arrays[where][1, 2, 0] = value
+    with pytest.raises(ValueError, match=r"^multi_step_nll: non-finite truths or forecasts$"):
+        multi_step_nll(arrays["truths"], arrays["forecasts"])
 
 
 def test_permutation_invariance():
@@ -207,14 +239,10 @@ def test_multi_step_nll_peak_memory_flat_in_trajectory_count():
     peaks = []
     for n_traj in (32, 128):
         data = np.random.default_rng(1).normal(size=(n_traj, 100, 3))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             nll = dataset_multi_step_nll(model, data, 10, 200, np.random.default_rng(2))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert math.isfinite(nll)
-        peaks.append(peak)
+        peaks.append(peak.bytes)
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -475,13 +503,9 @@ def test_the_solve_holds_no_temporary_the_size_of_its_costs():
     the finiteness check make no (B, n, n) copy."""
     cost = np.random.default_rng(28).random((100, 100, 100))
     evaluation._mean_matched_costs(cost, "test")  # first-call allocations stay out
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         evaluation._mean_matched_costs(cost, "test")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * cost.nbytes, peak / cost.nbytes
+    assert peak.bytes <= 0.25 * cost.nbytes, peak.bytes / cost.nbytes
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -628,14 +652,10 @@ def test_protocol_peak_memory_flat_in_group_count(monkeypatch):
     peaks = []
     for n_groups in (4, 16):
         groups = _toy_groups(np.random.default_rng(1), n_groups=n_groups, n=40, t_len=12)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             mean, _ = w_distance_protocol(model, groups, np.random.default_rng(2), 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert math.isfinite(mean)
-        peaks.append(peak)
+        peaks.append(peak.bytes)
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -651,6 +671,18 @@ def test_protocol_rejects_a_non_finite_distance(monkeypatch):
 def test_protocol_rejects_an_empty_group():
     groups = _toy_groups(np.random.default_rng(18)) + [Dataset(np.zeros((0, 5, 2)), 2)]
     with pytest.raises(ValueError, match="no trajectories"):
+        w_distance_protocol(None, groups, np.random.default_rng(0))
+
+
+def test_protocol_rejects_a_group_without_a_continuation(monkeypatch):
+    """A group whose prefix fills its sequences is rejected by the protocol
+    before any forecast; the error used to come from ``generate``."""
+    def forecast_dataset(*args):
+        raise AssertionError("forecast before the groups were checked")
+
+    monkeypatch.setattr(evaluation, "forecast_dataset", forecast_dataset)
+    groups = _toy_groups(np.random.default_rng(19)) + [Dataset(np.zeros((6, 5, 2)), 5)]
+    with pytest.raises(ValueError, match="^w_distance_protocol: a group has no continuation"):
         w_distance_protocol(None, groups, np.random.default_rng(0))
 
 

@@ -1,7 +1,6 @@
 """Training losses: frozen hand values, breakdown identity, FD gradient of the
 full objective, training-loop contracts."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from helpers import (
     rel_error,
     sample_entries,
     tape_saved_bytes,
+    traced_peak,
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -496,16 +496,12 @@ def test_cli_default_training_step_peaks_below_90_mib():
     every record kept them."""
     model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
     batch = np.random.default_rng(1).normal(size=(64, 100, 3))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         with Tape() as tape:
             bd = total_loss(model, batch, np.random.default_rng(2))
             root = ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node))
         backward(tape, root)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 90 * 2**20, peak / 2**20
+    assert peak.bytes <= 90 * 2**20, peak.bytes / 2**20
 
 
 def test_replaying_a_tape_twice_doubles_the_gradients():
