@@ -11,7 +11,7 @@ import numpy as np
 
 import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
-from vdm.optim import ParameterStore, adam_step
+from vdm.optim import AdamState, ParameterStore, adam_step
 
 rng = np.random.default_rng(0)
 
@@ -66,6 +66,7 @@ ys = np.sin(xs * np.pi / 2)
 
 net = ParameterStore()
 net_weights = init_mlp3(net, (1, 16, 16, 2))
+net_adam = AdamState(net)
 
 inputs, targets = Tensor(xs), Tensor(ys)
 for step in range(400):
@@ -74,7 +75,7 @@ for step in range(400):
         (mean_ll,) = ad.sum_of_means(1, ad.gaussian_log_pdf(targets, mean, std))
         loss = ad.linear_combination((-1.0,), (mean_ll,))
         backward(tape, loss)
-    adam_step(net, lr=3e-3)
+    adam_step(net, net_adam, lr=3e-3)
     if step % 100 == 0:
         print(f"step {step}: nll={float(loss.value):.4f}")
 mse = float(np.mean((mean.value - ys) ** 2))

@@ -80,14 +80,14 @@ class Tape:
 
 
 class Tensor:
-    """A float64 array plus a gradient slot for leaf parameters."""
+    """A float64 array plus a gradient slot for leaf parameters, None until filled."""
 
     __slots__ = ("value", "requires_grad", "grad", "_from_tape")
 
     def __init__(self, value, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.value) if requires_grad else None
+        self.grad = None
         self._from_tape = False
 
     @property
@@ -96,10 +96,6 @@ class Tensor:
 
     def detach(self):
         return Tensor(self.value)
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
 
 def as_tensor(x):
@@ -128,7 +124,7 @@ def backward(tape, loss):
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar produced under ``tape``.  Gradients of leaf
-    tensors accumulate (+=); call ``zero_grad`` between independent passes.
+    tensors accumulate (+=) from zeros; ``zero_grad`` drops them between passes.
     A record's backward gives each parent a gradient of that parent's shape:
     nothing is broadcast.  The network records rebuild their hidden layers
     and gates from the parameter values, which a ``detach`` shares, so no
@@ -147,6 +143,8 @@ def backward(tape, loss):
             else:
                 grads[key] = g
         elif t.requires_grad:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.value)
             t.grad += g
 
     for out, parents, backward_fn in reversed(tape.records):

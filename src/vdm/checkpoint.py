@@ -5,10 +5,10 @@ header length, a JSON header (config, provenance, and one entry per array
 giving store, name, shape and byte offset), then one payload of
 concatenated little-endian float64 values in row-major order.
 
-Format 2 holds what loading a model reads: the model and discriminator
-weights, the observation normalization statistics, the config and the
-provenance.  Only format 2 loads; format 1, which also carried Adam moments,
-step counts and an rng state, raises as an unsupported version.
+Format 2 holds the model and discriminator weights, the observation
+normalization statistics, the config and the provenance; loading returns each
+array as a read-only view into the file's bytes.  Only format 2 loads; format
+1, which also carried Adam moments, step counts and an rng state, does not.
 """
 from __future__ import annotations
 
@@ -22,11 +22,19 @@ from .nets import ModelConfig, VdmModel
 from .optim import ParameterStore
 from .util import atomic_write_bytes
 
-__all__ = ["Checkpoint", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Checkpoint", "CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"VDMCKPT\x00"
 FORMAT_VERSION = 2
 _PREAMBLE = len(MAGIC) + 12  # magic, uint32 version, uint64 header length
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that does not load; the message is "<path>: <reason>"."""
+
+    def __init__(self, path, reason):
+        super().__init__(f"{path}: {reason}")
+        self.path, self.reason = path, reason
 
 
 @dataclass
@@ -51,14 +59,12 @@ class Checkpoint:
         )
 
     def build_model(self):
-        """Reconstruct a VdmModel with fresh optimizer state."""
+        """A scoring model over read-only views of the model weights, with no
+        gradient, optimizer state or discriminator."""
         params = ParameterStore()
         for name, arr in self.model_arrays.items():
-            params.add(name, arr.copy())
-        disc = ParameterStore()
-        for name, arr in self.disc_arrays.items():
-            disc.add(name, arr.copy())
-        return VdmModel(self.config, params, disc)
+            params.add(name, arr.view()).value.flags.writeable = False
+        return VdmModel(self.config, params, None)
 
     def normalize(self, data):
         return (np.asarray(data, dtype=np.float64) - self.obs_mean) / self.obs_std
@@ -67,24 +73,17 @@ class Checkpoint:
         return np.asarray(data, dtype=np.float64) * self.obs_std + self.obs_mean
 
 
-def _iter_arrays(ckpt):
-    for name, arr in ckpt.model_arrays.items():
-        yield "model", name, arr
-    for name, arr in ckpt.disc_arrays.items():
-        yield "disc", name, arr
-    yield "stats", "obs_mean", ckpt.obs_mean
-    yield "stats", "obs_std", ckpt.obs_std
-
-
 def save_checkpoint(ckpt, path):
     entries = []
     chunks = []
     offset = 0
-    for store, name, arr in _iter_arrays(ckpt):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"store": store, "name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
+    stats = {"obs_mean": ckpt.obs_mean, "obs_std": ckpt.obs_std}
+    for store, arrays in (("model", ckpt.model_arrays), ("disc", ckpt.disc_arrays), ("stats", stats)):
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            entries.append({"store": store, "name": name, "shape": list(arr.shape), "offset": offset})
+            chunks.append(arr.tobytes())
+            offset += arr.nbytes
     header = {"config": asdict(ckpt.config), "arrays": entries, "provenance": ckpt.provenance}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     preamble = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes))
@@ -95,19 +94,19 @@ def save_checkpoint(ckpt, path):
 def load_checkpoint(path):
     """Read a format 2 checkpoint; a malformed file, one whose arrays are not
     those a model of its config holds, or one with a non-finite value or an
-    observation std <= 0, raises ValueError naming ``path``."""
+    observation std <= 0, raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _PREAMBLE or blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise CheckpointError(path, "not a checkpoint file")
     version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
     if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
+        raise CheckpointError(
+            path, f"unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
         )
     try:
         header = json.loads(blob[_PREAMBLE : _PREAMBLE + header_len])
-        payload = blob[_PREAMBLE + header_len :]
+        payload = memoryview(blob)[_PREAMBLE + header_len :]
         config = ModelConfig(**header["config"])
         shapes = VdmModel.parameter_shapes(config)
         want = {(store, name): shape for store in shapes for name, shape in shapes[store]}
@@ -132,7 +131,7 @@ def load_checkpoint(path):
             arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)), offset=offset)
             if not np.isfinite(arr).all():
                 raise ValueError(f"array {entry['store']}/{entry['name']}: non-finite value")
-            arrays[entry["store"]][entry["name"]] = arr.reshape(shape).astype(np.float64)
+            arrays[entry["store"]][entry["name"]] = arr.reshape(shape)
             offset += arr.nbytes
         if (arrays["stats"]["obs_std"] <= 0.0).any():
             raise ValueError("array stats/obs_std: a standard deviation <= 0")
@@ -145,4 +144,4 @@ def load_checkpoint(path):
             provenance=header.get("provenance", {}),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"{path}: invalid checkpoint ({type(err).__name__}: {err})") from err
+        raise CheckpointError(path, f"invalid checkpoint ({type(err).__name__}: {err})") from err

@@ -193,12 +193,16 @@ class VdmModel:
 
     def disc_step(self, x, h_prev):
         """Advance the discriminator's own prefix summarizer by one observation."""
+        if self.disc is None:
+            raise ValueError("disc_step: a scoring model holds no discriminator")
         _check_input("disc_step", x, self.config.d_x)
         _check_input("disc_step", h_prev, self.config.d_h)
         return _gru_cell(self.disc, "gru", as_tensor(x), as_tensor(h_prev))
 
     def discriminate(self, prefix_summary, x):
         """Probability in (0,1), shape (B, 1), that x is a real continuation of the prefix."""
+        if self.disc is None:
+            raise ValueError("discriminate: a scoring model holds no discriminator")
         _check_input("discriminate", prefix_summary, self.config.d_h)
         _check_input("discriminate", x, self.config.d_x)
         inputs = (as_tensor(prefix_summary), as_tensor(x))

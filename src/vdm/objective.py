@@ -20,7 +20,7 @@ from .checkpoint import Checkpoint
 from .data import Dataset
 from .inference import belief_init, belief_step
 from .nets import VdmModel
-from .optim import adam_step
+from .optim import AdamState, adam_step
 
 __all__ = [
     "LossBreakdown",
@@ -76,7 +76,8 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
     prefix summary, so one backward sweep over the sum of both losses gives
     the model and the discriminator each only their own loss's gradient.
     """
-    frozen = VdmModel(model.config, model.params, model.disc.detached())
+    detached = {name: t.detach() for name, t in model.disc.params.items()}
+    frozen = VdmModel(model.config, model.params, detached)
     d_gen = frozen.discriminate(prefix_summary.detach(), x_gen)
     d_real = model.discriminate(prefix_summary, Tensor(x_real))
     d_fake = model.discriminate(prefix_summary, x_gen.detach())
@@ -219,6 +220,7 @@ def train(
         val_scaled = (val_arr - obs_mean) / obs_std
 
     model = VdmModel.initialize(config, rng)
+    params_adam, disc_adam = AdamState(model.params), AdamState(model.disc)
 
     def _snapshot():
         return Checkpoint.from_stores(config, model.params, model.disc, obs_mean, obs_std)
@@ -254,9 +256,9 @@ def train(
                     if bd.disc_node is not None:
                         root = ad.linear_combination((1.0, 1.0), (root, bd.disc_node))
                     backward(tape, root)
-                adam_step(model.params, lr=config.lr)
+                adam_step(model.params, params_adam, lr=config.lr)
                 if bd.disc_node is not None:
-                    adam_step(model.disc, lr=config.lr)
+                    adam_step(model.disc, disc_adam, lr=config.lr)
                 epoch_terms += (bd.total, bd.elbo, bd.pred, bd.adv)
                 batches += 1
             val_nll = _validate()

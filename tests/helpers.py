@@ -95,8 +95,11 @@ def finite_diff_entries(store, loss_fn, entries, eps=1e-5):
 
 
 def entry_grads(store, entries):
-    """Gather analytic gradient values at the same coordinates."""
-    return np.asarray([store[name].grad.ravel()[idx] for name, idx in entries])
+    """Gather analytic gradient values at the same coordinates; a parameter
+    that backward never reached (``grad`` None) has gradient zero."""
+    grads = {name: store[name].grad for name, _ in entries}
+    return np.asarray([0.0 if grads[name] is None else grads[name].ravel()[idx]
+                       for name, idx in entries])
 
 
 def finite_diff_array(arr, loss_fn, eps=1e-5):
@@ -228,12 +231,13 @@ def tape_saved_bytes(tape):
 @contextlib.contextmanager
 def traced_peak():
     """Trace allocations in the block; yields a namespace whose ``bytes``
-    holds tracemalloc's peak, read as the block ends, once it has ended."""
-    peak = types.SimpleNamespace(bytes=None)
+    holds tracemalloc's peak and ``current`` the bytes still held, both read
+    as the block ends, once it has ended."""
+    peak = types.SimpleNamespace(bytes=None, current=None)
     tracemalloc.start()
     try:
         yield peak
-        peak.bytes = tracemalloc.get_traced_memory()[1]
+        peak.current, peak.bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 

@@ -9,6 +9,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from vdm.autodiff import Tape, Tensor, backward
 from vdm.cli import main as cli_main
@@ -220,6 +221,7 @@ def test_criterion_4_evidence_bound():
 # 5. four-mode multi-modality and sample-count ordering
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 @criterion(5, "four-mode: k=9 covers all four headings and beats k=1 NLL")
 def test_criterion_5_four_mode_multimodality():
     start = time.time()
@@ -257,6 +259,7 @@ def test_criterion_5_four_mode_multimodality():
 # 6. Lorenz desk-scale smoke
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 @criterion(6, "Lorenz: training at least halves multi-step NLL and W-distance; one-step NLL < 0")
 def test_criterion_6_lorenz_desk_scale():
     start = time.time()

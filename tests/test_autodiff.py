@@ -633,7 +633,10 @@ def _fd_check(fused, inputs, pick):
         backward(tape, forward())
     fd = finite_diff_store(store, run)
     for key in inputs:
-        assert rel_error(store[key].grad, fd[key]) < 1e-6, key
+        # an input that no picked output reads gets no deposit: its gradient is zero
+        grad = store[key].grad
+        grad = np.zeros_like(fd[key]) if grad is None else grad
+        assert rel_error(grad, fd[key]) < 1e-6, key
 
 
 @pytest.mark.parametrize("name", sorted(_FUSED))

@@ -1,15 +1,16 @@
 """Checkpoint container: bit-exact round trips, version gating, typed errors
 for corrupt files."""
 import json
-import re
 import struct
 
 import numpy as np
 import pytest
 
-from vdm.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from vdm.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from vdm.inference import belief_init, generate
 from vdm.nets import ModelConfig, VdmModel
+
+from helpers import traced_peak
 
 
 def make_checkpoint(seed=0):
@@ -95,8 +96,9 @@ def test_version_mismatch_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 99)
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="version 99"):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.reason == "unsupported checkpoint version 99 (expected 2)"
 
 
 def test_format_1_header_rejected(tmp_path):
@@ -105,15 +107,20 @@ def test_format_1_header_rejected(tmp_path):
     save_checkpoint(make_checkpoint(), path)
     _, header, payload = split_blob(path.read_bytes())
     path.write_bytes(join_blob(1, header, payload))
-    with pytest.raises(ValueError, match="unsupported checkpoint version 1 "):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.reason == "unsupported checkpoint version 1 (expected 2)"
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.vdm"
     path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ValueError, match="not a checkpoint"):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    # a ValueError whose message, which the CLI prints, is "<path>: <reason>"
+    assert isinstance(info.value, ValueError)
+    assert (info.value.path, info.value.reason) == (path, "not a checkpoint file")
+    assert str(info.value) == f"{path}: not a checkpoint file"
 
 
 def test_normalization_helpers_invert():
@@ -123,7 +130,68 @@ def test_normalization_helpers_invert():
 
 
 # ---------------------------------------------------------------------------
-# corrupt files raise ValueError naming the path
+# a checkpoint builds a weights-only scoring model
+# ---------------------------------------------------------------------------
+
+def test_load_save_load_keeps_the_bytes(tmp_path):
+    path, again = tmp_path / "model.vdm", tmp_path / "again.vdm"
+    save_checkpoint(make_checkpoint(), path)
+    loaded = load_checkpoint(path)
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert_same_checkpoint(load_checkpoint(again), loaded)
+
+
+def test_built_model_shares_read_only_weights(tmp_path):
+    """build_model copies no weight, and a write to one raises, whether the
+    checkpoint was loaded or is the one training returned."""
+    path = tmp_path / "model.vdm"
+    trained = make_checkpoint()
+    save_checkpoint(trained, path)
+    for ckpt in (trained, load_checkpoint(path)):
+        model = ckpt.build_model()
+        assert model.params.params.keys() == ckpt.model_arrays.keys()
+        for name, t in model.params.params.items():
+            assert np.shares_memory(t.value, ckpt.model_arrays[name]), name
+            with pytest.raises(ValueError):
+                t.value[...] = 0.0
+    assert trained.model_arrays["enc0.w"].flags.writeable
+
+
+@pytest.mark.parametrize("call", ["discriminate", "disc_step"])
+def test_scoring_model_has_no_discriminator(call):
+    model = make_checkpoint().build_model()
+    assert model.disc is None
+    with pytest.raises(ValueError) as info:
+        getattr(model, call)(np.zeros((1, 2)), np.zeros((1, 4)))
+    assert str(info.value).startswith(f"{call}: ")
+
+
+def test_scoring_model_holds_its_weights_once(tmp_path):
+    """load_checkpoint plus build_model at the Lorenz desk config keep at
+    most 1.5x the model's weights (22,122 floats): one buffer of file bytes
+    that every array views, and no gradient, moment or discriminator store.
+    Copying the weights and giving each a gradient and two Adam moments
+    held 6.5x."""
+    cfg = ModelConfig(d_x=3, d_z=6, d_h=32, k=13)
+    model = VdmModel.initialize(cfg, np.random.default_rng(0))
+    path = tmp_path / "desk.vdm"
+    save_checkpoint(Checkpoint.from_stores(cfg, model.params, model.disc, np.zeros(3),
+                                           np.ones(3)), path)
+    weights = sum(t.value.nbytes for t in model.params.params.values())
+    assert weights == 8 * 22_122
+    del model
+    with traced_peak() as held:
+        ckpt = load_checkpoint(path)
+        scoring = ckpt.build_model()
+    assert held.current <= 1.5 * weights, (held.current, weights)
+    assert scoring.disc is None
+    assert list(vars(scoring.params)) == ["params"]
+    assert all(t.grad is None for t in scoring.params.params.values())
+
+
+# ---------------------------------------------------------------------------
+# corrupt files raise CheckpointError naming the path
 # ---------------------------------------------------------------------------
 
 CUTS = {
@@ -145,8 +213,9 @@ def test_truncated_file_raises_value_error(tmp_path, cut):
     blob = path.read_bytes()
     header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
     path.write_bytes(blob[: CUTS[cut](len(blob), header_len)])
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize(
@@ -168,8 +237,9 @@ def test_malformed_header_raises_value_error(tmp_path, damage):
     version, header, payload = split_blob(path.read_bytes())
     damage(header)
     path.write_bytes(join_blob(version, header, payload))
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("value", [4.0, True])
@@ -181,9 +251,12 @@ def test_non_int_dimension_rejected_on_load(tmp_path, value):
     version, header, payload = split_blob(path.read_bytes())
     header["config"]["d_h"] = value
     path.write_bytes(join_blob(version, header, payload))
-    want = f"{path}: invalid checkpoint (ValueError: ModelConfig: d_h must be a positive integer)"
-    with pytest.raises(ValueError, match=re.escape(want)):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.path == path
+    assert info.value.reason == (
+        "invalid checkpoint (ValueError: ModelConfig: d_h must be a positive integer)"
+    )
 
 
 def drop_model_array(ckpt):
@@ -238,9 +311,10 @@ def test_array_set_must_match_the_config(tmp_path, damage, message):
     damage(ckpt)
     path = tmp_path / "model.vdm"
     save_checkpoint(ckpt, path)
-    want = f"{path}: invalid checkpoint (ValueError: {message})"
-    with pytest.raises(ValueError, match=re.escape(want)):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.path == path
+    assert info.value.reason == f"invalid checkpoint (ValueError: {message})"
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -250,9 +324,10 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(blob + bytes(16))
     size = len(split_blob(blob)[2])
     want = f"payload holds {size + 16} bytes, the arrays {size}"
-    want = f"{path}: invalid checkpoint (ValueError: {want})"
-    with pytest.raises(ValueError, match=re.escape(want)):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.path == path
+    assert info.value.reason == f"invalid checkpoint (ValueError: {want})"
 
 
 def test_offsets_must_follow_the_saved_layout(tmp_path):
@@ -268,6 +343,7 @@ def test_offsets_must_follow_the_saved_layout(tmp_path):
     first, second = header["arrays"][:2]
     end = 8 * int(np.prod(first["shape"]))
     want = f"array {second['store']}/{second['name']}: offset 0, expected {end}"
-    want = f"{path}: invalid checkpoint (ValueError: {want})"
-    with pytest.raises(ValueError, match=re.escape(want)):
+    with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
+    assert info.value.path == path
+    assert info.value.reason == f"invalid checkpoint (ValueError: {want})"

@@ -702,9 +702,9 @@ def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
         sweeps.append(len(tape.records))
         return real_backward(tape, loss)
 
-    def spying_adam(store, lr):
+    def spying_adam(store, state, lr):
         handed.append({name: t.grad.copy() for name, t in store.params.items()})
-        return real_adam(store, lr=lr)
+        return real_adam(store, state, lr=lr)
 
     monkeypatch.setattr(objective, "backward", counting_backward)
     monkeypatch.setattr(objective, "adam_step", spying_adam)
