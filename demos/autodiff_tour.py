@@ -11,22 +11,23 @@ import numpy as np
 
 import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
-from vdm.optim import AdamState, ParameterStore, adam_step
+from vdm.optim import AdamState, adam_step
 
 rng = np.random.default_rng(0)
 
 
 def init_mlp3(store, sizes):
-    """Register a three-layer MLP's weights; returns them in gaussian_mlp's order."""
+    """Put a three-layer MLP's weights in a parameter store (a dict of name ->
+    Tensor); returns them in gaussian_mlp's order."""
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = 1.0 / np.sqrt(fan_in)
-        store.add(f"w{i}", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        store.add(f"b{i}", rng.uniform(-bound, bound, size=fan_out))
+        store[f"w{i}"] = Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
+        store[f"b{i}"] = Tensor(rng.uniform(-bound, bound, fan_out), requires_grad=True)
     return tuple(store[f"{p}{i}"] for i in range(3) for p in ("w", "b"))
 
 
 # --- gradients of a small expression -------------------------------------
-store = ParameterStore()
+store = {}
 weights = init_mlp3(store, (3, 8, 8, 4))
 x = Tensor(rng.normal(size=(5, 3)))
 target = Tensor(rng.normal(size=(5, 2)))
@@ -64,7 +65,7 @@ print("finite difference:", (up - down) / (2 * eps))
 xs = np.linspace(-2, 2, 64)[:, None]
 ys = np.sin(xs * np.pi / 2)
 
-net = ParameterStore()
+net = {}
 net_weights = init_mlp3(net, (1, 16, 16, 2))
 net_adam = AdamState(net)
 

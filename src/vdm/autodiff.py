@@ -124,7 +124,7 @@ def backward(tape, loss):
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar produced under ``tape``.  Gradients of leaf
-    tensors accumulate (+=) from zeros; ``zero_grad`` drops them between passes.
+    tensors accumulate (+=) from zeros; ``adam_step`` drops them after its update.
     A record's backward gives each parent a gradient of that parent's shape:
     nothing is broadcast.  The network records rebuild their hidden layers
     and gates from the parameter values, which a ``detach`` shares, so no

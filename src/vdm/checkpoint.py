@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .autodiff import Tensor
 from .nets import ModelConfig, VdmModel
-from .optim import ParameterStore
 from .util import atomic_write_bytes
 
 __all__ = ["Checkpoint", "CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
@@ -52,8 +52,8 @@ class Checkpoint:
     def from_stores(cls, config, params, disc, obs_mean, obs_std):
         return cls(
             config=config,
-            model_arrays={k: v.value.copy() for k, v in params.params.items()},
-            disc_arrays={k: v.value.copy() for k, v in disc.params.items()},
+            model_arrays={k: v.value.copy() for k, v in params.items()},
+            disc_arrays={k: v.value.copy() for k, v in disc.items()},
             obs_mean=np.asarray(obs_mean, dtype=np.float64),
             obs_std=np.asarray(obs_std, dtype=np.float64),
         )
@@ -61,9 +61,9 @@ class Checkpoint:
     def build_model(self):
         """A scoring model over read-only views of the model weights, with no
         gradient, optimizer state or discriminator."""
-        params = ParameterStore()
-        for name, arr in self.model_arrays.items():
-            params.add(name, arr.view()).value.flags.writeable = False
+        params = {name: Tensor(arr.view()) for name, arr in self.model_arrays.items()}
+        for t in params.values():
+            t.value.flags.writeable = False
         return VdmModel(self.config, params, None)
 
     def normalize(self, data):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 
 from . import autodiff as ad
+from . import inference
 from .inference import MixtureBelief, filter_sequence, generate, one_step_predictive
 from .nets import Gaussian
 from .util import parallel_map
@@ -30,7 +31,7 @@ def multi_step_nll(truths, forecasts, reduction="mean"):
     (default) or sum reduction.  Computed via log-sum-exp.
     """
     truths = np.asarray(truths, dtype=np.float64)
-    forecasts = np.asarray(forecasts, dtype=np.float64)
+    forecasts = np.array(forecasts, dtype=np.float64)  # a copy: the errors overwrite it
     if forecasts.ndim != 4 or forecasts.shape[:1] + forecasts.shape[2:] != truths.shape:
         raise ValueError(
             f"multi_step_nll: forecasts {forecasts.shape} do not match truths {truths.shape}"
@@ -41,13 +42,13 @@ def multi_step_nll(truths, forecasts, reduction="mean"):
         raise ValueError(f"multi_step_nll: unknown reduction {reduction!r}")
     if not (np.isfinite(truths).all() and np.isfinite(forecasts).all()):
         raise ValueError("multi_step_nll: non-finite truths or forecasts")
-    return _multi_step_nll(truths, forecasts, reduction, in_place=False)
+    return _multi_step_nll(truths, forecasts, reduction)
 
 
-def _multi_step_nll(truths, forecasts, reduction, in_place):
-    """``multi_step_nll`` on checked float64 arrays; with ``in_place`` the
-    squared errors overwrite ``forecasts`` instead of a new array."""
-    sq = np.subtract(forecasts, truths[:, None], out=forecasts if in_place else None)
+def _multi_step_nll(truths, forecasts, reduction):
+    """``multi_step_nll`` on checked float64 arrays; the squared errors
+    overwrite ``forecasts``."""
+    sq = np.subtract(forecasts, truths[:, None], out=forecasts)
     sq *= sq
     err = sq.mean(axis=(2, 3)) if reduction == "mean" else sq.sum(axis=(2, 3))
     m = (-err / 2.0).max(axis=1, keepdims=True)
@@ -83,7 +84,7 @@ def forecast_dataset(model, data, prefix_len, n_forecasts, horizon, rng):
         raise ValueError(
             f"forecast_dataset: prefix_len must be in [1, {data.shape[1]}], got {prefix_len}"
         )
-    belief, _ = filter_sequence(model, data[:, :prefix_len], rng)
+    belief = filter_sequence(model, data[:, :prefix_len], rng)
     h, mean, std = (ad.Tensor(np.repeat(t.value, n_forecasts, axis=0))
                     for t in (belief.expected_h, belief.collapsed.mean, belief.collapsed.std))
     out = generate(model, MixtureBelief(h, Gaussian(mean, std)), horizon, rng)
@@ -115,7 +116,7 @@ def dataset_multi_step_nll(model, data, prefix_len, n_forecasts, rng, reduction=
     def score(chunk):
         rows, chunk_rng = chunk
         fc = forecast_dataset(model, data[rows], prefix_len, n_forecasts, horizon, chunk_rng)
-        return _multi_step_nll(data[rows, prefix_len:], fc, reduction, in_place=True)
+        return _multi_step_nll(data[rows, prefix_len:], fc, reduction)
 
     per_chunk = parallel_map(score, _chunk_plan(data.shape[0], n_forecasts, rng))
     return float(np.mean(np.concatenate(per_chunk)))
@@ -132,11 +133,16 @@ def one_step_nll(model, data, prefix_len, rng):
         raise ValueError("one_step_nll: no continuation to score")
     if data.shape[0] == 0:
         raise ValueError("one_step_nll: no trajectories to score")
-    # the belief after the last observation predicts nothing that is scored
-    _, beliefs = filter_sequence(model, data[:, :-1], rng)
-    totals = [-one_step_predictive(model, beliefs[t - 1], data[:, t])
-              for t in range(prefix_len, t_len)]
-    return float(np.mean(totals))
+    # scored as the filter goes, keeping no belief history; the filter steps
+    # first (a non-finite x_t fails in it) and skips the unread last belief
+    belief = filter_sequence(model, data[:, :prefix_len], rng)
+    totals = np.empty((t_len - prefix_len, data.shape[0]))
+    for t in range(prefix_len, t_len):
+        before, x = belief, data[:, t]
+        if t + 1 < t_len:  # looked up on the module, where perfbench's tracer wraps it
+            belief, _ = inference.belief_step(model, before, x, rng)
+        totals[t - prefix_len] = -one_step_predictive(model, before, x)
+    return float(totals.mean())
 
 
 def wasserstein(p, q):

@@ -146,16 +146,14 @@ def belief_step(model, belief, x, rng):
 
 
 def filter_sequence(model, x_prefix, rng):
-    """Run the recursion over x_{1:tau}; returns the final and per-step beliefs."""
+    """Run the recursion over x_{1:tau}; returns the final belief."""
     arr = np.asarray(x_prefix, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] < 1:
         raise ValueError(f"filter_sequence: expected (B, T>=1, d_x), got {arr.shape}")
     belief = belief_init(model, arr[:, 0])
-    beliefs = [belief]
     for t in range(1, arr.shape[1]):
         belief, _ = belief_step(model, belief, arr[:, t], rng)
-        beliefs.append(belief)
-    return belief, beliefs
+    return belief
 
 
 def _draw(g, rng):

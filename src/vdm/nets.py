@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .optim import ParameterStore
 from .util import NonFiniteError
 
 __all__ = ["Gaussian", "ModelConfig", "VdmModel"]
@@ -104,7 +103,7 @@ def _gru_cell(store, prefix, x, h_prev):
 
 
 class VdmModel:
-    """Bundle of config plus model and discriminator parameter stores."""
+    """Config plus the model and discriminator stores, each a dict of name -> Tensor."""
 
     def __init__(self, config, params, disc):
         self.config = config
@@ -138,14 +137,14 @@ class VdmModel:
     def initialize(cls, config, rng):
         stores = {}
         for store, shapes in cls.parameter_shapes(config).items():
-            params = stores[store] = ParameterStore()
+            params = stores[store] = {}
             for (w_name, w_shape), (b_name, b_shape) in zip(shapes[::2], shapes[1::2]):
                 # a bias shares its weight's uniform fan-in bound, so no hidden
                 # unit starts exactly on a relu kink when an input (e.g. h_0)
                 # is identically zero
                 bound = 1.0 / np.sqrt(w_shape[0])
-                params.add(w_name, rng.uniform(-bound, bound, size=w_shape))
-                params.add(b_name, rng.uniform(-bound, bound, size=b_shape))
+                params[w_name] = Tensor(rng.uniform(-bound, bound, w_shape), requires_grad=True)
+                params[b_name] = Tensor(rng.uniform(-bound, bound, b_shape), requires_grad=True)
         return cls(config, stores["model"], stores["disc"])
 
     # ------------------------------------------------------------------

@@ -76,7 +76,7 @@ def adv_regularizer(model, prefix_summary, x_real, x_gen):
     prefix summary, so one backward sweep over the sum of both losses gives
     the model and the discriminator each only their own loss's gradient.
     """
-    detached = {name: t.detach() for name, t in model.disc.params.items()}
+    detached = {name: t.detach() for name, t in model.disc.items()}
     frozen = VdmModel(model.config, model.params, detached)
     d_gen = frozen.discriminate(prefix_summary.detach(), x_gen)
     d_real = model.discriminate(prefix_summary, Tensor(x_real))
@@ -220,7 +220,8 @@ def train(
         val_scaled = (val_arr - obs_mean) / obs_std
 
     model = VdmModel.initialize(config, rng)
-    params_adam, disc_adam = AdamState(model.params), AdamState(model.disc)
+    params_adam = AdamState(model.params)
+    disc_adam = AdamState(model.disc) if config.omega2 > 0 else None
 
     def _snapshot():
         return Checkpoint.from_stores(config, model.params, model.disc, obs_mean, obs_std)

@@ -1,14 +1,14 @@
-"""Shared test utilities: finite-difference oracles, error measures, frozen
-branch selection, analytic parameter counts, the all-branch belief step and
-bound that the selected-component step must reproduce, the one-hot weighted
-sum that the row gather must reproduce, the per-step loss that the loss
-heads run once per batch must reproduce (its bound is this module's
-``step_elbo``, which ``all_branch_losses`` swaps for the all-branch bound),
-the arrays a tape keeps for backward and its records counted by kind, a
-traced allocation peak, the unfused tape primitives that fused records are
-checked against and test losses are built from, and the row-at-a-time CSV
-rendering and reading that the block writer and the vectorized loader must
-reproduce."""
+"""Shared test utilities: finite-difference oracles, a gradient reset for
+parameter stores, error measures, frozen branch selection, analytic
+parameter counts, the all-branch belief step and bound that the
+selected-component step must reproduce, the one-hot weighted sum that the
+row gather must reproduce, the per-step loss that the loss heads run once
+per batch must reproduce (its bound is this module's ``step_elbo``, which
+``all_branch_losses`` swaps for the all-branch bound), the arrays a tape
+keeps for backward and its records counted by kind, a traced allocation
+peak, the unfused tape primitives that fused records are checked against and
+test losses are built from, and the row-at-a-time CSV rendering and reading
+that the block writer and the vectorized loader must reproduce."""
 import collections
 import contextlib
 import csv
@@ -47,13 +47,14 @@ def fresh_python(code, *args, **env):
 
 
 def finite_diff_store(store, loss_fn, eps=1e-5, names=None):
-    """Central finite differences of a scalar loss over a ParameterStore.
+    """Central finite differences of a scalar loss over a parameter store
+    (a dict of name -> Tensor).
 
     ``loss_fn`` must be a pure function of the current parameter values
     (re-seed any rng inside it).
     """
     grads = {}
-    for name in names or store.params:
+    for name in names or store:
         flat = store[name].value.ravel()
         g = np.zeros(flat.size)
         for i in range(flat.size):
@@ -68,10 +69,18 @@ def finite_diff_store(store, loss_fn, eps=1e-5, names=None):
     return grads
 
 
+def drop_grads(*stores):
+    """Clear every gradient of the parameter stores, so the next backward
+    starts from zeros."""
+    for store in stores:
+        for t in store.values():
+            t.grad = None
+
+
 def sample_entries(store, per_param, rng):
     """A few random flat indices per parameter array, for spot FD checks."""
     entries = []
-    for name in store.params:
+    for name in store:
         size = store[name].value.size
         take = min(per_param, size)
         for idx in rng.choice(size, size=take, replace=False):

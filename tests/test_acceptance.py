@@ -37,6 +37,7 @@ from vdm.sampling import sigma_points
 
 from helpers import (
     add,
+    drop_grads,
     entry_grads,
     finite_diff_entries,
     frozen_branch_selection,
@@ -114,8 +115,7 @@ def test_criterion_2_gradient_suite():
                 out = add(out, reduce_sum(square(p)))
             return out
 
-        for store in (model.params, model.disc):
-            store.zero_grad()
+        drop_grads(model.params, model.disc)
         with Tape() as tape:
             backward(tape, nets_loss())
 
@@ -138,7 +138,7 @@ def test_criterion_2_gradient_suite():
                 bd = total_loss(model, batch, np.random.default_rng(seed))
             return bd.total
 
-        model.params.zero_grad()
+        drop_grads(model.params)
         with frozen_branch_selection(frozen):
             with Tape() as tape:
                 bd = total_loss(model, batch, np.random.default_rng(seed))

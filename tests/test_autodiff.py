@@ -18,6 +18,7 @@ from helpers import (
     clamp,
     concat,
     div,
+    drop_grads,
     exp,
     exp_clamp,
     expand_dim,
@@ -125,10 +126,8 @@ def _random_unary_cases():
 def test_unary_gradients_match_finite_differences(name, op):
     rng = np.random.default_rng(hash(name) % 2**32)
     x = rng.uniform(-2.0, 2.0, size=(4, 3))
-    from vdm.optim import ParameterStore
-
-    store = ParameterStore()
-    p = store.add("x", x)
+    store = {}
+    p = store["x"] = Tensor(x, requires_grad=True)
 
     def run():
         with Tape() as tape:
@@ -143,12 +142,10 @@ def test_unary_gradients_match_finite_differences(name, op):
 
 
 def test_div_sub_gradients_match_finite_differences():
-    from vdm.optim import ParameterStore
-
     rng = np.random.default_rng(21)
-    store = ParameterStore()
-    a = store.add("a", rng.uniform(-2, 2, size=(3, 4)))
-    b = store.add("b", rng.uniform(0.5, 2.0, size=(3, 4)))
+    store = {}
+    a = store["a"] = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
+    b = store["b"] = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
 
     def forward():
         return reduce_sum(square(sub(div(a, b), neg(b))))
@@ -165,11 +162,9 @@ def test_div_sub_gradients_match_finite_differences():
 
 
 def test_log_gradient_positive_domain():
-    from vdm.optim import ParameterStore
-
     rng = np.random.default_rng(3)
-    store = ParameterStore()
-    p = store.add("x", rng.uniform(0.2, 2.0, size=(5,)))
+    store = {}
+    p = store["x"] = Tensor(rng.uniform(0.2, 2.0, size=(5,)), requires_grad=True)
 
     def run():
         with Tape():
@@ -185,16 +180,14 @@ def test_log_gradient_positive_domain():
 
 def test_three_layer_mlp_gradient_oracle():
     """Random MLP loss gradient vs central differences, step 1e-5."""
-    from vdm.optim import ParameterStore
-
     rng = np.random.default_rng(42)
-    store = ParameterStore()
-    w1 = store.add("w1", rng.uniform(-0.5, 0.5, size=(4, 8)))
-    b1 = store.add("b1", rng.uniform(-0.5, 0.5, size=8))
-    w2 = store.add("w2", rng.uniform(-0.5, 0.5, size=(8, 8)))
-    b2 = store.add("b2", rng.uniform(-0.5, 0.5, size=8))
-    w3 = store.add("w3", rng.uniform(-0.5, 0.5, size=(8, 2)))
-    b3 = store.add("b3", rng.uniform(-0.5, 0.5, size=2))
+    store = {}
+    w1 = store["w1"] = Tensor(rng.uniform(-0.5, 0.5, size=(4, 8)), requires_grad=True)
+    b1 = store["b1"] = Tensor(rng.uniform(-0.5, 0.5, size=8), requires_grad=True)
+    w2 = store["w2"] = Tensor(rng.uniform(-0.5, 0.5, size=(8, 8)), requires_grad=True)
+    b2 = store["b2"] = Tensor(rng.uniform(-0.5, 0.5, size=8), requires_grad=True)
+    w3 = store["w3"] = Tensor(rng.uniform(-0.5, 0.5, size=(8, 2)), requires_grad=True)
+    b3 = store["b3"] = Tensor(rng.uniform(-0.5, 0.5, size=2), requires_grad=True)
     x = Tensor(rng.uniform(-2.0, 2.0, size=(6, 4)))
 
     def forward():
@@ -209,24 +202,22 @@ def test_three_layer_mlp_gradient_oracle():
     with Tape() as tape:
         backward(tape, forward())
     fd = finite_diff_store(store, run)
-    for name in store.params:
+    for name in store:
         assert rel_error(store[name].grad, fd[name]) < 1e-4, name
 
 
 @pytest.mark.parametrize("axis", [None, 0, 1])
 def test_reductions_and_shapes(axis):
-    from vdm.optim import ParameterStore
-
     rng = np.random.default_rng(11)
-    store = ParameterStore()
-    p = store.add("x", rng.uniform(-2, 2, size=(3, 4)))
+    store = {}
+    p = store["x"] = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
 
     for reducer in (reduce_sum, reduce_mean):
         def run():
             with Tape():
                 return float(reduce_sum(square(reducer(p, axis=axis))).value)
 
-        store.zero_grad()
+        drop_grads(store)
         with Tape() as tape:
             backward(tape, reduce_sum(square(reducer(p, axis=axis))))
         fd = finite_diff_store(store, run)
@@ -234,12 +225,10 @@ def test_reductions_and_shapes(axis):
 
 
 def test_concat_narrow_reshape_expand_gradients():
-    from vdm.optim import ParameterStore
-
     rng = np.random.default_rng(12)
-    store = ParameterStore()
-    a = store.add("a", rng.uniform(-2, 2, size=(3, 2)))
-    b = store.add("b", rng.uniform(-2, 2, size=(3, 5)))
+    store = {}
+    a = store["a"] = Tensor(rng.uniform(-2, 2, size=(3, 2)), requires_grad=True)
+    b = store["b"] = Tensor(rng.uniform(-2, 2, size=(3, 5)), requires_grad=True)
 
     def forward():
         cat = concat([a, b], axis=1)              # (3, 7)
@@ -268,11 +257,9 @@ def test_logsumexp_matches_dense_evaluation():
 
 
 def test_broadcast_mul_gradient():
-    from vdm.optim import ParameterStore
-
     rng = np.random.default_rng(14)
-    store = ParameterStore()
-    w = store.add("w", rng.uniform(-2, 2, size=(3, 4, 1)))
+    store = {}
+    w = store["w"] = Tensor(rng.uniform(-2, 2, size=(3, 4, 1)), requires_grad=True)
     x = Tensor(rng.uniform(-2, 2, size=(3, 4, 5)))
 
     def run():
@@ -287,12 +274,10 @@ def test_broadcast_mul_gradient():
 
 def test_tape_replay_determinism():
     """Same inputs and parameters give bit-identical loss and gradients."""
-    from vdm.optim import ParameterStore
-
     def run():
         rng = np.random.default_rng(99)
-        store = ParameterStore()
-        w = store.add("w", rng.uniform(-1, 1, size=(5, 5)))
+        store = {}
+        w = store["w"] = Tensor(rng.uniform(-1, 1, size=(5, 5)), requires_grad=True)
         x = Tensor(rng.uniform(-1, 1, size=(7, 5)))
         with Tape() as tape:
             loss = reduce_sum(square(sigmoid(matmul(x, w))))
@@ -617,10 +602,8 @@ def test_fused_forward_bit_identical_to_composition(name):
 
 
 def _fd_check(fused, inputs, pick):
-    from vdm.optim import ParameterStore
-
-    store = ParameterStore()
-    args = [store.add(key, value.copy()) for key, value in inputs.items()]
+    store = {key: Tensor(value.copy(), requires_grad=True) for key, value in inputs.items()}
+    args = list(store.values())
 
     def forward():
         return _square_sum(pick(_outputs(fused(*args))))
@@ -711,13 +694,11 @@ def test_concat_rows_stacks_array_sequences_outside_the_record():
 def test_fused_gru_input_gradient_through_recorded_state():
     """The state and input gradients flow when those parents come off the
     tape, with one input row per state and with K."""
-    from vdm.optim import ParameterStore
-
     for name in ("gru_cell", "gru_cell_k4"):
         _, _, _, inputs = _FUSED[name]
-        store = ParameterStore()
-        x0 = store.add("x0", inputs["x"].copy())
-        h0 = store.add("h0", inputs["h"].copy())
+        store = {}
+        x0 = store["x0"] = Tensor(inputs["x"].copy(), requires_grad=True)
+        h0 = store["h0"] = Tensor(inputs["h"].copy(), requires_grad=True)
         weights = [Tensor(inputs[k]) for k in ("wr", "br", "wu", "bu", "wc", "bc")]
 
         def forward():

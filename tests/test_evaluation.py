@@ -108,7 +108,7 @@ def test_nll_leaves_its_forecasts_unchanged():
     got = multi_step_nll(truths, fc)
     np.testing.assert_array_equal(fc, kept)
     np.testing.assert_array_equal(
-        evaluation._multi_step_nll(truths, fc, "mean", in_place=True), got)
+        evaluation._multi_step_nll(truths, fc, "mean"), got)
     assert not np.array_equal(fc, kept)
 
 
@@ -256,7 +256,7 @@ def test_one_step_nll_calibrated_unit_gaussian():
     cfg = ModelConfig(d_x=1, d_z=2, d_h=4, k=5)
     model = VdmModel.initialize(cfg, np.random.default_rng(0))
     for store in (model.params, model.disc):
-        for t in store.params.values():
+        for t in store.values():
             t.value[...] = 0.0
     ds = Dataset(np.zeros((3, 4, 1)), prefix_len=1)
     got = one_step_nll(model, ds.data, ds.prefix_len, np.random.default_rng(1))
@@ -299,7 +299,10 @@ def test_one_step_nll_skips_the_unread_last_filtering_step(monkeypatch):
         patch.setattr(inference, "belief_step", counted)
         got = one_step_nll(model, data, 10, np.random.default_rng(7))
     assert len(calls) == 10
-    _, beliefs = inference.filter_sequence(model, data, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    beliefs = [inference.belief_init(model, data[:, 0])]
+    for t in range(1, 12):
+        beliefs.append(inference.belief_step(model, beliefs[-1], data[:, t], rng)[0])
     want = np.mean(
         [
             -inference.one_step_predictive(model, beliefs[t - 1], data[:, t])
@@ -307,6 +310,22 @@ def test_one_step_nll_skips_the_unread_last_filtering_step(monkeypatch):
         ]
     )
     assert got == float(want)
+
+
+def test_one_step_nll_peak_memory_flat_in_sequence_length():
+    """Each step is scored as the filter reaches it and no belief is kept
+    after, so the allocation peak at T = 120 stays within 10% of T = 30
+    (keeping every step's belief it grew about twofold)."""
+    cfg = ModelConfig(d_x=3, d_z=6, d_h=32, k=13)
+    model = VdmModel.initialize(cfg, np.random.default_rng(0))
+    peaks = []
+    for t_len in (30, 120):
+        data = np.random.default_rng(1).normal(size=(64, t_len, 3))
+        with traced_peak() as peak:
+            nll = one_step_nll(model, data, 10, np.random.default_rng(2))
+        assert math.isfinite(nll)
+        peaks.append(peak.bytes)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("prefix_len", [0, -3])

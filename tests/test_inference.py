@@ -219,15 +219,17 @@ def test_k1_matches_independent_single_sample_filter():
         rng = np.random.default_rng(100 + seed)
         xs = rng.normal(size=(1, 4, 3))
 
-        _, beliefs = filter_sequence(model, xs, np.random.default_rng(7))
-        # the same recursion step by step, for the branch each step picked
+        # the recursion step by step, for the branch each step picked
         rng_a = np.random.default_rng(7)
-        belief = belief_init(model, xs[:, 0])
+        beliefs = [belief_init(model, xs[:, 0])]
         for t in range(1, 4):
-            belief, info = belief_step(model, belief, xs[:, t], rng_a)
+            belief, info = belief_step(model, beliefs[-1], xs[:, t], rng_a)
             np.testing.assert_array_equal(info.branch, [0])
-            np.testing.assert_array_equal(belief.collapsed.mean.value,
-                                          beliefs[t].collapsed.mean.value)
+            beliefs.append(belief)
+        # the filter ends on the last of them
+        final = filter_sequence(model, xs, np.random.default_rng(7))
+        np.testing.assert_array_equal(final.collapsed.mean.value,
+                                      beliefs[-1].collapsed.mean.value)
 
         # independent reference: one latent draw, h <- s, q <- infer(s, x)
         rng_b = np.random.default_rng(7)
@@ -250,8 +252,12 @@ def test_k1_matches_independent_single_sample_filter():
 
 def test_filter_sequence_prefix_one_returns_init_only():
     model = make_model(seed=14)
-    belief, beliefs = filter_sequence(model, np.zeros((2, 1, 3)), np.random.default_rng(0))
-    assert len(beliefs) == 1
+    rng = np.random.default_rng(0)
+    belief = filter_sequence(model, np.zeros((2, 1, 3)), rng)
+    # no belief step ran: the rng is untouched and the belief is belief_init's
+    assert rng.random() == np.random.default_rng(0).random()
+    init = belief_init(model, np.zeros((2, 3)))
+    np.testing.assert_array_equal(belief.collapsed.mean.value, init.collapsed.mean.value)
     assert belief.batch == 2
     np.testing.assert_array_equal(belief.expected_h.value, np.zeros((2, 4)))
 
@@ -266,7 +272,7 @@ def test_filter_sequence_empty_prefix_rejected():
 def test_empty_batch_filters_scores_and_forecasts(sampler, k):
     """Zero trajectories give zero rows at every stage of the branch layout."""
     model = make_model(k=k, sampler_mode=sampler)
-    belief, _ = filter_sequence(model, np.zeros((0, 3, 3)), np.random.default_rng(0))
+    belief = filter_sequence(model, np.zeros((0, 3, 3)), np.random.default_rng(0))
     assert belief.batch == 0 and belief.collapsed.mean.shape == (0, 2)
     assert one_step_predictive(model, belief, np.zeros((0, 3))).shape == (0,)
     fc = forecast_dataset(model, np.zeros((0, 3, 3)), 2, 4, 1, np.random.default_rng(0))
@@ -277,8 +283,13 @@ def test_filter_sequence_protocol_shapes():
     # taxi-style: prefix 10 of a 30-step trajectory; lorenz-style: prefix 10, horizon 90
     model = make_model(d_x=2, seed=15)
     data = np.random.default_rng(1).normal(size=(4, 30, 2))
-    belief, beliefs = filter_sequence(model, data[:, :10], np.random.default_rng(2))
-    assert len(beliefs) == 10
+    belief = filter_sequence(model, data[:, :10], np.random.default_rng(2))
+    # the final belief has absorbed all 10 prefix observations
+    rng = np.random.default_rng(2)
+    want = belief_init(model, data[:, 0])
+    for t in range(1, 10):
+        want, _ = belief_step(model, want, data[:, t], rng)
+    np.testing.assert_array_equal(belief.expected_h.value, want.expected_h.value)
     fc = generate(model, belief, 20, np.random.default_rng(3))
     assert fc.shape == (4, 20, 2)
 

@@ -6,7 +6,6 @@ import pytest
 
 from vdm.autodiff import Tape, Tensor, backward
 from vdm.nets import ModelConfig, VdmModel
-from vdm.optim import ParameterStore
 
 from helpers import (
     add,
@@ -25,7 +24,7 @@ def make_model(d_x=3, d_z=2, d_h=4, k=5, seed=0, **kw):
 
 
 def zero_all(store):
-    for t in store.params.values():
+    for t in store.values():
         t.value[...] = 0.0
 
 
@@ -105,8 +104,8 @@ def test_transition_gradient_wrt_input():
         g = model.transition_prior(Tensor(h0))
         return float(reduce_sum(add(g.mean, g.std)).value)
 
-    store = ParameterStore()
-    hp = store.add("h", h0)
+    store = {}
+    hp = store["h"] = Tensor(h0, requires_grad=True)
     with Tape() as tape:
         g = model.transition_prior(hp)
         backward(tape, reduce_sum(add(g.mean, g.std)))
@@ -207,9 +206,9 @@ def test_infer_component_gradient_wrt_both_inputs():
     s0 = rng.uniform(-1, 1, size=(1, 4))
     x0 = rng.uniform(-1, 1, size=(1, 3))
 
-    store = ParameterStore()
-    sp = store.add("s", s0.copy())
-    xp = store.add("x", x0.copy())
+    store = {}
+    sp = store["s"] = Tensor(s0.copy(), requires_grad=True)
+    xp = store["x"] = Tensor(x0.copy(), requires_grad=True)
 
     def loss_value():
         g = model.infer_component(Tensor(store["s"].value), Tensor(store["x"].value))
@@ -241,10 +240,19 @@ def test_discriminator_output_strictly_inside_unit_interval():
 
 def test_discriminator_parameters_disjoint_from_model():
     model = make_model()
-    model_ids = {id(t.value) for t in model.params.params.values()}
-    disc_ids = {id(t.value) for t in model.disc.params.values()}
+    model_ids = {id(t.value) for t in model.params.values()}
+    disc_ids = {id(t.value) for t in model.disc.values()}
     assert not model_ids & disc_ids
-    assert "gru.wr" in model.disc.params  # own summarizer cell
+    assert "gru.wr" in model.disc  # own summarizer cell
+
+
+def test_parameter_names_distinct_in_each_store():
+    """``parameter_shapes`` is the only source of parameter names, and a store
+    is a dict, so a repeated name would silently replace a parameter."""
+    for cfg in (ModelConfig(d_x=3, d_z=6, d_h=32, k=13), ModelConfig(d_x=1, d_z=1, d_h=1, k=3)):
+        for store, shapes in VdmModel.parameter_shapes(cfg).items():
+            names = [name for name, _ in shapes]
+            assert len(set(names)) == len(names), store
 
 
 def test_all_zero_parameters_smoke():
@@ -300,8 +308,8 @@ def test_parameter_counts_stable_and_match_init():
         want_model, want_disc = parameter_counts(cfg)
         for seed in (0, 1):
             model = VdmModel.initialize(cfg, np.random.default_rng(seed))
-            assert sum(t.value.size for t in model.params.params.values()) == want_model
-            assert sum(t.value.size for t in model.disc.params.values()) == want_disc
+            assert sum(t.value.size for t in model.params.values()) == want_model
+            assert sum(t.value.size for t in model.disc.values()) == want_disc
 
 
 def test_nonfinite_input_rejected():

@@ -18,6 +18,7 @@ from helpers import (
     all_branch_belief_step,
     all_branch_elbo,
     all_branch_losses,
+    drop_grads,
     entry_grads,
     finite_diff_entries,
     frozen_branch_selection,
@@ -39,7 +40,7 @@ def make_model(d_x=3, d_z=2, d_h=4, k=5, seed=0, **kw):
 
 def zero_all(model):
     for store in (model.params, model.disc):
-        for t in store.params.values():
+        for t in store.values():
             t.value[...] = 0.0
 
 
@@ -183,15 +184,14 @@ def test_each_steps_heads_equal_its_rows_of_the_stacked_heads(monkeypatch, omega
 def _loss_and_gradients(model, loss_fn, batch, seed):
     """The breakdown of ``loss_fn`` and the gradients of every model and
     discriminator parameter after one backward sweep over total + disc."""
-    for store in (model.params, model.disc):
-        store.zero_grad()
+    drop_grads(model.params, model.disc)
     with Tape() as tape:
         bd = loss_fn(model, batch, np.random.default_rng(seed))
         backward(tape, ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node)))
     return bd, {
         (which, name): t.grad.copy()
         for which, store in (("model", model.params), ("disc", model.disc))
-        for name, t in store.params.items()
+        for name, t in store.items()
     }
 
 
@@ -258,7 +258,7 @@ def test_pred_invariant_to_branch_order():
 
 def test_adv_losses_at_uninformative_discriminator():
     model = make_model(seed=7)
-    for t in model.disc.params.values():
+    for t in model.disc.values():
         t.value[...] = 0.0  # D == 0.5 everywhere
     x = np.array([[0.4, -0.2, 0.1]])
     summary = Tensor(np.zeros((1, 4)))
@@ -358,7 +358,7 @@ def test_discriminator_gradient_matches_finite_differences():
     with frozen_branch_selection(frozen):
         with Tape() as tape:
             bd = total_loss(model, batch, np.random.default_rng(88))
-            model.disc.zero_grad()
+            drop_grads(model.disc)
             backward(tape, bd.disc_node)
         entries = sample_entries(model.disc, 4, np.random.default_rng(4))
         fd = finite_diff_entries(model.disc, disc_value, entries)
@@ -508,7 +508,7 @@ def test_replaying_a_tape_twice_doubles_the_gradients():
     model, tape, root = desk_training_step()
     stores = (model.params, model.disc)
     backward(tape, root)
-    once = [{k: t.grad.copy() for k, t in s.params.items()} for s in stores]
+    once = [{k: t.grad.copy() for k, t in s.items()} for s in stores]
     backward(tape, root)
     for store, grads in zip(stores, once):
         for name, g in grads.items():
@@ -536,11 +536,28 @@ def test_zero_epochs_returns_initialized_checkpoint():
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
     result = train(train_ds, cfg, np.random.default_rng(11), epochs=0)
     ref = VdmModel.initialize(cfg, np.random.default_rng(11))
-    for name in ref.params.params:
+    for name in ref.params:
         np.testing.assert_array_equal(
             result.checkpoint.model_arrays[name], ref.params[name].value
         )
     assert result.history == []
+
+
+def test_omega2_zero_builds_no_discriminator_optimizer_state(monkeypatch):
+    """At omega2 = 0 the discriminator is never stepped, so train builds Adam
+    state for the model store alone."""
+    built = []
+
+    class CountingAdamState(objective.AdamState):
+        def __init__(self, store):
+            built.append(store)
+            super().__init__(store)
+
+    monkeypatch.setattr(objective, "AdamState", CountingAdamState)
+    train_ds, _ = _tiny_four_mode()
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    train(train_ds, cfg, np.random.default_rng(13), epochs=1, batch_size=16)
+    assert len(built) == 1 and "enc0.w" in built[0]
 
 
 def test_training_deterministic_bit_identical():
@@ -703,7 +720,7 @@ def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
         return real_backward(tape, loss)
 
     def spying_adam(store, state, lr):
-        handed.append({name: t.grad.copy() for name, t in store.params.items()})
+        handed.append({name: t.grad.copy() for name, t in store.items()})
         return real_adam(store, state, lr=lr)
 
     monkeypatch.setattr(objective, "backward", counting_backward)
@@ -722,10 +739,10 @@ def test_training_step_one_sweep_matches_two_sweep_reference(monkeypatch):
     with Tape() as tape:
         bd = total_loss(model, batch, rng)
         backward(tape, bd.total_node)
-        model.disc.zero_grad()
+        drop_grads(model.disc)
         backward(tape, bd.disc_node)
     for store, got in ((model.params, handed[0]), (model.disc, handed[1])):
-        for name, t in store.params.items():
+        for name, t in store.items():
             assert rel_error(got[name], t.grad) < 1e-12, name
 
 

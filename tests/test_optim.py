@@ -4,12 +4,12 @@ import pytest
 
 from vdm import autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
-from vdm.optim import AdamState, ParameterStore, adam_step
+from vdm.optim import AdamState, adam_step
 
 
 def _store_with(value, grad):
-    store = ParameterStore()
-    p = store.add("p", value)
+    store = {}
+    p = store["p"] = Tensor(value, requires_grad=True)
     p.grad = np.array(grad, dtype=np.float64)
     return store, AdamState(store), p
 
@@ -32,8 +32,8 @@ def test_first_step_is_learning_rate():
 def test_two_identical_stores_bit_identical():
     def run():
         rng = np.random.default_rng(4)
-        store = ParameterStore()
-        p = store.add("p", rng.normal(size=(3, 3)))
+        store = {}
+        p = store["p"] = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         state = AdamState(store)
         for _ in range(5):
             p.grad = np.sin(p.value)
@@ -56,11 +56,11 @@ def test_gradients_zeroed_after_step():
 
 
 def test_moment_shapes_match_parameters():
-    store = ParameterStore()
-    store.add("a", np.zeros((2, 3)))
-    store.add("b", np.zeros(5))
+    store = {}
+    store["a"] = Tensor(np.zeros((2, 3)), requires_grad=True)
+    store["b"] = Tensor(np.zeros(5), requires_grad=True)
     state = AdamState(store)
-    for name in store.params:
+    for name in store:
         assert state.m[name].shape == store[name].value.shape
         assert state.v[name].shape == store[name].value.shape
 
@@ -72,18 +72,11 @@ def test_step_counter_increments_by_one():
         assert state.step_count == want
 
 
-def test_duplicate_name_rejected():
-    store = ParameterStore()
-    store.add("w", np.zeros(1))
-    with pytest.raises(ValueError, match="already registered"):
-        store.add("w", np.zeros(1))
-
-
-def test_fresh_parameter_has_no_gradient_and_zero_grad_is_a_no_op():
-    store = ParameterStore()
-    p = store.add("p", np.ones(3))
+def test_fresh_parameter_has_no_gradient_and_a_step_leaves_none():
+    store = {}
+    p = store["p"] = Tensor(np.ones(3), requires_grad=True)
     assert p.grad is None
-    store.zero_grad()
+    adam_step(store, AdamState(store), lr=1e-3)
     assert p.grad is None
 
 
@@ -102,9 +95,9 @@ def test_missing_gradient_steps_as_zero():
     gradient slot gives."""
 
     def run(fill_missing):
-        store = ParameterStore()
+        store = {}
         for name, value in (("read", [-1.0, 0.5, 2.0]), ("first", [0.5, -0.25]), ("never", [3.0])):
-            store.add(name, np.array(value))
+            store[name] = Tensor(np.array(value), requires_grad=True)
         state = AdamState(store)
         moved = []
         for step in range(3):
@@ -112,7 +105,7 @@ def test_missing_gradient_steps_as_zero():
             with Tape() as tape:
                 backward(tape, _nll(*(store[name] for name in reads)))
             assert store["never"].grad is None and (step == 0) == (store["first"].grad is not None)
-            for t in store.params.values():
+            for t in store.values():
                 if fill_missing and t.grad is None:
                     t.grad = np.zeros_like(t.value)
             before = store["first"].value.copy()

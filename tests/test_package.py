@@ -1,9 +1,10 @@
 """Package surface: the top-level exports match the README quick start,
-every submodule export and every name a demo imports resolves, the fast
-demos run, and no command loads scipy."""
+every submodule export, every name a demo imports and every call site the
+benchmark traces resolves, the fast demos run, and no command loads scipy."""
 import ast
 import glob
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -121,6 +122,22 @@ with open(os.path.join(work, "ev", "metrics_report.csv")) as fh:
     loaded["evaluate_report"] = fh.read()
 print(json.dumps(loaded))
 """
+
+
+def test_every_benchmark_trace_target_resolves(monkeypatch):
+    """Each (owner, attribute) that perfbench's worker wraps for its per-layer
+    spans exists, so renaming a traced call site fails here instead of
+    silently zeroing a metric.  ``vdm.cli.filter_sequence`` is a known stale
+    pin: the CLI filters only through ``vdm.evaluation``."""
+    importlib.import_module("vdm.cli")  # the worker runs commands through it
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in worker._targets(vdm)
+               if not hasattr(owner, attr)]
+    assert missing == ["vdm.cli.filter_sequence"]
 
 
 def test_no_command_loads_scipy(tmp_path):
