@@ -6,10 +6,13 @@ at fan-out points.  With no tape active all operations are plain numpy
 evaluations, which keeps rollout / evaluation paths cheap.
 
 A record may return a tuple of outputs; its backward then receives a tuple
-of gradients, with ``None`` for an output that nothing read.  Every
-primitive is a fused record (``sigmoid_mlp3``, ``gaussian_mlp``,
-``gru_cell``, ``gaussian_log_pdf``, ``gaussian_kl`` and the filtering and
-loss glue after them, down to ``linear_combination``): each forward gives,
+of gradients, with ``None`` for an output that nothing read.  A record's
+backward returns a gradient for every parent, ``None`` only where its own
+output's gradient is ``None``, and ``backward`` drops those of parents that
+are neither recorded nor ``requires_grad``.  Every primitive is a fused
+record (``sigmoid_mlp3``, ``gaussian_mlp``, ``gru_cell``,
+``gaussian_log_pdf``, ``gaussian_kl`` and the filtering and loss glue after
+them, down to ``linear_combination``): each forward gives,
 bit for bit, the values of the composition of elementwise primitives it
 replaces, and each backward is written out analytically in the same
 floating-point operations as that composition's.  ``Tensor`` has no
@@ -115,21 +118,17 @@ def _emit(value, parents, backward_fn):
     return out
 
 
-def _wants(t):
-    """Whether a backward pass needs the gradient of parent ``t``."""
-    return t._from_tape or t.requires_grad
-
-
 def backward(tape, loss):
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar produced under ``tape``.  Gradients of leaf
     tensors accumulate (+=) from zeros; ``adam_step`` drops them after its update.
     A record's backward gives each parent a gradient of that parent's shape:
-    nothing is broadcast.  The network records rebuild their hidden layers
-    and gates from the parameter values, which a ``detach`` shares, so no
-    parameter may change between a record's forward and ``backward``:
-    ``train`` calls ``adam_step`` after it.
+    nothing is broadcast.  Only recorded and ``requires_grad`` parents receive
+    theirs; the others' are dropped.  The network records rebuild their
+    hidden layers and gates from the parameter values, which a ``detach``
+    shares, so no parameter may change between a record's forward and
+    ``backward``: ``train`` calls ``adam_step`` after it.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
@@ -165,7 +164,8 @@ def backward(tape, loss):
 # fused records: one record each, forward bit-identical to the composed
 # primitives; a closure keeps what its backward cannot rebuild from its parents
 # (the networks no hidden layer or gate), and with no tape active _emit drops
-# the closure and those arrays with it
+# the closure and those arrays with it; a backward returns every parent's
+# gradient and leaves to ``backward`` which parents receive one
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a):
@@ -223,19 +223,13 @@ def _mlp3_backward(g, inputs, weights):
     xv, h0, h1 = _mlp3_hidden(inputs, weights)
     grads = [None] * 6
     for i, (inp, w, b) in ((2, (h1, w2, b2)), (1, (h0, w1, b1)), (0, (xv, w0, b0))):
-        if _wants(w):
-            grads[2 * i] = inp.T @ g
-        if _wants(b):
-            grads[1 + 2 * i] = g.sum(axis=0)
+        grads[2 * i] = inp.T @ g
+        grads[1 + 2 * i] = g.sum(axis=0)
         if i > 0:
             g = g @ w.value.T
             np.multiply(g, inp > 0.0, out=g)
-    input_grads = (None,) * len(inputs)
-    if any(_wants(t) for t in inputs):
-        ends = np.cumsum([t.value.shape[-1] for t in inputs])[:-1]
-        pieces = np.split(g @ w0.value.T, ends, axis=1)
-        input_grads = tuple(p if _wants(t) else None for p, t in zip(pieces, inputs))
-    return input_grads + tuple(grads)
+    ends = np.cumsum([t.value.shape[-1] for t in inputs])[:-1]
+    return tuple(np.split(g @ w0.value.T, ends, axis=1)) + tuple(grads)
 
 
 def sigmoid_mlp3(inputs, weights):
@@ -327,21 +321,12 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
         g_rh = g_xrh[:, d_x:]
         ga_r = g_rh * hk * r * (1.0 - r)
         ga_u = g * (hk - c) * u * (1.0 - u)
-        grads = [None] * 8
-        for i, (ga, w, b, inp) in enumerate(
-            ((ga_r, wr, br, xh), (ga_u, wu, bu, xh), (ga_c, wc, bc, xrh))
-        ):
-            if _wants(w):
-                grads[2 + 2 * i] = inp.T @ ga
-            if _wants(b):
-                grads[3 + 2 * i] = ga.sum(axis=0)
-        if _wants(x) or _wants(h):
-            g_xh = ga_r @ wr.value.T + ga_u @ wu.value.T
-            if _wants(x):
-                grads[0] = g_xh[:, :d_x] + g_xrh[:, :d_x]
-            if _wants(h):
-                g_h = g_xh[:, d_x:] + g * u + g_rh * r
-                grads[1] = g_h.reshape(len(hv), k, -1).sum(axis=1) if k > 1 else g_h
+        g_xh = ga_r @ wr.value.T + ga_u @ wu.value.T
+        g_h = g_xh[:, d_x:] + g * u + g_rh * r
+        grads = [g_xh[:, :d_x] + g_xrh[:, :d_x],
+                 g_h.reshape(len(hv), k, -1).sum(axis=1) if k > 1 else g_h]
+        for ga, inp in ((ga_r, xh), (ga_u, xh), (ga_c, xrh)):
+            grads += [inp.T @ ga, ga.sum(axis=0)]
         return tuple(grads)
 
     return _emit(out, (x, h, wr, br, wu, bu, wc, bc), back)
@@ -356,11 +341,7 @@ def gaussian_log_pdf(x, mean, std):
         inv = 1.0 / std.value
         ge = np.expand_dims(g, -1)
         gx = -(ge * z) * inv
-        return (
-            gx if _wants(x) else None,
-            -gx if _wants(mean) else None,
-            ge * inv * (z * z - 1.0) if _wants(std) else None,
-        )
+        return gx, -gx, ge * inv * (z * z - 1.0)
 
     return _emit(out, (x, mean, std), back)
 
@@ -376,12 +357,7 @@ def gaussian_kl(qm, qs, pm, ps):
     def back(g):
         ge = np.expand_dims(g, -1)
         gqm = ge * b * inv
-        return (
-            gqm if _wants(qm) else None,
-            ge * (a * inv - 1.0 / qs.value) if _wants(qs) else None,
-            -gqm if _wants(pm) else None,
-            ge * inv * (1.0 - a * a - b * b) if _wants(ps) else None,
-        )
+        return gqm, ge * (a * inv - 1.0 / qs.value), -gqm, ge * inv * (1.0 - a * a - b * b)
 
     return _emit(out, (qm, qs, pm, ps), back)
 
@@ -401,10 +377,7 @@ def reparameterize(mean, std, eps):
 
     def back(g):
         g3 = g.reshape(eps3.shape)
-        return (
-            g3.sum(axis=1) if _wants(mean) else None,
-            (g3 * eps3).sum(axis=1) if _wants(std) else None,
-        )
+        return g3.sum(axis=1), (g3 * eps3).sum(axis=1)
 
     return _emit(out, (mean, std), back)
 
@@ -421,10 +394,7 @@ def take_rows(rows, tensors):
         return full
 
     def back(g):
-        return tuple(
-            scatter(t, gi) if gi is not None and _wants(t) else None
-            for t, gi in zip(tensors, g)
-        )
+        return tuple(None if gi is None else scatter(t, gi) for t, gi in zip(tensors, g))
 
     return _emit(outs, tensors, back)
 
@@ -433,9 +403,7 @@ def select_bound(recon, kl, const):
     """recon - kl - const per row: the evidence bound of one filtering step
     from the selected component's (B,) reconstruction and KL terms."""
     out = recon.value - kl.value - const
-    return _emit(
-        out, (recon, kl), lambda g: (g if _wants(recon) else None, -g if _wants(kl) else None)
-    )
+    return _emit(out, (recon, kl), lambda g: (g, -g))
 
 
 def log_mean_exp(a, k):
@@ -446,7 +414,7 @@ def log_mean_exp(a, k):
     e = np.exp(av - m)
     s = e.sum(axis=1)
     out = (np.log(s) + np.squeeze(m, axis=1)) - math.log(k)
-    return _emit(out, (a,), lambda g: (((g / s)[:, None] * e).ravel() if _wants(a) else None,))
+    return _emit(out, (a,), lambda g: (((g / s)[:, None] * e).ravel(),))
 
 
 def gan_losses(d_gen, d_real, d_fake, floor):
@@ -464,14 +432,12 @@ def gan_losses(d_gen, d_real, d_fake, floor):
     def back(g):
         g_gen, g_disc = g
         grads = [None, None, None]
-        if g_gen is not None and _wants(d_gen):
+        if g_gen is not None:
             grads[0] = (-g_gen.reshape(gv.shape) / cg) * ((gv > lo) & (gv < hi))
         if g_disc is not None:
             g_disc = g_disc.reshape(rv.shape)
-            if _wants(d_real):
-                grads[1] = (-g_disc / cr) * ((rv > lo) & (rv < hi))
-            if _wants(d_fake):
-                grads[2] = -((-g_disc / cf) * ((fv > lo) & (fv < hi)))
+            grads[1] = (-g_disc / cr) * ((rv > lo) & (rv < hi))
+            grads[2] = -((-g_disc / cf) * ((fv > lo) & (fv < hi)))
         return tuple(grads)
 
     b = gv.shape[0]
@@ -488,9 +454,9 @@ def concat_rows(*series):
 
     def back(g):
         return tuple(
-            gi[start:stop] if gi is not None and _wants(t) else None
-            for gi, pieces, ends in zip(g, tensors, bounds)
-            for t, start, stop in zip(pieces, ends[:-1], ends[1:])
+            None if gi is None else gi[start:stop]
+            for gi, ends in zip(g, bounds)
+            for start, stop in zip(ends[:-1], ends[1:])
         )
 
     stacked = iter(_emit(outs, tuple(t for pieces in tensors for t in pieces), back))
@@ -510,8 +476,7 @@ def sum_of_means(n_steps, *tensors):
 
     def back(g):
         return tuple(
-            np.full(t.value.shape, gi / (t.value.size // n_steps))
-            if gi is not None and _wants(t) else None
+            None if gi is None else np.full(t.value.shape, gi / (t.value.size // n_steps))
             for gi, t in zip(g, tensors)
         )
 
@@ -527,8 +492,4 @@ def linear_combination(coeffs, scalars):
     out = coeffs[0] * scalars[0].value
     for c, s in zip(coeffs[1:], scalars[1:]):
         out = out + c * s.value
-    return _emit(
-        out,
-        scalars,
-        lambda g: tuple(c * g if _wants(s) else None for c, s in zip(coeffs, scalars)),
-    )
+    return _emit(out, scalars, lambda g: tuple(c * g for c in coeffs))

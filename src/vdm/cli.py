@@ -273,6 +273,8 @@ def cmd_train(args):
     files = manifest["files"]
     train_ds = _load_csv(manifest, base, files["train"])
     val_ds = _load_csv(manifest, base, files["val"]) if "val" in files else None
+    if val_ds is not None and len(val_ds) == 0:  # --n-val 0: train with no validation
+        val_ds = None
     rng = np.random.default_rng(args.seed)
     result = train(
         train_ds,

@@ -198,6 +198,9 @@ def train(
         raise ValueError(
             f"train: val_dataset must be a Dataset, got {type(val_dataset).__name__}"
         )
+    for name, value in (("batch_size", batch_size), ("val_forecasts", val_forecasts)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"train: {name} must be an int >= 1, got {value!r}")
     data, prefix_len = dataset.data, dataset.prefix_len
     if len(dataset) == 0:
         raise ValueError("train: the training set holds no sequences")

@@ -334,8 +334,7 @@ def weighted_sum(weights, tensors):
 
     def back(g):
         return tuple(
-            (np.expand_dims(gi, 1) * w3).reshape(t.value.shape)
-            if gi is not None and ad._wants(t) else None
+            None if gi is None else (np.expand_dims(gi, 1) * w3).reshape(t.value.shape)
             for t, gi in zip(tensors, g)
         )
 
@@ -385,10 +384,7 @@ def weighted_bound(weights, recon, kl, const):
 
     def back(g):
         g = np.expand_dims(g, 1)
-        return (
-            (g * weights).reshape(rv.shape) if ad._wants(recon) else None,
-            (-g * weights).reshape(kv.shape) if ad._wants(kl) else None,
-        )
+        return (g * weights).reshape(rv.shape), (-g * weights).reshape(kv.shape)
 
     return ad._emit(out, (recon, kl), back)
 
@@ -452,8 +448,7 @@ def series_sum_of_means(*series):
 
     def back(g):
         return tuple(
-            np.broadcast_to(gi / t.value.size, t.value.shape).copy()
-            if gi is not None and ad._wants(t) else None
+            None if gi is None else np.broadcast_to(gi / t.value.size, t.value.shape).copy()
             for gi, terms in zip(g, series)
             for t in terms
         )
@@ -589,9 +584,7 @@ def exp_clamp(a, lo, hi):
     interior."""
     av = a.value
     out = np.exp(np.clip(av, lo, hi))
-    return ad._emit(
-        out, (a,), lambda g: (g * out * ((av > lo) & (av < hi)) if ad._wants(a) else None,)
-    )
+    return ad._emit(out, (a,), lambda g: (g * out * ((av > lo) & (av < hi)),))
 
 
 # ---------------------------------------------------------------------------

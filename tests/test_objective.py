@@ -668,6 +668,35 @@ def test_validation_without_a_continuation_fails_before_training(monkeypatch):
     assert calls == []
 
 
+def test_empty_validation_set_is_an_error():
+    """An empty validation Dataset has nothing to score; ``vdm train`` passes
+    none for an empty val split instead."""
+    train_ds, val_ds = _tiny_four_mode()
+    empty = Dataset(val_ds.data[:0], val_ds.prefix_len)
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    with pytest.raises(ValueError, match="^train: the validation set holds no sequences$"):
+        train(train_ds, cfg, np.random.default_rng(5), val_dataset=empty, epochs=1)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("batch_size", 0), ("batch_size", True), ("batch_size", 16.0),
+    ("val_forecasts", 0), ("val_forecasts", -1), ("val_forecasts", True),
+])
+def test_loop_settings_checked_before_the_first_batch(monkeypatch, setting, value):
+    """batch_size and val_forecasts must be ints >= 1; val_forecasts=0 used to
+    fail only after a whole epoch, and batch_size=0 inside ``range``."""
+    train_ds, val_ds = _tiny_four_mode()
+
+    def never(*args):
+        raise AssertionError("total_loss ran")
+
+    monkeypatch.setattr(objective, "total_loss", never)
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    settings = {"batch_size": 16, "val_forecasts": 5, setting: value}
+    with pytest.raises(ValueError, match=f"^train: {setting} must be an int >= 1, got {value!r}$"):
+        train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=1, **settings)
+
+
 @pytest.mark.parametrize("position", ["dataset", "val_dataset"])
 def test_bare_array_input_is_an_error(position):
     """Only Datasets are accepted; a bare array used to pass as val_dataset

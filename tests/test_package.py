@@ -140,6 +140,66 @@ def test_every_benchmark_trace_target_resolves(monkeypatch):
     assert missing == ["vdm.cli.filter_sequence"]
 
 
+PIN_CALLS = r"""
+import functools
+import json
+import os
+import sys
+
+import vdm
+import vdm.cli
+
+work, perfbench = sys.argv[1:3]
+sys.path.insert(0, perfbench)
+import worker
+
+calls = {}
+
+
+def counted(pin, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[pin] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+for owner, attr, _, _ in worker._targets(vdm):
+    pin = f"{owner.__name__}.{attr}"
+    calls[pin] = 0
+    if hasattr(owner, attr):
+        setattr(owner, attr, counted(pin, getattr(owner, attr)))
+data, run = os.path.join(work, "lz"), os.path.join(work, "run")
+manifest, ckpt = os.path.join(data, "manifest.json"), os.path.join(run, "checkpoint.vdm")
+for argv in (
+    ["simulate", "--gen", "lorenz", "--seed", "5", "--out", data, "--n-train", "8",
+     "--n-val", "2", "--n-test", "4", "--seq-len", "12", "--prefix-len", "4",
+     "--n-groups", "2", "--group-size", "4"],
+    ["train", "--data", manifest, "--seed", "3", "--out", run, "--d-z", "2", "--d-h", "4",
+     "--k", "5", "--epochs", "1", "--batch-size", "16", "--val-forecasts", "5"],
+    ["evaluate", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+     "--out", os.path.join(work, "ev"), "--n-forecasts", "5", "--w-forecasts", "2"],
+    ["forecast", "--data", manifest, "--checkpoint", ckpt, "--seed", "2",
+     "--out", os.path.join(work, "fc"), "--n", "3", "--limit", "2", "--export-prior",
+     "--prior-draws", "5"],
+):
+    assert vdm.cli.main(argv) == 0, argv[0]
+print(json.dumps(sorted(pin for pin, n in calls.items() if n == 0)))
+"""
+
+
+def test_every_benchmark_trace_target_is_called(tmp_path):
+    """Each pin perfbench's worker wraps is called by a tiny simulate, train,
+    evaluate with groups and ``forecast --export-prior``, so a pin that
+    resolves but is no longer on any command's path fails here.  Two are
+    known: ``vdm.cli.filter_sequence`` does not resolve, and the W-distance
+    protocol scores its sets without ``vdm.evaluation.wasserstein``."""
+    proc = fresh_python(PIN_CALLS, tmp_path, os.path.join(ROOT, "perfbench"), VDM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    uncalled = json.loads(proc.stdout.splitlines()[-1])
+    assert uncalled == ["vdm.cli.filter_sequence", "vdm.evaluation.wasserstein"]
+
+
 def test_no_command_loads_scipy(tmp_path):
     """The package needs numpy only: importing it and running simulate,
     train, forecast and evaluate with groups (the W-distance included)
