@@ -5,8 +5,8 @@ selected-component step must reproduce, the one-hot weighted sum that the
 row gather must reproduce, the per-step loss that the loss heads run once
 per batch must reproduce (its bound is this module's ``step_elbo``, which
 ``all_branch_losses`` swaps for the all-branch bound), the arrays a tape
-keeps for backward and its records counted by kind, a traced allocation
-peak, the unfused tape primitives that fused records are checked against and
+keeps for backward and its records counted by kind, one desk-scale
+training step, a traced allocation peak, the unfused tape primitives that fused records are checked against and
 test losses are built from, and the row-at-a-time CSV rendering and reading
 that the block writer and the vectorized loader must reproduce."""
 import collections
@@ -28,7 +28,7 @@ import numpy as np
 import vdm.autodiff as ad
 import vdm.inference
 import vdm.objective
-from vdm.nets import Gaussian
+from vdm.nets import Gaussian, ModelConfig, VdmModel
 from vdm.sampling import latent_sample_batch
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -255,6 +255,18 @@ def record_census(tape):
     """How many records of each kind a tape holds, a kind being the function
     that defines the record's backward closure, such as ``gru_cell``."""
     return collections.Counter(back.__qualname__.split(".")[0] for _, _, back in tape.records)
+
+
+def desk_training_step():
+    """The model and tape of one training step at Lorenz desk scale, with the
+    backward root ``train`` adds, and that root."""
+    config = ModelConfig(d_x=3, d_z=6, d_h=32, k=13)
+    model = VdmModel.initialize(config, np.random.default_rng(0))
+    batch = np.random.default_rng(1).normal(size=(32, 30, 3))
+    with ad.Tape() as tape:
+        bd = vdm.objective.total_loss(model, batch, np.random.default_rng(2))
+        root = ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node))
+    return model, tape, root
 
 
 @contextlib.contextmanager

@@ -18,6 +18,7 @@ from helpers import (
     all_branch_belief_step,
     all_branch_elbo,
     all_branch_losses,
+    desk_training_step,
     drop_grads,
     entry_grads,
     finite_diff_entries,
@@ -458,17 +459,6 @@ def test_training_step_tape_record_count():
     assert record_census(tape) == DESK_TOTAL_LOSS_CENSUS
     assert set(DESK_TOTAL_LOSS_CENSUS) <= set(ad.__all__)
     assert len(tape.records) == 29 * 9 + 18 == 279
-
-
-def desk_training_step():
-    """The model and tape of one training step at Lorenz desk scale, with the
-    backward root ``train`` adds, and that root."""
-    model = make_model(d_x=3, d_z=6, d_h=32, k=13, seed=0)
-    batch = np.random.default_rng(1).normal(size=(32, 30, 3))
-    with Tape() as tape:
-        bd = total_loss(model, batch, np.random.default_rng(2))
-        root = ad.linear_combination((1.0, 1.0), (bd.total_node, bd.disc_node))
-    return model, tape, root
 
 
 def test_training_step_tape_keeps_at_most_10_mib():
