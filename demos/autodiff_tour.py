@@ -11,7 +11,7 @@ import numpy as np
 
 import vdm.autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
-from vdm.optim import AdamState, adam_step
+from vdm.objective import AdamState, adam_step
 
 rng = np.random.default_rng(0)
 

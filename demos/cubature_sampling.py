@@ -9,7 +9,7 @@ import numpy as np
 
 from vdm.autodiff import Tensor
 from vdm.nets import Gaussian, ModelConfig
-from vdm.sampling import latent_sample_batch, sigma_points
+from vdm.inference import latent_sample_batch, sigma_points
 
 d, kappa = 3, 0.5
 xi, gamma = sigma_points(d, kappa)

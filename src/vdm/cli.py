@@ -52,13 +52,14 @@ def _load_config_file(path):
 
 def _resolve(args, settings):
     """defaults < config file < explicit CLI flags, then every value checked
-    against its settings entry whatever its source; adds ``seed``."""
+    against its settings entry whatever its source; adds ``seed``, checked
+    like a setting before any file is read or written."""
     resolved = {name: default for name, (_, default, _) in settings.items()}
     resolved.update(_load_config_file(args.config))
     unknown = set(resolved) - set(settings)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name, (kind, default, allowed) in settings.items():
+    for name, (kind, default, allowed) in {**settings, "seed": (int, None, AT_LEAST_0)}.items():
         value = getattr(args, name)
         if value is None:
             value = resolved[name]
@@ -71,7 +72,6 @@ def _resolve(args, settings):
             want = f">= {allowed.start}" if isinstance(allowed, range) else f"one of {list(allowed)}"
             raise ValueError(f"setting {name!r} must be {want}, got {value!r}")
         resolved[name] = value
-    resolved["seed"] = args.seed
     return resolved
 
 

@@ -7,7 +7,9 @@ recurrent cell, select one branch from the branch likelihoods, build the
 mixture component of the selected branch from the new observation, and carry
 that component plus the expected recurrent state forward.  The weighting is
 one-hot, so the components of the other branches would enter with weight
-zero; they are never built.
+zero; they are never built.  The sampler draws each row's k latents as
+noise-infused cubature sigma points (``sca``, k = 2d+1), which stay anchored
+to their region of the distribution, or as k i.i.d. draws (``monte_carlo``).
 """
 from __future__ import annotations
 
@@ -18,12 +20,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .nets import Gaussian
-from .sampling import latent_sample_batch, sigma_points
 from .util import NonFiniteError
 
 __all__ = [
     "MixtureBelief",
     "StepInfo",
+    "sigma_points",
+    "latent_sample_batch",
     "select_branch",
     "belief_init",
     "belief_step",
@@ -185,6 +188,44 @@ def generate(model, belief, horizon, rng):
     if not np.isfinite(out).all():
         raise NonFiniteError("generate: non-finite forecast")
     return out
+
+
+def sigma_points(d, kappa):
+    """Abscissas and weights of the 2d+1 point cubature rule.
+
+    gamma_0 = kappa/(d+kappa), the rest 1/(2(d+kappa)); xi_0 = 0 and
+    xi_i = +-sqrt(d+kappa) e_i on the Cartesian unit basis.
+    """
+    if d < 1:
+        raise ValueError("sigma_points: d must be >= 1")
+    if kappa <= 0:
+        raise ValueError("sigma_points: kappa must be positive")
+    k = 2 * d + 1
+    scale = np.sqrt(d + kappa)
+    xi = np.zeros((k, d))
+    xi[1 : d + 1] = scale * np.eye(d)
+    xi[d + 1 :] = -scale * np.eye(d)
+    gamma = np.full(k, 1.0 / (2.0 * (d + kappa)))
+    gamma[0] = kappa / (d + kappa)
+    return xi, gamma
+
+
+def latent_sample_batch(g, config, rng):
+    """Differentiable (B*k, d) draw from a batched Gaussian per the config's
+    sampler: row i's k latents are rows i*k to i*k + k - 1.
+
+    sca mode uses noise-infused sigma points (k = 2d+1); monte_carlo uses k
+    i.i.d. reparameterized draws.  Gradients flow into mean and std; the
+    offsets xi + eps are constants, drawn as one (B, k, d) array.
+    """
+    b, d = g.mean.shape
+    k = config.k
+    if config.sampler_mode == "sca":
+        xi, _ = sigma_points(d, config.kappa)
+        offset = xi[None, :, :] + rng.standard_normal((b, k, d))
+    else:
+        offset = rng.standard_normal((b, k, d))
+    return ad.reparameterize(g.mean, g.std, offset.reshape(b * k, d))
 
 
 def one_step_predictive(model, belief, x):

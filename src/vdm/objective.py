@@ -4,7 +4,8 @@ Per step the loss combines the evidence bound of the filtering recursion, a
 predictive-likelihood regularizer over the branch samples, and an optional
 adversarial term driven by a conditional discriminator.  The minimized
 objective is  total = -elbo - omega1 * pred + omega2 * adv, summed over steps
-and averaged over the minibatch.
+and averaged over the minibatch.  Each parameter store steps by Adam, whose
+moments and step count an ``AdamState`` keeps apart from the store.
 """
 from __future__ import annotations
 
@@ -20,12 +21,13 @@ from .checkpoint import Checkpoint
 from .data import Dataset
 from .inference import belief_init, belief_step
 from .nets import VdmModel
-from .optim import AdamState, adam_step
 
 __all__ = [
     "LossBreakdown",
     "adv_regularizer",
     "total_loss",
+    "AdamState",
+    "adam_step",
     "train",
     "TrainResult",
 ]
@@ -172,6 +174,38 @@ class TrainResult:
     aborted: bool = False
 
 
+class AdamState:
+    """Adam's moments of each parameter of one store, and its step count."""
+
+    def __init__(self, store):
+        self.m = {name: np.zeros_like(t.value) for name, t in store.items()}
+        self.v = {name: np.zeros_like(t.value) for name, t in store.items()}
+        self.step_count = 0
+
+
+def adam_step(store, state, lr):
+    """In-place bias-corrected Adam update (betas 0.9, 0.999; eps 1e-8); a
+    missing gradient counts as zero, and gradients are dropped afterwards."""
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - 0.9**t
+    c2 = 1.0 - 0.999**t
+    for name, p in store.items():
+        g = np.zeros_like(p.value) if p.grad is None else p.grad
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p.value -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+    for p in store.values():
+        p.grad = None
+    return store
+
+
 def train(
     dataset,
     config,
@@ -198,9 +232,10 @@ def train(
         raise ValueError(
             f"train: val_dataset must be a Dataset, got {type(val_dataset).__name__}"
         )
-    for name, value in (("batch_size", batch_size), ("val_forecasts", val_forecasts)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"train: {name} must be an int >= 1, got {value!r}")
+    for name, value, least in (("epochs", epochs, 0), ("patience", patience, 1),
+                               ("batch_size", batch_size, 1), ("val_forecasts", val_forecasts, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"train: {name} must be an int >= {least}, got {value!r}")
     data, prefix_len = dataset.data, dataset.prefix_len
     if len(dataset) == 0:
         raise ValueError("train: the training set holds no sequences")

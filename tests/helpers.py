@@ -28,8 +28,8 @@ import numpy as np
 import vdm.autodiff as ad
 import vdm.inference
 import vdm.objective
+from vdm.inference import latent_sample_batch
 from vdm.nets import Gaussian, ModelConfig, VdmModel
-from vdm.sampling import latent_sample_batch
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -31,9 +31,9 @@ from vdm.evaluation import (
     w_distance_protocol,
     wasserstein,
 )
+from vdm.inference import sigma_points
 from vdm.nets import ModelConfig, VdmModel
 from vdm.objective import total_loss, train
-from vdm.sampling import sigma_points
 
 from helpers import (
     add,

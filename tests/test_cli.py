@@ -476,6 +476,23 @@ def test_bad_vdm_threads_fails_before_out(tmp_path, capsys, monkeypatch, command
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "train", "evaluate", "forecast"])
+def test_negative_seed_fails_before_out(tmp_path, capsys, command):
+    """--seed is checked like a setting before any file is read or written;
+    -1 used to fail at the rng, after simulate had made --out and the others
+    had parsed every CSV, with numpy's message naming no setting."""
+    manifest = simulate_four_mode(tmp_path / "data")
+    _, ckpt = train_tiny(manifest, tmp_path / "run")
+    out = tmp_path / "out"
+    inputs = {"simulate": [], "train": ["--data", manifest],
+              "evaluate": ["--data", manifest, "--checkpoint", ckpt],
+              "forecast": ["--data", manifest, "--checkpoint", ckpt]}[command]
+    rc = main([command, *inputs, "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert f"vdm {command}: error: setting 'seed' must be >= 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_scoring_bytes_identical_at_any_thread_count(tmp_path, monkeypatch):
     """Each chunk of forecasts and each group has its own stream, so
     metrics_report.csv and forecasts.csv keep their bytes when the chunks

@@ -14,9 +14,9 @@ from vdm.inference import (
     generate,
     one_step_predictive,
     select_branch,
+    sigma_points,
 )
 from vdm.nets import Gaussian, ModelConfig, VdmModel
-from vdm.sampling import sigma_points
 from vdm.util import NonFiniteError
 
 from helpers import all_branch_belief_step, reference_export_prior

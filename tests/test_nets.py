@@ -151,8 +151,7 @@ def test_gru_advance_serves_each_state_row_to_k_inputs():
 
 def test_gru_shared_between_generation_and_inference():
     """The inference-side recurrent sample uses the generative cell parameters."""
-    from vdm.inference import belief_init, belief_step
-    from vdm.sampling import latent_sample_batch
+    from vdm.inference import belief_init, belief_step, latent_sample_batch
 
     model = make_model(seed=9)
     belief = belief_init(model, np.array([[0.1, 0.2, -0.1]]))

@@ -671,10 +671,15 @@ def test_empty_validation_set_is_an_error():
 @pytest.mark.parametrize("setting, value", [
     ("batch_size", 0), ("batch_size", True), ("batch_size", 16.0),
     ("val_forecasts", 0), ("val_forecasts", -1), ("val_forecasts", True),
+    ("epochs", -1), ("epochs", True), ("epochs", 2.0),
+    ("patience", 0), ("patience", "3"), ("patience", True),
 ])
 def test_loop_settings_checked_before_the_first_batch(monkeypatch, setting, value):
-    """batch_size and val_forecasts must be ints >= 1; val_forecasts=0 used to
-    fail only after a whole epoch, and batch_size=0 inside ``range``."""
+    """epochs must be an int >= 0, and patience, batch_size and val_forecasts
+    ints >= 1.  val_forecasts=0 used to fail only after a whole epoch,
+    batch_size=0 inside ``range``, and patience="3" with a TypeError after
+    two epochs; epochs=-1 returned an untrained checkpoint, epochs=True ran
+    one epoch, and patience=0 stopped like patience=1."""
     train_ds, val_ds = _tiny_four_mode()
 
     def never(*args):
@@ -682,9 +687,10 @@ def test_loop_settings_checked_before_the_first_batch(monkeypatch, setting, valu
 
     monkeypatch.setattr(objective, "total_loss", never)
     cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
-    settings = {"batch_size": 16, "val_forecasts": 5, setting: value}
-    with pytest.raises(ValueError, match=f"^train: {setting} must be an int >= 1, got {value!r}$"):
-        train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=1, **settings)
+    settings = {"epochs": 1, "patience": 1, "batch_size": 16, "val_forecasts": 5, setting: value}
+    least = 0 if setting == "epochs" else 1
+    with pytest.raises(ValueError, match=f"^train: {setting} must be an int >= {least}, got {value!r}$"):
+        train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, **settings)
 
 
 @pytest.mark.parametrize("position", ["dataset", "val_dataset"])

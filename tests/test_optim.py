@@ -4,7 +4,7 @@ import pytest
 
 from vdm import autodiff as ad
 from vdm.autodiff import Tape, Tensor, backward
-from vdm.optim import AdamState, adam_step
+from vdm.objective import AdamState, adam_step
 
 
 def _store_with(value, grad):

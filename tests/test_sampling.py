@@ -4,8 +4,8 @@ import pytest
 from scipy import stats
 
 from vdm.autodiff import Tensor
+from vdm.inference import latent_sample_batch, sigma_points
 from vdm.nets import Gaussian, ModelConfig
-from vdm.sampling import latent_sample_batch, sigma_points
 
 
 class ZeroNoise:
