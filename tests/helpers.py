@@ -5,10 +5,11 @@ selected-component step must reproduce, the one-hot weighted sum that the
 row gather must reproduce, the per-step loss that the loss heads run once
 per batch must reproduce (its bound is this module's ``step_elbo``, which
 ``all_branch_losses`` swaps for the all-branch bound), the arrays a tape
-keeps for backward and its records counted by kind, one desk-scale
-training step, a traced allocation peak, the unfused tape primitives that fused records are checked against and
-test losses are built from, and the row-at-a-time CSV rendering and reading
-that the block writer and the vectorized loader must reproduce."""
+keeps for backward and its records counted by kind, one desk-scale training
+step, a traced allocation peak, the unfused tape primitives that fused
+records are checked against and test losses are built from, and the
+row-at-a-time CSV rendering and reading that the block writer and the
+vectorized loader must reproduce."""
 import collections
 import contextlib
 import csv
