@@ -306,12 +306,20 @@ def gru_cell(x, h, wr, br, wu, bu, wc, bc):
     if len(xv) != k * len(hv):
         raise ValueError(f"gru_cell: {len(xv)} input rows, not a multiple of {len(hv)} states")
     hk = np.repeat(hv, k, axis=0) if k > 1 else hv
-    u, c = _gru_gates(xv, hk, wr, br, wu, bu, wc, bc)[2::2]  # the rest die with the tuple
+    d_x = xv.shape[-1]
+    # _gru_gates' u and c, bit for bit, with at most three gate-size arrays
+    # alive: r scales the h columns of [x, h] in place, turning it into
+    # [x, r * h], and is dropped; [x, r * h] goes before the output is made
+    xh = np.concatenate([xv, hk], axis=-1)
+    u = _sigmoid(_affine(xh, wu.value, bu.value))
+    xh[:, d_x:] *= _sigmoid(_affine(xh, wr.value, br.value))
+    c = _affine(xh, wc.value, bc.value)
+    del xh
+    np.tanh(c, out=c)
     out = u * hk
     np.subtract(1.0, u, out=u)  # (1 - u) * c in u's buffer
     u *= c
     out += u
-    d_x = xv.shape[-1]
 
     def back(g):
         hk = np.repeat(hv, k, axis=0) if k > 1 else hv

@@ -213,23 +213,34 @@ def _assign(cost):
     spc, scanned, vw = np.empty((3, len(ids), n))
     path = np.empty((len(ids), n), dtype=np.intp)
     new, pb = np.arange(len(ids)), ids
+    # flat indices into views: entry (b, j) of a (B, n) array is at b * n + j,
+    # row i of problem b is cost row b * n + i, and slot s starts at s * n
+    cost_rows = cost.reshape(-1, n)
+    flat_cost, flat_v, flat_r4c = cost_rows.reshape(-1), v.reshape(-1), row4col.reshape(-1)
+    slot_at, at = np.arange(0, len(ids) * n, n), ids * n
     while len(ids):
         if len(new):  # start each problem in new on its first free row
             row[new] = (col4row[pb] < 0).argmax(axis=1)
             offset[new], spc[new], scanned[new], vw[new] = 0.0, np.inf, np.inf, v[pb]
-        slot = np.arange(len(ids))
-        reduced = cost[ids, row]
+        reduced = cost_rows.take(at + row, axis=0)
         reduced -= vw
         reduced += offset[:, None]
         np.copyto(path, row[:, None], where=reduced < spc)
         np.minimum(spc, reduced, out=spc)
         col = spc.argmin(axis=1)
-        scanned[slot, col] = mu = spc[slot, col]
-        spc[slot, col] = np.inf
-        vw[slot, col] = -np.inf
-        row = row4col[ids, col]
-        offset = mu - cost[ids, row, col] + v[ids, col]
-        (new,) = np.nonzero(row < 0)  # searches that reached a free column
+        scan = slot_at[:len(ids)] + col
+        mu = spc.take(scan)
+        scanned.put(scan, mu)
+        spc.put(scan, np.inf)
+        vw.put(scan, -np.inf)
+        cell = at + col
+        row = flat_r4c.take(cell)
+        # a free column's row is -1: its offset, never read, is some in-range entry
+        offset = mu - flat_cost.take((at + row) * n + col) + flat_v.take(cell)
+        keep = row >= 0
+        (new,) = np.nonzero(~keep)  # searches that reached a free column
+        if not len(new):
+            continue
         pb = ids[new]
         v[pb] -= np.maximum(mu[new, None] - scanned[new], 0.0)
         for b, s, j in zip(pb.tolist(), new.tolist(), col[new].tolist()):
@@ -237,19 +248,19 @@ def _assign(cost):
             while j >= 0:  # flip the path back to the free root row
                 i = r4c[j] = back[j]
                 c4r[i], j = j, c4r[i]
-        keep = row >= 0
         keep[new] = (col4row[pb] < 0).any(axis=1)
         if not keep.all():
             new = (np.cumsum(keep) - 1)[new[keep[new]]]
-            ids, row, offset, spc, scanned, vw, path = (
-                a[keep] for a in (ids, row, offset, spc, scanned, vw, path))
+            ids, at, row, offset, spc, scanned, vw, path = (
+                a[keep] for a in (ids, at, row, offset, spc, scanned, vw, path))
             pb = ids[new]
     return col4row
 
 
 # Cost-matrix entries per batched solve: batching makes the numpy solver fast, the bound
-# keeps memory flat (2^19 solves 100 Lorenz problems as 2 x 50: 4 MB less for 0.1 s more).
-SOLVE_ENTRIES = 1 << 19
+# keeps memory flat (2^18 solves 100 Lorenz problems as 5 x 20: a 1.6 MB slab in place
+# of 2 x 50's 4 MB, for about 0.1 s more).
+SOLVE_ENTRIES = 1 << 18
 
 
 def w_distance_protocol(model, groups, rng, forecasts_per_truth=10):

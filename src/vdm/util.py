@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["NonFiniteError", "worker_count", "parallel_map", "atomic_write_bytes",
@@ -32,16 +33,40 @@ def worker_count():
 
 
 def parallel_map(fn, items):
-    """Order-preserving map over items, fanned out to at most VDM_THREADS workers.
+    """Order-preserving map over items on at most VDM_THREADS workers: the
+    calling thread and VDM_THREADS - 1 pool threads, each taking the next
+    unclaimed item until none is left.  Once an item fails, workers claim no
+    more, and the exception of the first failed item in item order is
+    re-raised when every worker has stopped.
 
     Each item must carry its own rng state so results are identical at any
     worker count.
     """
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    results, errors = [None] * len(items), {}
+    claims, lock = iter(range(len(items))), threading.Lock()
+
+    def drain():
+        while not errors:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised once every worker stops
+                errors[i] = exc
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def atomic_write_bytes(path, payload):

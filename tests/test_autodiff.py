@@ -777,10 +777,11 @@ def test_gru_closure_keeps_no_gate_and_no_repeated_state():
 
 def test_gru_forward_without_a_tape_holds_only_its_gates():
     """With no tape active, the cell's allocation peak at 1,000 rows of the
-    model's shape (d_z = 6, d_h = 32) is the gate helper's five arrays, [x,
-    h], r, u, [x, r * h] and c, plus less than half an output: r * h, tanh
-    and (1 - u) * c are written in place (one output more, 1.56 MiB for a
-    0.24 MiB output, when each made a new array)."""
+    model's shape (d_z = 6, d_h = 32) is at most one [x, h], two gate arrays
+    and one output: r scales the h columns of [x, h] in place and is dropped,
+    so [x, r * h] is no second array, and tanh and (1 - u) * c are written in
+    place (the gate helper's five arrays peaked at 1.38 MiB, this bound is
+    1.02 MiB)."""
     rng = np.random.default_rng(9)
     rows, d_x, d_h = 1000, 6, 32
     x, h = Tensor(rng.normal(size=(rows, d_x))), Tensor(rng.normal(size=(rows, d_h)))
@@ -789,8 +790,8 @@ def test_gru_forward_without_a_tape_holds_only_its_gates():
     ad.gru_cell(x, h, *weights)  # first-call allocations stay out
     with traced_peak() as peak:
         out = ad.gru_cell(x, h, *weights)
-    gate_bytes = 8 * rows * (2 * (d_x + d_h) + 3 * d_h)
-    assert peak.bytes <= gate_bytes + 0.5 * out.value.nbytes, (peak.bytes, gate_bytes)
+    bound = 8 * rows * ((d_x + d_h) + 2 * d_h) + out.value.nbytes
+    assert peak.bytes <= bound, (peak.bytes, bound)
 
 
 @pytest.mark.parametrize("n_states", [4, 0])

@@ -621,11 +621,12 @@ def test_protocol_slabs_leave_the_score_unchanged(monkeypatch):
     assert w_distance_protocol(model, groups, np.random.default_rng(14), 3) == whole
 
 
-def test_protocol_solves_the_lorenz_shape_as_two_batches_of_50(monkeypatch):
+def test_protocol_solves_the_lorenz_shape_as_five_batches_of_20(monkeypatch):
     """At the Lorenz protocol's shape (10 groups of 100 truths, 10 forecasts
-    per truth) the solve sees two batches of 50 problems, and the score is
-    the one a single batch of 100 gives, bit for bit.  The cost shape does not
-    depend on the model or the horizon, so both are tiny."""
+    per truth) the solve sees five batches of 20 problems, the protocol's
+    allocation peak stays under 4 MiB (7.6 MiB with batches of 50), and the
+    score is the one a single batch of 100 gives, bit for bit.  The cost
+    shape does not depend on the model or the horizon, so both are tiny."""
     model = VdmModel.initialize(ModelConfig(d_x=2, d_z=2, d_h=4, k=5), np.random.default_rng(12))
     groups = _toy_groups(np.random.default_rng(13), n_groups=10, n=100, t_len=3)
     batches, assign = [], evaluation._assign
@@ -635,11 +636,13 @@ def test_protocol_solves_the_lorenz_shape_as_two_batches_of_50(monkeypatch):
         return assign(cost)
 
     monkeypatch.setattr(evaluation, "_assign", record)
-    half = w_distance_protocol(model, groups, np.random.default_rng(14), 10)
-    assert batches == [(50, 100, 100)] * 2
+    with traced_peak() as peak:
+        fifth = w_distance_protocol(model, groups, np.random.default_rng(14), 10)
+    assert batches == [(20, 100, 100)] * 5
+    assert peak.bytes < 4 * 2**20, peak.bytes
     monkeypatch.setattr(evaluation, "SOLVE_ENTRIES", 1 << 20)
-    assert w_distance_protocol(model, groups, np.random.default_rng(14), 10) == half
-    assert batches[2:] == [(100, 100, 100)]
+    assert w_distance_protocol(model, groups, np.random.default_rng(14), 10) == fifth
+    assert batches[5:] == [(100, 100, 100)]
 
 
 def test_protocol_group_streams_are_spawned_in_group_order(monkeypatch):
