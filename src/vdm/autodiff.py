@@ -3,7 +3,11 @@
 A ``Tape`` records every primitive executed while it is active; ``backward``
 replays the records in exact reverse order, accumulating gradients additively
 at fan-out points.  With no tape active all operations are plain numpy
-evaluations, which keeps rollout / evaluation paths cheap.
+evaluations, which keeps rollout / evaluation paths cheap.  A ``Tensor``
+holds float64 values, or float32 ones when it is given a float32 array: the
+tape-free forecast rollout runs the same primitives in float32, and
+recording a float32 value on a tape raises, so everything differentiated
+stays float64.
 
 A record may return a tuple of outputs; its backward then receives a tuple
 of gradients, with ``None`` for an output that nothing read.  A record's
@@ -48,6 +52,8 @@ __all__ = [
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
+
 # per thread, so a worker's ``Tape.pause`` cannot clear another thread's tape
 _ACTIVE_TAPE = contextvars.ContextVar("vdm_active_tape", default=None)
 
@@ -83,12 +89,15 @@ class Tape:
 
 
 class Tensor:
-    """A float64 array plus a gradient slot for leaf parameters, None until filled."""
+    """A float64 array plus a gradient slot for leaf parameters, None until
+    filled.  A float32 array stays float32; anything else becomes float64."""
 
     __slots__ = ("value", "requires_grad", "grad", "_from_tape")
 
     def __init__(self, value, requires_grad=False):
-        self.value = np.asarray(value, dtype=np.float64)
+        if type(value) is not np.ndarray or value.dtype != _FLOAT32:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.requires_grad = requires_grad
         self.grad = None
         self._from_tape = False
@@ -112,7 +121,11 @@ def _emit(value, parents, backward_fn):
     out = tuple(Tensor(v) for v in value) if multi else Tensor(value)
     tape = _ACTIVE_TAPE.get()
     if tape is not None:
-        for t in out if multi else (out,):
+        outs = out if multi else (out,)
+        for t in (*parents, *outs):
+            if t.value.dtype != _FLOAT64:
+                raise ValueError(f"a Tape records float64 values only, got {t.value.dtype}")
+        for t in outs:
             t._from_tape = True
         tape.records.append((out, parents, backward_fn))
     return out

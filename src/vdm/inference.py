@@ -160,30 +160,35 @@ def filter_sequence(model, x_prefix, rng):
 
 
 def _draw(g, rng):
-    """One plain-array draw from the Gaussian ``g``."""
-    return g.mean.value + g.std.value * rng.standard_normal(g.mean.shape)
+    """One plain-array draw from the Gaussian ``g``, in float32."""
+    mean, std = (t.value.astype(np.float32, copy=False) for t in g)
+    return mean + std * rng.standard_normal(mean.shape, dtype=np.float32)
 
 
 def generate(model, belief, horizon, rng):
-    """Sample a (B, horizon, d_x) continuation from the generative model.
+    """Sample a (B, horizon, d_x) float64 continuation from the generative model.
 
-    Runs tape-free: forecasts are never differentiated through.  A
-    non-finite forecast raises NonFiniteError.
+    Runs tape-free and in float32: forecasts are never differentiated
+    through, so the rollout runs the networks on float32 copies of the
+    belief and of the weights, made per call, with float32 noise, and
+    stores each step in the float64 output.  A non-finite forecast, a
+    float32 overflow included, raises NonFiniteError.
     """
     if horizon < 1:
         raise ValueError("generate: horizon must be >= 1")
     cfg = model.config
+    model32 = model.float32_copy()
     with Tape.pause():
         b = belief.batch
         z = Tensor(_draw(belief.collapsed, rng))
-        h = belief.expected_h
+        h = Tensor(belief.expected_h.value.astype(np.float32, copy=False))
         out = np.empty((b, horizon, cfg.d_x))
         for t in range(horizon):
             # the cell absorbs the previous latent; the last step's latent is never absorbed
-            h = model.gru_advance(z, h)
-            prior = model.transition_prior(h)
+            h = model32.gru_advance(z, h)
+            prior = model32.transition_prior(h)
             z = Tensor(_draw(prior, rng))
-            em = model.emit(z, h)
+            em = model32.emit(z, h)
             out[:, t] = _draw(em, rng)
     if not np.isfinite(out).all():
         raise NonFiniteError("generate: non-finite forecast")

@@ -147,6 +147,12 @@ class VdmModel:
                 params[b_name] = Tensor(rng.uniform(-bound, bound, b_shape), requires_grad=True)
         return cls(config, stores["model"], stores["disc"])
 
+    def float32_copy(self):
+        """A scoring model over float32 copies of the network weights, which
+        the tape-free forecast rollout runs; it holds no discriminator."""
+        params = {name: Tensor(t.value.astype(np.float32)) for name, t in self.params.items()}
+        return VdmModel(self.config, params, None)
+
     # ------------------------------------------------------------------
     # generative / inference networks (shared parameters)
     # ------------------------------------------------------------------

@@ -7,9 +7,10 @@ per batch must reproduce (its bound is this module's ``step_elbo``, which
 ``all_branch_losses`` swaps for the all-branch bound), the arrays a tape
 keeps for backward and its records counted by kind, one desk-scale training
 step, a traced allocation peak, the unfused tape primitives that fused
-records are checked against and test losses are built from, and the
+records are checked against and test losses are built from, the
 row-at-a-time CSV rendering and reading that the block writer and the
-vectorized loader must reproduce."""
+vectorized loader must reproduce, and the exact four-mode law with the
+closed-form limit of the multi-step NLL under a Gaussian mixture."""
 import collections
 import contextlib
 import csv
@@ -29,6 +30,7 @@ import numpy as np
 import vdm.autodiff as ad
 import vdm.inference
 import vdm.objective
+from vdm.data import FOUR_MODE_HEADINGS, FOUR_MODE_NOISE, FOUR_MODE_STEP
 from vdm.inference import latent_sample_batch
 from vdm.nets import Gaussian, ModelConfig, VdmModel
 
@@ -742,3 +744,62 @@ def reduce_mean(a, axis=None, keepdims=False):
         return (np.broadcast_to(g_exp / n, shape).copy(),)
 
     return ad._emit(a.value.mean(axis=axis, keepdims=keepdims), (a,), back)
+
+
+# ---------------------------------------------------------------------------
+# the exact four-mode law and the multi-step NLL's closed-form limit
+# ---------------------------------------------------------------------------
+
+def four_mode_law(x0, horizon, noise_std=FOUR_MODE_NOISE):
+    """The exact law of the next ``horizon`` steps of four-mode trajectories
+    from their (N, 2) points ``x0``: the mode is uniform and independent of
+    x0, and given mode m the flattened (H*2,) continuation is Gaussian with
+    mean x0 + t * 0.5 * heading_m at step t = 1..H and random-walk covariance
+    noise_std^2 min(s, t) (x) I_2.  Returns the (4,) mode weights, the
+    (N, 4, H*2) means and the shared (H*2, H*2) covariance."""
+    t = np.arange(1, horizon + 1)
+    steps = t[None, :, None] * FOUR_MODE_STEP * FOUR_MODE_HEADINGS[:, None, :]  # (4, H, 2)
+    means = (np.asarray(x0)[:, None, None, :] + steps[None]).reshape(len(x0), 4, -1)
+    cov = noise_std ** 2 * np.kron(np.minimum.outer(t, t), np.eye(2))
+    return np.full(4, 0.25), means, cov
+
+
+def sample_four_mode_law(x0, horizon, n, rng, noise_std=FOUR_MODE_NOISE):
+    """(N, n, horizon, 2) draws from ``four_mode_law``: a uniform mode per
+    draw, then the heading's steps plus cumulated isotropic noise."""
+    modes = rng.integers(0, 4, size=(len(x0), n))
+    steps = FOUR_MODE_HEADINGS[modes] * FOUR_MODE_STEP  # (N, n, 2)
+    noise = rng.standard_normal((len(x0), n, horizon, 2)) * noise_std
+    return np.asarray(x0)[:, None, None] + np.cumsum(steps[:, :, None] + noise, axis=2)
+
+
+def _mixture_log_density(y, weights, means, cov):
+    """(N,) log sum_m weights_m N(y; means[:, m], cov) for (N, D) points."""
+    chol = np.linalg.cholesky(cov)
+    white = np.linalg.solve(chol, (y[:, None] - means).reshape(-1, len(cov)).T).T
+    log_det = 2.0 * np.log(np.diag(chol)).sum()
+    log_n = -0.5 * (len(cov) * ad.LOG_2PI + log_det + (white ** 2).sum(-1))
+    return np.logaddexp.reduce(log_n.reshape(means.shape[:2]) + np.log(weights), axis=1)
+
+
+def multi_step_nll_limit(truths, weights, means, cov, reduction):
+    """The n -> infinity limits of ``multi_step_nll`` for forecasts drawn from
+    the Gaussian mixture sum_m weights_m N(means[:, m], cov), and of the
+    relative variance of its kernel, both (N,).
+
+    With e = |f - y|^2 / s, s = H*D under ``mean`` and 1 under ``sum``, the
+    kernel exp(-e / 2) has the expectation (2 pi s)^{D'/2} sum_m w_m
+    N(y; mu_m, cov + s I) over D' = H*D values, so the limit is
+    1/2 log 2 pi - log of that; its square is the kernel at s / 2.
+    """
+    y = np.asarray(truths).reshape(len(truths), -1)
+    n_values = y.shape[1]
+    s = float(n_values) if reduction == "mean" else 1.0
+
+    def log_moment(scale):  # log E exp(-|f - y|^2 / (2 scale))
+        return (0.5 * n_values * math.log(2.0 * math.pi * scale)
+                + _mixture_log_density(y, weights, means, cov + scale * np.eye(n_values)))
+
+    log_mean = log_moment(s)
+    rel_var = np.expm1(log_moment(s / 2.0) - 2.0 * log_mean)
+    return 0.5 * ad.LOG_2PI - log_mean, rel_var

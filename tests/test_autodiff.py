@@ -660,6 +660,25 @@ def test_fused_backward_skips_constant_inputs(name):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), (key, i)
 
 
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_record_rejects_a_float32_input_on_a_tape(name):
+    """Only the tape-free rollout runs in float32: on a tape, a float32
+    tensor in any parent's place raises, naming the dtype."""
+    _, fused, _, inputs = _FUSED[name]
+    for i in range(len(inputs)):
+        args = [Tensor(v.astype(np.float32) if j == i else v)
+                for j, v in enumerate(inputs.values())]
+        with Tape(), pytest.raises(ValueError, match="float32"):
+            fused(*args)
+
+
+def test_tensor_keeps_float32_arrays_and_makes_the_rest_float64():
+    assert Tensor(np.ones(3, dtype=np.float32)).value.dtype == np.float32
+    for value in (3, 2.5, [1, 2], [[0.5, 1.0]], np.arange(3), np.ones(2, dtype=np.float16),
+                  np.float32(1.5)):
+        assert Tensor(value).value.dtype == np.float64, value
+
+
 def test_take_rows_backward_equals_one_hot_weighted_sum():
     """The gather's backward scatters into zeros where the one-hot product
     leaves zeros of either sign: equal under assert_array_equal."""

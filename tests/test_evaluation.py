@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vdm import evaluation, inference
-from vdm.data import Dataset
+from vdm.data import Dataset, generate_four_mode
 from vdm.evaluation import (
     FORECAST_ROWS,
     _chunk_plan,
@@ -20,7 +20,13 @@ from vdm.evaluation import (
 )
 from vdm.nets import ModelConfig, VdmModel
 
-from helpers import fresh_python, traced_peak
+from helpers import (
+    four_mode_law,
+    fresh_python,
+    multi_step_nll_limit,
+    sample_four_mode_law,
+    traced_peak,
+)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -138,6 +144,24 @@ def test_permutation_invariance():
     a = one_nll(truth, fc)
     b = one_nll(truth, fc[rng.permutation(9)])
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+def test_nll_of_exact_draws_meets_its_closed_form_limit(reduction):
+    """The estimator oracle: on n = 1,000 draws per truth from the exact
+    four-mode law, ``multi_step_nll`` minus its first-order bias, half the
+    kernel's relative variance over n, lies within four Monte Carlo standard
+    errors of the n -> infinity limit: per truth, and for the mean over the
+    200 truths that a dataset score reports.  Limit and variance are closed
+    form (``helpers.multi_step_nll_limit``)."""
+    n = 1000
+    _, _, test = generate_four_mode((1, 0, 200), np.random.default_rng(5))
+    x0, truths = test.data[:, 0], test.data[:, 1:]
+    forecasts = sample_four_mode_law(x0, truths.shape[1], n, np.random.default_rng(7))
+    limit, rel_var = multi_step_nll_limit(truths, *four_mode_law(x0, truths.shape[1]), reduction)
+    error = multi_step_nll(truths, forecasts, reduction) - rel_var / (2 * n) - limit
+    assert np.all(np.abs(error) <= 4.0 * np.sqrt(rel_var / n))
+    assert abs(error.mean()) <= 4.0 * np.sqrt(rel_var.sum() / n) / len(truths)
 
 
 @pytest.mark.parametrize("reduction", ["mean", "sum"])

@@ -311,6 +311,31 @@ def test_generate_rejects_a_non_finite_forecast():
         generate(model, belief, 3, np.random.default_rng(0))
 
 
+def test_generate_rejects_a_float32_overflow():
+    """The rollout runs in float32: an emission mean past float32's range,
+    which float64 holds, is a non-finite forecast."""
+    model = make_model(seed=16)
+    model.params["dec1.w"].value[:] = 0.0
+    model.params["dec1.b"].value[:] = 1.0  # the second hidden layer is all ones
+    model.params["dec2.w"].value[:, :3] = 3e38  # so each mean is about 32 * 3e38
+    em = model.emit(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 4))))
+    assert np.isfinite(em.mean.value).all() and em.mean.value.min() > 3.5e38
+    belief = belief_init(model, np.zeros((2, 3)))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^generate: non-finite"):
+        generate(model, belief, 3, np.random.default_rng(0))
+
+
+def test_generate_returns_float64_and_leaves_the_belief_be():
+    model = make_model(seed=16)
+    belief = belief_init(model, np.random.default_rng(4).normal(size=(2, 3)))
+    arrays = [t.value.copy() for t in (belief.expected_h, *belief.collapsed)]
+    out = generate(model, belief, 6, np.random.default_rng(11))
+    assert out.dtype == np.float64 and out.shape == (2, 6, 3)
+    for t, kept in zip((belief.expected_h, *belief.collapsed), arrays):
+        assert t.value.dtype == np.float64
+        np.testing.assert_array_equal(t.value, kept)
+
+
 def test_generate_deterministic_given_seed():
     model = make_model(seed=16)
     belief = belief_init(model, np.random.default_rng(4).normal(size=(2, 3)))
@@ -320,39 +345,44 @@ def test_generate_deterministic_given_seed():
 
 
 def test_generate_emits_with_pre_update_recurrent_state():
-    """Manual rollout: each emission conditions on the state from before the
-    cell absorbs the step's latent."""
+    """Manual rollout, in float32 as ``generate`` runs it: each emission
+    conditions on the state from before the cell absorbs the step's latent."""
     model = make_model(seed=25)
     belief = belief_init(model, np.random.default_rng(6).normal(size=(1, 3)))
     horizon = 4
     got = generate(model, belief, horizon, np.random.default_rng(33))
 
     rng = np.random.default_rng(33)
-    z = belief.collapsed.mean.value + belief.collapsed.std.value * rng.standard_normal((1, 2))
-    h = model.gru_advance(Tensor(z), Tensor(np.zeros((1, 4)))).value
+    model32 = model.float32_copy()
+
+    def draw(g, d):
+        mean, std = (t.value.astype(np.float32) for t in g)
+        return mean + std * rng.standard_normal((1, d), dtype=np.float32)
+
+    z = draw(belief.collapsed, 2)
+    h = model32.gru_advance(Tensor(z), Tensor(np.zeros((1, 4), np.float32))).value
     want = np.empty((1, horizon, 3))
     for t in range(horizon):
-        prior = model.transition_prior(Tensor(h))
-        z = prior.mean.value + prior.std.value * rng.standard_normal((1, 2))
-        em = model.emit(Tensor(z), Tensor(h))  # h not yet advanced by z
-        want[:, t] = em.mean.value + em.std.value * rng.standard_normal((1, 3))
-        h = model.gru_advance(Tensor(z), Tensor(h)).value
+        z = draw(model32.transition_prior(Tensor(h)), 2)
+        want[:, t] = draw(model32.emit(Tensor(z), Tensor(h)), 3)  # h not yet advanced by z
+        h = model32.gru_advance(Tensor(z), Tensor(h)).value
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_generate_advances_the_cell_once_per_step(monkeypatch):
     """The latent drawn at the last step is emitted but never absorbed: a
-    horizon-H forecast makes H GRU calls, not H + 1."""
+    horizon-H forecast makes H GRU calls, not H + 1.  ``generate`` runs a
+    float32 copy of the model, so the spy sits on the class."""
     model = make_model(seed=16)
     belief = belief_init(model, np.random.default_rng(4).normal(size=(2, 3)))
     calls = []
-    real = model.gru_advance
+    real = VdmModel.gru_advance
 
-    def counted(z, h):
+    def counted(self, z, h):
         calls.append(1)
-        return real(z, h)
+        return real(self, z, h)
 
-    monkeypatch.setattr(model, "gru_advance", counted)
+    monkeypatch.setattr(VdmModel, "gru_advance", counted)
     generate(model, belief, 6, np.random.default_rng(11))
     assert len(calls) == 6
 

@@ -311,6 +311,36 @@ def test_parameter_counts_stable_and_match_init():
             assert sum(t.value.size for t in model.disc.values()) == want_disc
 
 
+# float32 agrees with float64 to this share of each output's largest magnitude;
+# the rollout's three networks at the Lorenz desk dims read at most 3.4e-7
+FLOAT32_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_networks_agree_with_float64(seed):
+    """One call of each network that the forecast rollout runs, through the
+    float32 copy of the weights, against the float64 model on the same
+    inputs; the copy leaves the model's own weights as they were."""
+    model = make_model(d_z=6, d_h=32, k=13, seed=seed)
+    before = {name: t.value.copy() for name, t in model.params.items()}
+    model32 = model.float32_copy()
+    assert model32.disc is None
+    assert all(t.value.dtype == np.float32 for t in model32.params.values())
+    rng = np.random.default_rng(100 + seed)
+    z, h = rng.normal(size=(200, 6)), np.tanh(rng.normal(size=(200, 32)))
+    z32, h32 = (Tensor(a.astype(np.float32)) for a in (z, h))
+    pairs = [(model32.gru_advance(z32, h32), model.gru_advance(Tensor(z), Tensor(h))),
+             *zip(model32.transition_prior(h32), model.transition_prior(Tensor(h))),
+             *zip(model32.emit(z32, h32), model.emit(Tensor(z), Tensor(h)))]
+    for got, want in pairs:
+        assert got.value.dtype == np.float32
+        np.testing.assert_allclose(got.value, want.value, rtol=0,
+                                   atol=FLOAT32_RTOL * np.abs(want.value).max())
+    for name, t in model.params.items():
+        assert t.value.dtype == np.float64
+        np.testing.assert_array_equal(t.value, before[name])
+
+
 def test_nonfinite_input_rejected():
     model = make_model()
     with pytest.raises(ValueError, match="non-finite"):
