@@ -67,6 +67,7 @@ class Dataset:
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
 LORENZ_BETA = 8.0 / 3.0
+LORENZ_DT = 0.01
 # process noise: an equal mixture of N(±e_y, LORENZ_NOISE_CHOL LORENZ_NOISE_CHOL^T)
 LORENZ_NOISE_MEAN_A = np.array([0.0, 1.0, 0.0])
 LORENZ_NOISE_MEAN_B = np.array([0.0, -1.0, 0.0])
@@ -80,16 +81,11 @@ LORENZ_INIT_HIGH = np.array([10.0, 10.0, 30.0])
 
 @dataclass
 class LorenzConfig:
-    """Integration step and sequence shape of the stochastic Lorenz source;
-    the system and its noise are the ``LORENZ_*`` constants."""
+    """Sequence shape of the stochastic Lorenz source; the system, its
+    integration step and its noise are the ``LORENZ_*`` constants."""
 
-    dt: float = 0.01
     seq_len: int = 100
     prefix_len: int = 10
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("LorenzConfig: dt must be positive")
 
 
 def _lorenz_field(state):
@@ -99,10 +95,9 @@ def _lorenz_field(state):
     )
 
 
-def rk4_step(state, cfg):
-    """One classical 4th-order Runge-Kutta step of the Lorenz field."""
+def rk4_step(state, h):
+    """One classical 4th-order Runge-Kutta step of size h of the Lorenz field."""
     state = np.asarray(state, dtype=np.float64)
-    h = cfg.dt
     k1 = _lorenz_field(state)
     k2 = _lorenz_field(state + 0.5 * h * k1)
     k3 = _lorenz_field(state + 0.5 * h * k2)
@@ -124,7 +119,7 @@ def simulate_lorenz_paths(n, cfg, rng, init_states=None, process_noise=True, obs
     latents = np.empty((n, t_len, 3))
     latents[:, 0] = init_states
     for t in range(1, t_len):
-        nxt = rk4_step(latents[:, t - 1], cfg)
+        nxt = rk4_step(latents[:, t - 1], LORENZ_DT)
         if process_noise:
             pick = rng.random((n, 1)) < 0.5
             means = np.where(pick, LORENZ_NOISE_MEAN_A, LORENZ_NOISE_MEAN_B)
@@ -205,61 +200,41 @@ def _row_fields(d_x):
     return [("seq_id", object), ("t", np.int64), ("x", np.float64, (d_x,))]
 
 
-def _parse_rows(fh, d_x, max_rows=None):
+def _parse_rows(fh, d_x):
     """The body rows of a trajectory CSV in one vectorized pass.
 
     Numbers follow numpy's grammar: no digit separators, and ``t`` is a
     64-bit integer.  A blank line is skipped; any other malformed row raises.
     """
     return np.loadtxt(fh, dtype=np.dtype(_row_fields(d_x)), delimiter=",", quotechar='"',
-                      comments=None, ndmin=1, max_rows=max_rows)
+                      comments=None, ndmin=1)
 
 
-def _raise_first_malformed_row(path, body, d_x):
-    """Raise for the first body row with the wrong field count or a field that
-    ``_parse_rows`` rejects, if there is one.  A non-finite value or a step
-    index out of order in an earlier row is reported first, as a row-by-row
-    reader would."""
+def _raise_first_bad_row(path, lines, d_x):
+    """Raise for the first body row, in file order, with the wrong field count,
+    a field that ``_parse_rows`` rejects, a non-finite value or a step index
+    not above the previous one of its sequence, if there is one."""
     numbers = np.dtype(_row_fields(d_x)[1:])
-    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
-        if len(row) != 2 + d_x:
-            reason = f"expected {2 + d_x} fields"
-        else:
+    last_step = {}
+    limit = csv.field_size_limit(2**31 - 1)  # loadtxt puts no length limit on a seq_id
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=2):
+            if len(row) != 2 + d_x:
+                raise ValueError(f"{path}: malformed row {lineno}: expected {2 + d_x} fields")
             try:
-                np.loadtxt([",".join(row[1:])], dtype=numbers, delimiter=",", comments=None)
-                continue
+                t, x = np.loadtxt([",".join(row[1:])], dtype=numbers, delimiter=",",
+                                  comments=None).item()
             except ValueError:
-                reason = "non-numeric field"
-        if lineno > 2:
-            _check_rows(path, _parse_rows(io.StringIO(body), d_x, max_rows=lineno - 2))
-        raise ValueError(f"{path}: malformed row {lineno}: {reason}")
-
-
-def _check_rows(path, rows):
-    """Raise for the first row, in file order, with a non-finite value or a
-    step index not above the previous one of its sequence.
-
-    Returns each row's sequence index, numbered by first appearance, and the
-    stable order that puts each sequence's rows together.
-    """
-    first_seen = {}
-    codes = np.fromiter(
-        (first_seen.setdefault(s, len(first_seen)) for s in rows["seq_id"]), np.intp, len(rows)
-    )
-    order = np.argsort(codes, kind="stable")
-    t = rows["t"][order]
-    repeats = order[1:][(codes[order][1:] == codes[order][:-1]) & (t[1:] <= t[:-1])]
-    nonfinite = np.flatnonzero(~np.isfinite(rows["x"]).all(axis=1))
-    bad_t = repeats.min() if repeats.size else len(rows)
-    bad_x = nonfinite[0] if nonfinite.size else len(rows)
-    if bad_x < len(rows) and bad_x <= bad_t:
-        raise ValueError(f"{path}: non-finite value at row {bad_x + 2}")
-    if bad_t < len(rows):
-        seq_id = rows["seq_id"][bad_t]
-        raise ValueError(
-            f"{path}: sequence {seq_id!r}: step index not ascending at row {bad_t + 2}"
-        )
-    return codes, order
+                raise ValueError(f"{path}: malformed row {lineno}: non-numeric field") from None
+            if not np.isfinite(x).all():
+                raise ValueError(f"{path}: non-finite value at row {lineno}")
+            if t <= last_step.get(row[0], t - 1):
+                raise ValueError(
+                    f"{path}: sequence {row[0]!r}: step index not ascending at row {lineno}"
+                )
+            last_step[row[0]] = t
+    finally:
+        csv.field_size_limit(limit)
 
 
 def load_csv(path, d_x, seq_len, prefix_len):
@@ -269,7 +244,7 @@ def load_csv(path, d_x, seq_len, prefix_len):
     keep their order of first appearance.  Sequences shorter than seq_len
     are skipped (count logged); longer ones are truncated.  Malformed or
     non-finite rows and out-of-order step indices raise with the first
-    offending row, and its sequence, named.
+    offending row, and its sequence, named by a second, row-by-row read.
     """
     empty = Dataset(np.zeros((0, seq_len, d_x)), prefix_len)
     with open(path) as fh:
@@ -284,19 +259,28 @@ def load_csv(path, d_x, seq_len, prefix_len):
         if not body:
             return empty
         # loadtxt skips a blank line, a malformed row here unless inside a quoted
-        # seq_id; the text is dropped before parsing, and reread only on an error
+        # seq_id; the text is dropped before parsing, and reread only on a fault
         if body.startswith("\n") or "\n\n" in body:
-            _raise_first_malformed_row(path, body, d_x)
+            _raise_first_bad_row(path, io.StringIO(body), d_x)
         del body
         fh.seek(start)
         try:
             rows = _parse_rows(fh, d_x)
+            first_seen = {}
+            codes = np.fromiter(
+                (first_seen.setdefault(s, len(first_seen)) for s in rows["seq_id"]), np.intp,
+                len(rows),
+            )
+            order = np.argsort(codes, kind="stable")
+            t, same_seq = rows["t"][order], np.diff(codes[order]) == 0
+            if np.any(same_seq & (t[1:] <= t[:-1])) or not np.isfinite(rows["x"]).all():
+                raise ValueError(f"{path}: non-finite value or step index not ascending")
+            del first_seen, t, same_seq  # not held while the dataset is assembled
         except ValueError:
             fh.seek(start)
-            _raise_first_malformed_row(path, fh.read(), d_x)
+            _raise_first_bad_row(path, fh, d_x)
             raise
 
-    codes, order = _check_rows(path, rows)
     counts = np.bincount(codes)
     kept = np.flatnonzero(counts >= seq_len)
     if kept.size < counts.size:

@@ -193,9 +193,6 @@ class VdmModel:
     # discriminator (disjoint parameters)
     # ------------------------------------------------------------------
 
-    def disc_initial_state(self, batch):
-        return Tensor(np.zeros((batch, self.config.d_h)))
-
     def disc_step(self, x, h_prev):
         """Advance the discriminator's own prefix summarizer by one observation."""
         if self.disc is None:

@@ -121,7 +121,7 @@ def total_loss(model, batch, rng):
     belief = belief_init(model, arr[:, 0])
     use_adv = cfg.omega2 > 0.0
     if use_adv:
-        h_disc = model.disc_initial_state(b)
+        h_disc = Tensor(np.zeros((b, cfg.d_h)))
 
     steps, branches = [], []  # per step: the rows _loss_heads reads, the branch
     try:
@@ -245,8 +245,6 @@ def train(
     obs_mean = data.reshape(-1, data.shape[2]).mean(axis=0)
     obs_std = data.reshape(-1, data.shape[2]).std(axis=0)
     obs_std = np.where(obs_std < 1e-12, 1.0, obs_std)
-    scaled = (data - obs_mean) / obs_std
-    val_scaled = None
     if val_dataset is not None:
         val_arr = val_dataset.data
         if val_arr.shape[0] == 0:
@@ -255,7 +253,6 @@ def train(
             raise ValueError("train: the validation set has no continuation to score")
         if not np.all(np.isfinite(val_arr)):
             raise ValueError("train: validation set holds a non-finite value")
-        val_scaled = (val_arr - obs_mean) / obs_std
 
     model = VdmModel.initialize(config, rng)
     params_adam = AdamState(model.params)
@@ -265,6 +262,8 @@ def train(
         return Checkpoint.from_stores(config, model.params, model.disc, obs_mean, obs_std)
 
     best = _snapshot()
+    scaled = best.normalize(data)
+    val_scaled = None if val_dataset is None else best.normalize(val_arr)
     best_val = math.inf
     best_epoch = 0
     history = []
@@ -327,14 +326,11 @@ def train(
             )
         if aborted:
             break
-        if not math.isnan(val_nll) and val_nll < best_val:
+        if math.isnan(val_nll) or val_nll < best_val:
             best_val = val_nll
             best = _snapshot()
             best_epoch = epoch
             stale = 0
-        elif math.isnan(val_nll):
-            best = _snapshot()
-            best_epoch = epoch
         else:
             stale += 1
             if stale >= patience:

@@ -485,7 +485,7 @@ def per_step_total_loss(model, batch, rng):
     belief = vdm.inference.belief_init(model, arr[:, 0])
     use_adv = cfg.omega2 > 0.0
     if use_adv:
-        h_disc = model.disc_initial_state(b)
+        h_disc = ad.Tensor(np.zeros((b, cfg.d_h)))
 
     elbo_terms, pred_terms, gen_terms, disc_terms = [], [], [], []
     breakdown = obj.LossBreakdown(0.0, 0.0, 0.0, 0.0)

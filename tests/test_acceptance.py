@@ -15,6 +15,7 @@ from vdm.autodiff import Tape, Tensor, backward
 from vdm.cli import main as cli_main
 from vdm.data import (
     LORENZ_BETA,
+    LORENZ_DT,
     LORENZ_RHO,
     LORENZ_SIGMA,
     Dataset,
@@ -367,7 +368,6 @@ def test_criterion_8_determinism(tmp_path):
 
 @criterion(9, "RK4 equals independent evaluation to 1e-12; observed order >= 4")
 def test_criterion_9_rk4_oracle():
-    cfg = LorenzConfig()
     sigma, rho, beta = LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA
 
     def oracle(state, dt):
@@ -384,8 +384,8 @@ def test_criterion_9_rk4_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = rng.uniform(-20, 20, size=3)
-        got = rk4_step(state, cfg)
-        want = oracle(state, cfg.dt)
+        got = rk4_step(state, LORENZ_DT)
+        want = oracle(state, LORENZ_DT)
         assert np.abs(got - want).max() < 1e-12
 
     # Richardson: defect against two half steps scales as h^(order+1)
@@ -393,9 +393,8 @@ def test_criterion_9_rk4_oracle():
         state = rng.uniform(-15, 15, size=3)
 
         def defect(h):
-            one = rk4_step(state, LorenzConfig(dt=h))
-            half = LorenzConfig(dt=h / 2)
-            two = rk4_step(rk4_step(state, half), half)
+            one = rk4_step(state, h)
+            two = rk4_step(rk4_step(state, h / 2), h / 2)
             return np.linalg.norm(one - two)
 
         observed = np.log2(defect(0.02) / defect(0.01)) - 1.0

@@ -11,6 +11,7 @@ import pytest
 
 from vdm.data import (
     FOUR_MODE_HEADINGS,
+    LORENZ_DT,
     LORENZ_NOISE_CHOL,
     LORENZ_OBS_NOISE_STD,
     Dataset,
@@ -61,17 +62,15 @@ def reference_rk4(state, dt):
 
 
 def test_rk4_origin_fixed_point():
-    cfg = LorenzConfig()
-    np.testing.assert_array_equal(rk4_step(np.zeros(3), cfg), np.zeros(3))
+    np.testing.assert_array_equal(rk4_step(np.zeros(3), LORENZ_DT), np.zeros(3))
 
 
 def test_rk4_matches_independent_oracle():
-    cfg = LorenzConfig()
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = rng.uniform(-20, 20, size=3)
-        got = rk4_step(state, cfg)
-        want = reference_rk4(state, cfg.dt)
+        got = rk4_step(state, LORENZ_DT)
+        want = reference_rk4(state, LORENZ_DT)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -83,9 +82,8 @@ def test_rk4_observed_convergence_order_at_least_four():
         state = rng.uniform(-15, 15, size=3)
 
         def defect(h):
-            big = rk4_step(state, LorenzConfig(dt=h))
-            half_cfg = LorenzConfig(dt=h / 2)
-            halves = rk4_step(rk4_step(state, half_cfg), half_cfg)
+            big = rk4_step(state, h)
+            halves = rk4_step(rk4_step(state, h / 2), h / 2)
             return np.linalg.norm(big - halves)
 
         d1, d2 = defect(0.02), defect(0.01)
@@ -111,7 +109,7 @@ def test_noise_free_simulation_is_rk4_orbit():
     np.testing.assert_array_equal(obs, latents)
     state = init.copy()
     for t in range(1, 20):
-        state = rk4_step(state, cfg)
+        state = rk4_step(state, LORENZ_DT)
         np.testing.assert_allclose(latents[0, t], state, rtol=1e-12)
 
 
@@ -152,7 +150,7 @@ def test_process_noise_recovery():
     and its covariance L L^T + diag(0, 1, 0), the e_y means adding variance 1."""
     cfg = LorenzConfig(seq_len=101)
     _, latents = simulate_lorenz_paths(1000, cfg, np.random.default_rng(11), obs_noise=False)
-    noise = (latents[:, 1:] - rk4_step(latents[:, :-1], cfg)).reshape(-1, 3)
+    noise = (latents[:, 1:] - rk4_step(latents[:, :-1], LORENZ_DT)).reshape(-1, 3)
     assert noise.shape[0] == 10**5
     want = LORENZ_NOISE_CHOL @ LORENZ_NOISE_CHOL.T + np.diag([0.0, 1.0, 0.0])
     np.testing.assert_allclose(np.cov(noise.T), want, rtol=0, atol=5e-3)
@@ -341,6 +339,24 @@ def test_csv_quoted_and_long_ids_stay_distinct(tmp_path):
     want = [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]]
     np.testing.assert_array_equal(ds.data[..., 0], want)
     np.testing.assert_array_equal(ds.data, row_reader_csv(path, 1, 2)[0])
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("{id},1,nan", "non-finite value at row 3"),
+    ("{id},1,x", "malformed row 3: non-numeric field"),
+    ("", "malformed row 3: expected 3 fields"),
+])
+def test_csv_fault_after_an_id_longer_than_the_csv_field_limit(tmp_path, bad_row, message):
+    """loadtxt puts no length limit on a seq_id, so the row-by-row read that
+    names a fault lifts csv's field limit while it runs, and restores it."""
+    limit = csv.field_size_limit()
+    long_id = "s" * (limit + 1)
+    path = tmp_path / "long.csv"
+    path.write_text(f"seq_id,t,x0\n{long_id},0,1.0\n{bad_row.format(id=long_id)}\n{long_id},2,3.0\n")
+    with pytest.raises(ValueError) as err:
+        load_csv(path, d_x=1, seq_len=2, prefix_len=1)
+    assert str(err.value) == f"{path}: {message}"
+    assert csv.field_size_limit() == limit
 
 
 def test_csv_load_never_holds_the_text_and_the_rows_at_once(tmp_path):

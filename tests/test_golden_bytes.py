@@ -7,6 +7,9 @@ and a machine with others fails with a message naming them.  A change that
 alters bytes on purpose regenerates the file from the repository root with
 
     PYTHONPATH=src python3 tests/test_golden_bytes.py
+
+which prints each file and gradient entry whose hash changed, was added or
+was dropped, against the file it overwrites.
 """
 import json
 import os
@@ -97,9 +100,41 @@ def test_outputs_and_gradients_match_the_golden_hashes(tmp_path):
         assert not changed, f"{kind} whose bytes changed: {changed}"
 
 
+def changed_entries(old, new):
+    """One line for each file or gradient hash of ``new`` that differs from,
+    or is missing in, ``old``, and for each entry of ``old`` that ``new``
+    drops; and one for a numpy or BLAS version that changed."""
+    lines = [f"{lib}: {old.get(lib)} -> {new[lib]}"
+             for lib in ("numpy", "blas") if old.get(lib) != new[lib]]
+    for kind in ("files", "gradients"):
+        before, after = old.get(kind, {}), new[kind]
+        for name in sorted(before.keys() | after.keys()):
+            if name not in after:
+                lines.append(f"{kind}: dropped {name}")
+            elif name not in before:
+                lines.append(f"{kind}: added {name}")
+            elif before[name] != after[name]:
+                lines.append(f"{kind}: changed {name}")
+    return lines
+
+
+def test_regeneration_names_each_changed_entry():
+    old = {"numpy": "2.4", "blas": "b", "files": {"a": "1", "b": "2"}, "gradients": {"g": "1"}}
+    new = {"numpy": "2.5", "blas": "b", "files": {"a": "1", "b": "3", "c": "4"}, "gradients": {}}
+    assert changed_entries(old, new) == [
+        "numpy: 2.4 -> 2.5", "files: changed b", "files: added c", "gradients: dropped g",
+    ]
+    assert changed_entries(new, new) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         record = golden_run(work)
+    previous = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            previous = json.load(fh)
+    print("\n".join(changed_entries(previous, record)) or "no hash changed")
     with open(GOLDEN, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -422,6 +422,18 @@ def test_non_finite_head_output_names_the_step_that_made_it(bias):
             total_loss(model, batch, np.random.default_rng(0))
 
 
+def test_overflowing_kl_is_reported_as_a_non_finite_bound():
+    """An inference mean of 1e200 squares past the float64 range in the KL
+    term while the branch likelihoods, which read the prior, stay finite:
+    the bound is what fails, at the first step."""
+    model = make_model(d_x=3, d_z=2, d_h=4, k=5, seed=2)
+    model.params["inf2.b"].value[:2] = 1e200
+    batch = np.random.default_rng(1).normal(size=(4, 6, 3))
+    with pytest.raises(FloatingPointError, match=r"^total_loss: non-finite bound at step 1$"):
+        with Tape(), np.errstate(over="ignore"):
+            total_loss(model, batch, np.random.default_rng(0))
+
+
 # One step at Lorenz desk scale (B=32, d_x 3, d_z 6, d_h 32, k 13, T=30,
 # omega2=1) records per filtering step (29 of them) a belief step's 7 records
 # (latent sample, GRU, transition prior, branch emission, log-pdf, branch
@@ -784,3 +796,36 @@ def test_metrics_history_contents():
             assert key in row
         assert math.isfinite(row["val_nll"])
     assert result.checkpoint.provenance["epoch"] in (0, 1)
+
+
+def _epoch_line(row):
+    return (f"epoch {row['epoch']}: total={row['total']:.4f} elbo={row['elbo']:.4f} "
+            f"pred={row['pred']:.4f} adv={row['adv']:.4f} val_nll={row['val_nll']:.4f}")
+
+
+def test_verbose_training_prints_each_epoch_and_the_early_stop(capsys):
+    """With patience 1 the first epoch that does not improve the validation
+    NLL is the last, and says so after its own line."""
+    train_ds, val_ds = _tiny_four_mode()
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0)
+    result = train(train_ds, cfg, np.random.default_rng(21), val_dataset=val_ds, epochs=5,
+                   batch_size=16, patience=1, val_forecasts=10, verbose=True)
+    stop = len(result.history) - 1
+    assert 0 < stop < 4
+    assert capsys.readouterr().out.splitlines() == (
+        [_epoch_line(row) for row in result.history] + [f"epoch {stop}: early stop (patience 1)"]
+    )
+
+
+def test_verbose_training_prints_the_divergence(capsys):
+    """A diverged epoch prints the error before its own line, whose
+    validation NLL is nan."""
+    train_ds, val_ds = _tiny_four_mode()
+    cfg = ModelConfig(d_x=2, d_z=2, d_h=4, k=5, omega2=0.0, lr=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(train_ds, cfg, np.random.default_rng(5), val_dataset=val_ds, epochs=5,
+                       batch_size=len(train_ds), verbose=True)
+    assert result.aborted
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("epoch 0: aborted on divergence: ")
+    assert second == _epoch_line(result.history[0]) and second.endswith("val_nll=nan")
